@@ -321,6 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as -0.5,0.2 for an option: glue it to --x0
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--x0":
+            argv[i : i + 2] = [f"--x0={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -8,6 +8,7 @@ two-source mixing functions require.
 from __future__ import annotations
 
 import csv
+import warnings
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,71 @@ class TransformError(ValueError):
 # file I/O
 # ---------------------------------------------------------------------------
 
+_CHUNK = 8192  # rows per Python-level batch; bounds the per-row lists held at once
+
+
+def _parse_cells(path, header: list[str]) -> np.ndarray:
+    """Cell-by-cell parse of a CSV body, raising on the first ragged row, bad
+    cell or non-finite value with its row (header = row 1) and column."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r][1:]
+    for i, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+        for name, cell in zip(header, row):
+            try:
+                val = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {i}, column '{name}': not a number: {cell!r}"
+                ) from None
+            if not np.isfinite(val):
+                raise ValueError(f"{path}: row {i}, column '{name}': non-finite value")
+    return np.array([[float(c) for c in row] for row in rows])
+
+
+def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
+    """Header and body of a CSV whose cells are all finite numbers (quoted or
+    not; blank lines skipped); errors name the row and column at fault."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header row")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # empty body, raised below
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        # only the per-cell parse can say where the problem is
+        data = _parse_cells(path, header)
+    if len(data) == 0:
+        raise ValueError(f"{path}: no data rows")
+    return header, data
+
+
+def _time_step(path, times: np.ndarray, column: str) -> float:
+    """The step of a time column, which must be uniform to 1e-9 relative."""
+    steps = np.diff(times)
+    if len(steps) == 0 or steps[0] <= 0:
+        raise ValueError(f"{path}: time column must be strictly increasing")
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+        raise ValueError(f"{path}: non-uniform timestamps in column '{column}'")
+    return float(steps[0])
+
+
+def _write_csv_columns(path, header, dt: float, columns) -> None:
+    """Write the bytes csv.writer would for the header, then rows of sample
+    time k * dt and the 1-D columns' k-th values, each cell as its repr."""
+    columns = [np.arange(len(columns[0])) * float(dt), *columns]
+    with Path(path).open("w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(columns[0]), _CHUNK):
+            cells = [list(map(repr, c[lo : lo + _CHUNK].tolist())) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 def read_csv_trajectory(
     path, time_column: str | None = "t", dt: float | None = None
 ) -> Trajectory:
@@ -36,61 +102,21 @@ def read_csv_trajectory(
     dt is taken from the time column (which must be uniform to 1e-9 relative)
     unless a fixed dt is given instead.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    width = len(header)
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
-        for j, cell in enumerate(row):
-            try:
-                val = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {i + 2}, column '{header[j]}': not a number: {cell!r}"
-                ) from None
-            if not np.isfinite(val):
-                raise ValueError(
-                    f"{path}: row {i + 2}, column '{header[j]}': non-finite value"
-                )
-            data[i, j] = val
-
-    if time_column is not None and time_column in header:
+    header, data = _read_csv_table(path)
+    if time_column in header:
         tcol = header.index(time_column)
-        times = data[:, tcol]
+        dt = _time_step(path, data[:, tcol], time_column)
         data = np.delete(data, tcol, axis=1)
-        names = tuple(h for k, h in enumerate(header) if k != tcol)
-        steps = np.diff(times)
-        if len(steps) == 0 or steps[0] <= 0:
-            raise ValueError(f"{path}: time column must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-            raise ValueError(f"{path}: non-uniform timestamps in column '{time_column}'")
-        dt_val = float(steps[0])
-    else:
-        if dt is None:
-            raise ValueError("no time column found and no fixed dt given")
-        dt_val = float(dt)
-        names = tuple(header)
-    return Trajectory(data, dt_val, names)
+        del header[tcol]
+    elif dt is None:
+        raise ValueError("no time column found and no fixed dt given")
+    return Trajectory(data, float(dt), tuple(header))
 
 
 def write_csv_trajectory(traj: Trajectory, path, time_column: str = "t") -> None:
     """Write a trajectory as CSV with a time column; values use shortest
     round-trip decimal form so read-back is bit-exact."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([time_column, *traj.channel_names])
-        for k in range(traj.n_samples):
-            writer.writerow(
-                [repr(float(k * traj.dt)), *(repr(float(v)) for v in traj.samples[k])]
-            )
+    _write_csv_columns(path, [time_column, *traj.channel_names], traj.dt, traj.samples.T)
 
 
 def read_wav_trajectory(path) -> Trajectory:
@@ -192,21 +218,26 @@ def gen_bounded_walk(
         else:
             raise ValueError(f"unknown noise kind {kind!r}")
     pos = np.empty((n, dim))
-    p = rng.uniform(-0.5 * box, 0.5 * box, dim)
-    v = np.zeros(dim)
+    start = rng.uniform(-0.5 * box, 0.5 * box, dim).tolist()
     step = step_scale * box
-    for k in range(n):
-        pos[k] = p
-        v = smooth * v + (1.0 - smooth) * eps[k]
-        p = p + step * v
-        # reflect at the walls, flipping the velocity component
-        for j in range(dim):
-            if p[j] > box:
-                p[j] = 2 * box - p[j]
-                v[j] = -v[j]
-            elif p[j] < -box:
-                p[j] = -2 * box - p[j]
-                v[j] = -v[j]
+    gain = 1.0 - smooth
+    # the channels are independent: step each one on Python floats
+    for j in range(dim):
+        p, v = start[j], 0.0
+        for lo in range(0, n, _CHUNK):
+            col = []
+            for e in eps[lo : lo + _CHUNK, j].tolist():
+                col.append(p)
+                v = smooth * v + gain * e
+                p = p + step * v
+                # reflect at the walls, flipping the velocity
+                if p > box:
+                    p = 2 * box - p
+                    v = -v
+                elif p < -box:
+                    p = -2 * box - p
+                    v = -v
+            pos[lo : lo + _CHUNK, j] = col
     names = tuple(f"s{i + 1}" for i in range(dim))
     return Trajectory(pos, dt, names)
 

@@ -3,13 +3,12 @@ weight series across sensors, and score separability."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .ingest import _read_csv_table, _time_step, _write_csv_columns
 from .model import (
     DimensionMismatchError,
     FrameField,
@@ -203,33 +202,21 @@ def separability_report(
 
 def write_csv_weights(w: WeightSeries, path, channel_names=None) -> None:
     names = channel_names or [f"w{i + 1}" for i in range(w.dim)]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *names, "valid"])
-        for k in range(len(w)):
-            writer.writerow(
-                [
-                    repr(float(k * w.dt)),
-                    *(repr(float(v)) for v in w.values[k]),
-                    int(w.valid_mask[k]),
-                ]
-            )
+    columns = [*w.values.T, w.valid_mask.astype(np.int8)]
+    _write_csv_columns(path, ["t", *names, "valid"], w.dt, columns)
 
 
 def read_csv_weights(path) -> WeightSeries:
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    """Read a weight CSV; the time column must be uniform to 1e-9 relative
+    and every valid flag 0 or 1."""
+    header, data = _read_csv_table(path)
     if header[0] != "t" or header[-1] != "valid":
         raise ValueError(f"{path}: expected columns t, <channels...>, valid")
-    n_chan = len(header) - 2
-    values = np.zeros((len(rows), n_chan))
-    mask = np.zeros(len(rows), dtype=bool)
-    times = np.zeros(len(rows))
-    for i, row in enumerate(rows):
-        times[i] = float(row[0])
-        values[i] = [float(c) for c in row[1 : 1 + n_chan]]
-        mask[i] = bool(int(row[-1]))
-    dt = float(times[1] - times[0]) if len(rows) > 1 else 1.0
-    return WeightSeries(values, mask, dt=dt)
+    flags = data[:, -1]
+    bad = np.flatnonzero((flags != 0) & (flags != 1))
+    if bad.size:
+        raise ValueError(
+            f"{path}: row {bad[0] + 2}, column 'valid': expected 0 or 1, got {flags[bad[0]]:g}"
+        )
+    dt = _time_step(path, data[:, 0], "t") if len(data) > 1 else 1.0
+    return WeightSeries(np.ascontiguousarray(data[:, 1:-1]), flags == 1, dt=dt)

@@ -102,6 +102,23 @@ class TestStagedPipeline:
         assert rc == 0
         assert read_csv_trajectory(out).dim == 2
 
+    def test_reconstruct_negative_x0_as_separate_argument(self, staged, tmp_path):
+        # "--x0 -0.5,0.2" must work as "--x0=-0.5,0.2" does
+        w = read_csv_weights(staged / "weights.csv")
+        traj = read_csv_trajectory(staged / "walk.csv")
+        k0 = int(np.flatnonzero(w.valid_mask & (traj.samples[:, 0] < 0))[0])
+        x0 = ",".join(repr(float(v)) for v in traj.samples[k0])
+        paths = []
+        for form in ([f"--x0={x0}"], ["--x0", x0]):
+            out = tmp_path / f"recon{len(form)}.csv"
+            rc = run(
+                ["reconstruct", "--weights", staged / "weights.csv", "--field",
+                 staged / "field.json", *form, "--steps", "200", "--out", out]
+            )
+            assert rc == 0
+            paths.append(out)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_grid_command(self, staged, tmp_path):
         out = tmp_path / "grid.json"
         rc = run(["grid", "--in", staged / "walk.csv", "--bins", "4,4", "--out", out])

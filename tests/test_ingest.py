@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from innerseries.ingest import (
     TransformError,
     TransformSpec,
     apply_transform,
+    gen_bounded_walk,
     gen_lifted_latent,
     gen_sine,
     mix_two_sources,
@@ -58,6 +61,97 @@ class TestCsv:
         write_csv_trajectory(traj, p)
         back = read_csv_trajectory(p)
         np.testing.assert_array_equal(back.samples, traj.samples)
+
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_writer_bytes_match_csv_writer(self, tmp_path, dim):
+        # reference: the row-at-a-time csv.writer the writer must reproduce
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((9000, dim)) * 10.0 ** rng.integers(-300, 300, (9000, dim))
+        x[::5, 0] = -0.0
+        names = ("a,b", *(f"x{i}" for i in range(1, dim)))
+        for dt in (1 / 3.0, 2):
+            traj = Trajectory(x, dt, names)
+            ref = tmp_path / "ref.csv"
+            with ref.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t", *names])
+                for k in range(traj.n_samples):
+                    writer.writerow([repr(float(k * dt)), *(repr(float(v)) for v in x[k])])
+            out = tmp_path / "out.csv"
+            write_csv_trajectory(traj, out)
+            assert out.read_bytes() == ref.read_bytes()
+            back = read_csv_trajectory(out)
+            np.testing.assert_array_equal(back.samples, x)
+            assert back.channel_names == names and back.dt == float(dt)
+
+    def test_quoted_number_accepted(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text('t,x\n0,"1.5"\n1,2\n2,3\n')
+        np.testing.assert_array_equal(read_csv_trajectory(p).samples[:, 0], [1.5, 2, 3])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x\n0,0\n1,#\n2,2\n", r"row 3, column 'x': not a number: '#'"),
+            ("t,x\n0,0\n1,1\n2,inf\n", r"row 4, column 'x': non-finite value"),
+            ("t,x\n", "no data rows"),
+            ("", "empty file, no header row"),
+        ],
+    )
+    def test_rejected_file(self, tmp_path, text, message):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_csv_trajectory(p)
+
+
+def _reference_walk(n, seed, dim, box, noise, smooth, step_scale):
+    """The per-sample loop over numpy state vectors that gen_bounded_walk
+    replaced, with the same draws; also counts wall reflections."""
+    rng = np.random.default_rng(seed)
+    kinds = (noise,) * dim if isinstance(noise, str) else tuple(noise)
+    eps = np.empty((n, dim))
+    for j, kind in enumerate(kinds):
+        if kind == "laplace":
+            eps[:, j] = rng.laplace(0.0, 1.0 / np.sqrt(2.0), n)
+        elif kind == "uniform":
+            eps[:, j] = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), n)
+        else:
+            eps[:, j] = rng.standard_normal(n)
+    pos = np.empty((n, dim))
+    p = rng.uniform(-0.5 * box, 0.5 * box, dim)
+    v = np.zeros(dim)
+    step = step_scale * box
+    hits = 0
+    for k in range(n):
+        pos[k] = p
+        v = smooth * v + (1.0 - smooth) * eps[k]
+        p = p + step * v
+        for j in range(dim):
+            if p[j] > box:
+                p[j] = 2 * box - p[j]
+                v[j] = -v[j]
+                hits += 1
+            elif p[j] < -box:
+                p[j] = -2 * box - p[j]
+                v[j] = -v[j]
+                hits += 1
+    return pos, hits
+
+
+class TestBoundedWalk:
+    @pytest.mark.parametrize("seed, box", [(0, 1.0), (1, 2e4), (2, 1e-3)])
+    @pytest.mark.parametrize("noise", ["laplace", "uniform", "gauss", "mixed"])
+    @pytest.mark.parametrize("dim", [1, 2, 6])
+    def test_bit_exact_against_per_sample_loop(self, seed, box, noise, dim):
+        if noise == "mixed":
+            noise = tuple(("laplace", "uniform", "gauss")[j % 3] for j in range(dim))
+        # n spans two 8192-row chunks; the large step hits the walls often
+        args = (9000, seed, dim, box, noise, 0.3, 0.1)
+        ref, hits = _reference_walk(*args)
+        walk = gen_bounded_walk(*args[:3], box=box, noise=noise, smooth=0.3, step_scale=0.1)
+        assert hits > 10
+        np.testing.assert_array_equal(walk.samples, ref)
 
 
 class TestWav:

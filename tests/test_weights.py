@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,42 @@ class TestWeightsCsv:
         np.testing.assert_array_equal(back.values, w.values)
         np.testing.assert_array_equal(back.valid_mask, w.valid_mask)
         assert back.dt == w.dt
+
+    @pytest.mark.parametrize("dim", [1, 6])
+    def test_writer_bytes_match_csv_writer(self, tmp_path, dim):
+        # reference: the row-at-a-time csv.writer the writer must reproduce;
+        # invalid rows may hold NaN
+        rng = np.random.default_rng(dim)
+        values = rng.standard_normal((9000, dim)) * 10.0 ** rng.integers(-300, 300, (9000, dim))
+        mask = rng.random(9000) > 0.1
+        values[~mask] = np.where(rng.random(((~mask).sum(), dim)) < 0.5, np.nan, 0.0)
+        names = ["a,b", *(f"w{i}" for i in range(1, dim))]
+        w = WeightSeries(values, mask, dt=1 / 16000)
+        ref = tmp_path / "ref.csv"
+        with ref.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", *names, "valid"])
+            for k in range(len(w)):
+                writer.writerow(
+                    [repr(float(k * w.dt)), *(repr(float(v)) for v in values[k]), int(mask[k])]
+                )
+        out = tmp_path / "out.csv"
+        write_csv_weights(w, out, channel_names=names)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,1\n1,2,1\n3,3,1\n", r"non-uniform timestamps in column 't'"),
+            ("0,1,1\n1,2,2\n2,3,1\n", r"row 3, column 'valid': expected 0 or 1, got 2"),
+            ("0,1,1\n1,2\n2,3,1\n", r"row 3 has 2 cells, expected 3"),
+            ("0,1,1\n1,x,1\n2,3,1\n", r"row 3, column 'w1': not a number: 'x'"),
+            ("0,1,1\n1,nan,0\n2,3,1\n", r"row 3, column 'w1': non-finite value"),
+            ("", "no data rows"),
+        ],
+    )
+    def test_reader_rejects(self, tmp_path, body, message):
+        p = tmp_path / "w.csv"
+        p.write_text("t,w1,valid\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_csv_weights(p)
