@@ -110,20 +110,13 @@ def cmd_moments(args) -> int:
 
 def cmd_frames(args) -> int:
     grid, moments = serialize.moments_from_dict(serialize.load_json(args.moments))
-    if not grid.members:
-        # moments files omit per-bin sample lists; alignment only needs the
-        # occupancy counts, so synthesize placeholder memberships of that size
-        from .model import BinGrid
-
-        members = {k: np.arange(m.count) for k, m in moments.items()}
-        grid = BinGrid(grid.edges, members, grid.min_count)
     frames = {}
     for key, mom in moments.items():
         try:
             frames[key] = solve_frame(mom, gap_tol=args.gap_tol)
         except ValueError as err:
             print(f"skipping bin {key}: {err}", file=sys.stderr)
-    field = align_frame_field(grid, frames)
+    field = align_frame_field(grid, frames, {k: m.count for k, m in moments.items()})
     serialize.dump_json(serialize.field_to_dict(field), args.out)
     return 0
 

@@ -40,8 +40,8 @@ def build_grid(
 ) -> BinGrid:
     """Equal-width bin grid spanning the observed range per axis.
 
-    Lower bins are half-open; the top edge is inclusive so every sample lands
-    in exactly one bin.
+    Lower bins are half-open; the top edge is inclusive so every sample of
+    traj lands in exactly one bin.
     """
     counts = tuple(int(b) for b in bins_per_axis)
     if len(counts) != traj.dim:
@@ -57,19 +57,7 @@ def build_grid(
         edges.append(np.linspace(lo, hi, nb + 1))
     if min_count is None:
         min_count = default_min_count(traj.dim)
-
-    grid = BinGrid(tuple(edges), {}, int(min_count))
-    idx = grid.locate(x)  # all in range by construction
-    flat = np.ravel_multi_index(idx.T, grid.shape)
-    order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
-    boundaries = np.flatnonzero(np.diff(flat_sorted)) + 1
-    groups = np.split(order, boundaries)
-    members = {}
-    for g in groups:
-        multi = tuple(int(i) for i in idx[g[0]])
-        members[multi] = np.sort(g)
-    return BinGrid(tuple(edges), members, int(min_count))
+    return BinGrid(tuple(edges), int(min_count))
 
 
 def accumulate_moments(
@@ -77,28 +65,32 @@ def accumulate_moments(
 ) -> dict[tuple[int, ...], LocalMoments]:
     """Centered second- and fourth-order velocity moments per occupied bin.
 
-    Member samples with invalid velocity are skipped; bins whose valid count
-    drops below the grid's min_count are left out.  Accumulation iterates
-    members in ascending sample order, so the result is independent of how
-    the samples were originally ordered.
+    Samples with invalid velocity or outside the grid are skipped; bins
+    whose valid count is below the grid's min_count are left out.  Each
+    bin's samples are accumulated in ascending sample order, so the result
+    is independent of how the samples were originally ordered.
     """
     if len(vel) != traj.n_samples:
         raise ValueError("velocity series not aligned with trajectory")
     n_dim = traj.dim
     if n_dim > MAX_DIM:
         raise ValueError(f"dimension {n_dim} exceeds supported maximum {MAX_DIM}")
+    idx = grid.locate(traj.samples)
+    sel = np.flatnonzero(vel.valid_mask & np.all(idx >= 0, axis=1))
+    flat = np.ravel_multi_index(idx[sel].T, grid.shape)
+    order = np.argsort(flat, kind="stable")  # keeps samples ascending per bin
+    boundaries = np.flatnonzero(np.diff(flat[order])) + 1
     out: dict[tuple[int, ...], LocalMoments] = {}
-    for key, idx in grid.members.items():
-        sel = idx[vel.valid_mask[idx]]
-        if len(sel) < grid.min_count:
+    for group in np.split(sel[order], boundaries):
+        if len(group) < grid.min_count:
             continue
-        v = vel.values[sel]
+        v = vel.values[group]
         mean = v.mean(axis=0)
         dvl = v - mean
-        c2 = dvl.T @ dvl / len(sel)
+        c2 = dvl.T @ dvl / len(group)
         c2 = 0.5 * (c2 + c2.T)
-        c4 = np.einsum("ti,tj,tk,tl->ijkl", dvl, dvl, dvl, dvl) / len(sel)
-        out[key] = LocalMoments(len(sel), mean, c2, c4)
+        c4 = np.einsum("ti,tj,tk,tl->ijkl", dvl, dvl, dvl, dvl) / len(group)
+        out[tuple(int(i) for i in idx[group[0]])] = LocalMoments(len(group), mean, c2, c4)
     if not out:
         raise ValueError("no occupied bins (min_count too high or data too sparse)")
     return out

@@ -127,7 +127,7 @@ def run_pipeline(
             frames[key] = solve_frame(mom)
         except ValueError:
             skipped += 1
-    field = align_frame_field(grid, frames)
+    field = align_frame_field(grid, frames, {k: m.count for k, m in moments.items()})
     r1 = r2 = 0.0
     for key, fr in field.frames.items():
         a, b = frame_residuals(fr, moments[key])
@@ -447,8 +447,7 @@ def linear_map_law_check(
     grid = build_grid(traj, bins)
     moments = accumulate_moments(traj, vel, grid)
     vel_p = VelocitySeries(vel.values @ lin.T, vel.valid_mask)
-    traj_p = Trajectory(traj.samples @ lin.T, traj.dt)
-    moments_p = accumulate_moments(traj_p, vel_p, grid)
+    moments_p = accumulate_moments(traj, vel_p, grid)  # binned as traj
     jac = np.linalg.inv(lin)  # dx/dx'
     worst = 0.0
     checked = 0

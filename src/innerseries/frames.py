@@ -12,8 +12,8 @@ rotations inside degenerate eigenspaces of D).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
+from typing import Mapping
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .model import (
     LocalFrame,
     LocalMoments,
     SignedPermutation,
+    best_signed_assignment,
 )
 
 DEFAULT_GAP_TOL = 1e-3
@@ -117,29 +118,9 @@ def nearest_signed_permutation(r: np.ndarray) -> tuple[SignedPermutation, float]
     """Signed permutation (as an operator on channels) whose matrix is nearest
     to r in Frobenius norm; returns it with the residual ||r - P||_F.
 
-    Exhaustive over the group for N <= 4; greedy largest-entry assignment
-    beyond.
+    Exact at every N (see best_signed_assignment).
     """
-    r = np.asarray(r, dtype=float)
-    n = r.shape[0]
-    absr = np.abs(r)
-    if n <= 4:
-        best_perm, best_score = None, -np.inf
-        for perm in itertools.permutations(range(n)):
-            score = sum(absr[j, perm[j]] for j in range(n))
-            if score > best_score:
-                best_score, best_perm = score, perm
-        perm = np.array(best_perm)
-    else:
-        perm = np.full(n, -1)
-        work = absr.copy()
-        for _ in range(n):
-            j, k = np.unravel_index(np.argmax(work), work.shape)
-            perm[j] = k
-            work[j, :] = -np.inf
-            work[:, k] = -np.inf
-    signs = np.where(r[np.arange(n), perm] >= 0, 1, -1)
-    p = SignedPermutation(perm, signs)
+    p = best_signed_assignment(r)
     residual = float(np.linalg.norm(r - p.matrix()))
     return p, residual
 
@@ -153,7 +134,9 @@ def _face_neighbors(idx: tuple[int, ...], shape: tuple[int, ...]):
 
 
 def align_frame_field(
-    grid: BinGrid, frames: dict[tuple[int, ...], LocalFrame]
+    grid: BinGrid,
+    frames: dict[tuple[int, ...], LocalFrame],
+    counts: Mapping[tuple[int, ...], int],
 ) -> FrameField:
     """Make per-bin frames sign/permutation consistent across the grid.
 
@@ -162,11 +145,11 @@ def align_frame_field(
     permutation minimizing ||P M_new M_ref^-1 - I||_F against an already
     aligned neighbor (non-degenerate reference preferred).  Disconnected
     components are aligned independently and tagged with component ids.
+    counts holds each bin's valid-sample count (LocalMoments.count).
     """
     if not frames:
         raise ValueError("no frames to align")
     shape = grid.shape
-    counts = {k: len(grid.members.get(k, ())) for k in frames}
     unvisited = set(frames)
     aligned: dict[tuple[int, ...], LocalFrame] = {}
     component_ids: dict[tuple[int, ...], int] = {}

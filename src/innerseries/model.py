@@ -114,12 +114,12 @@ class BinGrid:
     """Axis-aligned equal-width partition of measurement space.
 
     edges: one strictly increasing edge array per axis, spanning the data
-    range; the last bin includes its upper edge.  members maps multi-index
-    tuples to the sample indices that fell in the bin.
+    range; the last bin includes its upper edge.  A bin is occupied when it
+    holds at least min_count samples with a valid velocity.  The grid holds
+    no samples: bin counts live with the moments estimated from them.
     """
 
     edges: tuple[np.ndarray, ...]
-    members: Mapping[tuple[int, ...], np.ndarray]
     min_count: int
 
     def __post_init__(self):
@@ -128,8 +128,9 @@ class BinGrid:
             if e.ndim != 1 or len(e) < 2 or not np.all(np.diff(e) > 0):
                 raise ValueError("each axis needs >= 2 strictly increasing edges")
             e.setflags(write=False)
+        if self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "members", dict(self.members))
 
     @property
     def dim(self) -> int:
@@ -143,9 +144,6 @@ class BinGrid:
         return np.array(
             [0.5 * (self.edges[a][i] + self.edges[a][i + 1]) for a, i in enumerate(idx)]
         )
-
-    def occupied(self) -> list[tuple[int, ...]]:
-        return [k for k, v in self.members.items() if len(v) >= self.min_count]
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Multi-index of each point, or -1 per axis when out of range.
@@ -381,3 +379,32 @@ def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
             yield SignedPermutation(np.array(perm), np.array(signs))
+
+
+def best_signed_assignment(score: np.ndarray) -> SignedPermutation:
+    """Signed permutation p maximizing sum_j |score[j, perm[j]]|, with each
+    sign taken from the picked entry (+1 at zero).
+
+    Exact at every N: a dynamic program over the set of columns taken by
+    rows 0..k-1, O(N 2^N).  Partial sums run left to right and equal totals
+    go to the lexicographically first perm, so the pick is the first
+    optimum in itertools.permutations order.
+    """
+    score = np.asarray(score, dtype=float)
+    n = score.shape[0]
+    best = {0: (0.0, ())}  # columns taken -> (best partial sum, its perm)
+    for row in np.abs(score).tolist():
+        nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
+        for taken, (total, perm) in best.items():
+            for col in range(n):
+                if taken >> col & 1:
+                    continue
+                cand = (total + row[col], perm + (col,))
+                key = taken | 1 << col
+                old = nxt.get(key)
+                if old is None or cand[0] > old[0] or (cand[0] == old[0] and cand[1] < old[1]):
+                    nxt[key] = cand
+        best = nxt
+    perm = np.array(best[(1 << n) - 1][1])
+    signs = np.where(score[np.arange(n), perm] >= 0, 1, -1)
+    return SignedPermutation(perm, signs)

@@ -1,7 +1,9 @@
 """JSON serialization for grids, moments, and frame fields.
 
 Floats go through Python's shortest round-trip repr, so a load after a dump
-reproduces every value bit-exactly.
+reproduces every value bit-exactly.  Every artifact carries "schema"; the
+loaders reject any version but SCHEMA_VERSION.  Schema 2 grids hold edges
+and min_count only, no sample indices.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .model import BinGrid, FrameField, LocalFrame, LocalMoments
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _key(idx: tuple[int, ...]) -> str:
@@ -24,31 +26,29 @@ def _unkey(s: str) -> tuple[int, ...]:
     return tuple(int(p) for p in s.split(","))
 
 
-def grid_to_dict(grid: BinGrid, include_members: bool = True) -> dict:
-    d = {
+def _check_schema(d: dict, what: str) -> None:
+    found = d.get("schema")
+    if found != SCHEMA_VERSION:
+        raise ValueError(f"{what} JSON schema is {found}, expected {SCHEMA_VERSION}")
+
+
+def grid_to_dict(grid: BinGrid) -> dict:
+    return {
         "schema": SCHEMA_VERSION,
         "edges": [e.tolist() for e in grid.edges],
         "min_count": grid.min_count,
     }
-    if include_members:
-        d["members"] = {_key(k): v.tolist() for k, v in grid.members.items()}
-    return d
 
 
 def grid_from_dict(d: dict) -> BinGrid:
-    members = {
-        _unkey(k): np.asarray(v, dtype=np.int64)
-        for k, v in d.get("members", {}).items()
-    }
-    return BinGrid(
-        tuple(np.asarray(e) for e in d["edges"]), members, int(d["min_count"])
-    )
+    _check_schema(d, "grid")
+    return BinGrid(tuple(np.asarray(e) for e in d["edges"]), int(d["min_count"]))
 
 
 def moments_to_dict(grid: BinGrid, moments: dict) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "grid": grid_to_dict(grid, include_members=False),
+        "grid": grid_to_dict(grid),
         "bins": {
             _key(k): {
                 "count": m.count,
@@ -62,6 +62,7 @@ def moments_to_dict(grid: BinGrid, moments: dict) -> dict:
 
 
 def moments_from_dict(d: dict) -> tuple[BinGrid, dict]:
+    _check_schema(d, "moments")
     grid = grid_from_dict(d["grid"])
     moments = {
         _unkey(k): LocalMoments(
@@ -78,7 +79,7 @@ def moments_from_dict(d: dict) -> tuple[BinGrid, dict]:
 def field_to_dict(field: FrameField) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "grid": grid_to_dict(field.grid, include_members=True),
+        "grid": grid_to_dict(field.grid),
         "frames": {
             _key(k): {
                 "m": f.m.tolist(),
@@ -92,6 +93,7 @@ def field_to_dict(field: FrameField) -> dict:
 
 
 def field_from_dict(d: dict) -> FrameField:
+    _check_schema(d, "field")
     grid = grid_from_dict(d["grid"])
     frames = {}
     for k, f in d["frames"].items():

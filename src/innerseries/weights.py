@@ -17,6 +17,7 @@ from .model import (
     VelocitySeries,
     WeightSeries,
     apply_signed_permutation,
+    best_signed_assignment,
 )
 
 MIN_OVERLAP = 100
@@ -28,36 +29,29 @@ class AlignmentError(ValueError):
 
 def _bin_lookup(field: FrameField):
     """Flat-bin -> frame-slot map, with a one-step nearest-occupied fallback
-    for unoccupied bins."""
-    grid = field.grid
-    shape = grid.shape
+    for unoccupied bins.
+
+    An unoccupied bin borrows the occupied bin among its 3^N neighbours
+    that is fewest axes away, ties going to the first offset in
+    itertools.product((-1, 0, 1), repeat=N) order.  Distance is counted in
+    grid steps, so the choice does not depend on the measurement units.
+    """
+    shape = field.grid.shape
     keys = sorted(field.frames)
-    slot_of = {k: i for i, k in enumerate(keys)}
-    n_bins = int(np.prod(shape))
-    flat_to_slot = np.full(n_bins, -1, dtype=np.int64)
-    fallback = np.zeros(n_bins, dtype=bool)
-    for k, i in slot_of.items():
-        flat_to_slot[np.ravel_multi_index(k, shape)] = i
-    # unoccupied bins borrow the nearest occupied bin within one grid step
-    steps = grid.step_sizes()
-    for flat in range(n_bins):
-        if flat_to_slot[flat] >= 0:
-            continue
-        idx = np.unravel_index(flat, shape)
-        best, best_dist = -1, np.inf
-        for offset in itertools.product((-1, 0, 1), repeat=len(shape)):
-            nb = tuple(i + o for i, o in zip(idx, offset))
-            if any(j < 0 or j >= s for j, s in zip(nb, shape)):
-                continue
-            if nb in slot_of:
-                dist = float(
-                    np.sum(((np.array(nb) - np.array(idx)) * steps) ** 2)
-                )
-                if dist < best_dist:
-                    best, best_dist = slot_of[nb], dist
-        if best >= 0:
-            flat_to_slot[flat] = best
-            fallback[flat] = True
+    slots = np.full(shape, -1, dtype=np.int64)
+    for i, k in enumerate(keys):
+        slots[k] = i
+    padded = np.pad(slots, 1, constant_values=-1)
+    chosen = slots.copy()
+    offsets = sorted(
+        itertools.product((-1, 0, 1), repeat=len(shape)), key=np.count_nonzero
+    )
+    for offset in offsets[1:]:  # offsets[0] is the bin itself
+        shifted = padded[tuple(slice(1 + o, 1 + o + s) for o, s in zip(offset, shape))]
+        take = (chosen < 0) & (shifted >= 0)
+        chosen[take] = shifted[take]
+    flat_to_slot = chosen.ravel()
+    fallback = (flat_to_slot >= 0) & (slots.ravel() < 0)
     m_stack = np.stack([field.frames[k].m for k in keys])
     v_stack = np.stack([field.frames[k].v for k in keys])
     return flat_to_slot, fallback, m_stack, v_stack
@@ -119,9 +113,9 @@ def align_weight_series(
     """Signed permutation p maximizing the summed per-channel correlation of
     w with apply(p, wprime), over jointly valid samples.
 
-    The search over permutations is exhaustive for N <= 4 and a greedy
-    assignment on |corr| beyond; both pick signs from the correlation signs.
-    Returns p and the achieved per-channel correlations.
+    The assignment is exact at every N (see best_signed_assignment); signs
+    come from the correlation signs.  Returns p and the achieved per-channel
+    correlations.
     """
     joint = _joint_valid(w, wprime)
     if joint.sum() < MIN_OVERLAP:
@@ -129,25 +123,8 @@ def align_weight_series(
             f"only {int(joint.sum())} jointly valid samples (need {MIN_OVERLAP})"
         )
     c = _corr_matrix(w.values[joint], wprime.values[joint])
-    n = w.dim
-    if n <= 4:
-        best, best_score = None, -np.inf
-        for perm in itertools.permutations(range(n)):
-            score = sum(abs(c[i, perm[i]]) for i in range(n))
-            if score > best_score:
-                best_score, best = score, perm
-        perm = np.array(best)
-    else:
-        perm = np.full(n, -1)
-        work = np.abs(c).copy()
-        for _ in range(n):
-            i, j = np.unravel_index(np.argmax(work), work.shape)
-            perm[i] = j
-            work[i, :] = -np.inf
-            work[:, j] = -np.inf
-    picked = c[np.arange(n), perm]
-    signs = np.where(picked >= 0, 1, -1)
-    return SignedPermutation(perm, signs), np.abs(picked) * 1.0
+    p = best_signed_assignment(c)
+    return p, np.abs(c[np.arange(w.dim), p.perm])
 
 
 def cross_channel_correlation(w: WeightSeries) -> np.ndarray:

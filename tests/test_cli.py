@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from innerseries import serialize
 from innerseries.cli import main
+from innerseries.experiments import run_pipeline
 from innerseries.ingest import read_csv_trajectory
 from innerseries.weights import read_csv_weights
 
@@ -118,6 +120,21 @@ class TestStagedPipeline:
             assert rc == 0
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_matches_run_pipeline(self, staged):
+        # moments -> frames -> weights through files gives the in-memory
+        # pipeline's frame field and weights bit for bit
+        res = run_pipeline(read_csv_trajectory(staged / "walk.csv"), (3, 3))
+        field = serialize.field_from_dict(serialize.load_json(staged / "field.json"))
+        assert field.frames.keys() == res.field.frames.keys()
+        for k, f in field.frames.items():
+            np.testing.assert_array_equal(f.m, res.field.frames[k].m)
+            np.testing.assert_array_equal(f.d, res.field.frames[k].d)
+            assert f.degenerate_flag == res.field.frames[k].degenerate_flag
+        assert field.component_ids == res.field.component_ids
+        w = read_csv_weights(staged / "weights.csv")
+        np.testing.assert_array_equal(w.values, res.weights.values)
+        np.testing.assert_array_equal(w.valid_mask, res.weights.valid_mask)
 
     def test_grid_command(self, staged, tmp_path):
         out = tmp_path / "grid.json"

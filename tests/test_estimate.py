@@ -5,7 +5,7 @@ import pytest
 
 from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
 from innerseries.ingest import gen_sine
-from innerseries.model import Trajectory, VelocitySeries
+from innerseries.model import BinGrid, Trajectory, VelocitySeries
 
 
 class TestEstimateVelocity:
@@ -53,23 +53,39 @@ class TestBuildGrid:
 
     def test_every_sample_in_exactly_one_bin(self):
         rng = np.random.default_rng(0)
-        traj = Trajectory(rng.random((5000, 2)), 1.0)
+        n = 5000
+        traj = Trajectory(rng.random((n, 2)), 1.0)
+        vel = VelocitySeries(rng.standard_normal((n, 2)), np.ones(n, dtype=bool))
         grid = build_grid(traj, [7, 5], min_count=1)
-        total = sum(len(v) for v in grid.members.values())
-        assert total == 5000
-        seen = np.concatenate([v for v in grid.members.values()])
-        assert len(np.unique(seen)) == 5000
+        idx = grid.locate(traj.samples)
+        assert np.all(idx >= 0) and np.all(idx < np.array(grid.shape))
+        flat = np.ravel_multi_index(idx.T, grid.shape)
+        expect = {
+            tuple(int(i) for i in np.unravel_index(f, grid.shape)): int(c)
+            for f, c in enumerate(np.bincount(flat, minlength=35))
+            if c
+        }
+        moments = accumulate_moments(traj, vel, grid)
+        assert {k: m.count for k, m in moments.items()} == expect
+        assert sum(m.count for m in moments.values()) == n
 
     def test_uniform_occupancy_binomial(self):
         # every bin count within 4 sigma of n/bins for uniform data
         rng = np.random.default_rng(1)
         n, nb = 500_000, 128
         traj = Trajectory(rng.random(n), 1.0)
+        vel = VelocitySeries(rng.standard_normal((n, 1)), np.ones(n, dtype=bool))
         grid = build_grid(traj, [nb], min_count=1)
+        moments = accumulate_moments(traj, vel, grid)
+        assert len(moments) == nb
         p = 1.0 / nb
         sigma = np.sqrt(n * p * (1 - p))
-        for v in grid.members.values():
-            assert abs(len(v) - n * p) < 4 * sigma
+        for m in moments.values():
+            assert abs(m.count - n * p) < 4 * sigma
+
+    def test_min_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="min_count must be >= 1"):
+            BinGrid((np.array([0.0, 1.0]),), 0)
 
     def test_zero_range_axis(self):
         with pytest.raises(ValueError):
@@ -168,11 +184,10 @@ class TestAccumulateMoments:
         vel_b = VelocitySeries(v * scale, np.ones(n, dtype=bool))
         ga = build_grid(traj_a, [4, 4], min_count=1)
         gb = build_grid(traj_b, [4, 4], min_count=1)
-        assert ga.members.keys() == gb.members.keys()
-        for k in ga.members:
-            np.testing.assert_array_equal(ga.members[k], gb.members[k])
+        np.testing.assert_array_equal(ga.locate(traj_a.samples), gb.locate(traj_b.samples))
         ma = accumulate_moments(traj_a, vel_a, ga)
         mb = accumulate_moments(traj_b, vel_b, gb)
+        assert {k: m.count for k, m in ma.items()} == {k: m.count for k, m in mb.items()}
         s2 = np.outer(scale, scale)
         s4 = np.einsum("i,j,k,l->ijkl", scale, scale, scale, scale)
         for k in ma:

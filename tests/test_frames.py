@@ -189,11 +189,20 @@ class TestNearestSignedPermutation:
         q, _ = nearest_signed_permutation(p.matrix() + 0.01 * rng.standard_normal((5, 5)))
         assert q == p
 
+    def test_exact_where_greedy_fails_n5(self):
+        # greedy largest-entry assignment takes the 1.0 first and scores 2.5;
+        # swapping the first two channels scores 3.3
+        r = np.zeros((5, 5))
+        r[:2, :2] = [[1.0, 0.9], [0.9, 0.0]]
+        r[2:, 2:] = 0.5 * np.eye(3)
+        q, residual = nearest_signed_permutation(r)
+        assert q.perm.tolist() == [1, 0, 2, 3, 4]
+        assert q.signs.tolist() == [1] * 5
+        assert residual == pytest.approx(np.linalg.norm(r - q.matrix()))
 
-def _grid_with_counts(shape, counts):
-    edges = tuple(np.linspace(0, 1, s + 1) for s in shape)
-    members = {k: np.arange(c) for k, c in counts.items()}
-    return BinGrid(edges, members, 1)
+
+def _grid(shape):
+    return BinGrid(tuple(np.linspace(0, 1, s + 1) for s in shape), 1)
 
 
 class TestAlignFrameField:
@@ -206,9 +215,8 @@ class TestAlignFrameField:
         rng = np.random.default_rng(0)
         base = canonicalize_frame(self._base_frame(rng))
         counts = {(i, j): 10 for i in range(3) for j in range(3)}
-        grid = _grid_with_counts((3, 3), counts)
         frames = {k: base for k in counts}
-        field = align_frame_field(grid, frames)
+        field = align_frame_field(_grid((3, 3)), frames, counts)
         for f in field.frames.values():
             np.testing.assert_allclose(f.m, base.m, atol=1e-12)
         assert field.n_components == 1
@@ -219,8 +227,9 @@ class TestAlignFrameField:
         swapped = apply_signed_permutation_to_frame(
             SignedPermutation([1, 0], [1, 1]), base
         )
-        grid = _grid_with_counts((2,), {(0,): 20, (1,): 10})
-        field = align_frame_field(grid, {(0,): base, (1,): swapped})
+        field = align_frame_field(
+            _grid((2,)), {(0,): base, (1,): swapped}, {(0,): 20, (1,): 10}
+        )
         np.testing.assert_allclose(field.frames[(1,)].m, base.m, atol=1e-12)
 
     def test_injection_recovery(self):
@@ -245,8 +254,7 @@ class TestAlignFrameField:
             for k, f in true_frames.items()
         }
         counts = {k: 10 + rng.integers(5) for k in true_frames}
-        grid = _grid_with_counts(shape, counts)
-        field = align_frame_field(grid, scrambled)
+        field = align_frame_field(_grid(shape), scrambled, counts)
         # the residual of each aligned frame vs truth must share one global P
         globals_seen = set()
         for k, f in field.frames.items():
@@ -259,8 +267,9 @@ class TestAlignFrameField:
     def test_disconnected_components(self):
         rng = np.random.default_rng(3)
         base = canonicalize_frame(self._base_frame(rng))
-        grid = _grid_with_counts((5,), {(0,): 10, (4,): 10})
-        field = align_frame_field(grid, {(0,): base, (4,): base})
+        field = align_frame_field(
+            _grid((5,)), {(0,): base, (4,): base}, {(0,): 10, (4,): 10}
+        )
         assert field.n_components == 2
 
 

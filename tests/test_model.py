@@ -13,6 +13,7 @@ from innerseries.model import (
     WeightSeries,
     all_signed_permutations,
     apply_signed_permutation,
+    best_signed_assignment,
     compose_signed_permutations,
 )
 
@@ -151,3 +152,36 @@ def test_apply_then_inverse_roundtrip(data, perm, signs):
     p = SignedPermutation(np.array(perm), np.array(signs))
     out = apply_signed_permutation(p.inverse(), apply_signed_permutation(p, w))
     np.testing.assert_array_equal(out.values, w.values)
+
+
+def _first_optimum(score):
+    """Reference: the first maximum of sum |score[j, perm[j]]| in
+    itertools.permutations order, summed left to right."""
+    absr = np.abs(score)
+    n = len(score)
+    best, best_total = None, -np.inf
+    for perm in itertools.permutations(range(n)):
+        total = sum(absr[j, perm[j]] for j in range(n))
+        if total > best_total:
+            best, best_total = perm, total
+    return list(best)
+
+
+class TestBestSignedAssignment:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_exhaustive_search(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(40):
+            score = rng.standard_normal((n, n))
+            if trial % 2:  # small integers: many exact ties
+                score = np.rint(2 * score)
+            p = best_signed_assignment(score)
+            assert p.perm.tolist() == _first_optimum(score)
+            picked = score[np.arange(n), p.perm]
+            assert p.signs.tolist() == [1 if x >= 0 else -1 for x in picked]
+
+    def test_recovers_signed_permutation_n8(self):
+        p = SignedPermutation([3, 7, 0, 5, 1, 6, 2, 4], [1, -1, -1, 1, 1, -1, 1, -1])
+        rng = np.random.default_rng(8)
+        noisy = p.matrix() + 0.3 * rng.standard_normal((8, 8))
+        assert best_signed_assignment(noisy) == p

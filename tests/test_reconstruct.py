@@ -12,7 +12,7 @@ def single_bin_field(v_matrix):
     n = v_matrix.shape[0]
     m = np.linalg.inv(v_matrix)
     edges = tuple(np.array([-10.0, 10.0]) for _ in range(n))
-    grid = BinGrid(edges, {(0,) * n: np.arange(10)}, 1)
+    grid = BinGrid(edges, 1)
     frame = LocalFrame(m, v_matrix, np.linspace(3, 1, n))
     return FrameField(grid, {(0,) * n: frame}, {(0,) * n: 0})
 

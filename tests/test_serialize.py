@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from innerseries import serialize
 from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
@@ -19,12 +20,44 @@ class TestGridRoundtrip:
         p = tmp_path / "grid.json"
         serialize.dump_json(serialize.grid_to_dict(grid), p)
         back = serialize.grid_from_dict(serialize.load_json(p))
+        assert len(back.edges) == len(grid.edges)
         for a, b in zip(grid.edges, back.edges):
             np.testing.assert_array_equal(a, b)
-        assert grid.members.keys() == back.members.keys()
-        for k in grid.members:
-            np.testing.assert_array_equal(grid.members[k], back.members[k])
         assert back.min_count == grid.min_count
+        np.testing.assert_array_equal(
+            back.locate(traj.samples), grid.locate(traj.samples)
+        )
+
+    def test_holds_no_samples(self):
+        traj, res = make_pipeline()
+        d = serialize.grid_to_dict(res.field.grid)
+        assert set(d) == {"schema", "edges", "min_count"}
+        assert set(serialize.field_to_dict(res.field)["grid"]) == set(d)
+
+
+class TestSchemaCheck:
+    @pytest.mark.parametrize("schema", [1, None, 3])
+    def test_loaders_reject_other_versions(self, schema):
+        traj, res = make_pipeline()
+        dicts = {
+            serialize.grid_from_dict: serialize.grid_to_dict(res.field.grid),
+            serialize.moments_from_dict: serialize.moments_to_dict(res.field.grid, res.moments),
+            serialize.field_from_dict: serialize.field_to_dict(res.field),
+        }
+        for load, d in dicts.items():
+            if schema is None:
+                del d["schema"]
+            else:
+                d["schema"] = schema
+            with pytest.raises(ValueError, match=f"schema is {schema}, expected 2"):
+                load(d)
+
+    def test_nested_grid_checked(self):
+        traj, res = make_pipeline()
+        d = serialize.field_to_dict(res.field)
+        d["grid"]["schema"] = 1
+        with pytest.raises(ValueError, match="grid JSON schema is 1, expected 2"):
+            serialize.field_from_dict(d)
 
 
 class TestMomentsRoundtrip:

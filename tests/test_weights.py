@@ -8,6 +8,7 @@ from innerseries.experiments import run_pipeline, sine_sign_match
 from innerseries.model import (
     DimensionMismatchError,
     SignedPermutation,
+    Trajectory,
     WeightSeries,
     apply_signed_permutation,
 )
@@ -69,8 +70,6 @@ class TestComputeWeights:
         # series unchanged up to a signed permutation
         res = walk_pipeline
         scale = np.array([4.0, 0.5])
-        from innerseries.model import Trajectory
-
         traj_s = Trajectory(res.traj.samples * scale, res.traj.dt)
         res_s = run_pipeline(traj_s, (3, 3))
         p, corrs = align_weight_series(res.weights, res_s.weights)
@@ -78,6 +77,22 @@ class TestComputeWeights:
         joint = res.weights.valid_mask & aligned.valid_mask
         diff = np.max(np.abs(aligned.values[joint] - res.weights.values[joint]))
         assert diff < 1e-10 * max(np.max(np.abs(res.weights.values)), 1.0)
+
+    def test_fallback_bins_independent_of_units(self):
+        # the fallback bin is picked in grid steps, so rescaling a channel
+        # leaves fallback samples as invariant as own-bin samples
+        traj = gen_bounded_walk(20_000, seed=3, dim=2, noise=("laplace", "uniform"))
+        scaled = Trajectory(traj.samples * np.array([8.0, 0.25]), traj.dt)
+        res, res_s = run_pipeline(traj, (6, 6)), run_pipeline(scaled, (6, 6))
+        w = res.weights
+        assert w.fallback_mask[w.valid_mask].sum() > 300
+        p, corrs = align_weight_series(w, res_s.weights)
+        aligned = apply_signed_permutation(p, res_s.weights)
+        np.testing.assert_array_equal(aligned.valid_mask, w.valid_mask)
+        np.testing.assert_array_equal(aligned.fallback_mask, w.fallback_mask)
+        diff = np.max(np.abs(aligned.values[w.valid_mask] - w.values[w.valid_mask]))
+        assert diff < 1e-12 * np.max(np.abs(w.values))
+        np.testing.assert_allclose(corrs, 1.0, rtol=0, atol=1e-12)
 
 
 class TestAlignWeightSeries:
