@@ -19,6 +19,7 @@ from .frames import (
     align_frame_field,
     canonicalize_frame,
     check_transform_law,
+    fit_field,
     solve_frame,
 )
 from .ingest import (

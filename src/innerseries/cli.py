@@ -16,19 +16,13 @@ import numpy as np
 
 from . import ingest, serialize, svgplot
 from .estimate import accumulate_moments, build_grid, estimate_velocity
-from .experiments import (
-    EXPERIMENT_NAMES,
-    ExperimentConfig,
-    analytic_sine_weights,
-    run_experiment,
-)
-from .frames import align_frame_field, solve_frame
-from .model import Trajectory, VelocitySeries, WeightSeries
+from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
+from .frames import DEFAULT_GAP_TOL, fit_field
+from .model import Trajectory, WeightSeries
 from .reconstruct import integrate_weights
 from .weights import (
     align_weight_series,
     compute_weights,
-    cross_channel_correlation,
     read_csv_weights,
     separability_report,
     write_csv_weights,
@@ -110,13 +104,9 @@ def cmd_moments(args) -> int:
 
 def cmd_frames(args) -> int:
     grid, moments = serialize.moments_from_dict(serialize.load_json(args.moments))
-    frames = {}
-    for key, mom in moments.items():
-        try:
-            frames[key] = solve_frame(mom, gap_tol=args.gap_tol)
-        except ValueError as err:
-            print(f"skipping bin {key}: {err}", file=sys.stderr)
-    field = align_frame_field(grid, frames, {k: m.count for k, m in moments.items()})
+    field, skipped = fit_field(grid, moments, gap_tol=args.gap_tol)
+    for key, reason in skipped.items():
+        print(f"skipping bin {key}: {reason}", file=sys.stderr)
     serialize.dump_json(serialize.field_to_dict(field), args.out)
     return 0
 
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frames", help="solve and align local frames from moments")
     p.add_argument("--moments", required=True)
-    p.add_argument("--gap-tol", type=float, default=1e-3)
+    p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_frames)
 

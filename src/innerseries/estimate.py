@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import MAX_DIM, BinGrid, LocalMoments, Trajectory, VelocitySeries
+from .model import BinGrid, LocalMoments, Trajectory, VelocitySeries
 
 
 def default_min_count(dim: int) -> int:
-    # fourth-moment estimates need several samples per tensor degree of freedom
+    # c2 and the contracted fourth moment t are N x N: keep several samples
+    # per matrix entry
     return 50 * dim * dim
 
 
@@ -63,7 +64,8 @@ def build_grid(
 def accumulate_moments(
     traj: Trajectory, vel: VelocitySeries, grid: BinGrid
 ) -> dict[tuple[int, ...], LocalMoments]:
-    """Centered second- and fourth-order velocity moments per occupied bin.
+    """Mean, centered second moment c2 and contracted fourth moment t per
+    occupied bin (see LocalMoments).
 
     Samples with invalid velocity or outside the grid are skipped; bins
     whose valid count is below the grid's min_count are left out.  Each
@@ -72,9 +74,6 @@ def accumulate_moments(
     """
     if len(vel) != traj.n_samples:
         raise ValueError("velocity series not aligned with trajectory")
-    n_dim = traj.dim
-    if n_dim > MAX_DIM:
-        raise ValueError(f"dimension {n_dim} exceeds supported maximum {MAX_DIM}")
     idx = grid.locate(traj.samples)
     sel = np.flatnonzero(vel.valid_mask & np.all(idx >= 0, axis=1))
     flat = np.ravel_multi_index(idx[sel].T, grid.shape)
@@ -89,8 +88,12 @@ def accumulate_moments(
         dvl = v - mean
         c2 = dvl.T @ dvl / len(group)
         c2 = 0.5 * (c2 + c2.T)
-        c4 = np.einsum("ti,tj,tk,tl->ijkl", dvl, dvl, dvl, dvl) / len(group)
-        out[tuple(int(i) for i in idx[group[0]])] = LocalMoments(len(group), mean, c2, c4)
+        # pinv, not inv: a bin of equal velocities (c2 = 0) is still stored,
+        # and the frame solve rejects it
+        q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(c2, hermitian=True), dvl)
+        t = (dvl * q[:, None]).T @ dvl / len(group)
+        t = 0.5 * (t + t.T)
+        out[tuple(int(i) for i in idx[group[0]])] = LocalMoments(len(group), mean, c2, t)
     if not out:
         raise ValueError("no occupied bins (min_count too high or data too sparse)")
     return out

@@ -20,18 +20,12 @@ import numpy as np
 
 from . import ingest, serialize, svgplot
 from .estimate import accumulate_moments, build_grid, estimate_velocity
-from .frames import (
-    align_frame_field,
-    check_transform_law,
-    frame_residuals,
-    solve_frame,
-)
+from .frames import check_transform_law, fit_field, frame_residuals, solve_frame
 from .model import FrameField, Trajectory, VelocitySeries, WeightSeries
 from .reconstruct import integrate_weights
 from .weights import (
     align_weight_series,
     compute_weights,
-    cross_channel_correlation,
     separability_report,
     write_csv_weights,
 )
@@ -120,20 +114,13 @@ def run_pipeline(
     vel = estimate_velocity(traj, scheme)
     grid = build_grid(traj, bins, min_count)
     moments = accumulate_moments(traj, vel, grid)
-    frames = {}
-    skipped = 0
-    for key, mom in moments.items():
-        try:
-            frames[key] = solve_frame(mom)
-        except ValueError:
-            skipped += 1
-    field = align_frame_field(grid, frames, {k: m.count for k, m in moments.items()})
+    field, skipped = fit_field(grid, moments)
     r1 = r2 = 0.0
     for key, fr in field.frames.items():
         a, b = frame_residuals(fr, moments[key])
         r1, r2 = max(r1, a), max(r2, b)
     w = compute_weights(traj, vel, field)
-    return PipelineResult(traj, vel, field, w, moments, r1, r2, skipped)
+    return PipelineResult(traj, vel, field, w, moments, r1, r2, len(skipped))
 
 
 def analytic_sine_weights(a: float, times: np.ndarray) -> WeightSeries:

@@ -2,12 +2,13 @@
 
 The per-bin solve is closed form, in two stages.  Stage 1 whitens the
 second-order moment: c2 = E L E^T, W = L^{-1/2} E^T, so W c2 W^T = I.  Stage 2
-contracts the fourth moment, T_kl = sum_mn (c2^-1)_mn c4_klmn, forms the
-symmetric S = W T W^T, and eigendecomposes S = O D O^T.  For any M = O^T W the
-whitening condition holds, and the M-transformed fourth-order contraction
-equals O^T S O, so choosing O's columns as S's eigenvectors makes it diagonal.
-The remaining freedom is exactly a signed permutation of rows (plus arbitrary
-rotations inside degenerate eigenspaces of D).
+reads the fourth moment contracted with c2^-1, T = E[(dv^T c2^-1 dv) dv dv^T]
+(LocalMoments.t, dv the centered velocity), forms the symmetric S = W T W^T,
+and eigendecomposes S = O D O^T.  For any M = O^T W the whitening condition
+holds, and the M-transformed fourth-order contraction equals O^T S O, so
+choosing O's columns as S's eigenvectors makes it diagonal.  The remaining
+freedom is exactly a signed permutation of rows (plus arbitrary rotations
+inside degenerate eigenspaces of D).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ def solve_frame(
     adjacent d values are closer than gap_tol * max|d|.
     """
     c2 = moments.c2
-    c4 = moments.c4
     n = moments.dim
     evals, evecs = np.linalg.eigh(c2)
     if evals[0] <= cond_tol * evals[-1] or evals[-1] <= 0:
@@ -54,9 +54,7 @@ def solve_frame(
             f"c2 ill-conditioned: eigenvalues {evals[0]:.3e} .. {evals[-1]:.3e}"
         )
     w = evecs.T / np.sqrt(evals)[:, None]
-    c2_inv = (evecs / evals) @ evecs.T
-    t = np.einsum("mn,klmn->kl", c2_inv, c4)
-    s = w @ t @ w.T
+    s = w @ moments.t @ w.T
     s = 0.5 * (s + s.T)
     d_asc, o = np.linalg.eigh(s)
     order = np.argsort(d_asc)[::-1]
@@ -77,9 +75,7 @@ def frame_residuals(frame: LocalFrame, moments: LocalMoments) -> tuple[float, fl
     m = frame.m
     white = m @ moments.c2 @ m.T - np.eye(frame.dim)
     r1 = float(np.max(np.abs(white)))
-    c2_inv = np.linalg.inv(moments.c2)
-    t = np.einsum("mn,klmn->kl", c2_inv, moments.c4)
-    contr = m @ t @ m.T
+    contr = m @ moments.t @ m.T
     off = contr - np.diag(np.diag(contr))
     scale = max(float(np.max(np.abs(frame.d))), np.finfo(float).tiny)
     r2 = float(np.max(np.abs(off))) / scale
@@ -185,6 +181,27 @@ def align_frame_field(
                 queue.append(nb)
         comp += 1
     return FrameField(grid, aligned, component_ids)
+
+
+def fit_field(
+    grid: BinGrid,
+    moments: Mapping[tuple[int, ...], LocalMoments],
+    gap_tol: float = DEFAULT_GAP_TOL,
+) -> tuple[FrameField, dict[tuple[int, ...], str]]:
+    """Solve every bin's frame and align them into one field.
+
+    A bin whose solve raises ValueError (an ill-conditioned c2) is left out
+    of the field; the second value maps each such bin to the reason.
+    """
+    frames = {}
+    skipped = {}
+    for key, mom in moments.items():
+        try:
+            frames[key] = solve_frame(mom, gap_tol=gap_tol)
+        except ValueError as err:
+            skipped[key] = str(err)
+    field = align_frame_field(grid, frames, {k: m.count for k, m in moments.items()})
+    return field, skipped
 
 
 def check_transform_law(

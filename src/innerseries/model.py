@@ -14,8 +14,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-MAX_DIM = 6  # full fourth-moment tensors are stored densely; keep N small
-
 
 class DimensionMismatchError(ValueError):
     """Operands have incompatible channel counts."""
@@ -169,25 +167,27 @@ class BinGrid:
 
 @dataclass(frozen=True)
 class LocalMoments:
-    """Per-bin velocity statistics: mean, centered second and fourth moments."""
+    """Per-bin velocity statistics: mean, centered second moment c2, and the
+    contracted fourth moment t = E[(dv^T c2^-1 dv) dv dv^T], dv = v - mean.
+    """
 
     count: int
     mean_vel: np.ndarray
     c2: np.ndarray
-    c4: np.ndarray
+    t: np.ndarray
 
     def __post_init__(self):
         mean = _as_float_array(self.mean_vel, "mean_vel")
         c2 = _as_float_array(self.c2, "c2")
-        c4 = _as_float_array(self.c4, "c4")
+        t = _as_float_array(self.t, "t")
         n = mean.shape[0]
-        if c2.shape != (n, n) or c4.shape != (n, n, n, n):
+        if c2.shape != (n, n) or t.shape != (n, n):
             raise ValueError("moment shapes inconsistent with dimension")
-        for a in (mean, c2, c4):
+        for a in (mean, c2, t):
             a.setflags(write=False)
         object.__setattr__(self, "mean_vel", mean)
         object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c4", c4)
+        object.__setattr__(self, "t", t)
 
     @property
     def dim(self) -> int:

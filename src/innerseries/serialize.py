@@ -2,8 +2,9 @@
 
 Floats go through Python's shortest round-trip repr, so a load after a dump
 reproduces every value bit-exactly.  Every artifact carries "schema"; the
-loaders reject any version but SCHEMA_VERSION.  Schema 2 grids hold edges
-and min_count only, no sample indices.
+loaders reject any version but SCHEMA_VERSION.  Grids hold edges and
+min_count only, no sample indices; moments hold c2 and the contracted
+fourth moment t, both N x N.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .model import BinGrid, FrameField, LocalFrame, LocalMoments
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def _key(idx: tuple[int, ...]) -> str:
@@ -54,7 +55,7 @@ def moments_to_dict(grid: BinGrid, moments: dict) -> dict:
                 "count": m.count,
                 "mean_vel": m.mean_vel.tolist(),
                 "c2": m.c2.tolist(),
-                "c4": m.c4.tolist(),
+                "t": m.t.tolist(),
             }
             for k, m in moments.items()
         },
@@ -69,7 +70,7 @@ def moments_from_dict(d: dict) -> tuple[BinGrid, dict]:
             int(b["count"]),
             np.asarray(b["mean_vel"]),
             np.asarray(b["c2"]),
-            np.asarray(b["c4"]),
+            np.asarray(b["t"]),
         )
         for k, b in d["bins"].items()
     }

@@ -16,7 +16,6 @@ from .model import (
     Trajectory,
     VelocitySeries,
     WeightSeries,
-    apply_signed_permutation,
     best_signed_assignment,
 )
 

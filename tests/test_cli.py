@@ -6,7 +6,8 @@ import pytest
 from innerseries import serialize
 from innerseries.cli import main
 from innerseries.experiments import run_pipeline
-from innerseries.ingest import read_csv_trajectory
+from innerseries.ingest import gen_bounded_walk, read_csv_trajectory, write_csv_trajectory
+from innerseries.model import Trajectory
 from innerseries.weights import read_csv_weights
 
 
@@ -183,6 +184,29 @@ class TestExperimentCommand:
                 c for c in r.get("criteria", []) if c.get("name") != "runtime_seconds"
             ]
         assert r1 == r2
+
+
+class TestFramesSkip:
+    def test_skipped_bin_reported_and_field_written(self, tmp_path, capsys):
+        # a walk that ends resting at x = 3: with forward differences the top
+        # bin holds only zero velocities, so its c2 is 0
+        walk = gen_bounded_walk(20_000, seed=0, dim=1)
+        traj = tmp_path / "traj.csv"
+        write_csv_trajectory(
+            Trajectory(np.concatenate([walk.samples[:, 0], np.full(300, 3.0)]), walk.dt), traj
+        )
+        moments, field = tmp_path / "moments.json", tmp_path / "field.json"
+        assert run(
+            ["moments", "--in", traj, "--bins", "8", "--scheme", "forward", "--out", moments]
+        ) == 0
+        assert "7" in serialize.load_json(moments)["bins"]
+        capsys.readouterr()
+        assert run(["frames", "--moments", moments, "--out", field]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("skipping bin (7,): c2 ill-conditioned")
+        assert len(err.splitlines()) == 1
+        frames = serialize.field_from_dict(serialize.load_json(field)).frames
+        assert (7,) not in frames and len(frames) == 4
 
 
 class TestErrors:

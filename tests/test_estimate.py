@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -115,12 +113,13 @@ class TestAccumulateMoments:
         m = moments[(0,)]
         assert m.mean_vel[0] == 0.0
         assert m.c2[0, 0] == 1.0
-        assert m.c4[0, 0, 0, 0] == 1.0
+        assert m.t[0, 0] == 1.0
 
     def test_identical_velocities_zero_c2(self):
         traj, vel, grid = _single_bin_setup([2.0] * 6)
         m = accumulate_moments(traj, vel, grid)[(0,)]
         assert m.c2[0, 0] == 0.0
+        assert m.t[0, 0] == 0.0
 
     def test_min_count_filters_bins(self):
         rng = np.random.default_rng(0)
@@ -148,10 +147,9 @@ class TestAccumulateMoments:
         for m in accumulate_moments(traj, vel, grid).values():
             np.testing.assert_allclose(m.c2, m.c2.T)
             assert np.min(np.linalg.eigvalsh(m.c2)) >= -1e-12
-            for perm in itertools.permutations(range(4)):
-                np.testing.assert_allclose(
-                    m.c4, np.transpose(m.c4, perm), rtol=1e-12, atol=1e-15
-                )
+            # t = E[q dv dv^T] with q = dv^T c2^-1 dv >= 0
+            np.testing.assert_array_equal(m.t, m.t.T)
+            assert np.min(np.linalg.eigvalsh(m.t)) >= -1e-12 * np.max(np.abs(m.t))
 
     def test_order_independence(self):
         rng = np.random.default_rng(4)
@@ -168,11 +166,13 @@ class TestAccumulateMoments:
         assert ma.keys() == mb.keys()
         for k in ma:
             np.testing.assert_allclose(ma[k].c2, mb[k].c2, rtol=1e-10)
-            np.testing.assert_allclose(ma[k].c4, mb[k].c4, rtol=1e-10)
+            np.testing.assert_allclose(ma[k].t, mb[k].t, rtol=1e-10)
 
     def test_affine_covariance_exact(self):
         # per-axis scaling by a power of two keeps bin membership identical
-        # and scales the moments by the exact powers of the scale
+        # and scales c2 exactly; t = E[q dv dv^T] scales the same way, but q
+        # goes through pinv(c2), which does not scale exactly, so t matches to
+        # 1e-13 of its largest entry (measured: 9e-16)
         rng = np.random.default_rng(5)
         n, c = 4000, 4.0
         pos = rng.random((n, 2))
@@ -189,10 +189,34 @@ class TestAccumulateMoments:
         mb = accumulate_moments(traj_b, vel_b, gb)
         assert {k: m.count for k, m in ma.items()} == {k: m.count for k, m in mb.items()}
         s2 = np.outer(scale, scale)
-        s4 = np.einsum("i,j,k,l->ijkl", scale, scale, scale, scale)
         for k in ma:
             np.testing.assert_array_equal(mb[k].c2, ma[k].c2 * s2)
-            np.testing.assert_array_equal(mb[k].c4, ma[k].c4 * s4)
+            t_ref = ma[k].t * s2
+            assert np.max(np.abs(mb[k].t - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
+
+    @pytest.mark.parametrize("n_dim", range(1, 7))
+    def test_t_is_contracted_fourth_moment(self, n_dim):
+        # reference: the dense fourth moment c4, contracted with inv(c2)
+        rng = np.random.default_rng(n_dim)
+        mix = np.eye(n_dim) + 0.3 * rng.standard_normal((n_dim, n_dim))
+        v = rng.laplace(size=(2000, n_dim)) @ mix.T
+        traj = Trajectory(rng.random((2000, n_dim)), 1.0)
+        grid = build_grid(traj, [1] * n_dim, min_count=1)
+        (m,) = accumulate_moments(traj, VelocitySeries(v, np.ones(2000, dtype=bool)), grid).values()
+        d = v - v.mean(axis=0)
+        c2 = d.T @ d / len(d)
+        c4 = np.einsum("ti,tj,tk,tl->ijkl", d, d, d, d) / len(d)
+        t_ref = np.einsum("mn,klmn->kl", np.linalg.inv(c2), c4)
+        assert np.max(np.abs(m.t - t_ref)) <= 1e-12 * np.max(np.abs(t_ref))
+
+    def test_seven_channels(self):
+        # t is N x N, so N is not capped by the size of a dense fourth moment
+        rng = np.random.default_rng(7)
+        traj = Trajectory(rng.random((3000, 7)), 1.0)
+        vel = VelocitySeries(rng.laplace(size=(3000, 7)), np.ones(3000, dtype=bool))
+        (m,) = accumulate_moments(traj, vel, build_grid(traj, [1] * 7, min_count=1)).values()
+        assert m.count == 3000
+        assert m.c2.shape == m.t.shape == (7, 7)
 
     def test_sine_c2_matches_analytic(self):
         # estimated C11 near a^2 - x^2 at bin centers for a unit sine

@@ -2,48 +2,48 @@ import numpy as np
 import pytest
 
 from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
+from innerseries.experiments import run_pipeline
 from innerseries.frames import (
     FrameSolveError,
     align_frame_field,
     apply_signed_permutation_to_frame,
     canonicalize_frame,
     check_transform_law,
+    fit_field,
     frame_residuals,
     nearest_signed_permutation,
     solve_frame,
 )
+from innerseries.ingest import gen_bounded_walk
 from innerseries.model import (
     BinGrid,
     LocalFrame,
     LocalMoments,
     SignedPermutation,
+    Trajectory,
     all_signed_permutations,
 )
 
 
 def moments_from_samples(v):
-    """Direct-average oracle for per-bin moments."""
+    """Direct-average oracle for per-bin moments: t contracts the dense
+    fourth moment with c2^-1."""
     v = np.asarray(v, dtype=float)
     mean = v.mean(axis=0)
     d = v - mean
     c2 = d.T @ d / len(v)
     c4 = np.einsum("ti,tj,tk,tl->ijkl", d, d, d, d) / len(v)
-    return LocalMoments(len(v), mean, c2, c4)
-
-
-def diag_only_c4(diag):
-    n = len(diag)
-    c4 = np.zeros((n, n, n, n))
-    for i, t in enumerate(diag):
-        c4[i, i, i, i] = t
-    return c4
+    t = np.einsum("mn,klmn->kl", np.linalg.inv(c2), c4)
+    return LocalMoments(len(v), mean, c2, t)
 
 
 class TestSolveFrame:
     def test_identity_c2_diagonal_t(self):
+        # with c2 = I and a fourth moment nonzero only at [i, i, i, i], the
+        # contraction t is diag of those entries
         n = 3
         diag = [5.0, 3.0, 1.0]
-        mom = LocalMoments(100, np.zeros(n), np.eye(n), diag_only_c4(diag))
+        mom = LocalMoments(100, np.zeros(n), np.eye(n), np.diag(diag))
         frame = solve_frame(mom)
         # m must be a signed permutation of the identity
         _, residual = nearest_signed_permutation(frame.m)
@@ -52,9 +52,8 @@ class TestSolveFrame:
 
     def test_1d_analytic_form(self):
         for c11 in (0.75, 0.19, 1.0):
-            mom = LocalMoments(
-                100, np.zeros(1), np.array([[c11]]), np.array([[[[3 * c11**2]]]])
-            )
+            # a Gaussian-like fourth moment 3 c11^2, contracted with 1/c11
+            mom = LocalMoments(100, np.zeros(1), np.array([[c11]]), np.array([[3 * c11]]))
             frame = solve_frame(mom)
             assert abs(frame.m[0, 0]) == pytest.approx(1.0 / np.sqrt(c11))
             assert abs(frame.v[0, 0]) == pytest.approx(np.sqrt(c11))
@@ -90,21 +89,19 @@ class TestSolveFrame:
         w = v @ frame.m.T
         mom_w = moments_from_samples(w)
         np.testing.assert_allclose(mom_w.c2, np.eye(2), atol=1e-10)
-        t = np.einsum("mn,klmn->kl", np.linalg.inv(mom_w.c2), mom_w.c4)
+        t = mom_w.t
         off = t - np.diag(np.diag(t))
         assert np.max(np.abs(off)) < 1e-6 * np.max(np.abs(t))
 
     def test_ill_conditioned_rejected(self):
-        mom = LocalMoments(
-            100, np.zeros(2), np.diag([1.0, 1e-14]), np.zeros((2, 2, 2, 2))
-        )
+        mom = LocalMoments(100, np.zeros(2), np.diag([1.0, 1e-14]), np.zeros((2, 2)))
         with pytest.raises(FrameSolveError):
             solve_frame(mom)
 
     def test_degenerate_flag(self):
-        mom = LocalMoments(100, np.zeros(2), np.eye(2), diag_only_c4([3.0, 3.0001]))
+        mom = LocalMoments(100, np.zeros(2), np.eye(2), np.diag([3.0, 3.0001]))
         assert solve_frame(mom, gap_tol=1e-3).degenerate_flag
-        mom2 = LocalMoments(100, np.zeros(2), np.eye(2), diag_only_c4([3.0, 1.0]))
+        mom2 = LocalMoments(100, np.zeros(2), np.eye(2), np.diag([3.0, 1.0]))
         assert not solve_frame(mom2, gap_tol=1e-3).degenerate_flag
 
     def test_uniqueness_up_to_signed_permutation(self):
@@ -128,6 +125,44 @@ class TestSolveFrame:
         ca = canonicalize_frame(frame)
         cb = canonicalize_frame(back)
         np.testing.assert_allclose(ca.m, cb.m, atol=1e-8)
+
+
+def walk_then_plateau():
+    """1-D walk in [-1, 1] that ends resting at x = 3.  With forward
+    differences every valid plateau sample has velocity exactly 0, so with
+    bins (8,) the top bin holds 299 equal velocities and c2 = 0 there."""
+    walk = gen_bounded_walk(20_000, seed=0, dim=1)
+    return Trajectory(np.concatenate([walk.samples[:, 0], np.full(300, 3.0)]), walk.dt)
+
+
+class TestFitField:
+    def test_skips_bin_of_equal_velocities(self):
+        traj = walk_then_plateau()
+        grid = build_grid(traj, (8,))
+        moments = accumulate_moments(traj, estimate_velocity(traj, "forward"), grid)
+        top = moments[(7,)]
+        assert top.count == 299
+        assert np.all(top.c2 == 0.0) and np.all(top.t == 0.0)
+        field, skipped = fit_field(grid, moments)
+        assert list(skipped) == [(7,)]
+        assert skipped[(7,)].startswith("c2 ill-conditioned")
+        assert set(field.frames) == set(moments) - {(7,)}
+
+    def test_run_pipeline_counts_skipped_bin(self):
+        res = run_pipeline(walk_then_plateau(), (8,), scheme="forward")
+        assert res.n_skipped_bins == 1
+        assert (7,) in res.moments and (7,) not in res.field.frames
+
+    def test_gap_tol_reaches_solve(self):
+        traj = gen_bounded_walk(20_000, seed=1, dim=2, noise=("laplace", "uniform"))
+        grid = build_grid(traj, (3, 3))
+        moments = accumulate_moments(traj, estimate_velocity(traj), grid)
+        field, skipped = fit_field(grid, moments)
+        assert not skipped
+        assert not all(f.degenerate_flag for f in field.frames.values())
+        # d >= 0 (t is PSD), so every gap is below 1.0 * max|d|
+        field, _ = fit_field(grid, moments, gap_tol=1.0)
+        assert all(f.degenerate_flag for f in field.frames.values())
 
 
 class TestCanonicalize:

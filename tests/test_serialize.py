@@ -36,7 +36,7 @@ class TestGridRoundtrip:
 
 
 class TestSchemaCheck:
-    @pytest.mark.parametrize("schema", [1, None, 3])
+    @pytest.mark.parametrize("schema", [1, 2, None, 4])
     def test_loaders_reject_other_versions(self, schema):
         traj, res = make_pipeline()
         dicts = {
@@ -49,14 +49,25 @@ class TestSchemaCheck:
                 del d["schema"]
             else:
                 d["schema"] = schema
-            with pytest.raises(ValueError, match=f"schema is {schema}, expected 2"):
+            with pytest.raises(ValueError, match=f"schema is {schema}, expected 3"):
                 load(d)
+
+    def test_schema_2_moments_rejected(self):
+        # schema 2 moments bins held the dense fourth moment c4, not t
+        traj, res = make_pipeline()
+        d = serialize.moments_to_dict(res.field.grid, res.moments)
+        d["schema"] = d["grid"]["schema"] = 2
+        for b in d["bins"].values():
+            b["c4"] = np.zeros((2, 2, 2, 2)).tolist()
+            del b["t"]
+        with pytest.raises(ValueError, match="^moments JSON schema is 2, expected 3$"):
+            serialize.moments_from_dict(d)
 
     def test_nested_grid_checked(self):
         traj, res = make_pipeline()
         d = serialize.field_to_dict(res.field)
         d["grid"]["schema"] = 1
-        with pytest.raises(ValueError, match="grid JSON schema is 1, expected 2"):
+        with pytest.raises(ValueError, match="grid JSON schema is 1, expected 3"):
             serialize.field_from_dict(d)
 
 
@@ -72,7 +83,7 @@ class TestMomentsRoundtrip:
             assert back[k].count == res.moments[k].count
             np.testing.assert_array_equal(back[k].mean_vel, res.moments[k].mean_vel)
             np.testing.assert_array_equal(back[k].c2, res.moments[k].c2)
-            np.testing.assert_array_equal(back[k].c4, res.moments[k].c4)
+            np.testing.assert_array_equal(back[k].t, res.moments[k].t)
 
 
 class TestFieldRoundtrip:
