@@ -178,7 +178,7 @@ def cmd_experiment(args) -> int:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: {c.value:.6g} {c.op} {c.threshold:g}")
     if args.out_dir is None:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2, default=serialize.json_default))
+        _emit_json(report.to_dict(), None)
     return 0 if report.passed else 1
 
 
@@ -202,10 +202,9 @@ def _emit_json(obj: dict, out: str | None):
         print(text)
 
 
-def _add_common(p, traj_input=True):
-    if traj_input:
-        p.add_argument("--in", dest="input", required=True, help="trajectory CSV or WAV")
-        p.add_argument("--dt", type=float, default=None, help="fixed dt when the CSV has no time column")
+def _add_common(p):
+    p.add_argument("--in", dest="input", required=True, help="trajectory CSV or WAV")
+    p.add_argument("--dt", type=float, default=None, help="fixed dt when the CSV has no time column")
     p.add_argument("--scheme", choices=("forward", "central"), default="central")
 
 

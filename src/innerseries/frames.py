@@ -28,18 +28,14 @@ from .model import (
 )
 
 DEFAULT_GAP_TOL = 1e-3
-DEFAULT_COND_TOL = 1e-10
+COND_TOL = 1e-10  # smallest accepted eigenvalue ratio of c2
 
 
 class FrameSolveError(ValueError):
     pass
 
 
-def solve_frame(
-    moments: LocalMoments,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    cond_tol: float = DEFAULT_COND_TOL,
-) -> LocalFrame:
+def solve_frame(moments: LocalMoments, gap_tol: float = DEFAULT_GAP_TOL) -> LocalFrame:
     """Closed-form local frame from one bin's velocity moments.
 
     Returns M with M c2 M^T = I and the M-transformed fourth-order contraction
@@ -49,7 +45,7 @@ def solve_frame(
     c2 = moments.c2
     n = moments.dim
     evals, evecs = np.linalg.eigh(c2)
-    if evals[0] <= cond_tol * evals[-1] or evals[-1] <= 0:
+    if evals[0] <= COND_TOL * evals[-1] or evals[-1] <= 0:
         raise FrameSolveError(
             f"c2 ill-conditioned: eigenvalues {evals[0]:.3e} .. {evals[-1]:.3e}"
         )
@@ -191,7 +187,9 @@ def fit_field(
     """Solve every bin's frame and align them into one field.
 
     A bin whose solve raises ValueError (an ill-conditioned c2) is left out
-    of the field; the second value maps each such bin to the reason.
+    of the field; the second value maps each such bin to the reason.  When
+    every bin is left out, the ValueError names their number and the first
+    bin's reason.
     """
     frames = {}
     skipped = {}
@@ -200,6 +198,11 @@ def fit_field(
             frames[key] = solve_frame(mom, gap_tol=gap_tol)
         except ValueError as err:
             skipped[key] = str(err)
+    if skipped and not frames:
+        key, reason = next(iter(skipped.items()))
+        raise ValueError(
+            f"no frames to align: all {len(skipped)} bins skipped; {key}: {reason}"
+        )
     field = align_frame_field(grid, frames, {k: m.count for k, m in moments.items()})
     return field, skipped
 

@@ -18,6 +18,7 @@ import numpy as np
 from .model import Trajectory
 
 MIX_BOX = 2.0**15  # admissible |value| for each channel fed to mix_two_sources
+TIME_COLUMN = "t"  # the time column of trajectory and weight CSVs
 
 
 class TransformError(ValueError):
@@ -72,13 +73,16 @@ def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def _time_step(path, times: np.ndarray, column: str) -> float:
-    """The step of a time column, which must be uniform to 1e-9 relative."""
+def _time_step(path, times: np.ndarray) -> float:
+    """The step of a time column of at least two rows, which must be
+    uniform to 1e-9 relative."""
+    if len(times) == 1:
+        raise ValueError(f"{path}: one data row, cannot infer dt from column '{TIME_COLUMN}'")
     steps = np.diff(times)
-    if len(steps) == 0 or steps[0] <= 0:
+    if steps[0] <= 0:
         raise ValueError(f"{path}: time column must be strictly increasing")
     if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
-        raise ValueError(f"{path}: non-uniform timestamps in column '{column}'")
+        raise ValueError(f"{path}: non-uniform timestamps in column '{TIME_COLUMN}'")
     return float(steps[0])
 
 
@@ -93,19 +97,17 @@ def _write_csv_columns(path, header, dt: float, columns) -> None:
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def read_csv_trajectory(
-    path, time_column: str | None = "t", dt: float | None = None
-) -> Trajectory:
-    """Read a trajectory from CSV: header row, optional time column, one
+def read_csv_trajectory(path, dt: float | None = None) -> Trajectory:
+    """Read a trajectory from CSV: header row, optional time column "t", one
     column per channel.
 
     dt is taken from the time column (which must be uniform to 1e-9 relative)
     unless a fixed dt is given instead.
     """
     header, data = _read_csv_table(path)
-    if time_column in header:
-        tcol = header.index(time_column)
-        dt = _time_step(path, data[:, tcol], time_column)
+    if TIME_COLUMN in header:
+        tcol = header.index(TIME_COLUMN)
+        dt = _time_step(path, data[:, tcol])
         data = np.delete(data, tcol, axis=1)
         del header[tcol]
     elif dt is None:
@@ -113,10 +115,10 @@ def read_csv_trajectory(
     return Trajectory(data, float(dt), tuple(header))
 
 
-def write_csv_trajectory(traj: Trajectory, path, time_column: str = "t") -> None:
-    """Write a trajectory as CSV with a time column; values use shortest
+def write_csv_trajectory(traj: Trajectory, path) -> None:
+    """Write a trajectory as CSV with a time column "t"; values use shortest
     round-trip decimal form so read-back is bit-exact."""
-    _write_csv_columns(path, [time_column, *traj.channel_names], traj.dt, traj.samples.T)
+    _write_csv_columns(path, [TIME_COLUMN, *traj.channel_names], traj.dt, traj.samples.T)
 
 
 def read_wav_trajectory(path) -> Trajectory:
@@ -157,21 +159,16 @@ def gen_sine(a: float, dt: float, n: int) -> Trajectory:
     """x[k] = a sin(k dt)."""
     if a == 0:
         raise ValueError("amplitude must be nonzero")
-    if n < 3:
-        raise ValueError("need n >= 3")
     t = np.arange(n) * dt
     return Trajectory(a * np.sin(t), dt, ("x",))
 
 
 def gen_broadband(
-    n: int,
-    dt: float = 1.0 / 16000,
-    seed: int = 0,
-    amplitude: float = 1.0,
-    n_tones: int = 24,
+    n: int, dt: float = 1.0 / 16000, seed: int = 0, amplitude: float = 1.0
 ) -> Trajectory:
-    """Smooth 1-D broadband signal: a sum of incommensurate sinusoids with
+    """Smooth 1-D broadband signal: a sum of 24 incommensurate sinusoids with
     seeded random frequencies, phases, and 1/f-ish amplitudes."""
+    n_tones = 24
     rng = np.random.default_rng(seed)
     t = np.arange(n) * dt
     # frequencies spread over ~2.5 decades below a fraction of Nyquist
@@ -319,16 +316,15 @@ class TransformSpec:
       affine             params: scale (scalar or per-channel), offset
       monotone-polynomial  params: coeffs (ascending), domain (lo, hi);
                            monotonicity checked by dense derivative sampling
-      paper-mixing       the fixed two-source nonlinear mixing map
-      custom-table       params: x (increasing), y (strictly monotone);
-                           linear interpolation
+
+    The fixed two-source nonlinear mixing map is mix_two_sources.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in {"affine", "monotone-polynomial", "paper-mixing", "custom-table"}:
+        if self.kind not in {"affine", "monotone-polynomial"}:
             raise TransformError(f"unknown transform kind {self.kind!r}")
         if self.kind == "monotone-polynomial":
             coeffs = np.asarray(self.params["coeffs"], dtype=float)
@@ -341,14 +337,6 @@ class TransformSpec:
                 raise TransformError(
                     "polynomial is not strictly monotonic on its domain"
                 )
-        if self.kind == "custom-table":
-            x = np.asarray(self.params["x"], dtype=float)
-            y = np.asarray(self.params["y"], dtype=float)
-            if np.any(np.diff(x) <= 0):
-                raise TransformError("table x must be strictly increasing")
-            dy = np.diff(y)
-            if not (np.all(dy > 0) or np.all(dy < 0)):
-                raise TransformError("table y must be strictly monotone")
 
     @classmethod
     def identity(cls) -> "TransformSpec":
@@ -362,24 +350,12 @@ def apply_transform(traj: Trajectory, spec: TransformSpec) -> Trajectory:
         scale = np.asarray(spec.params.get("scale", 1.0), dtype=float)
         offset = np.asarray(spec.params.get("offset", 0.0), dtype=float)
         out = x * scale + offset
-    elif spec.kind == "monotone-polynomial":
+    else:  # monotone-polynomial
         coeffs = np.asarray(spec.params["coeffs"], dtype=float)
         lo, hi = spec.params["domain"]
         if np.any(x < lo) or np.any(x > hi):
             raise TransformError("sample outside declared polynomial domain")
         out = np.polyval(coeffs[::-1], x)
-    elif spec.kind == "paper-mixing":
-        if traj.dim != 2:
-            raise TransformError("paper-mixing needs a 2-channel trajectory")
-        return mix_two_sources(traj)
-    elif spec.kind == "custom-table":
-        xt = np.asarray(spec.params["x"], dtype=float)
-        yt = np.asarray(spec.params["y"], dtype=float)
-        if np.any(x < xt[0]) or np.any(x > xt[-1]):
-            raise TransformError("sample outside table domain")
-        out = np.interp(x, xt, yt)
-    else:  # pragma: no cover
-        raise TransformError(spec.kind)
     names = tuple(f"{c}'" for c in traj.channel_names)
     return Trajectory(out, traj.dt, names)
 

@@ -43,8 +43,8 @@ class Trajectory:
             samples = samples[:, None]
         if samples.ndim != 2:
             raise ValueError("samples must be a (n_samples, n_channels) array")
-        if samples.shape[0] < 3:
-            raise ValueError("need at least 3 samples")
+        if samples.shape[0] < 1:
+            raise ValueError("need at least 1 sample")
         if samples.shape[1] < 1:
             raise ValueError("need at least 1 channel")
         if not self.dt > 0:

@@ -17,6 +17,7 @@ def integrate_weights(
 
     Starts at x0 (must lie inside the grid) and runs for `steps` increments,
     truncating early (flag returned) if the state leaves the occupied region.
+    The path holds x0 plus one sample per increment taken.
     As in the weight computation, "occupied" is read with one grid step of
     slack: a state that overshoots the grid edge or lands in an empty bin
     borrows the nearest occupied bin within one step, so brushing a turning
@@ -52,6 +53,4 @@ def integrate_weights(
         if w.valid_mask[k]:
             x = x + w.dt * (v_stack[slot] @ w.values[k])
         path.append(x)
-    while len(path) < 3:  # Trajectory needs >= 3 samples even if truncated at once
-        path.append(path[-1])
     return Trajectory(np.stack(path), w.dt), truncated

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import _read_csv_table, _time_step, _write_csv_columns
+from .ingest import TIME_COLUMN, _read_csv_table, _time_step, _write_csv_columns
 from .model import (
     DimensionMismatchError,
     FrameField,
@@ -179,14 +179,14 @@ def separability_report(
 def write_csv_weights(w: WeightSeries, path, channel_names=None) -> None:
     names = channel_names or [f"w{i + 1}" for i in range(w.dim)]
     columns = [*w.values.T, w.valid_mask.astype(np.int8)]
-    _write_csv_columns(path, ["t", *names, "valid"], w.dt, columns)
+    _write_csv_columns(path, [TIME_COLUMN, *names, "valid"], w.dt, columns)
 
 
 def read_csv_weights(path) -> WeightSeries:
     """Read a weight CSV; the time column must be uniform to 1e-9 relative
     and every valid flag 0 or 1."""
     header, data = _read_csv_table(path)
-    if header[0] != "t" or header[-1] != "valid":
+    if header[0] != TIME_COLUMN or header[-1] != "valid":
         raise ValueError(f"{path}: expected columns t, <channels...>, valid")
     flags = data[:, -1]
     bad = np.flatnonzero((flags != 0) & (flags != 1))
@@ -194,5 +194,5 @@ def read_csv_weights(path) -> WeightSeries:
         raise ValueError(
             f"{path}: row {bad[0] + 2}, column 'valid': expected 0 or 1, got {flags[bad[0]]:g}"
         )
-    dt = _time_step(path, data[:, 0], "t") if len(data) > 1 else 1.0
+    dt = _time_step(path, data[:, 0])
     return WeightSeries(np.ascontiguousarray(data[:, 1:-1]), flags == 1, dt=dt)

@@ -105,6 +105,20 @@ class TestStagedPipeline:
         assert rc == 0
         assert read_csv_trajectory(out).dim == 2
 
+    def test_reconstruct_one_step_writes_two_rows(self, staged, tmp_path):
+        w = read_csv_weights(staged / "weights.csv")
+        traj = read_csv_trajectory(staged / "walk.csv")
+        k0 = int(np.flatnonzero(w.valid_mask)[0])
+        x0 = ",".join(repr(float(v)) for v in traj.samples[k0])
+        out = tmp_path / "recon.csv"
+        rc = run(
+            ["reconstruct", "--weights", staged / "weights.csv", "--field",
+             staged / "field.json", f"--x0={x0}", "--steps", "1", "--out", out]
+        )
+        assert rc == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + 2  # header and two samples
+
     def test_reconstruct_negative_x0_as_separate_argument(self, staged, tmp_path):
         # "--x0 -0.5,0.2" must work as "--x0=-0.5,0.2" does
         w = read_csv_weights(staged / "weights.csv")
@@ -207,6 +221,23 @@ class TestFramesSkip:
         assert len(err.splitlines()) == 1
         frames = serialize.field_from_dict(serialize.load_json(field)).frames
         assert (7,) not in frames and len(frames) == 4
+
+    def test_all_bins_skipped_names_count_and_first_reason(self, tmp_path, capsys):
+        # a ramp has one constant velocity, so every bin's c2 is 0
+        traj = tmp_path / "ramp.csv"
+        traj.write_text("t,x\n" + "".join(f"{0.5 * k},{0.25 * k}\n" for k in range(400)))
+        moments, field = tmp_path / "moments.json", tmp_path / "field.json"
+        assert run(
+            ["moments", "--in", traj, "--bins", "2", "--scheme", "forward",
+             "--min-count", "10", "--out", moments]
+        ) == 0
+        capsys.readouterr()
+        assert run(["frames", "--moments", moments, "--out", field]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error [frames]: no frames to align: all 2 bins skipped; (0,): c2 ill-conditioned: "
+        )
+        assert not field.exists()
 
 
 class TestErrors:

@@ -54,6 +54,12 @@ class TestCsv:
         traj = read_csv_trajectory(p, dt=0.25)
         assert traj.dim == 2 and traj.dt == 0.25
 
+    def test_one_row_with_fixed_dt(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("x,y\n0.5,1\n")
+        traj = read_csv_trajectory(p, dt=0.25)
+        np.testing.assert_array_equal(traj.samples, [[0.5, 1.0]])
+
     def test_roundtrip_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(0)
         traj = Trajectory(rng.standard_normal((50, 3)), 1 / 3.0)
@@ -95,6 +101,7 @@ class TestCsv:
             ("t,x\n0,0\n1,#\n2,2\n", r"row 3, column 'x': not a number: '#'"),
             ("t,x\n0,0\n1,1\n2,inf\n", r"row 4, column 'x': non-finite value"),
             ("t,x\n", "no data rows"),
+            ("t,x\n0,1\n", r"one data row, cannot infer dt from column 't'"),
             ("", "empty file, no header row"),
         ],
     )
@@ -239,12 +246,10 @@ class TestApplyTransform:
         with pytest.raises(TransformError):
             apply_transform(Trajectory(np.array([0.0, 0.5, 2.0]), 1.0), spec)
 
-    def test_custom_table(self):
-        spec = TransformSpec(
-            "custom-table", {"x": [0.0, 1.0, 2.0], "y": [0.0, 2.0, 3.0]}
-        )
-        out = apply_transform(Trajectory(np.array([0.0, 0.5, 1.5]), 1.0), spec)
-        np.testing.assert_allclose(out.samples[:, 0], [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("kind", ["paper-mixing", "custom-table"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(TransformError, match="unknown transform kind"):
+            TransformSpec(kind)
 
 
 class TestMixTwoSources:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innerseries.estimate import estimate_velocity
 from innerseries.model import (
     DimensionMismatchError,
     SignedPermutation,
@@ -32,8 +33,12 @@ class TestTrajectory:
         assert t.channel_names == ("ch1", "ch2")
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.zeros((2, 1)), 0.1)
+        # a trajectory needs one sample; only velocity estimation needs three
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            Trajectory(np.zeros((0, 1)), 0.1)
+        assert Trajectory(np.zeros((1, 2)), 0.1).n_samples == 1
+        with pytest.raises(ValueError, match="need at least 3 samples"):
+            estimate_velocity(Trajectory(np.zeros((2, 1)), 0.1))
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):

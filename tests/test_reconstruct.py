@@ -66,6 +66,24 @@ class TestIntegrateWeights:
         assert truncated
         assert traj.n_samples < 101
 
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_path_holds_steps_plus_one(self, steps):
+        field = single_bin_field(np.eye(1))
+        w = WeightSeries(np.ones((5, 1)), np.ones(5, dtype=bool), dt=1.0)
+        traj, truncated = integrate_weights(w, field, np.zeros(1), steps)
+        assert not truncated
+        np.testing.assert_array_equal(traj.samples[:, 0], np.arange(steps + 1.0))
+
+    def test_truncated_at_once_holds_only_x0(self):
+        # x0 lies two bins from the one occupied bin: no step can be taken
+        grid = BinGrid((np.array([0.0, 1.0, 2.0, 3.0]),), 1)
+        frame = LocalFrame(np.eye(1), np.eye(1), np.ones(1))
+        field = FrameField(grid, {(0,): frame}, {(0,): 0})
+        w = WeightSeries(np.ones((5, 1)), np.ones(5, dtype=bool), dt=1.0)
+        traj, truncated = integrate_weights(w, field, np.full(1, 2.5), 5)
+        assert truncated
+        np.testing.assert_array_equal(traj.samples, [[2.5]])
+
     def test_x0_outside_grid(self):
         field = single_bin_field(np.eye(1))
         w = WeightSeries(np.zeros((5, 1)), np.ones(5, dtype=bool))

@@ -247,6 +247,7 @@ class TestWeightsCsv:
             ("0,1,1\n1,x,1\n2,3,1\n", r"row 3, column 'w1': not a number: 'x'"),
             ("0,1,1\n1,nan,0\n2,3,1\n", r"row 3, column 'w1': non-finite value"),
             ("", "no data rows"),
+            ("0,1,1\n", r"one data row, cannot infer dt from column 't'"),
         ],
     )
     def test_reader_rejects(self, tmp_path, body, message):
