@@ -23,7 +23,6 @@ from .frames import (
     solve_frame,
 )
 from .ingest import (
-    TransformSpec,
     apply_transform,
     gen_lifted_latent,
     gen_sine,

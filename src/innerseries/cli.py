@@ -1,5 +1,7 @@
 """Command-line surface: composable pipeline stages that read/write the
 documented CSV/WAV/JSON formats, plus the four-experiment harness.
+A trajectory path ending in .wav is read and written as WAV, any other as
+CSV.
 
 Exit code is 0 iff the invoked command succeeded and, for `experiment`, all
 its acceptance thresholds passed.
@@ -40,8 +42,8 @@ def _read_traj(path: str, dt: float | None):
     return ingest.read_csv_trajectory(path, dt=dt)
 
 
-def _write_traj(traj, path: str, fmt: str):
-    if fmt == "wav" or (fmt == "csv" and Path(path).suffix.lower() == ".wav"):
+def _write_traj(traj, path: str):
+    if Path(path).suffix.lower() == ".wav":
         # PCM is integer-valued; synthetic reals are rounded and clipped to
         # the 16-bit range (level adjustment is the caller's concern)
         samples = np.clip(np.rint(traj.samples), -(2**15), 2**15 - 1)
@@ -68,13 +70,13 @@ def cmd_synth(args) -> int:
         )
     elif args.kind == "lifted-latent":
         latent, lifted = ingest.gen_lifted_latent(args.samples, args.seed, dt=args.dt)
-        _write_traj(lifted, args.out, args.format)
+        _write_traj(lifted, args.out)
         if args.latent_out:
-            _write_traj(latent, args.latent_out, args.format)
+            _write_traj(latent, args.latent_out)
         return 0
     else:
         raise ValueError(args.kind)
-    _write_traj(traj, args.out, args.format)
+    _write_traj(traj, args.out)
     return 0
 
 
@@ -156,7 +158,7 @@ def cmd_reconstruct(args) -> int:
     w = read_csv_weights(args.weights)
     field = serialize.field_from_dict(serialize.load_json(args.field))
     x0 = np.array([float(p) for p in args.x0.split(",")])
-    steps = args.steps or len(w)
+    steps = len(w) if args.steps is None else args.steps
     traj, truncated = integrate_weights(w, field, x0, steps)
     ingest.write_csv_trajectory(traj, args.out)
     if truncated:
@@ -202,10 +204,12 @@ def _emit_json(obj: dict, out: str | None):
         print(text)
 
 
-def _add_common(p):
+def _add_common(p, scheme: bool = True):
+    """--in and --dt, plus --scheme for the commands that compute velocities."""
     p.add_argument("--in", dest="input", required=True, help="trajectory CSV or WAV")
     p.add_argument("--dt", type=float, default=None, help="fixed dt when the CSV has no time column")
-    p.add_argument("--scheme", choices=("forward", "central"), default="central")
+    if scheme:
+        p.add_argument("--scheme", choices=("forward", "central"), default="central")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--noise", default="laplace")
-    p.add_argument("--format", choices=("csv", "wav"), default="csv")
     p.add_argument("--out", required=True)
     p.add_argument("--latent-out", default=None)
     p.set_defaults(func=cmd_synth)
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_velocity)
 
     p = sub.add_parser("grid", help="build the state-space bin grid")
-    _add_common(p)
+    _add_common(p, scheme=False)
     p.add_argument("--bins", type=_parse_bins, required=True, help="per-axis counts, comma-separated")
     p.add_argument("--min-count", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -293,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("plot", help="SVG line plot of a trajectory window")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--dt", type=float, default=None)
+    _add_common(p, scheme=False)
     p.add_argument("--window", type=float, nargs=2, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)

@@ -64,8 +64,8 @@ def build_grid(
 def accumulate_moments(
     traj: Trajectory, vel: VelocitySeries, grid: BinGrid
 ) -> dict[tuple[int, ...], LocalMoments]:
-    """Mean, centered second moment c2 and contracted fourth moment t per
-    occupied bin (see LocalMoments).
+    """Centered second moment c2 and contracted fourth moment t per occupied
+    bin (see LocalMoments).
 
     Samples with invalid velocity or outside the grid are skipped; bins
     whose valid count is below the grid's min_count are left out.  Each
@@ -84,8 +84,7 @@ def accumulate_moments(
         if len(group) < grid.min_count:
             continue
         v = vel.values[group]
-        mean = v.mean(axis=0)
-        dvl = v - mean
+        dvl = v - v.mean(axis=0)
         c2 = dvl.T @ dvl / len(group)
         c2 = 0.5 * (c2 + c2.T)
         # pinv, not inv: a bin of equal velocities (c2 = 0) is still stored,
@@ -93,7 +92,7 @@ def accumulate_moments(
         q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(c2, hermitian=True), dvl)
         t = (dvl * q[:, None]).T @ dvl / len(group)
         t = 0.5 * (t + t.T)
-        out[tuple(int(i) for i in idx[group[0]])] = LocalMoments(len(group), mean, c2, t)
+        out[tuple(int(i) for i in idx[group[0]])] = LocalMoments(len(group), c2, t)
     if not out:
         raise ValueError("no occupied bins (min_count too high or data too sparse)")
     return out

@@ -13,7 +13,7 @@ Experiments:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -214,13 +214,9 @@ def _monotone_1d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     bins = cfg.bins or (128,)
     traj = ingest.gen_broadband(n, seed=cfg.seed, amplitude=1.0)
     if cfg.transform == "identity":
-        spec = ingest.TransformSpec.identity()
+        traj_p = traj
     else:
-        spec = ingest.TransformSpec(
-            "monotone-polynomial",
-            {"coeffs": [0.0, 1.0, 0.0, 0.5], "domain": (-1.2, 1.2)},
-        )
-    traj_p = ingest.apply_transform(traj, spec)
+        traj_p = ingest.apply_transform(traj, [0.0, 1.0, 0.0, 0.5], (-1.2, 1.2))
     res = run_pipeline(traj, bins, cfg.min_count, cfg.scheme)
     res_p = run_pipeline(traj_p, bins, cfg.min_count, cfg.scheme)
     _, corrs = align_weight_series(res.weights, res_p.weights)
@@ -369,14 +365,7 @@ def run_experiment(
 
     report = ExperimentReport(
         experiment=name,
-        config={
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "bins": list(cfg.bins) if cfg.bins else None,
-            "min_count": cfg.min_count,
-            "scheme": cfg.scheme,
-            "transform": cfg.transform,
-        },
+        config=asdict(cfg),
         metrics=metrics,
         criteria=criteria,
     )

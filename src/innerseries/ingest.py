@@ -1,8 +1,10 @@
 """Loading, synthesis, transformation, and embedding of measurement series.
 
-Generators are deterministic per 64-bit seed.  WAV samples are kept as raw
-16-bit integers (as real numbers), which keeps them inside the +-2^15 box the
-two-source mixing functions require.
+Generators are deterministic per 64-bit seed.  A sensor is an instantaneous
+map x -> x': apply_transform re-senses each channel through a monotone
+polynomial, and mix_two_sources is the fixed two-source nonlinear mixing.
+WAV samples are kept as raw 16-bit integers (as real numbers), which keeps
+them inside the +-2^15 box the two-source mixing functions require.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import csv
 import warnings
 import wave
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -308,56 +309,22 @@ def gen_lifted_latent(
 # transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """Instantaneous per-sample measurement transform.
-
-    kinds:
-      affine             params: scale (scalar or per-channel), offset
-      monotone-polynomial  params: coeffs (ascending), domain (lo, hi);
-                           monotonicity checked by dense derivative sampling
-
-    The fixed two-source nonlinear mixing map is mix_two_sources.
+def apply_transform(traj: Trajectory, coeffs, domain: tuple[float, float]) -> Trajectory:
+    """Re-sense every channel through one polynomial (coeffs ascending) that
+    is strictly monotone on domain (lo, hi), checked by dense derivative
+    sampling; every sample must lie in domain.  dt is unchanged and each
+    channel name gains a prime.
     """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in {"affine", "monotone-polynomial"}:
-            raise TransformError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "monotone-polynomial":
-            coeffs = np.asarray(self.params["coeffs"], dtype=float)
-            lo, hi = self.params["domain"]
-            xs = np.linspace(lo, hi, 4096)
-            deriv = np.polyval(
-                np.polyder(coeffs[::-1]), xs
-            )  # coeffs stored ascending
-            if not (np.all(deriv > 0) or np.all(deriv < 0)):
-                raise TransformError(
-                    "polynomial is not strictly monotonic on its domain"
-                )
-
-    @classmethod
-    def identity(cls) -> "TransformSpec":
-        return cls("affine", {"scale": 1.0, "offset": 0.0})
-
-
-def apply_transform(traj: Trajectory, spec: TransformSpec) -> Trajectory:
-    """Pointwise instantaneous transform; dt is unchanged."""
+    coeffs = np.asarray(coeffs, dtype=float)[::-1]  # np.polyval wants descending
+    lo, hi = domain
+    deriv = np.polyval(np.polyder(coeffs), np.linspace(lo, hi, 4096))
+    if not (np.all(deriv > 0) or np.all(deriv < 0)):
+        raise TransformError("polynomial is not strictly monotonic on its domain")
     x = traj.samples
-    if spec.kind == "affine":
-        scale = np.asarray(spec.params.get("scale", 1.0), dtype=float)
-        offset = np.asarray(spec.params.get("offset", 0.0), dtype=float)
-        out = x * scale + offset
-    else:  # monotone-polynomial
-        coeffs = np.asarray(spec.params["coeffs"], dtype=float)
-        lo, hi = spec.params["domain"]
-        if np.any(x < lo) or np.any(x > hi):
-            raise TransformError("sample outside declared polynomial domain")
-        out = np.polyval(coeffs[::-1], x)
+    if np.any(x < lo) or np.any(x > hi):
+        raise TransformError("sample outside declared polynomial domain")
     names = tuple(f"{c}'" for c in traj.channel_names)
-    return Trajectory(out, traj.dt, names)
+    return Trajectory(np.polyval(coeffs, x), traj.dt, names)
 
 
 def mix_two_sources(traj2: Trajectory) -> Trajectory:

@@ -167,31 +167,28 @@ class BinGrid:
 
 @dataclass(frozen=True)
 class LocalMoments:
-    """Per-bin velocity statistics: mean, centered second moment c2, and the
+    """Per-bin velocity statistics: centered second moment c2 and the
     contracted fourth moment t = E[(dv^T c2^-1 dv) dv dv^T], dv = v - mean.
+    The mean only centers them and is not kept.
     """
 
     count: int
-    mean_vel: np.ndarray
     c2: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
-        mean = _as_float_array(self.mean_vel, "mean_vel")
         c2 = _as_float_array(self.c2, "c2")
         t = _as_float_array(self.t, "t")
-        n = mean.shape[0]
-        if c2.shape != (n, n) or t.shape != (n, n):
+        if c2.ndim != 2 or c2.shape[0] != c2.shape[1] or t.shape != c2.shape:
             raise ValueError("moment shapes inconsistent with dimension")
-        for a in (mean, c2, t):
+        for a in (c2, t):
             a.setflags(write=False)
-        object.__setattr__(self, "mean_vel", mean)
         object.__setattr__(self, "c2", c2)
         object.__setattr__(self, "t", t)
 
     @property
     def dim(self) -> int:
-        return self.mean_vel.shape[0]
+        return self.c2.shape[0]
 
 
 @dataclass(frozen=True)

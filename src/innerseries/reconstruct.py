@@ -28,6 +28,8 @@ def integrate_weights(
     grid = field.grid
     if x0.shape[0] != grid.dim:
         raise ValueError("x0 dimension does not match grid")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if steps > len(w):
         raise ValueError("steps exceeds weight series length")
     idx0 = grid.locate(x0[None, :])[0]

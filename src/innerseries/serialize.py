@@ -2,9 +2,9 @@
 
 Floats go through Python's shortest round-trip repr, so a load after a dump
 reproduces every value bit-exactly.  Every artifact carries "schema"; the
-loaders reject any version but SCHEMA_VERSION.  Grids hold edges and
-min_count only, no sample indices; moments hold c2 and the contracted
-fourth moment t, both N x N.
+loaders reject any version but SCHEMA_VERSION, one version for all three
+kinds.  Grids hold edges and min_count only, no sample indices; moments
+bins hold count, c2 and the contracted fourth moment t, both N x N.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import BinGrid, FrameField, LocalFrame, LocalMoments
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _key(idx: tuple[int, ...]) -> str:
@@ -53,7 +53,6 @@ def moments_to_dict(grid: BinGrid, moments: dict) -> dict:
         "bins": {
             _key(k): {
                 "count": m.count,
-                "mean_vel": m.mean_vel.tolist(),
                 "c2": m.c2.tolist(),
                 "t": m.t.tolist(),
             }
@@ -66,12 +65,7 @@ def moments_from_dict(d: dict) -> tuple[BinGrid, dict]:
     _check_schema(d, "moments")
     grid = grid_from_dict(d["grid"])
     moments = {
-        _unkey(k): LocalMoments(
-            int(b["count"]),
-            np.asarray(b["mean_vel"]),
-            np.asarray(b["c2"]),
-            np.asarray(b["t"]),
-        )
+        _unkey(k): LocalMoments(int(b["count"]), np.asarray(b["c2"]), np.asarray(b["t"]))
         for k, b in d["bins"].items()
     }
     return grid, moments

@@ -6,7 +6,12 @@ import pytest
 from innerseries import serialize
 from innerseries.cli import main
 from innerseries.experiments import run_pipeline
-from innerseries.ingest import gen_bounded_walk, read_csv_trajectory, write_csv_trajectory
+from innerseries.ingest import (
+    gen_bounded_walk,
+    read_csv_trajectory,
+    read_wav_trajectory,
+    write_csv_trajectory,
+)
 from innerseries.model import Trajectory
 from innerseries.weights import read_csv_weights
 
@@ -28,11 +33,20 @@ class TestSynth:
         rc = run(
             [
                 "synth", "--kind", "walk", "--samples", "2000", "--dim", "2",
-                "--amplitude", "20000", "--format", "wav", "--out", out,
+                "--amplitude", "20000", "--out", out,
             ]
         )
         assert rc == 0
-        assert out.stat().st_size > 0
+        # the .wav suffix alone picks WAV, and the CLI reads it back
+        traj = read_wav_trajectory(out)
+        assert (traj.n_samples, traj.dim) == (2000, 2)
+        grid = tmp_path / "grid.json"
+        assert run(["grid", "--in", out, "--bins", "4,4", "--out", grid]) == 0
+
+    def test_format_option_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run(["synth", "--kind", "sine", "--samples", "50", "--format", "wav",
+                 "--out", tmp_path / "x.csv"])
 
     def test_lifted_latent_pair(self, tmp_path):
         lifted = tmp_path / "lifted.csv"
@@ -105,7 +119,9 @@ class TestStagedPipeline:
         assert rc == 0
         assert read_csv_trajectory(out).dim == 2
 
-    def test_reconstruct_one_step_writes_two_rows(self, staged, tmp_path):
+    @staticmethod
+    def reconstruct_rows(staged, tmp_path, steps):
+        """Exit code of reconstruct --steps steps, and its data row count."""
         w = read_csv_weights(staged / "weights.csv")
         traj = read_csv_trajectory(staged / "walk.csv")
         k0 = int(np.flatnonzero(w.valid_mask)[0])
@@ -113,11 +129,19 @@ class TestStagedPipeline:
         out = tmp_path / "recon.csv"
         rc = run(
             ["reconstruct", "--weights", staged / "weights.csv", "--field",
-             staged / "field.json", f"--x0={x0}", "--steps", "1", "--out", out]
+             staged / "field.json", f"--x0={x0}", "--steps", steps, "--out", out]
         )
-        assert rc == 0
-        rows = out.read_text().splitlines()
-        assert len(rows) == 1 + 2  # header and two samples
+        return rc, len(out.read_text().splitlines()) - 1 if out.exists() else None
+
+    def test_reconstruct_one_step_writes_two_rows(self, staged, tmp_path):
+        assert self.reconstruct_rows(staged, tmp_path, 1) == (0, 2)
+
+    def test_reconstruct_zero_steps_writes_start_point_only(self, staged, tmp_path):
+        assert self.reconstruct_rows(staged, tmp_path, 0) == (0, 1)
+
+    def test_reconstruct_negative_steps_rejected(self, staged, tmp_path, capsys):
+        assert self.reconstruct_rows(staged, tmp_path, -1) == (2, None)
+        assert "steps must be >= 0, got -1" in capsys.readouterr().err
 
     def test_reconstruct_negative_x0_as_separate_argument(self, staged, tmp_path):
         # "--x0 -0.5,0.2" must work as "--x0=-0.5,0.2" does
@@ -183,6 +207,13 @@ class TestExperimentCommand:
         report = json.loads((out_dir / "sine.report.json").read_text())
         assert report["passed"] is True
         assert (out_dir / "sine.weights.svg").exists()
+
+    def test_monotone_identity_arm_is_the_signal(self, tmp_path):
+        d = tmp_path / "id"
+        argv = ["experiment", "monotone-1d", "--transform", "identity", "--samples", "20000"]
+        assert run([*argv, "--out-dir", d]) == 0
+        w = (d / "monotone-1d.x.weights.csv").read_bytes()
+        assert (d / "monotone-1d.xprime.weights.csv").read_bytes() == w
 
     def test_report_bytes_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

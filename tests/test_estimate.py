@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
 from innerseries.ingest import gen_sine
@@ -111,7 +113,6 @@ class TestAccumulateMoments:
         traj, vel, grid = _single_bin_setup([1.0, -1.0, 1.0, -1.0])
         moments = accumulate_moments(traj, vel, grid)
         m = moments[(0,)]
-        assert m.mean_vel[0] == 0.0
         assert m.c2[0, 0] == 1.0
         assert m.t[0, 0] == 1.0
 
@@ -229,3 +230,63 @@ class TestAccumulateMoments:
         for key, m in moments.items():
             xc = grid.center(key)[0]
             assert abs(m.c2[0, 0] - (a * a - xc * xc)) < 0.05
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def binned_velocities(draw):
+    """(traj, grid, v): up to 3000 samples of N <= 3 correlated non-Gaussian
+    velocity channels, on a 2-per-axis grid over uniform positions."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(300, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = np.column_stack(
+        [rng.laplace(size=n) if j % 2 == 0 else rng.uniform(-1, 1, n) for j in range(dim)]
+    )
+    v = raw @ rng.standard_normal((dim, dim)) * 10.0 ** draw(st.floats(-3, 3))
+    traj = Trajectory(rng.uniform(-1, 1, (n, dim)), 1.0)
+    return traj, build_grid(traj, (2,) * dim, min_count=20), v
+
+
+def moments_of(traj, grid, v):
+    return accumulate_moments(traj, VelocitySeries(v, np.ones(len(v), dtype=bool)), grid)
+
+
+def max_rel_diff(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestMomentInvariances:
+    """The bin mean is not stored, so these pin that c2 and t are centered.
+
+    t goes through c2^-1, so its rounding error grows with cond(c2): the
+    bounds on t add a multiple of eps * cond(c2) to a fixed 1e-13.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=binned_velocities(), frac=st.lists(st.floats(-1, 1), min_size=3, max_size=3))
+    def test_constant_offset_leaves_c2_and_t(self, data, frac):
+        traj, grid, v = data
+        offset = np.array(frac[: v.shape[1]]) * np.abs(v).max()
+        base, shifted = moments_of(traj, grid, v), moments_of(traj, grid, v + offset)
+        assert shifted.keys() == base.keys()
+        for key, m in base.items():
+            assert shifted[key].count == m.count
+            assert max_rel_diff(shifted[key].c2, m.c2) <= 1e-13
+            tol = 1e-13 + 32 * EPS * np.linalg.cond(m.c2)
+            assert max_rel_diff(shifted[key].t, m.t) <= tol
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=binned_velocities(), exps=st.lists(st.integers(-8, 8), min_size=3, max_size=3))
+    def test_power_of_two_scaling(self, data, exps):
+        traj, grid, v = data
+        s = 2.0 ** np.array(exps[: v.shape[1]])
+        ss = np.outer(s, s)
+        base, scaled = moments_of(traj, grid, v), moments_of(traj, grid, v * s)
+        assert scaled.keys() == base.keys()
+        for key, m in base.items():
+            np.testing.assert_array_equal(scaled[key].c2, m.c2 * ss)
+            tol = 1e-13 + 4 * EPS * (np.linalg.cond(m.c2) + np.linalg.cond(scaled[key].c2))
+            assert max_rel_diff(scaled[key].t / ss, m.t) <= tol

@@ -29,12 +29,11 @@ def moments_from_samples(v):
     """Direct-average oracle for per-bin moments: t contracts the dense
     fourth moment with c2^-1."""
     v = np.asarray(v, dtype=float)
-    mean = v.mean(axis=0)
-    d = v - mean
+    d = v - v.mean(axis=0)
     c2 = d.T @ d / len(v)
     c4 = np.einsum("ti,tj,tk,tl->ijkl", d, d, d, d) / len(v)
     t = np.einsum("mn,klmn->kl", np.linalg.inv(c2), c4)
-    return LocalMoments(len(v), mean, c2, t)
+    return LocalMoments(len(v), c2, t)
 
 
 class TestSolveFrame:
@@ -43,7 +42,7 @@ class TestSolveFrame:
         # contraction t is diag of those entries
         n = 3
         diag = [5.0, 3.0, 1.0]
-        mom = LocalMoments(100, np.zeros(n), np.eye(n), np.diag(diag))
+        mom = LocalMoments(100, np.eye(n), np.diag(diag))
         frame = solve_frame(mom)
         # m must be a signed permutation of the identity
         _, residual = nearest_signed_permutation(frame.m)
@@ -53,7 +52,7 @@ class TestSolveFrame:
     def test_1d_analytic_form(self):
         for c11 in (0.75, 0.19, 1.0):
             # a Gaussian-like fourth moment 3 c11^2, contracted with 1/c11
-            mom = LocalMoments(100, np.zeros(1), np.array([[c11]]), np.array([[3 * c11]]))
+            mom = LocalMoments(100, np.array([[c11]]), np.array([[3 * c11]]))
             frame = solve_frame(mom)
             assert abs(frame.m[0, 0]) == pytest.approx(1.0 / np.sqrt(c11))
             assert abs(frame.v[0, 0]) == pytest.approx(np.sqrt(c11))
@@ -94,14 +93,14 @@ class TestSolveFrame:
         assert np.max(np.abs(off)) < 1e-6 * np.max(np.abs(t))
 
     def test_ill_conditioned_rejected(self):
-        mom = LocalMoments(100, np.zeros(2), np.diag([1.0, 1e-14]), np.zeros((2, 2)))
+        mom = LocalMoments(100, np.diag([1.0, 1e-14]), np.zeros((2, 2)))
         with pytest.raises(FrameSolveError):
             solve_frame(mom)
 
     def test_degenerate_flag(self):
-        mom = LocalMoments(100, np.zeros(2), np.eye(2), np.diag([3.0, 3.0001]))
+        mom = LocalMoments(100, np.eye(2), np.diag([3.0, 3.0001]))
         assert solve_frame(mom, gap_tol=1e-3).degenerate_flag
-        mom2 = LocalMoments(100, np.zeros(2), np.eye(2), np.diag([3.0, 1.0]))
+        mom2 = LocalMoments(100, np.eye(2), np.diag([3.0, 1.0]))
         assert not solve_frame(mom2, gap_tol=1e-3).degenerate_flag
 
     def test_uniqueness_up_to_signed_permutation(self):

@@ -1,14 +1,19 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and every CLI
+subcommand reads each option it accepts.
 
 A name that is imported and never read is usually left over from deleted
 code.  The package's __init__.py imports names to re-export them and is
-exempt.
+exempt.  An option whose value its command never reads is accepted and then
+silently ignored.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from innerseries.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "innerseries"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -49,3 +54,51 @@ def test_scan_flags_unread_names():
         "WS = Trajectory\n"
     )
     assert unused_imports(source) == ["WS (line 4)", "os (line 2)"]
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(action.choices)
+
+
+def unread_options(sub: argparse.ArgumentParser, source: str) -> list[str]:
+    """Each option of sub whose dest its set_defaults(func=...) function
+    (looked up by name in source) never reads as args.<dest>."""
+    name = sub.get_default("func").__name__
+    (func,) = (
+        n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == name
+    )
+    read = {
+        n.attr
+        for n in ast.walk(func)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+    }
+    return sorted(
+        "/".join(a.option_strings) or a.dest
+        for a in sub._actions
+        if not isinstance(a, argparse._HelpAction) and a.dest not in read
+    )
+
+
+CLI_COMMANDS = subcommands(build_parser())
+
+
+@pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
+def test_cli_command_reads_every_option(command):
+    source = (SRC / "cli.py").read_text()
+    assert unread_options(CLI_COMMANDS[command], source) == []
+
+
+def test_scan_flags_unread_options():
+    def cmd_go(args):
+        pass  # the scan reads the source below, not this body
+
+    source = "def cmd_go(args):\n    print(args.fast, args.input)\n"
+    ap = argparse.ArgumentParser()
+    p = ap.add_subparsers(dest="command").add_parser("go")
+    p.add_argument("name")
+    p.add_argument("--in", dest="input")
+    p.add_argument("--fast", action="store_true")
+    p.add_argument("--scheme", "-s")
+    p.set_defaults(func=cmd_go)
+    assert unread_options(subcommands(ap)["go"], source) == ["--scheme/-s", "name"]

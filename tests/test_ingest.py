@@ -6,7 +6,6 @@ import pytest
 from innerseries import ingest
 from innerseries.ingest import (
     TransformError,
-    TransformSpec,
     apply_transform,
     gen_bounded_walk,
     gen_lifted_latent,
@@ -199,25 +198,18 @@ class TestGenSine:
 
 
 class TestApplyTransform:
-    def test_affine(self):
-        traj = Trajectory(np.array([0.0, 1.0, 2.0]), 1.0)
-        out = apply_transform(traj, TransformSpec("affine", {"scale": 2.0, "offset": 1.0}))
-        np.testing.assert_array_equal(out.samples[:, 0], [1, 3, 5])
-        assert out.dt == traj.dt
-
     def test_identity(self):
         traj = Trajectory(np.array([0.5, -0.5, 0.25]), 1.0)
-        out = apply_transform(traj, TransformSpec.identity())
+        out = apply_transform(traj, [0.0, 1.0], (-1.0, 1.0))
         np.testing.assert_array_equal(out.samples, traj.samples)
+        assert out.dt == traj.dt
+        assert out.channel_names == ("ch1'",)
 
     def test_monotone_cubic_bisection_inverse(self):
         # invert f(x) = x + 0.1 x^3 numerically and recover the inputs
-        spec = TransformSpec(
-            "monotone-polynomial", {"coeffs": [0.0, 1.0, 0.0, 0.1], "domain": (-2.0, 2.0)}
-        )
         xs = np.linspace(-1.9, 1.9, 41)
         traj = Trajectory(xs, 1.0)
-        ys = apply_transform(traj, spec).samples[:, 0]
+        ys = apply_transform(traj, [0.0, 1.0, 0.0, 0.1], (-2.0, 2.0)).samples[:, 0]
 
         def f(x):
             return x + 0.1 * x**3
@@ -233,23 +225,18 @@ class TestApplyTransform:
             assert 0.5 * (lo + hi) == pytest.approx(x_true, abs=1e-9)
 
     def test_non_monotone_polynomial_rejected(self):
-        with pytest.raises(TransformError):
-            TransformSpec(
-                "monotone-polynomial",
-                {"coeffs": [0.0, 0.0, 1.0], "domain": (-1.0, 1.0)},  # x^2
-            )
+        traj = Trajectory(np.array([0.0, 0.5]), 1.0)
+        with pytest.raises(TransformError, match="not strictly monotonic"):
+            apply_transform(traj, [0.0, 0.0, 1.0], (-1.0, 1.0))  # x^2
+
+    def test_decreasing_polynomial_accepted(self):
+        traj = Trajectory(np.array([0.0, 0.5]), 1.0)
+        out = apply_transform(traj, [1.0, -2.0], (0.0, 1.0))
+        np.testing.assert_array_equal(out.samples[:, 0], [1.0, 0.0])
 
     def test_domain_violation(self):
-        spec = TransformSpec(
-            "monotone-polynomial", {"coeffs": [0.0, 1.0], "domain": (0.0, 1.0)}
-        )
-        with pytest.raises(TransformError):
-            apply_transform(Trajectory(np.array([0.0, 0.5, 2.0]), 1.0), spec)
-
-    @pytest.mark.parametrize("kind", ["paper-mixing", "custom-table"])
-    def test_unknown_kind_rejected(self, kind):
-        with pytest.raises(TransformError, match="unknown transform kind"):
-            TransformSpec(kind)
+        with pytest.raises(TransformError, match="outside declared polynomial domain"):
+            apply_transform(Trajectory(np.array([0.0, 0.5, 2.0]), 1.0), [0.0, 1.0], (0.0, 1.0))
 
 
 class TestMixTwoSources:

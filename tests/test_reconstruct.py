@@ -90,6 +90,12 @@ class TestIntegrateWeights:
         with pytest.raises(ValueError):
             integrate_weights(w, field, np.full(1, 50.0), 5)
 
+    def test_negative_steps_rejected(self):
+        field = single_bin_field(np.eye(1))
+        w = WeightSeries(np.zeros((5, 1)), np.ones(5, dtype=bool))
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            integrate_weights(w, field, np.zeros(1), -1)
+
     def test_steps_exceed_series(self):
         field = single_bin_field(np.eye(1))
         w = WeightSeries(np.zeros((5, 1)), np.ones(5, dtype=bool))
