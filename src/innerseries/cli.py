@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_parse_bins, default=None)
     p.add_argument("--min-count", type=int, default=None)
     p.add_argument("--scheme", choices=("forward", "central"), default="central")
-    p.add_argument("--transform", choices=("cubic", "identity"), default="cubic")
+    p.add_argument("--transform", choices=("cubic", "identity"), help="monotone-1d only; default cubic")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_experiment)
 

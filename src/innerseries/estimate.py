@@ -74,11 +74,10 @@ def accumulate_moments(
     """
     if len(vel) != traj.n_samples:
         raise ValueError("velocity series not aligned with trajectory")
-    idx = grid.locate(traj.samples)
-    sel = np.flatnonzero(vel.valid_mask & np.all(idx >= 0, axis=1))
-    flat = np.ravel_multi_index(idx[sel].T, grid.shape)
-    order = np.argsort(flat, kind="stable")  # keeps samples ascending per bin
-    boundaries = np.flatnonzero(np.diff(flat[order])) + 1
+    flat = grid.flat_index(traj.samples)
+    sel = np.flatnonzero(vel.valid_mask & (flat >= 0))
+    order = np.argsort(flat[sel], kind="stable")  # keeps samples ascending per bin
+    boundaries = np.flatnonzero(np.diff(flat[sel[order]])) + 1
     out: dict[tuple[int, ...], LocalMoments] = {}
     for group in np.split(sel[order], boundaries):
         if len(group) < grid.min_count:
@@ -92,7 +91,8 @@ def accumulate_moments(
         q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(c2, hermitian=True), dvl)
         t = (dvl * q[:, None]).T @ dvl / len(group)
         t = 0.5 * (t + t.T)
-        out[tuple(int(i) for i in idx[group[0]])] = LocalMoments(len(group), c2, t)
+        key = np.unravel_index(flat[group[0]], grid.shape)
+        out[tuple(int(i) for i in key)] = LocalMoments(len(group), c2, t)
     if not out:
         raise ValueError("no occupied bins (min_count too high or data too sparse)")
     return out

@@ -13,7 +13,7 @@ Experiments:
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ class ExperimentConfig:
     bins: tuple[int, ...] | None = None
     min_count: int | None = None
     scheme: str = "central"
-    transform: str = "cubic"  # monotone-1d only: "cubic" or "identity"
+    transform: str | None = None  # monotone-1d only: "cubic" (when None) or "identity"
 
 
 @dataclass(frozen=True)
@@ -347,6 +347,10 @@ def run_experiment(
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
     cfg = cfg or ExperimentConfig()
+    if name == "monotone-1d":
+        cfg = replace(cfg, transform=cfg.transform or "cubic")
+    elif cfg.transform is not None:
+        raise ValueError(f"experiment {name!r} applies no transform; only monotone-1d takes one")
     t_start = time.perf_counter()
     try:
         metrics, criteria, extras = _RUNNERS[name](cfg)
@@ -363,9 +367,12 @@ def run_experiment(
     metrics["runtime_seconds"] = elapsed
     criteria.append(Criterion("runtime_seconds", elapsed, _RUNTIME_LIMITS[name], "<"))
 
+    config = asdict(cfg)
+    if cfg.transform is None:  # record only a transform that was applied
+        del config["transform"]
     report = ExperimentReport(
         experiment=name,
-        config=asdict(cfg),
+        config=config,
         metrics=metrics,
         criteria=criteria,
     )

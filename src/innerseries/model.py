@@ -143,23 +143,23 @@ class BinGrid:
             [0.5 * (self.edges[a][i] + self.edges[a][i + 1]) for a, i in enumerate(idx)]
         )
 
-    def locate(self, points: np.ndarray) -> np.ndarray:
-        """Multi-index of each point, or -1 per axis when out of range.
+    def flat_index(self, points: np.ndarray) -> np.ndarray:
+        """Row-major flat bin index of each point, or -1 outside the grid.
 
         Lower bins are half-open; a point exactly on the top edge lands in
-        the last bin.
+        the last bin.  Built axis by axis, so it holds O(n) integers.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionMismatchError("point dimension does not match grid")
-        out = np.empty(pts.shape, dtype=np.int64)
-        for a, e in enumerate(self.edges):
-            idx = np.searchsorted(e, pts[:, a], side="right") - 1
-            idx[pts[:, a] == e[-1]] = len(e) - 2  # inclusive upper edge
-            oob = (pts[:, a] < e[0]) | (pts[:, a] > e[-1])
-            idx[oob] = -1
-            out[:, a] = idx
-        return out
+        flat = np.zeros(len(pts), dtype=np.int64)
+        inside = np.ones(len(pts), dtype=bool)
+        for e, x in zip(self.edges, pts.T):
+            inside &= (x >= e[0]) & (x <= e[-1])
+            idx = np.searchsorted(e, x, side="right") - 1
+            # the top edge is inclusive: clamp it into the last bin
+            flat = flat * (len(e) - 1) + np.minimum(idx, len(e) - 2)
+        return np.where(inside, flat, -1)
 
     def step_sizes(self) -> np.ndarray:
         return np.array([e[1] - e[0] for e in self.edges])

@@ -32,11 +32,9 @@ def integrate_weights(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if steps > len(w):
         raise ValueError("steps exceeds weight series length")
-    idx0 = grid.locate(x0[None, :])[0]
-    if np.any(idx0 < 0):
+    if grid.flat_index(x0)[0] < 0:
         raise ValueError("x0 outside grid")
     flat_to_slot, _, _, v_stack = _bin_lookup(field)
-    shape = grid.shape
     lo = np.array([e[0] for e in grid.edges])
     hi = np.array([e[-1] for e in grid.edges])
     slack = grid.step_sizes()
@@ -47,8 +45,7 @@ def integrate_weights(
         if np.any(x < lo - slack) or np.any(x > hi + slack):
             truncated = True
             break
-        idx = grid.locate(np.clip(x, lo, hi)[None, :])[0]
-        slot = flat_to_slot[np.ravel_multi_index(tuple(idx), shape)]
+        slot = flat_to_slot[grid.flat_index(np.clip(x, lo, hi))[0]]
         if slot < 0:  # no occupied bin within one grid step
             truncated = True
             break

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import TIME_COLUMN, _read_csv_table, _time_step, _write_csv_columns
+from .ingest import _CHUNK, TIME_COLUMN, _read_csv_table, _time_step, _write_csv_columns
 from .model import (
     DimensionMismatchError,
     FrameField,
@@ -69,22 +69,17 @@ def compute_weights(
         raise ValueError("empty frame field")
     if len(vel) != traj.n_samples:
         raise ValueError("velocity not aligned with trajectory")
-    grid = field.grid
-    idx = grid.locate(traj.samples)
-    in_range = np.all(idx >= 0, axis=1)
+    flat = field.grid.flat_index(traj.samples)
     flat_to_slot, fallback_bins, m_stack, _ = _bin_lookup(field)
-    slots = np.full(traj.n_samples, -1, dtype=np.int64)
-    flat = np.ravel_multi_index(
-        np.clip(idx, 0, None).T, grid.shape, mode="clip"
-    )
-    slots[in_range] = flat_to_slot[flat[in_range]]
-    valid = vel.valid_mask & in_range & (slots >= 0)
-    fallback = np.zeros(traj.n_samples, dtype=bool)
-    fallback[valid] = fallback_bins[flat[valid]]
+    # flat = -1 reads the last entry; the flat >= 0 test masks it out
+    slots = np.where(flat >= 0, flat_to_slot[flat], -1)
+    valid = vel.valid_mask & (slots >= 0)
+    fallback = valid & fallback_bins[flat]
     values = np.zeros((traj.n_samples, traj.dim))
-    values[valid] = np.einsum(
-        "nij,nj->ni", m_stack[slots[valid]], vel.values[valid]
-    )
+    # one block of frames at a time keeps the gather at _CHUNK x N x N
+    for lo in range(0, traj.n_samples, _CHUNK):
+        rows = lo + np.flatnonzero(valid[lo : lo + _CHUNK])
+        values[rows] = np.einsum("nij,nj->ni", m_stack[slots[rows]], vel.values[rows])
     return WeightSeries(values, valid, dt=traj.dt, fallback_mask=fallback)
 
 

@@ -148,11 +148,11 @@ def test_criterion_8_exact_invariances():
 
     # resubstitution: w equals M xdot recomputed bin by bin
     grid = res.field.grid
-    idx = grid.locate(traj.samples)
+    flat = grid.flat_index(traj.samples)
     resub_err = 0.0
     sel = res.weights.valid_mask & ~res.weights.fallback_mask
     for t in np.flatnonzero(sel):
-        key = tuple(int(i) for i in idx[t])
+        key = tuple(int(i) for i in np.unravel_index(flat[t], grid.shape))
         expect = res.field.frames[key].m @ res.vel.values[t]
         resub_err = max(resub_err, float(np.max(np.abs(res.weights.values[t] - expect))))
     resub_err /= wscale

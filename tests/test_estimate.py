@@ -44,12 +44,12 @@ class TestBuildGrid:
         grid = build_grid(traj, [4], min_count=1)
         np.testing.assert_allclose(grid.edges[0], [0, 0.25, 0.5, 0.75, 1.0])
         # sample 0.5 goes in the third bin (index 2): lower bins half-open
-        assert grid.locate(np.array([[0.5]]))[0, 0] == 2
+        assert grid.flat_index(np.array([[0.5]]))[0] == 2
 
     def test_max_in_last_bin(self):
         traj = Trajectory(np.linspace(0, 1, 10), 1.0)
         grid = build_grid(traj, [4], min_count=1)
-        assert grid.locate(np.array([[1.0]]))[0, 0] == 3
+        assert grid.flat_index(np.array([[1.0]]))[0] == 3
 
     def test_every_sample_in_exactly_one_bin(self):
         rng = np.random.default_rng(0)
@@ -57,9 +57,8 @@ class TestBuildGrid:
         traj = Trajectory(rng.random((n, 2)), 1.0)
         vel = VelocitySeries(rng.standard_normal((n, 2)), np.ones(n, dtype=bool))
         grid = build_grid(traj, [7, 5], min_count=1)
-        idx = grid.locate(traj.samples)
-        assert np.all(idx >= 0) and np.all(idx < np.array(grid.shape))
-        flat = np.ravel_multi_index(idx.T, grid.shape)
+        flat = grid.flat_index(traj.samples)
+        assert np.all(flat >= 0) and np.all(flat < 35)
         expect = {
             tuple(int(i) for i in np.unravel_index(f, grid.shape)): int(c)
             for f, c in enumerate(np.bincount(flat, minlength=35))
@@ -94,7 +93,7 @@ class TestBuildGrid:
     def test_out_of_range_locate(self):
         traj = Trajectory(np.linspace(0, 1, 10), 1.0)
         grid = build_grid(traj, [4], min_count=1)
-        assert grid.locate(np.array([[2.0]]))[0, 0] == -1
+        assert grid.flat_index(np.array([[2.0]]))[0] == -1
 
 
 def _single_bin_setup(velocities):
@@ -185,7 +184,7 @@ class TestAccumulateMoments:
         vel_b = VelocitySeries(v * scale, np.ones(n, dtype=bool))
         ga = build_grid(traj_a, [4, 4], min_count=1)
         gb = build_grid(traj_b, [4, 4], min_count=1)
-        np.testing.assert_array_equal(ga.locate(traj_a.samples), gb.locate(traj_b.samples))
+        np.testing.assert_array_equal(ga.flat_index(traj_a.samples), gb.flat_index(traj_b.samples))
         ma = accumulate_moments(traj_a, vel_a, ga)
         mb = accumulate_moments(traj_b, vel_b, gb)
         assert {k: m.count for k, m in ma.items()} == {k: m.count for k, m in mb.items()}

@@ -1,22 +1,27 @@
-"""Every module of the package reads each name it imports, and every CLI
-subcommand reads each option it accepts.
+"""Every module of the package reads each name it imports, every CLI
+subcommand reads each option it accepts, and importing a module or script
+runs nothing.
 
 A name that is imported and never read is usually left over from deleted
 code.  The package's __init__.py imports names to re-export them and is
 exempt.  An option whose value its command never reads is accepted and then
-silently ignored.
+silently ignored.  A call at the top level of a module, outside an
+`if __name__ == "__main__":` block, runs whenever the module is imported.
 """
 
 import argparse
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 from innerseries.cli import build_parser
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "innerseries"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "innerseries"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ENTRY_FILES = sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -102,3 +107,52 @@ def test_scan_flags_unread_options():
     p.add_argument("--scheme", "-s")
     p.set_defaults(func=cmd_go)
     assert unread_options(subcommands(ap)["go"], source) == ["--scheme/-s", "name"]
+
+
+# statements that only define a name; a constant computed by a call is one
+DEFINITIONS = (
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.ClassDef,
+    ast.Import,
+    ast.ImportFrom,
+    ast.Assign,
+    ast.AnnAssign,
+)
+
+
+def top_level_calls(source: str) -> list[str]:
+    """'line k' for each top-level statement, other than a definition or an
+    `if __name__ == "__main__":` block, that makes a call."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.parse(source).body
+        if not isinstance(node, DEFINITIONS)
+        and not (isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+        and any(isinstance(n, ast.Call) for n in ast.walk(node))
+    ]
+
+
+@pytest.mark.parametrize("path", ENTRY_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_call_at_import(path):
+    assert top_level_calls(path.read_text()) == []
+
+
+def test_scan_flags_top_level_calls():
+    source = (
+        '"""doc"""\n'
+        "import sys\n"
+        "TABLE = dict(a=1)\n"
+        "sys.exit(main())\n"
+        "for k in TABLE:\n"
+        "    print(k)\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n"
+        'if __name__ == "__main__" or True:\n'
+        "    main()\n"
+    )
+    assert top_level_calls(source) == ["line 4", "line 5", "line 9"]
+
+
+def test_package_main_imports_without_running():
+    importlib.import_module("innerseries.__main__")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from innerseries.estimate import estimate_velocity
 from innerseries.model import (
+    BinGrid,
     DimensionMismatchError,
     SignedPermutation,
     Trajectory,
@@ -157,6 +158,69 @@ def test_apply_then_inverse_roundtrip(data, perm, signs):
     p = SignedPermutation(np.array(perm), np.array(signs))
     out = apply_signed_permutation(p.inverse(), apply_signed_permutation(p, w))
     np.testing.assert_array_equal(out.values, w.values)
+
+
+def _reference_flat_index(edges, pts):
+    """Per-axis searchsorted bin, the top edge moved into the last bin, then
+    row-major ravel of the points inside on every axis; -1 for the rest."""
+    idx = np.empty(pts.shape, dtype=np.int64)
+    inside = np.ones(len(pts), dtype=bool)
+    for a, e in enumerate(edges):
+        idx[:, a] = np.searchsorted(e, pts[:, a], side="right") - 1
+        idx[pts[:, a] == e[-1], a] = len(e) - 2
+        inside &= (pts[:, a] >= e[0]) & (pts[:, a] <= e[-1])
+    out = np.full(len(pts), -1, dtype=np.int64)
+    out[inside] = np.ravel_multi_index(idx[inside].T, tuple(len(e) - 1 for e in edges))
+    return out
+
+
+@st.composite
+def grid_and_points(draw):
+    """Up to 4 axes of 1-4 bins; each point coordinate is an edge (interior,
+    bottom or inclusive top), just below an edge, or inside, and a point may
+    be moved outside the grid on one axis."""
+    edges = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.floats(-10, 10))
+        steps = draw(st.lists(st.floats(0.01, 4.0), min_size=1, max_size=4))
+        edges.append(start + np.cumsum([0.0, *steps]))
+    points = []
+    for _ in range(draw(st.integers(1, 12))):
+        point = [
+            draw(
+                st.sampled_from(e.tolist())
+                | st.sampled_from(np.nextafter(e[1:], -np.inf).tolist())
+                | st.floats(e[0], e[-1])
+            )
+            for e in edges
+        ]
+        out_axis = draw(st.none() | st.integers(0, len(edges) - 1))
+        if out_axis is not None:
+            e = edges[out_axis]
+            below, above = np.nextafter(e[0], -np.inf), np.nextafter(e[-1], np.inf)
+            point[out_axis] = draw(st.sampled_from([below, e[0] - 1.0, above, e[-1] + 1.0]))
+        points.append(point)
+    return edges, np.array(points)
+
+
+class TestBinGridFlatIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_and_points())
+    def test_matches_per_axis_reference(self, case):
+        edges, pts = case
+        np.testing.assert_array_equal(
+            BinGrid(tuple(edges), 1).flat_index(pts), _reference_flat_index(edges, pts)
+        )
+
+    def test_row_major_with_inclusive_top_edge(self):
+        grid = BinGrid((np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0, 3.0])), 1)
+        pts = np.array([[1.0, 3.0], [2.0, 0.0], [0.5, 1.0], [0.5, 3.5], [-0.1, 1.0]])
+        np.testing.assert_array_equal(grid.flat_index(pts), [5, 3, 1, -1, -1])
+
+    def test_dimension_checked(self):
+        grid = BinGrid((np.array([0.0, 1.0]),), 1)
+        with pytest.raises(DimensionMismatchError):
+            grid.flat_index(np.zeros((3, 2)))
 
 
 def _first_optimum(score):

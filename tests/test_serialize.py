@@ -25,7 +25,7 @@ class TestGridRoundtrip:
             np.testing.assert_array_equal(a, b)
         assert back.min_count == grid.min_count
         np.testing.assert_array_equal(
-            back.locate(traj.samples), grid.locate(traj.samples)
+            back.flat_index(traj.samples), grid.flat_index(traj.samples)
         )
 
     def test_holds_no_samples(self):

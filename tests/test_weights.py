@@ -1,19 +1,25 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from innerseries.ingest import gen_bounded_walk, gen_sine
+from innerseries.ingest import _CHUNK, gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline, sine_sign_match
 from innerseries.model import (
+    BinGrid,
     DimensionMismatchError,
+    FrameField,
+    LocalFrame,
     SignedPermutation,
     Trajectory,
+    VelocitySeries,
     WeightSeries,
     apply_signed_permutation,
 )
 from innerseries.weights import (
     AlignmentError,
+    _bin_lookup,
     align_weight_series,
     compute_weights,
     cross_channel_correlation,
@@ -34,11 +40,11 @@ class TestComputeWeights:
         # every valid weight sample equals M_bin(x) . xdot recomputed by hand
         res = walk_pipeline
         grid = res.field.grid
-        idx = grid.locate(res.traj.samples)
+        flat = grid.flat_index(res.traj.samples)
         scale = max(np.max(np.abs(res.weights.values)), 1.0)
         checked = 0
         for t in np.flatnonzero(res.weights.valid_mask & ~res.weights.fallback_mask):
-            key = tuple(int(i) for i in idx[t])
+            key = tuple(int(i) for i in np.unravel_index(flat[t], grid.shape))
             expect = res.field.frames[key].m @ res.vel.values[t]
             assert np.max(np.abs(res.weights.values[t] - expect)) < 1e-12 * scale
             checked += 1
@@ -93,6 +99,63 @@ class TestComputeWeights:
         diff = np.max(np.abs(aligned.values[w.valid_mask] - w.values[w.valid_mask]))
         assert diff < 1e-12 * np.max(np.abs(w.values))
         np.testing.assert_allclose(corrs, 1.0, rtol=0, atol=1e-12)
+
+
+def _random_field_inputs(n, dim, seed=0, margin=0.1):
+    """A 3^dim grid on [0, 1]^dim whose occupied bins are those with every
+    index below 2, random well-conditioned frames, and samples drawn from
+    [-margin, 1 + margin]^dim with every 20th velocity invalid.  So samples
+    in the top layer of bins fall back one step, and samples outside the
+    grid are invalid."""
+    rng = np.random.default_rng(seed)
+    grid = BinGrid(tuple(np.linspace(0.0, 1.0, 4) for _ in range(dim)), 1)
+    frames = {}
+    for key in np.ndindex(grid.shape):
+        if max(key) < 2:
+            m = rng.standard_normal((dim, dim)) + 3 * np.eye(dim)
+            frames[key] = LocalFrame(m, np.linalg.inv(m), np.arange(dim, 0, -1.0))
+    traj = Trajectory(rng.uniform(-margin, 1 + margin, (n, dim)), 0.5)
+    mask = np.ones(n, dtype=bool)
+    mask[::20] = False
+    vel = VelocitySeries(rng.standard_normal((n, dim)), mask)
+    return traj, vel, FrameField(grid, frames)
+
+
+def _whole_array_weights(traj, vel, field):
+    """Reference: one gather of every valid sample's frame, one einsum."""
+    flat = field.grid.flat_index(traj.samples)
+    flat_to_slot, fallback_bins, m_stack, _ = _bin_lookup(field)
+    slots = np.where(flat >= 0, flat_to_slot[flat], -1)
+    valid = vel.valid_mask & (slots >= 0)
+    values = np.zeros((traj.n_samples, traj.dim))
+    values[valid] = np.einsum("nij,nj->ni", m_stack[slots[valid]], vel.values[valid])
+    return values, valid, valid & fallback_bins[flat]
+
+
+class TestBlockwiseWeights:
+    @pytest.mark.parametrize("dim", [1, 2, 6])
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK + 1])
+    def test_bit_identical_to_whole_array(self, n, dim):
+        traj, vel, field = _random_field_inputs(n, dim, seed=dim)
+        values, valid, fallback = _whole_array_weights(traj, vel, field)
+        w = compute_weights(traj, vel, field)
+        assert fallback.any() and (vel.valid_mask & ~valid).any()
+        np.testing.assert_array_equal(w.valid_mask, valid)
+        np.testing.assert_array_equal(w.fallback_mask, fallback)
+        assert w.values.tobytes() == values.tobytes()
+
+    def test_peak_memory_below_one_frame_per_sample(self):
+        # every sample in the grid: a frame gathered for each would alone
+        # take n N^2 8 bytes
+        n, dim = 50_000, 6
+        traj, vel, field = _random_field_inputs(n, dim, margin=0.0)
+        tracemalloc.start()
+        try:
+            compute_weights(traj, vel, field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * dim * 8
 
 
 class TestAlignWeightSeries:
