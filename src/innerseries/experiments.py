@@ -95,7 +95,6 @@ class ExperimentReport:
 @dataclass
 class PipelineResult:
     traj: Trajectory
-    vel: VelocitySeries
     field: FrameField
     weights: WeightSeries
     moments: dict
@@ -120,7 +119,7 @@ def run_pipeline(
         a, b = frame_residuals(fr, moments[key])
         r1, r2 = max(r1, a), max(r2, b)
     w = compute_weights(traj, vel, field)
-    return PipelineResult(traj, vel, field, w, moments, r1, r2, len(skipped))
+    return PipelineResult(traj, field, w, moments, r1, r2, len(skipped))
 
 
 def analytic_sine_weights(a: float, times: np.ndarray) -> WeightSeries:
@@ -291,15 +290,12 @@ def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     )
     res1 = run_pipeline(s1, bins_src, cfg.min_count, cfg.scheme)
     res2 = run_pipeline(s2, bins_src, cfg.min_count, cfg.scheme)
-    stacked = Trajectory(
-        np.concatenate([s1.samples, s2.samples], axis=1), dt, ("s1", "s2")
+    # nested, so the stacked and mixed arrays are freed once pca_embed returns
+    xprime, _ = ingest.pca_embed(
+        ingest.mix_two_sources(Trajectory(np.hstack([s1.samples, s2.samples]), dt)), 2
     )
-    mixed = ingest.mix_two_sources(stacked)
-    xprime, _ = ingest.pca_embed(mixed, 2)
     res_mix = run_pipeline(xprime, bins_mix, cfg.min_count, cfg.scheme)
-    rep = separability_report(
-        res_mix.weights, [res1.weights, res2.weights]
-    )
+    rep = separability_report(res_mix.weights, [res1.weights, res2.weights])
     metrics = {
         "min_channel_corr": rep.min_channel_corr,
         "max_cross_corr": rep.max_cross_corr,

@@ -363,7 +363,7 @@ def pca_embed(series: Trajectory, k: int) -> tuple[Trajectory, np.ndarray]:
     var = evals[order]
     if np.any(var <= 0):
         raise ValueError("degenerate principal component variance")
-    comps = comps / np.sqrt(var)
+    comps /= np.sqrt(var)
     fractions = var / total
     names = tuple(f"pc{i + 1}" for i in range(k))
     return Trajectory(comps, series.dt, names), fractions

@@ -92,7 +92,7 @@ class VelocitySeries:
             raise ValueError("values must be (n_samples, n_channels)")
         if mask.shape != (values.shape[0],):
             raise ValueError("valid_mask must be one flag per sample")
-        if not np.all(np.isfinite(values[mask])):
+        if np.any(mask & ~np.isfinite(values).all(axis=1)):
             raise ValueError("valid velocity samples must be finite")
         values.setflags(write=False)
         mask.setflags(write=False)
@@ -269,7 +269,7 @@ class WeightSeries:
             raise ValueError("valid_mask must be one flag per sample")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not np.all(np.isfinite(values[mask])):
+        if np.any(mask & ~np.isfinite(values).all(axis=1)):
             raise ValueError("valid weights must be finite")
         values.setflags(write=False)
         mask.setflags(write=False)

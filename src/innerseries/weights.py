@@ -83,22 +83,32 @@ def compute_weights(
     return WeightSeries(values, valid, dt=traj.dt, fallback_mask=fallback)
 
 
-def _joint_valid(w: WeightSeries, wprime: WeightSeries) -> np.ndarray:
-    if w.dim != wprime.dim:
-        raise DimensionMismatchError("weight series dimensions differ")
-    if len(w) != len(wprime):
-        raise AlignmentError("weight series lengths differ")
-    return w.valid_mask & wprime.valid_mask
+def _corr_matrix(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Pearson correlations between the columns of a and of b over the rows
+    in mask, in two passes over blocks of _CHUNK rows (column means, then
+    centered sums of products), so no n-row copy is made."""
+    def blocks():
+        for lo in range(0, len(mask), _CHUNK):
+            yield np.hstack([a[lo : lo + _CHUNK], b[lo : lo + _CHUNK]])[mask[lo : lo + _CHUNK]]
 
-def _corr_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pearson correlations between columns of a and columns of b."""
-    ac = a - a.mean(axis=0)
-    bc = b - b.mean(axis=0)
-    sa = np.sqrt((ac**2).mean(axis=0))
-    sb = np.sqrt((bc**2).mean(axis=0))
-    if np.any(sa == 0) or np.any(sb == 0):
+    mean = sum(x.sum(axis=0) for x in blocks()) / np.count_nonzero(mask)
+    s = sum(xc.T @ xc for xc in (x - mean for x in blocks()))
+    sd = np.sqrt(np.diag(s))
+    if np.any(sd == 0):
         raise AlignmentError("zero-variance channel")
-    return (ac.T @ bc) / len(a) / np.outer(sa, sb)
+    na = a.shape[1]
+    return s[:na, na:] / np.outer(sd[:na], sd[na:])
+
+
+def _match_channels(sources: list[np.ndarray], target: np.ndarray, joint: np.ndarray):
+    """Best signed assignment of the stacked source columns to the target
+    columns over the rows in joint, and the |corr| of each matched pair."""
+    count = np.count_nonzero(joint)
+    if count < MIN_OVERLAP:
+        raise AlignmentError(f"only {count} jointly valid samples (need {MIN_OVERLAP})")
+    c = np.vstack([_corr_matrix(x, target, joint) for x in sources])
+    p = best_signed_assignment(c)
+    return p, np.abs(c[np.arange(len(c)), p.perm])
 
 
 def align_weight_series(
@@ -111,21 +121,17 @@ def align_weight_series(
     come from the correlation signs.  Returns p and the achieved per-channel
     correlations.
     """
-    joint = _joint_valid(w, wprime)
-    if joint.sum() < MIN_OVERLAP:
-        raise AlignmentError(
-            f"only {int(joint.sum())} jointly valid samples (need {MIN_OVERLAP})"
-        )
-    c = _corr_matrix(w.values[joint], wprime.values[joint])
-    p = best_signed_assignment(c)
-    return p, np.abs(c[np.arange(w.dim), p.perm])
+    if w.dim != wprime.dim:
+        raise DimensionMismatchError("weight series dimensions differ")
+    if len(w) != len(wprime):
+        raise AlignmentError("weight series lengths differ")
+    return _match_channels([w.values], wprime.values, w.valid_mask & wprime.valid_mask)
 
 
 def cross_channel_correlation(w: WeightSeries) -> np.ndarray:
     """Pearson correlation matrix across channels over valid samples; the
     diagonal is exactly 1."""
-    vals = w.values[w.valid_mask]
-    c = _corr_matrix(vals, vals)
+    c = _corr_matrix(w.values, w.values, w.valid_mask)
     np.fill_diagonal(c, 1.0)
     return c
 
@@ -133,7 +139,7 @@ def cross_channel_correlation(w: WeightSeries) -> np.ndarray:
 @dataclass(frozen=True)
 class SeparabilityReport:
     permutation: SignedPermutation
-    channel_correlations: np.ndarray  # |corr| of each mixture channel with its match
+    channel_correlations: np.ndarray  # |corr| of each source channel with its match
     mixture_cross_correlation: np.ndarray
     min_channel_corr: float
     max_cross_corr: float
@@ -153,12 +159,8 @@ def separability_report(
     lengths = {len(s) for s in w_source_list}
     if lengths != {len(w_mixture)}:
         raise AlignmentError("source and mixture weight series lengths differ")
-    concat = np.concatenate([s.values for s in w_source_list], axis=1)
-    mask = w_mixture.valid_mask.copy()
-    for s in w_source_list:
-        mask &= s.valid_mask
-    sources = WeightSeries(concat, mask, dt=w_mixture.dt)
-    p, corrs = align_weight_series(sources, w_mixture)
+    joint = np.logical_and.reduce([w_mixture.valid_mask, *(s.valid_mask for s in w_source_list)])
+    p, corrs = _match_channels([s.values for s in w_source_list], w_mixture.values, joint)
     cross = cross_channel_correlation(w_mixture)
     off = cross[~np.eye(w_mixture.dim, dtype=bool)]
     max_cross = float(np.max(np.abs(off))) if off.size else 0.0

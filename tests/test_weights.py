@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from innerseries.estimate import estimate_velocity
 from innerseries.ingest import _CHUNK, gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline, sine_sign_match
 from innerseries.model import (
@@ -18,8 +19,10 @@ from innerseries.model import (
     apply_signed_permutation,
 )
 from innerseries.weights import (
+    MIN_OVERLAP,
     AlignmentError,
     _bin_lookup,
+    _corr_matrix,
     align_weight_series,
     compute_weights,
     cross_channel_correlation,
@@ -27,6 +30,9 @@ from innerseries.weights import (
     separability_report,
     write_csv_weights,
 )
+
+
+ONLY_50_JOINT = rf"only 50 jointly valid samples \(need {MIN_OVERLAP}\)"
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +47,12 @@ class TestComputeWeights:
         res = walk_pipeline
         grid = res.field.grid
         flat = grid.flat_index(res.traj.samples)
+        vel = estimate_velocity(res.traj, "central")
         scale = max(np.max(np.abs(res.weights.values)), 1.0)
         checked = 0
         for t in np.flatnonzero(res.weights.valid_mask & ~res.weights.fallback_mask):
             key = tuple(int(i) for i in np.unravel_index(flat[t], grid.shape))
-            expect = res.field.frames[key].m @ res.vel.values[t]
+            expect = res.field.frames[key].m @ vel.values[t]
             assert np.max(np.abs(res.weights.values[t] - expect)) < 1e-12 * scale
             checked += 1
         assert checked > 10_000
@@ -58,11 +65,8 @@ class TestComputeWeights:
 
     def test_zero_velocity_gives_zero_weight(self, walk_pipeline):
         res = walk_pipeline
-        from innerseries.model import VelocitySeries
-
-        vel0 = VelocitySeries(
-            np.zeros_like(res.vel.values), res.vel.valid_mask.copy()
-        )
+        vel = estimate_velocity(res.traj, "central")
+        vel0 = VelocitySeries(np.zeros_like(vel.values), vel.valid_mask.copy())
         w0 = compute_weights(res.traj, vel0, res.field)
         assert np.all(w0.values == 0.0)
 
@@ -158,6 +162,65 @@ class TestBlockwiseWeights:
         assert peak < n * dim * dim * 8
 
 
+def _whole_array_corr(a, b, mask):
+    """Reference: one two-pass correlation over copies of the masked rows."""
+    ac = a[mask] - a[mask].mean(axis=0)
+    bc = b[mask] - b[mask].mean(axis=0)
+    return (ac.T @ bc) / np.sqrt(np.outer((ac**2).sum(axis=0), (bc**2).sum(axis=0)))
+
+
+def _correlated_columns(rng, n, na=2, nb=3):
+    """Columns of a and b with nonzero means and every cross correlation
+    well away from zero, so a relative tolerance applies to each entry."""
+    base = rng.laplace(size=(n, 1)) + 5.0
+    a = base + 0.5 * rng.standard_normal((n, na)) + np.arange(na)
+    b = -2.0 * base + rng.uniform(-1, 1, (n, nb)) - 100.0
+    return a, b
+
+
+def _straddling_mask(n, rng):
+    """Invalid runs across every block edge, at both ends, and at random."""
+    mask = rng.random(n) > 0.05
+    for edge in range(0, n + 1, _CHUNK):
+        mask[max(edge - 3, 0) : edge + 3] = False
+    mask[-2:] = False
+    return mask
+
+
+class TestBlockwiseCorrelations:
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK + 1])
+    def test_matches_whole_array(self, n, masked):
+        rng = np.random.default_rng(n)
+        a, b = _correlated_columns(rng, n)
+        mask = _straddling_mask(n, rng) if masked else np.ones(n, dtype=bool)
+        ref = _whole_array_corr(a, b, mask)
+        assert np.min(np.abs(ref)) > 0.1
+        np.testing.assert_allclose(_corr_matrix(a, b, mask), ref, rtol=1e-12, atol=0)
+
+    def test_zero_variance_over_masked_rows(self):
+        # the second channel varies only in rows the mask leaves out
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((3 * _CHUNK, 2))
+        mask = np.ones(len(a), dtype=bool)
+        mask[_CHUNK : _CHUNK + 10] = False
+        a[:, 1] = np.where(mask, 0.0, 5.0)
+        with pytest.raises(AlignmentError, match="zero-variance channel"):
+            _corr_matrix(a, a, mask)
+
+    def test_cross_channel_diagonal_exactly_one(self):
+        # invalid rows may hold NaN; they must not reach the sums
+        rng = np.random.default_rng(1)
+        n = 2 * _CHUNK + 1
+        a, _ = _correlated_columns(rng, n, na=3)
+        mask = _straddling_mask(n, rng)
+        a[~mask] = np.nan
+        c = cross_channel_correlation(WeightSeries(a, mask))
+        assert np.all(np.diag(c) == 1.0)
+        off = ~np.eye(3, dtype=bool)
+        np.testing.assert_allclose(c[off], _whole_array_corr(a, a, mask)[off], rtol=1e-12)
+
+
 class TestAlignWeightSeries:
     def _series(self, rng, n=2000, dim=2):
         v = np.stack(
@@ -198,7 +261,7 @@ class TestAlignWeightSeries:
         mask = np.zeros(300, dtype=bool)
         mask[:50] = True
         short = WeightSeries(w.values, mask)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(AlignmentError, match=ONLY_50_JOINT):
             align_weight_series(short, w)
 
     def test_zero_variance_channel(self):
@@ -265,6 +328,49 @@ class TestSeparability:
         mix = WeightSeries(rng.standard_normal((len(s1), 3)), np.ones(len(s1), dtype=bool))
         with pytest.raises(DimensionMismatchError):
             separability_report(mix, [s1, s2])
+
+    def test_source_mask_excludes_mixture_rows(self):
+        # rows the mixture keeps but a source marks invalid hold garbage in
+        # that source; only the jointly valid rows are scored
+        rng = np.random.default_rng(3)
+        n = 2 * _CHUNK + 1
+        s1, s2 = self._sources(rng, n)
+        mix_values = np.concatenate([s2.values, -s1.values], axis=1)
+        mix_values += 0.1 * rng.standard_normal((n, 2))
+        mask1 = _straddling_mask(n, rng)
+        s1 = WeightSeries(np.where(mask1[:, None], s1.values, 1e6), mask1)
+        mix = WeightSeries(mix_values, np.ones(n, dtype=bool))
+        rep = separability_report(mix, [s1, s2])
+        ref = _whole_array_corr(np.concatenate([s1.values, s2.values], axis=1), mix_values, mask1)
+        assert rep.permutation == SignedPermutation([1, 0], [-1, 1])
+        np.testing.assert_allclose(
+            rep.channel_correlations, np.abs(ref[[0, 1], [1, 0]]), rtol=1e-12
+        )
+        assert rep.passed
+
+    def test_too_few_joint_samples(self):
+        rng = np.random.default_rng(4)
+        s1, s2 = self._sources(rng, 300)
+        mask = np.zeros(300, dtype=bool)
+        mask[:50] = True
+        mix = WeightSeries(np.concatenate([s1.values, s2.values], axis=1), np.ones(300, dtype=bool))
+        with pytest.raises(AlignmentError, match=ONLY_50_JOINT):
+            separability_report(mix, [WeightSeries(s1.values, mask), s2])
+
+    def test_peak_memory_below_one_weight_copy(self):
+        # one n x N float copy of the mixture would alone take n N 8 bytes
+        n, dim = 200_000, 2
+        rng = np.random.default_rng(5)
+        s1, s2 = self._sources(rng, n)
+        mask = rng.random(n) > 0.01
+        mix = WeightSeries(np.concatenate([s2.values, s1.values], axis=1), mask)
+        tracemalloc.start()
+        try:
+            separability_report(mix, [s1, s2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 8
 
 
 class TestWeightsCsv:
