@@ -18,7 +18,6 @@ from .experiments import (
 from .frames import (
     align_frame_field,
     canonicalize_frame,
-    check_transform_law,
     fit_field,
     solve_frame,
 )
@@ -40,8 +39,6 @@ from .model import (
     Trajectory,
     VelocitySeries,
     WeightSeries,
-    apply_signed_permutation,
-    compose_signed_permutations,
 )
 from .reconstruct import integrate_weights
 from .weights import (

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import ingest, serialize, svgplot
 from .estimate import accumulate_moments, build_grid, estimate_velocity
-from .frames import check_transform_law, fit_field, frame_residuals, solve_frame
-from .model import FrameField, Trajectory, VelocitySeries, WeightSeries
+from .frames import fit_field, frame_residuals
+from .model import FrameField, Trajectory, WeightSeries
 from .reconstruct import integrate_weights
 from .weights import (
     align_weight_series,
@@ -393,37 +393,3 @@ def run_experiment(
         serialize.dump_json(report.to_dict(), rpath)
         report.artifacts["report"] = str(rpath)
     return report
-
-
-def linear_map_law_check(
-    seed: int = 0, n: int = 60_000, bins: tuple[int, int] = (6, 6)
-) -> tuple[float, int]:
-    """Estimate frames from 2-D data and from the same data under a fixed
-    invertible linear map (shared bin assignment), then verify the covariant
-    transformation law bin by bin.
-
-    Returns (max residual over checked bins, number of bins checked).
-    """
-    traj = ingest.gen_bounded_walk(
-        n, seed=seed, dim=2, box=1.0, dt=1.0, noise=("laplace", "uniform")
-    )
-    lin = np.array([[1.2, 0.4], [-0.3, 0.9]])
-    vel = estimate_velocity(traj, "central")
-    grid = build_grid(traj, bins)
-    moments = accumulate_moments(traj, vel, grid)
-    vel_p = VelocitySeries(vel.values @ lin.T, vel.valid_mask)
-    moments_p = accumulate_moments(traj, vel_p, grid)  # binned as traj
-    jac = np.linalg.inv(lin)  # dx/dx'
-    worst = 0.0
-    checked = 0
-    for key, mom in moments.items():
-        fr = solve_frame(mom)
-        fr_p = solve_frame(moments_p[key])
-        if fr.degenerate_flag or fr_p.degenerate_flag:
-            continue
-        residual, _ = check_transform_law(fr.m, fr_p.m, jac)
-        worst = max(worst, residual)
-        checked += 1
-    if checked == 0:
-        raise RuntimeError("no non-degenerate bins to check")
-    return worst, checked

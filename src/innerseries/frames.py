@@ -92,29 +92,13 @@ def canonicalize_frame(frame: LocalFrame) -> LocalFrame:
     lexicographic sign-fixed row comparison), each row's largest-magnitude
     entry made positive.  Idempotent and constant on signed-permutation
     orbits."""
-    m = frame.m.copy()
-    signs = np.ones(frame.dim)
-    for i in range(frame.dim):
-        pivot = m[i, np.argmax(np.abs(m[i]))]
-        if pivot < 0:
-            signs[i] = -1.0
-    m = m * signs[:, None]
-    keys = [(-frame.d[i], tuple(m[i])) for i in range(frame.dim)]
-    order = sorted(range(frame.dim), key=lambda i: keys[i])
-    m = m[order]
-    d = frame.d[order]
-    return LocalFrame(m, np.linalg.inv(m), d, frame.degenerate_flag)
-
-
-def nearest_signed_permutation(r: np.ndarray) -> tuple[SignedPermutation, float]:
-    """Signed permutation (as an operator on channels) whose matrix is nearest
-    to r in Frobenius norm; returns it with the residual ||r - P||_F.
-
-    Exact at every N (see best_signed_assignment).
-    """
-    p = best_signed_assignment(r)
-    residual = float(np.linalg.norm(r - p.matrix()))
-    return p, residual
+    rows = np.arange(frame.dim)
+    signs = np.where(frame.m[rows, np.argmax(np.abs(frame.m), axis=1)] < 0, -1, 1)
+    m = frame.m * signs[:, None]
+    order = sorted(rows, key=lambda i: (-frame.d[i], tuple(m[i])))
+    return apply_signed_permutation_to_frame(
+        SignedPermutation(order, signs[order]), frame
+    )
 
 
 def _face_neighbors(idx: tuple[int, ...], shape: tuple[int, ...]):
@@ -168,7 +152,7 @@ def align_frame_field(
                     key=lambda k: (aligned[k].degenerate_flag, -counts[k], k),
                 )
                 r = frames[nb].m @ aligned[ref].v  # v == m^-1
-                q, _ = nearest_signed_permutation(r)
+                q = best_signed_assignment(r)
                 aligned[nb] = apply_signed_permutation_to_frame(
                     q.inverse(), frames[nb]
                 )
@@ -205,21 +189,3 @@ def fit_field(
         )
     field = align_frame_field(grid, frames, {k: m.count for k, m in moments.items()})
     return field, skipped
-
-
-def check_transform_law(
-    m_x: np.ndarray, m_xprime: np.ndarray, jacobian: np.ndarray
-) -> tuple[float, SignedPermutation]:
-    """Check the covariant transformation law M' = P M (dx/dx').
-
-    jacobian is dx/dx'.  Returns the Frobenius residual of M' (M J)^-1 from
-    its nearest signed permutation, and that permutation.
-    """
-    m_x = np.asarray(m_x, dtype=float)
-    m_xprime = np.asarray(m_xprime, dtype=float)
-    jac = np.asarray(jacobian, dtype=float)
-    if np.linalg.matrix_rank(jac) < jac.shape[0]:
-        raise ValueError("singular jacobian")
-    r = m_xprime @ np.linalg.inv(m_x @ jac)
-    p, residual = nearest_signed_permutation(r)
-    return residual, p

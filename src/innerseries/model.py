@@ -1,5 +1,5 @@
 """Core domain types: trajectories, grids, moments, frames, weights, and the
-signed-permutation algebra that describes their residual gauge freedom.
+signed permutation that describes their residual gauge freedom.
 
 All types are immutable after construction and safe to share across workers.
 Weights are dimensionless: rows of a local frame matrix carry inverse-velocity
@@ -8,9 +8,8 @@ scale, so multiplying them into a velocity cancels the units.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -242,10 +241,6 @@ class FrameField:
     def dim(self) -> int:
         return self.grid.dim
 
-    @property
-    def n_components(self) -> int:
-        return len(set(self.component_ids.values())) if self.component_ids else 1
-
 
 @dataclass(frozen=True)
 class WeightSeries:
@@ -315,20 +310,6 @@ class SignedPermutation:
     def dim(self) -> int:
         return self.perm.shape[0]
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(np.arange(n), np.ones(n, dtype=np.int64))
-
-    def is_identity(self) -> bool:
-        return bool(
-            np.all(self.perm == np.arange(self.dim)) and np.all(self.signs == 1)
-        )
-
-    def matrix(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim))
-        p[np.arange(self.dim), self.perm] = self.signs
-        return p
-
     def inverse(self) -> "SignedPermutation":
         inv_perm = np.argsort(self.perm)
         return SignedPermutation(inv_perm, self.signs[inv_perm])
@@ -345,37 +326,6 @@ class SignedPermutation:
         return bool(
             np.all(self.perm == other.perm) and np.all(self.signs == other.signs)
         )
-
-    def __hash__(self):
-        return hash((tuple(self.perm.tolist()), tuple(self.signs.tolist())))
-
-
-def apply_signed_permutation(p: SignedPermutation, w: WeightSeries) -> WeightSeries:
-    """Relabel/reflect the channels of a weight series; the validity mask is
-    untouched."""
-    if p.dim != w.dim:
-        raise DimensionMismatchError(
-            f"permutation dim {p.dim} != weight dim {w.dim}"
-        )
-    return WeightSeries(
-        p.apply_to_array(w.values), w.valid_mask, dt=w.dt, fallback_mask=w.fallback_mask
-    )
-
-
-def compose_signed_permutations(
-    a: SignedPermutation, b: SignedPermutation
-) -> SignedPermutation:
-    """Return c with apply(c, w) == apply(a, apply(b, w))."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("cannot compose different dimensions")
-    return SignedPermutation(b.perm[a.perm], a.signs * b.signs[a.perm])
-
-
-def all_signed_permutations(n: int) -> Iterator[SignedPermutation]:
-    """Every element of the signed-permutation group on n channels (2^n n!)."""
-    for perm in itertools.permutations(range(n)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(np.array(perm), np.array(signs))
 
 
 def best_signed_assignment(score: np.ndarray) -> SignedPermutation:

@@ -86,7 +86,8 @@ def compute_weights(
 def _corr_matrix(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Pearson correlations between the columns of a and of b over the rows
     in mask, in two passes over blocks of _CHUNK rows (column means, then
-    centered sums of products), so no n-row copy is made."""
+    centered sums of products), so no n-row copy is made.  Clipped to
+    [-1, 1], which rounding in the sums can overstep."""
     def blocks():
         for lo in range(0, len(mask), _CHUNK):
             yield np.hstack([a[lo : lo + _CHUNK], b[lo : lo + _CHUNK]])[mask[lo : lo + _CHUNK]]
@@ -97,7 +98,7 @@ def _corr_matrix(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if np.any(sd == 0):
         raise AlignmentError("zero-variance channel")
     na = a.shape[1]
-    return s[:na, na:] / np.outer(sd[:na], sd[na:])
+    return np.clip(s[:na, na:] / np.outer(sd[:na], sd[na:]), -1.0, 1.0)
 
 
 def _match_channels(sources: list[np.ndarray], target: np.ndarray, joint: np.ndarray):

@@ -1,0 +1,61 @@
+"""Test-side oracles for the signed-permutation gauge: the exhaustive group,
+the matrix of a signed permutation, and the covariant transformation law
+M' = P M (dx/dx') checked bin by bin.  The package itself only needs the
+exact assignment, its inverse, and applying it."""
+
+import itertools
+
+import numpy as np
+
+from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
+from innerseries.frames import solve_frame
+from innerseries.ingest import gen_bounded_walk
+from innerseries.model import SignedPermutation, VelocitySeries, best_signed_assignment
+
+FIXED_MAP = np.array([[1.2, 0.4], [-0.3, 0.9]])
+
+
+def all_signed_permutations(n: int):
+    """Every element of the signed-permutation group on n channels (2^n n!)."""
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield SignedPermutation(np.array(perm), np.array(signs))
+
+
+def signed_permutation_matrix(p: SignedPermutation) -> np.ndarray:
+    """The matrix P with P @ w == p.apply_to_array(w)."""
+    m = np.zeros((p.dim, p.dim))
+    m[np.arange(p.dim), p.perm] = p.signs
+    return m
+
+
+def check_transform_law(m_x, m_xprime, jacobian) -> tuple[float, SignedPermutation]:
+    """Residual ||R - P||_F of R = M' (M J)^-1 from its nearest signed
+    permutation P, and P; J = dx/dx'.  A singular J raises LinAlgError, a
+    ValueError."""
+    r = np.asarray(m_xprime) @ np.linalg.inv(np.asarray(m_x) @ np.asarray(jacobian))
+    p = best_signed_assignment(r)
+    return float(np.linalg.norm(r - signed_permutation_matrix(p))), p
+
+
+def linear_map_law_check(
+    seed: int = 0, n: int = 60_000, bins: tuple[int, int] = (6, 6), lin=FIXED_MAP
+) -> tuple[float, int]:
+    """Solve frames from a 2-D walk and from its velocities under the linear
+    map lin, binned alike, and check the transformation law in every bin
+    where neither frame is degenerate.
+
+    Returns (max residual over checked bins, number of bins checked).
+    """
+    traj = gen_bounded_walk(n, seed=seed, dim=2, box=1.0, dt=1.0, noise=("laplace", "uniform"))
+    vel = estimate_velocity(traj, "central")
+    grid = build_grid(traj, bins)
+    moments = accumulate_moments(traj, vel, grid)
+    moments_p = accumulate_moments(traj, VelocitySeries(vel.values @ lin.T, vel.valid_mask), grid)
+    jac = np.linalg.inv(lin)  # dx/dx'
+    residuals = []
+    for key, mom in moments.items():
+        fr, fr_p = solve_frame(mom), solve_frame(moments_p[key])
+        if not (fr.degenerate_flag or fr_p.degenerate_flag):
+            residuals.append(check_transform_law(fr.m, fr_p.m, jac)[0])
+    return max(residuals, default=0.0), len(residuals)

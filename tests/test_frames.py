@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
 from innerseries.experiments import run_pipeline
@@ -8,10 +10,8 @@ from innerseries.frames import (
     align_frame_field,
     apply_signed_permutation_to_frame,
     canonicalize_frame,
-    check_transform_law,
     fit_field,
     frame_residuals,
-    nearest_signed_permutation,
     solve_frame,
 )
 from innerseries.ingest import gen_bounded_walk
@@ -21,7 +21,13 @@ from innerseries.model import (
     LocalMoments,
     SignedPermutation,
     Trajectory,
+    best_signed_assignment,
+)
+from signed_gauge import (
     all_signed_permutations,
+    check_transform_law,
+    linear_map_law_check,
+    signed_permutation_matrix,
 )
 
 
@@ -45,8 +51,8 @@ class TestSolveFrame:
         mom = LocalMoments(100, np.eye(n), np.diag(diag))
         frame = solve_frame(mom)
         # m must be a signed permutation of the identity
-        _, residual = nearest_signed_permutation(frame.m)
-        assert residual < 1e-12
+        p = best_signed_assignment(frame.m)
+        assert np.linalg.norm(frame.m - signed_permutation_matrix(p)) < 1e-12
         np.testing.assert_allclose(frame.d, sorted(diag, reverse=True), atol=1e-12)
 
     def test_1d_analytic_form(self):
@@ -83,8 +89,8 @@ class TestSolveFrame:
         frame = solve_frame(mom)
         target = np.diag(1.0 / v.std(axis=0))
         r = frame.m @ np.linalg.inv(target)
-        _, residual = nearest_signed_permutation(r)
-        assert residual < 0.1
+        p = best_signed_assignment(r)
+        assert np.linalg.norm(r - signed_permutation_matrix(p)) < 0.1
         w = v @ frame.m.T
         mom_w = moments_from_samples(w)
         np.testing.assert_allclose(mom_w.c2, np.eye(2), atol=1e-10)
@@ -200,28 +206,31 @@ class TestCanonicalize:
 
 
 class TestNearestSignedPermutation:
+    """best_signed_assignment(r) is the signed permutation whose matrix is
+    nearest to r in Frobenius norm."""
+
     def test_exact_recovery(self):
-        rng = np.random.default_rng(0)
         for p in all_signed_permutations(3):
-            q, residual = nearest_signed_permutation(p.matrix())
+            r = signed_permutation_matrix(p)
+            q = best_signed_assignment(r)
             assert q == p
-            assert residual < 1e-14
+            assert np.linalg.norm(r - signed_permutation_matrix(q)) < 1e-14
 
     def test_noisy_recovery(self):
         rng = np.random.default_rng(1)
         p = SignedPermutation([2, 0, 1], [1, -1, 1])
-        r = p.matrix() + 0.05 * rng.standard_normal((3, 3))
-        q, residual = nearest_signed_permutation(r)
+        r = signed_permutation_matrix(p) + 0.05 * rng.standard_normal((3, 3))
+        q = best_signed_assignment(r)
         assert q == p
-        assert residual < 0.5
+        assert np.linalg.norm(r - signed_permutation_matrix(q)) < 0.5
 
     def test_greedy_path_n5(self):
         rng = np.random.default_rng(2)
         perm = np.array([4, 2, 0, 1, 3])
         signs = np.array([1, -1, 1, 1, -1])
         p = SignedPermutation(perm, signs)
-        q, _ = nearest_signed_permutation(p.matrix() + 0.01 * rng.standard_normal((5, 5)))
-        assert q == p
+        r = signed_permutation_matrix(p) + 0.01 * rng.standard_normal((5, 5))
+        assert best_signed_assignment(r) == p
 
     def test_exact_where_greedy_fails_n5(self):
         # greedy largest-entry assignment takes the 1.0 first and scores 2.5;
@@ -229,10 +238,10 @@ class TestNearestSignedPermutation:
         r = np.zeros((5, 5))
         r[:2, :2] = [[1.0, 0.9], [0.9, 0.0]]
         r[2:, 2:] = 0.5 * np.eye(3)
-        q, residual = nearest_signed_permutation(r)
+        q = best_signed_assignment(r)
         assert q.perm.tolist() == [1, 0, 2, 3, 4]
         assert q.signs.tolist() == [1] * 5
-        assert residual == pytest.approx(np.linalg.norm(r - q.matrix()))
+        assert np.abs(r[np.arange(5), q.perm]).sum() == pytest.approx(3.3)
 
 
 def _grid(shape):
@@ -253,7 +262,7 @@ class TestAlignFrameField:
         field = align_frame_field(_grid((3, 3)), frames, counts)
         for f in field.frames.values():
             np.testing.assert_allclose(f.m, base.m, atol=1e-12)
-        assert field.n_components == 1
+        assert set(field.component_ids.values()) == {0}
 
     def test_row_swap_corrected(self):
         rng = np.random.default_rng(1)
@@ -293,9 +302,9 @@ class TestAlignFrameField:
         globals_seen = set()
         for k, f in field.frames.items():
             r = f.m @ true_frames[k].v
-            p, residual = nearest_signed_permutation(r)
-            assert residual < 1e-8
-            globals_seen.add(p)
+            p = best_signed_assignment(r)
+            assert np.linalg.norm(r - signed_permutation_matrix(p)) < 1e-8
+            globals_seen.add((tuple(p.perm), tuple(p.signs)))
         assert len(globals_seen) == 1
 
     def test_disconnected_components(self):
@@ -304,7 +313,27 @@ class TestAlignFrameField:
         field = align_frame_field(
             _grid((5,)), {(0,): base, (4,): base}, {(0,): 10, (4,): 10}
         )
-        assert field.n_components == 2
+        assert len(set(field.component_ids.values())) == 2
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+@st.composite
+def well_conditioned_maps(draw):
+    """2x2 maps R(a) diag(s, s/k) R(b), composed with a reflection when
+    flipped: condition number k <= 10, either determinant sign."""
+    a, b = draw(st.floats(0, np.pi)), draw(st.floats(0, np.pi))
+    s, k = draw(st.floats(0.1, 10)), draw(st.floats(1, 10))
+    flip = -1.0 if draw(st.booleans()) else 1.0
+    return _rotation(a) @ np.diag([s, s / k]) @ _rotation(b) @ np.diag([1.0, flip])
+
+
+# Largest residual over 500 random maps of this family (seed-0 walk, 40 000
+# samples, bins 5,5) was 5.3e-13, at k = 10; the fixed map of criterion 6
+# gives 5e-15.  The bound leaves a factor of about 20.
+LAW_RESIDUAL_BOUND = 1e-11
 
 
 class TestCheckTransformLaw:
@@ -315,14 +344,14 @@ class TestCheckTransformLaw:
         m_prime = m @ jac
         residual, p = check_transform_law(m, m_prime, jac)
         assert residual < 1e-12
-        assert p.is_identity()
+        assert p.perm.tolist() == [0, 1] and p.signs.tolist() == [1, 1]
 
     def test_swap_reflect_recovered(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((2, 2)) + 2 * np.eye(2)
         jac = rng.standard_normal((2, 2)) + 2 * np.eye(2)
         p_true = SignedPermutation([1, 0], [1, -1])
-        m_prime = p_true.matrix() @ m @ jac
+        m_prime = signed_permutation_matrix(p_true) @ m @ jac
         residual, p = check_transform_law(m, m_prime, jac)
         assert residual < 1e-12
         assert p == p_true
@@ -331,9 +360,9 @@ class TestCheckTransformLaw:
         with pytest.raises(ValueError):
             check_transform_law(np.eye(2), np.eye(2), np.zeros((2, 2)))
 
-    def test_end_to_end_linear_map(self):
-        from innerseries.experiments import linear_map_law_check
-
-        worst, checked = linear_map_law_check(seed=0, n=40_000, bins=(5, 5))
-        assert checked > 5
-        assert worst < 1e-6
+    @settings(max_examples=15, deadline=None)
+    @given(lin=well_conditioned_maps())
+    def test_end_to_end_linear_map(self, lin):
+        worst, checked = linear_map_law_check(seed=0, n=40_000, bins=(5, 5), lin=lin)
+        assert checked >= 1
+        assert worst <= LAW_RESIDUAL_BOUND

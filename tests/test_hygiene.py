@@ -156,3 +156,81 @@ def test_scan_flags_top_level_calls():
 
 def test_package_main_imports_without_running():
     importlib.import_module("innerseries.__main__")
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Each public module-level function, class and constant, and each public
+    method or property, as 'name' or 'Class.name'."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.append(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            out += [
+                f"{node.name}.{n.name}"
+                for n in node.body
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    return [q for q in out if not q.rpartition(".")[2].startswith("_")]
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """'module:name' for each public definition in sources that no source
+    reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return sorted(
+        f"{module}:{q}"
+        for module, tree in trees.items()
+        for q in public_definitions(tree)
+        if q.rpartition(".")[2] not in read
+    )
+
+
+def test_every_public_name_is_read():
+    assert unread_public_names({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_scan_flags_unread_public_names():
+    sources = {
+        "a": (
+            "LIMIT = 3\n"
+            "_CACHE = {}\n"
+            "SPARE: int = 4\n"
+            "def used():\n"
+            "    def inner():\n"
+            "        pass\n"
+            "def unused():\n"
+            "    return LIMIT\n"
+            "class Box:\n"
+            "    size: int\n"
+            "    def read(self):\n"
+            "        return self.size\n"
+            "    @property\n"
+            "    def spare(self):\n"
+            "        return 0\n"
+            "    def _helper(self):\n"
+            "        pass\n"
+            "class Spare:\n"
+            "    pass\n"
+        ),
+        "b": "from a import used, Box, unused as alias\nused()\nBox().read()\nspare = 1\n",
+    }
+    # an import or a store is not a read: b's own `spare` is unread too
+    assert unread_public_names(sources) == [
+        "a:Box.spare",
+        "a:SPARE",
+        "a:Spare",
+        "a:unused",
+        "b:spare",
+    ]

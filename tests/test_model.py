@@ -12,19 +12,9 @@ from innerseries.model import (
     DimensionMismatchError,
     SignedPermutation,
     Trajectory,
-    WeightSeries,
-    all_signed_permutations,
-    apply_signed_permutation,
     best_signed_assignment,
-    compose_signed_permutations,
 )
-
-
-def make_weights(values):
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[0] == 1:
-        values = values.T
-    return WeightSeries(values, np.ones(values.shape[0], dtype=bool))
+from signed_gauge import all_signed_permutations, signed_permutation_matrix
 
 
 class TestTrajectory:
@@ -58,83 +48,54 @@ class TestTrajectory:
 
 class TestSignedPermutation:
     def test_identity_apply(self):
-        w = make_weights([1.0, -2.0, 3.0])
-        p = SignedPermutation.identity(1)
-        out = apply_signed_permutation(p, w)
-        np.testing.assert_array_equal(out.values, w.values)
+        w = np.array([[1.0], [-2.0], [3.0]])
+        out = SignedPermutation([0], [1]).apply_to_array(w)
+        np.testing.assert_array_equal(out, w)
 
     def test_pure_reflection(self):
-        w = make_weights([1.0, -2.0, 3.0])
-        p = SignedPermutation([0], [-1])
-        out = apply_signed_permutation(p, w)
-        np.testing.assert_array_equal(out.values[:, 0], [-1.0, 2.0, -3.0])
+        w = np.array([[1.0], [-2.0], [3.0]])
+        out = SignedPermutation([0], [-1]).apply_to_array(w)
+        np.testing.assert_array_equal(out[:, 0], [-1.0, 2.0, -3.0])
 
     def test_swap_with_signs_roundtrip(self):
-        # compose-with-inverse oracle: applying p then p^-1 recovers the input
-        w = WeightSeries(
-            np.array([[1.0, 2.0], [3.0, 4.0], [-5.0, 6.0]]),
-            np.ones(3, dtype=bool),
-        )
+        # applying p then p^-1 recovers the input
+        w = np.array([[1.0, 2.0], [3.0, 4.0], [-5.0, 6.0]])
         p = SignedPermutation([1, 0], [1, -1])
-        out = apply_signed_permutation(p, w)
-        np.testing.assert_array_equal(out.values[:, 0], w.values[:, 1])
-        np.testing.assert_array_equal(out.values[:, 1], -w.values[:, 0])
-        back = apply_signed_permutation(p.inverse(), out)
-        np.testing.assert_array_equal(back.values, w.values)
+        out = p.apply_to_array(w)
+        np.testing.assert_array_equal(out[:, 0], w[:, 1])
+        np.testing.assert_array_equal(out[:, 1], -w[:, 0])
+        np.testing.assert_array_equal(p.inverse().apply_to_array(out), w)
 
     def test_valid_mask_preserved(self):
-        w = WeightSeries(np.ones((4, 2)), np.array([1, 0, 1, 0], dtype=bool))
-        out = apply_signed_permutation(SignedPermutation([1, 0], [1, 1]), w)
-        np.testing.assert_array_equal(out.valid_mask, w.valid_mask)
+        # p acts within each row, so a row mask commutes with it
+        w = np.arange(8.0).reshape(4, 2)
+        mask = np.array([1, 0, 1, 0], dtype=bool)
+        p = SignedPermutation([1, 0], [1, -1])
+        np.testing.assert_array_equal(p.apply_to_array(w)[mask], p.apply_to_array(w[mask]))
 
     def test_dimension_mismatch(self):
-        w = make_weights([1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatchError):
-            apply_signed_permutation(SignedPermutation([0, 1], [1, 1]), w)
-
-    def test_compose_with_inverse_is_identity(self):
-        for p in all_signed_permutations(3):
-            assert compose_signed_permutations(p, p.inverse()).is_identity()
-            assert compose_signed_permutations(p.inverse(), p).is_identity()
-
-    def test_compose_identity_left(self):
-        e = SignedPermutation.identity(3)
-        for b in all_signed_permutations(3):
-            assert compose_signed_permutations(e, b) == b
-
-    def test_compose_matches_sequential_application(self):
-        # direct application oracle on random pairs at N=3
-        rng = np.random.default_rng(7)
-        group = list(all_signed_permutations(3))
-        w = WeightSeries(rng.standard_normal((20, 3)), np.ones(20, dtype=bool))
-        for _ in range(50):
-            a, b = rng.choice(len(group), 2)
-            a, b = group[a], group[b]
-            lhs = apply_signed_permutation(compose_signed_permutations(a, b), w)
-            rhs = apply_signed_permutation(a, apply_signed_permutation(b, w))
-            np.testing.assert_array_equal(lhs.values, rhs.values)
+            SignedPermutation([0, 1], [1, 1]).apply_to_array(np.ones((3, 1)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_group_closure_and_inverse_exhaustive(self, n):
-        group = set(all_signed_permutations(n))
-        assert len(group) == 2**n * math.factorial(n)
-        for a in group:
-            assert a.inverse() in group
-            for b in group:
-                assert compose_signed_permutations(a, b) in group
-
-    def test_associativity_exhaustive_n2(self):
-        group = list(all_signed_permutations(2))
-        for a, b, c in itertools.product(group, repeat=3):
-            lhs = compose_signed_permutations(compose_signed_permutations(a, b), c)
-            rhs = compose_signed_permutations(a, compose_signed_permutations(b, c))
-            assert lhs == rhs
+        # the oracle lists 2^n n! distinct elements, the inverse of each is
+        # one of them, and it undoes p from either side
+        group = list(all_signed_permutations(n))
+        keys = {(tuple(p.perm), tuple(p.signs)) for p in group}
+        assert len(keys) == len(group) == 2**n * math.factorial(n)
+        eye = np.eye(n)
+        for p in group:
+            q = p.inverse()
+            assert (tuple(q.perm), tuple(q.signs)) in keys
+            np.testing.assert_array_equal(q.apply_to_array(p.apply_to_array(eye)), eye)
+            np.testing.assert_array_equal(p.apply_to_array(q.apply_to_array(eye)), eye)
 
     def test_matrix_consistency(self):
         rng = np.random.default_rng(3)
         for p in all_signed_permutations(3):
             v = rng.standard_normal(3)
-            np.testing.assert_allclose(p.matrix() @ v, p.apply_to_array(v))
+            np.testing.assert_allclose(signed_permutation_matrix(p) @ v, p.apply_to_array(v))
 
     def test_invalid_perm(self):
         with pytest.raises(ValueError):
@@ -154,10 +115,9 @@ class TestSignedPermutation:
     signs=st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3),
 )
 def test_apply_then_inverse_roundtrip(data, perm, signs):
-    w = WeightSeries(np.array(data), np.ones(len(data), dtype=bool))
+    w = np.array(data)
     p = SignedPermutation(np.array(perm), np.array(signs))
-    out = apply_signed_permutation(p.inverse(), apply_signed_permutation(p, w))
-    np.testing.assert_array_equal(out.values, w.values)
+    np.testing.assert_array_equal(p.inverse().apply_to_array(p.apply_to_array(w)), w)
 
 
 def _reference_flat_index(edges, pts):
@@ -252,5 +212,5 @@ class TestBestSignedAssignment:
     def test_recovers_signed_permutation_n8(self):
         p = SignedPermutation([3, 7, 0, 5, 1, 6, 2, 4], [1, -1, -1, 1, 1, -1, 1, -1])
         rng = np.random.default_rng(8)
-        noisy = p.matrix() + 0.3 * rng.standard_normal((8, 8))
+        noisy = signed_permutation_matrix(p) + 0.3 * rng.standard_normal((8, 8))
         assert best_signed_assignment(noisy) == p

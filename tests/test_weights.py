@@ -16,7 +16,6 @@ from innerseries.model import (
     Trajectory,
     VelocitySeries,
     WeightSeries,
-    apply_signed_permutation,
 )
 from innerseries.weights import (
     MIN_OVERLAP,
@@ -83,9 +82,9 @@ class TestComputeWeights:
         traj_s = Trajectory(res.traj.samples * scale, res.traj.dt)
         res_s = run_pipeline(traj_s, (3, 3))
         p, corrs = align_weight_series(res.weights, res_s.weights)
-        aligned = apply_signed_permutation(p, res_s.weights)
-        joint = res.weights.valid_mask & aligned.valid_mask
-        diff = np.max(np.abs(aligned.values[joint] - res.weights.values[joint]))
+        aligned = p.apply_to_array(res_s.weights.values)
+        joint = res.weights.valid_mask & res_s.weights.valid_mask
+        diff = np.max(np.abs(aligned[joint] - res.weights.values[joint]))
         assert diff < 1e-10 * max(np.max(np.abs(res.weights.values)), 1.0)
 
     def test_fallback_bins_independent_of_units(self):
@@ -97,10 +96,10 @@ class TestComputeWeights:
         w = res.weights
         assert w.fallback_mask[w.valid_mask].sum() > 300
         p, corrs = align_weight_series(w, res_s.weights)
-        aligned = apply_signed_permutation(p, res_s.weights)
-        np.testing.assert_array_equal(aligned.valid_mask, w.valid_mask)
-        np.testing.assert_array_equal(aligned.fallback_mask, w.fallback_mask)
-        diff = np.max(np.abs(aligned.values[w.valid_mask] - w.values[w.valid_mask]))
+        aligned = p.apply_to_array(res_s.weights.values)
+        np.testing.assert_array_equal(res_s.weights.valid_mask, w.valid_mask)
+        np.testing.assert_array_equal(res_s.weights.fallback_mask, w.fallback_mask)
+        diff = np.max(np.abs(aligned[w.valid_mask] - w.values[w.valid_mask]))
         assert diff < 1e-12 * np.max(np.abs(w.values))
         np.testing.assert_allclose(corrs, 1.0, rtol=0, atol=1e-12)
 
@@ -208,6 +207,17 @@ class TestBlockwiseCorrelations:
         with pytest.raises(AlignmentError, match="zero-variance channel"):
             _corr_matrix(a, a, mask)
 
+    def test_scaled_copy_correlations_within_one(self):
+        # a channel against a power-of-two multiple of itself: the centered
+        # cross sum can round above the product of the square sums
+        a = np.random.default_rng(8).standard_normal((3000, 2))
+        b = a * [8.0, 0.25]
+        mask = np.ones(len(a), dtype=bool)
+        assert np.max(np.abs(_corr_matrix(a, b, mask))) <= 1.0
+        p, corrs = align_weight_series(WeightSeries(a, mask), WeightSeries(b, mask))
+        assert p.perm.tolist() == [0, 1] and p.signs.tolist() == [1, 1]
+        assert corrs.tolist() == [1.0, 1.0]
+
     def test_cross_channel_diagonal_exactly_one(self):
         # invalid rows may hold NaN; they must not reach the sums
         rng = np.random.default_rng(1)
@@ -232,13 +242,13 @@ class TestAlignWeightSeries:
     def test_identity(self):
         w = self._series(np.random.default_rng(0))
         p, corrs = align_weight_series(w, w)
-        assert p.is_identity()
+        assert p.perm.tolist() == [0, 1] and p.signs.tolist() == [1, 1]
         np.testing.assert_allclose(corrs, 1.0, atol=1e-12)
 
     def test_swap_and_negate_recovered(self):
         w = self._series(np.random.default_rng(1))
         p_true = SignedPermutation([1, 0], [1, -1])
-        wp = apply_signed_permutation(p_true, w)
+        wp = WeightSeries(p_true.apply_to_array(w.values), w.valid_mask)
         p, corrs = align_weight_series(wp, w)
         assert p == p_true
         np.testing.assert_allclose(corrs, 1.0, atol=1e-12)
@@ -247,7 +257,7 @@ class TestAlignWeightSeries:
         rng = np.random.default_rng(2)
         w = self._series(rng, n=5000)
         p_true = SignedPermutation([1, 0], [-1, 1])
-        wp = apply_signed_permutation(p_true, w)
+        wp = WeightSeries(p_true.apply_to_array(w.values), w.valid_mask)
         noisy = WeightSeries(
             wp.values + 0.1 * wp.values.std(axis=0) * rng.standard_normal(wp.values.shape),
             wp.valid_mask,
