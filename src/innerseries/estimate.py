@@ -76,23 +76,30 @@ def accumulate_moments(
         raise ValueError("velocity series not aligned with trajectory")
     flat = grid.flat_index(traj.samples)
     sel = np.flatnonzero(vel.valid_mask & (flat >= 0))
-    order = np.argsort(flat[sel], kind="stable")  # keeps samples ascending per bin
-    boundaries = np.flatnonzero(np.diff(flat[sel[order]])) + 1
-    out: dict[tuple[int, ...], LocalMoments] = {}
-    for group in np.split(sel[order], boundaries):
-        if len(group) < grid.min_count:
-            continue
+    sel = sel[np.argsort(flat[sel], kind="stable")]  # keeps samples ascending per bin
+    boundaries = np.flatnonzero(np.diff(flat[sel])) + 1
+    groups = [g for g in np.split(sel, boundaries) if len(g) >= grid.min_count]
+    if not groups:
+        raise ValueError("no occupied bins (min_count too high or data too sparse)")
+    # two passes over each bin's rows, gathered afresh each time, so no
+    # centred copy of all rows is held: c2 first, then t through one
+    # stacked pinv
+    means, c2 = [], []
+    for group in groups:
         v = vel.values[group]
-        dvl = v - v.mean(axis=0)
-        c2 = dvl.T @ dvl / len(group)
-        c2 = 0.5 * (c2 + c2.T)
-        # pinv, not inv: a bin of equal velocities (c2 = 0) is still stored,
-        # and the frame solve rejects it
-        q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(c2, hermitian=True), dvl)
+        means.append(v.mean(axis=0))
+        dvl = v - means[-1]
+        c = dvl.T @ dvl / len(group)
+        c2.append(0.5 * (c + c.T))
+    # pinv, not inv: a bin of equal velocities (c2 = 0) is still stored,
+    # and the frame solve rejects it
+    c2_pinv = np.linalg.pinv(np.stack(c2), hermitian=True)
+    out: dict[tuple[int, ...], LocalMoments] = {}
+    keys = np.stack(np.unravel_index(flat[[g[0] for g in groups]], grid.shape), axis=1)
+    for key, group, mean, c, p in zip(keys.tolist(), groups, means, c2, c2_pinv):
+        dvl = vel.values[group] - mean
+        q = np.einsum("ti,ij,tj->t", dvl, p, dvl)
         t = (dvl * q[:, None]).T @ dvl / len(group)
         t = 0.5 * (t + t.T)
-        key = np.unravel_index(flat[group[0]], grid.shape)
-        out[tuple(int(i) for i in key)] = LocalMoments(len(group), c2, t)
-    if not out:
-        raise ValueError("no occupied bins (min_count too high or data too sparse)")
+        out[tuple(key)] = LocalMoments(len(group), c, t)
     return out

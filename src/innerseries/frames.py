@@ -13,7 +13,6 @@ inside degenerate eigenspaces of D).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping
 
 import numpy as np
@@ -24,7 +23,7 @@ from .model import (
     LocalFrame,
     LocalMoments,
     SignedPermutation,
-    best_signed_assignment,
+    best_signed_assignments,
 )
 
 DEFAULT_GAP_TOL = 1e-3
@@ -119,46 +118,54 @@ def align_frame_field(
     Breadth-first over the occupied-bin face adjacency starting from the most
     populated bin; each newly visited bin is corrected by the signed
     permutation minimizing ||P M_new M_ref^-1 - I||_F against an already
-    aligned neighbor (non-degenerate reference preferred).  Disconnected
-    components are aligned independently and tagged with component ids.
-    counts holds each bin's valid-sample count (LocalMoments.count).
+    aligned neighbor (non-degenerate reference preferred, then the most
+    populated).  Disconnected components are aligned independently and
+    tagged with component ids.  counts holds each bin's valid-sample count
+    (LocalMoments.count).
+
+    The search runs one level at a time.  Face neighbours differ in the
+    parity of their index sum, so the adjacency is bipartite and every
+    aligned neighbour of a bin at depth d lies at depth d - 1: a level's
+    references are all fixed before it starts.  Its bins are found in
+    first-in first-out order, and its assignments are solved as one stack
+    (best_signed_assignments), so the result is that of the bin-by-bin
+    search.
     """
     if not frames:
         raise ValueError("no frames to align")
     shape = grid.shape
-    unvisited = set(frames)
+    adjacent = {k: [nb for nb in _face_neighbors(k, shape) if nb in frames] for k in frames}
+    # the anchor: non-degenerate first, then the most populated
+    anchor = {k: (frames[k].degenerate_flag, -counts[k], k) for k in frames}
     aligned: dict[tuple[int, ...], LocalFrame] = {}
     component_ids: dict[tuple[int, ...], int] = {}
     comp = 0
-    while unvisited:
-        root = min(unvisited, key=lambda k: (-counts[k], k))
-        aligned[root] = canonicalize_frame(frames[root])
+    for root in sorted(frames, key=lambda k: (-counts[k], k)):
+        if root in component_ids:
+            continue
         component_ids[root] = comp
-        unvisited.discard(root)
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nb in _face_neighbors(cur, shape):
-                if nb not in unvisited:
-                    continue
-                refs = [
-                    k
-                    for k in _face_neighbors(nb, shape)
-                    if k in aligned and component_ids[k] == comp
-                ]
-                # prefer non-degenerate, then most populated, as the anchor
-                ref = min(
-                    refs,
-                    key=lambda k: (aligned[k].degenerate_flag, -counts[k], k),
-                )
-                r = frames[nb].m @ aligned[ref].v  # v == m^-1
-                q = best_signed_assignment(r)
-                aligned[nb] = apply_signed_permutation_to_frame(
-                    q.inverse(), frames[nb]
-                )
-                component_ids[nb] = comp
-                unvisited.discard(nb)
-                queue.append(nb)
+        aligned[root] = canonicalize_frame(frames[root])
+        level = [root]
+        while level:
+            nxt = []  # in first-in first-out order
+            for cur in level:
+                for nb in adjacent[cur]:
+                    if nb not in component_ids:
+                        component_ids[nb] = comp
+                        nxt.append(nb)
+            if nxt:
+                refs = [min((k for k in adjacent[nb] if k in aligned), key=anchor.get) for nb in nxt]
+                m = np.stack([frames[k].m for k in nxt])
+                perms, signs = best_signed_assignments(m @ np.stack([aligned[k].v for k in refs]))
+                # apply each inverse: row j becomes row inv[j], with its picked sign
+                inv = np.argsort(perms, axis=1)
+                edge = np.arange(len(nxt))[:, None]
+                m = m[edge, inv] * signs[edge, inv][..., None]
+                v = np.linalg.inv(m)
+                d = np.stack([frames[k].d for k in nxt])[edge, inv]
+                for j, k in enumerate(nxt):
+                    aligned[k] = LocalFrame(m[j], v[j], d[j], frames[k].degenerate_flag)
+            level = nxt
         comp += 1
     return FrameField(grid, aligned, component_ids)
 

@@ -8,6 +8,7 @@ scale, so multiplying them into a velocity cancels the units.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -146,7 +147,8 @@ class BinGrid:
         """Row-major flat bin index of each point, or -1 outside the grid.
 
         Lower bins are half-open; a point exactly on the top edge lands in
-        the last bin.  Built axis by axis, so it holds O(n) integers.
+        the last bin.  Built axis by axis and in place, so it holds O(n)
+        integers: the index itself and one axis's bin.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
@@ -154,11 +156,14 @@ class BinGrid:
         flat = np.zeros(len(pts), dtype=np.int64)
         inside = np.ones(len(pts), dtype=bool)
         for e, x in zip(self.edges, pts.T):
-            inside &= (x >= e[0]) & (x <= e[-1])
-            idx = np.searchsorted(e, x, side="right") - 1
-            # the top edge is inclusive: clamp it into the last bin
-            flat = flat * (len(e) - 1) + np.minimum(idx, len(e) - 2)
-        return np.where(inside, flat, -1)
+            inside &= x >= e[0]
+            inside &= x <= e[-1]
+            # a bin is the count of inner edges at or below the point, so
+            # the inclusive top edge falls in the last bin
+            flat *= len(e) - 1
+            flat += np.searchsorted(e[1:-1], x, side="right")
+        flat[~inside] = -1
+        return flat
 
     def step_sizes(self) -> np.ndarray:
         return np.array([e[1] - e[0] for e in self.edges])
@@ -310,10 +315,6 @@ class SignedPermutation:
     def dim(self) -> int:
         return self.perm.shape[0]
 
-    def inverse(self) -> "SignedPermutation":
-        inv_perm = np.argsort(self.perm)
-        return SignedPermutation(inv_perm, self.signs[inv_perm])
-
     def apply_to_array(self, values: np.ndarray) -> np.ndarray:
         """Apply along the last axis."""
         if values.shape[-1] != self.dim:
@@ -328,30 +329,79 @@ class SignedPermutation:
         )
 
 
+# candidate entries (matrices x column sets x last columns) per block of the
+# assignment program; bounds its working set at large N
+_DP_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _assignment_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each row k: each column set of size k + 1 (in ascending bitmask
+    order) as its columns, and for each of those columns the index of the
+    set without it among the sets of size k.  Read-only: every caller
+    shares them."""
+    sets = [[s for s in range(1 << n) if s.bit_count() == k] for k in range(n + 1)]
+    index = {s: i for level in sets for i, s in enumerate(level)}
+    tables = []
+    for level in sets[1:]:
+        cols = np.array([[c for c in range(n) if s >> c & 1] for s in level])
+        parents = np.array([[index[s ^ 1 << c] for c in cs] for s, cs in zip(level, cols.tolist())])
+        cols.setflags(write=False)
+        parents.setflags(write=False)
+        tables.append((cols, parents))
+    return tables
+
+
+def best_signed_assignments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """best_signed_assignment of each matrix in an (E, N, N) stack, as perms
+    and signs, both (E, N).
+
+    One dynamic program over the set of columns taken by rows 0..k-1, run
+    on every matrix at once, O(N 2^N) per matrix.  A set's partial sum runs
+    left to right, and of equal sums it keeps the lexicographically smaller
+    prefix (ranked among the prefixes of the same length), so each pick is
+    the first optimum in itertools.permutations order.  A tie that only
+    rounding makes (two prefixes of unequal sums whose completions round to
+    one total) goes to the prefix of the larger partial sum.  The matrices go
+    in blocks of about _DP_BLOCK candidate entries.
+    """
+    scores = np.asarray(scores, dtype=float)
+    e, n = scores.shape[:2]
+    tables = _assignment_tables(n)
+    perms = np.empty((e, n), dtype=np.int64)
+    step = max(1, _DP_BLOCK // (n << (n - 1)))
+    for lo in range(0, e, step):
+        absr = np.abs(scores[lo : lo + step])
+        total = np.zeros((len(absr), 1))
+        rank = np.zeros((len(absr), 1), dtype=np.int64)
+        picks = []
+        for k, (cols, parents) in enumerate(tables):
+            cand = total[:, parents] + absr[:, k, cols]
+            total = cand.max(axis=2)
+            ranks = np.where(cand == total[..., None], rank[:, parents], 1 << n)
+            pick = ranks.argmin(axis=2)
+            picks.append(pick)
+            if k + 1 < n:
+                # rank the kept prefixes, (prefix rank, last column), for row k + 1
+                key = ranks.min(axis=2) * n + cols[np.arange(len(cols)), pick]
+                rank = np.argsort(np.argsort(key, axis=1), axis=1)
+        at = np.zeros(len(absr), dtype=np.int64)  # the full set, then each parent
+        rows = np.arange(len(absr))
+        for k in reversed(range(n)):
+            cols, parents = tables[k]
+            pick = picks[k][rows, at]
+            perms[lo : lo + step, k] = cols[at, pick]
+            at = parents[at, pick]
+    picked = scores[np.arange(e)[:, None], np.arange(n), perms]
+    return perms, np.where(picked >= 0, 1, -1)
+
+
 def best_signed_assignment(score: np.ndarray) -> SignedPermutation:
     """Signed permutation p maximizing sum_j |score[j, perm[j]]|, with each
     sign taken from the picked entry (+1 at zero).
 
-    Exact at every N: a dynamic program over the set of columns taken by
-    rows 0..k-1, O(N 2^N).  Partial sums run left to right and equal totals
-    go to the lexicographically first perm, so the pick is the first
-    optimum in itertools.permutations order.
+    Exact at every N; the first optimum in itertools.permutations order
+    (see best_signed_assignments, which this runs on one matrix).
     """
-    score = np.asarray(score, dtype=float)
-    n = score.shape[0]
-    best = {0: (0.0, ())}  # columns taken -> (best partial sum, its perm)
-    for row in np.abs(score).tolist():
-        nxt: dict[int, tuple[float, tuple[int, ...]]] = {}
-        for taken, (total, perm) in best.items():
-            for col in range(n):
-                if taken >> col & 1:
-                    continue
-                cand = (total + row[col], perm + (col,))
-                key = taken | 1 << col
-                old = nxt.get(key)
-                if old is None or cand[0] > old[0] or (cand[0] == old[0] and cand[1] < old[1]):
-                    nxt[key] = cand
-        best = nxt
-    perm = np.array(best[(1 << n) - 1][1])
-    signs = np.where(score[np.arange(n), perm] >= 0, 1, -1)
-    return SignedPermutation(perm, signs)
+    perms, signs = best_signed_assignments(np.asarray(score, dtype=float)[None])
+    return SignedPermutation(perms[0], signs[0])

@@ -42,13 +42,16 @@ def _bin_lookup(field: FrameField):
         slots[k] = i
     padded = np.pad(slots, 1, constant_values=-1)
     chosen = slots.copy()
-    offsets = sorted(
-        itertools.product((-1, 0, 1), repeat=len(shape)), key=np.count_nonzero
-    )
+    # fewest moved axes first; the sort is stable
+    offsets = sorted(itertools.product((-1, 0, 1), repeat=len(shape)), key=lambda o: -o.count(0))
+    unresolved = chosen < 0
     for offset in offsets[1:]:  # offsets[0] is the bin itself
+        if not unresolved.any():  # the rest of the sweep would change nothing
+            break
         shifted = padded[tuple(slice(1 + o, 1 + o + s) for o, s in zip(offset, shape))]
-        take = (chosen < 0) & (shifted >= 0)
+        take = unresolved & (shifted >= 0)
         chosen[take] = shifted[take]
+        unresolved &= ~take
     flat_to_slot = chosen.ravel()
     fallback = (flat_to_slot >= 0) & (slots.ravel() < 0)
     m_stack = np.stack([field.frames[k].m for k in keys])
@@ -69,17 +72,21 @@ def compute_weights(
         raise ValueError("empty frame field")
     if len(vel) != traj.n_samples:
         raise ValueError("velocity not aligned with trajectory")
-    flat = field.grid.flat_index(traj.samples)
     flat_to_slot, fallback_bins, m_stack, _ = _bin_lookup(field)
-    # flat = -1 reads the last entry; the flat >= 0 test masks it out
-    slots = np.where(flat >= 0, flat_to_slot[flat], -1)
-    valid = vel.valid_mask & (slots >= 0)
-    fallback = valid & fallback_bins[flat]
     values = np.zeros((traj.n_samples, traj.dim))
-    # one block of frames at a time keeps the gather at _CHUNK x N x N
+    valid = np.zeros(traj.n_samples, dtype=bool)
+    fallback = np.zeros(traj.n_samples, dtype=bool)
+    # one block of samples at a time: the bin indices, slots and gathered
+    # frames are held for _CHUNK samples, never for all n
     for lo in range(0, traj.n_samples, _CHUNK):
-        rows = lo + np.flatnonzero(valid[lo : lo + _CHUNK])
-        values[rows] = np.einsum("nij,nj->ni", m_stack[slots[rows]], vel.values[rows])
+        block = slice(lo, lo + _CHUNK)
+        flat = field.grid.flat_index(traj.samples[block])
+        # flat = -1 reads the last entry; the flat >= 0 test masks it out
+        slots = np.where(flat >= 0, flat_to_slot[flat], -1)
+        valid[block] = vel.valid_mask[block] & (slots >= 0)
+        fallback[block] = valid[block] & fallback_bins[flat]
+        rows = np.flatnonzero(valid[block])
+        values[lo + rows] = np.einsum("nij,nj->ni", m_stack[slots[rows]], vel.values[lo + rows])
     return WeightSeries(values, valid, dt=traj.dt, fallback_mask=fallback)
 
 

@@ -1,16 +1,23 @@
 """Test-side oracles for the signed-permutation gauge: the exhaustive group,
-the matrix of a signed permutation, and the covariant transformation law
-M' = P M (dx/dx') checked bin by bin.  The package itself only needs the
-exact assignment, its inverse, and applying it."""
+the exhaustive assignment, the inverse and the matrix of a signed
+permutation, the covariant transformation law M' = P M (dx/dx') checked bin
+by bin, and the bin-by-bin breadth-first alignment.  The package itself only
+needs the exact assignment and applying it."""
 
 import itertools
+from collections import deque
 
 import numpy as np
 
 from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
-from innerseries.frames import solve_frame
+from innerseries.frames import apply_signed_permutation_to_frame, canonicalize_frame, solve_frame
 from innerseries.ingest import gen_bounded_walk
-from innerseries.model import SignedPermutation, VelocitySeries, best_signed_assignment
+from innerseries.model import (
+    FrameField,
+    SignedPermutation,
+    VelocitySeries,
+    best_signed_assignment,
+)
 
 FIXED_MAP = np.array([[1.2, 0.4], [-0.3, 0.9]])
 
@@ -20,6 +27,27 @@ def all_signed_permutations(n: int):
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
             yield SignedPermutation(np.array(perm), np.array(signs))
+
+
+def first_optimal_assignment(score) -> SignedPermutation:
+    """The first maximum of sum_j |score[j, perm[j]]|, summed left to right,
+    in itertools.permutations order, with each sign from its picked entry
+    (+1 at zero)."""
+    absr = np.abs(score)
+    n = len(score)
+    best, best_total = None, -np.inf
+    for perm in itertools.permutations(range(n)):
+        total = sum(absr[j, perm[j]] for j in range(n))
+        if total > best_total:
+            best, best_total = perm, total
+    perm = np.array(best)
+    return SignedPermutation(perm, np.where(score[np.arange(n), perm] >= 0, 1, -1))
+
+
+def inverse(p: SignedPermutation) -> SignedPermutation:
+    """The signed permutation that undoes p."""
+    inv_perm = np.argsort(p.perm)
+    return SignedPermutation(inv_perm, p.signs[inv_perm])
 
 
 def signed_permutation_matrix(p: SignedPermutation) -> np.ndarray:
@@ -59,3 +87,44 @@ def linear_map_law_check(
         if not (fr.degenerate_flag or fr_p.degenerate_flag):
             residuals.append(check_transform_law(fr.m, fr_p.m, jac)[0])
     return max(residuals, default=0.0), len(residuals)
+
+
+def _face_neighbors(idx, shape):
+    for a in range(len(idx)):
+        for step in (-1, 1):
+            j = idx[a] + step
+            if 0 <= j < shape[a]:
+                yield idx[:a] + (j,) + idx[a + 1 :]
+
+
+def sequential_align(grid, frames, counts) -> FrameField:
+    """align_frame_field one bin and one edge at a time: a first-in
+    first-out queue per component, from its most populated bin, each bin
+    corrected against its best aligned neighbour when it is found."""
+    shape = grid.shape
+    unvisited = set(frames)
+    aligned, component_ids = {}, {}
+    comp = 0
+    while unvisited:
+        root = min(unvisited, key=lambda k: (-counts[k], k))
+        aligned[root] = canonicalize_frame(frames[root])
+        component_ids[root] = comp
+        unvisited.discard(root)
+        queue = deque([root])
+        while queue:
+            for nb in _face_neighbors(queue.popleft(), shape):
+                if nb not in unvisited:
+                    continue
+                refs = [
+                    k
+                    for k in _face_neighbors(nb, shape)
+                    if k in aligned and component_ids[k] == comp
+                ]
+                ref = min(refs, key=lambda k: (aligned[k].degenerate_flag, -counts[k], k))
+                q = best_signed_assignment(frames[nb].m @ aligned[ref].v)
+                aligned[nb] = apply_signed_permutation_to_frame(inverse(q), frames[nb])
+                component_ids[nb] = comp
+                unvisited.discard(nb)
+                queue.append(nb)
+        comp += 1
+    return FrameField(grid, aligned, component_ids)

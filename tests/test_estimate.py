@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,3 +291,95 @@ class TestMomentInvariances:
             np.testing.assert_array_equal(scaled[key].c2, m.c2 * ss)
             tol = 1e-13 + 4 * EPS * (np.linalg.cond(m.c2) + np.linalg.cond(scaled[key].c2))
             assert max_rel_diff(scaled[key].t / ss, m.t) <= tol
+
+
+def per_bin_moments(traj, vel, grid):
+    """Reference: one bin at a time, each with its own pinv, as
+    {key: (count, c2, t)}."""
+    flat = grid.flat_index(traj.samples)
+    sel = np.flatnonzero(vel.valid_mask & (flat >= 0))
+    order = np.argsort(flat[sel], kind="stable")
+    boundaries = np.flatnonzero(np.diff(flat[sel[order]])) + 1
+    out = {}
+    for group in np.split(sel[order], boundaries):
+        if len(group) < grid.min_count:
+            continue
+        dvl = vel.values[group] - vel.values[group].mean(axis=0)
+        c2 = dvl.T @ dvl / len(group)
+        c2 = 0.5 * (c2 + c2.T)
+        q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(c2, hermitian=True), dvl)
+        t = (dvl * q[:, None]).T @ dvl / len(group)
+        key = np.unravel_index(flat[group[0]], grid.shape)
+        out[tuple(int(i) for i in key)] = (len(group), c2, 0.5 * (t + t.T))
+    return out
+
+
+@st.composite
+def sparse_binned_velocities(draw):
+    """(traj, vel, grid): N <= 3 channels on a 3-per-axis grid over skewed
+    positions, so some bins fall under min_count; every 7th velocity
+    invalid; one bin's velocities all equal, so its c2 is 0."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(200, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    traj = Trajectory(rng.random((n, dim)) ** 2, 1.0)
+    grid = build_grid(traj, (3,) * dim, min_count=draw(st.integers(1, 60)))
+    v = rng.laplace(size=(n, dim))
+    flat = grid.flat_index(traj.samples)
+    v[flat == flat[0]] = v[0]
+    mask = np.ones(n, dtype=bool)
+    mask[::7] = False
+    return traj, VelocitySeries(v, mask), grid
+
+
+def assert_same_moments(moments, ref):
+    assert list(moments) == list(ref)
+    for key, (count, c2, t) in ref.items():
+        assert moments[key].count == count
+        assert moments[key].c2.tobytes() == c2.tobytes()
+        assert moments[key].t.tobytes() == t.tobytes()
+
+
+class TestStackedMoments:
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_binned_velocities())
+    def test_bit_identical_to_per_bin_reference(self, case):
+        traj, vel, grid = case
+        ref = per_bin_moments(traj, vel, grid)
+        try:
+            moments = accumulate_moments(traj, vel, grid)
+        except ValueError:
+            assert not ref
+            return
+        assert_same_moments(moments, ref)
+
+    def test_zero_c2_and_sparse_bins(self):
+        # bin 0 holds 50 equal velocities, bin 1 five samples, bin 2 the rest
+        rng = np.random.default_rng(6)
+        pos = np.concatenate([np.full(50, 0.1), np.full(5, 0.5), rng.uniform(0.7, 0.9, 400)])
+        pos[0], pos[-1] = 0.0, 0.9  # span [0, 0.9]: three bins of width 0.3
+        v = np.concatenate([np.full((50, 2), 1.5), rng.laplace(size=(405, 2))])
+        traj = Trajectory(np.column_stack([pos, pos]), 1.0)
+        vel = VelocitySeries(v, np.ones(len(pos), dtype=bool))
+        grid = build_grid(traj, [3, 3], min_count=10)
+        moments = accumulate_moments(traj, vel, grid)
+        assert list(moments) == [(0, 0), (2, 2)]
+        assert not moments[(0, 0)].c2.any() and not moments[(0, 0)].t.any()
+        ref = per_bin_moments(traj, vel, grid)
+        assert_same_moments(moments, per_bin_moments(traj, vel, grid))
+
+    def test_peak_memory_below_one_centred_copy(self):
+        # a centred or sorted copy of the valid rows would alone take
+        # n N 8 bytes
+        n, dim = 200_000, 6
+        rng = np.random.default_rng(8)
+        traj = Trajectory(rng.random((n, dim)), 1.0)
+        vel = VelocitySeries(rng.laplace(size=(n, dim)), np.ones(n, dtype=bool))
+        grid = build_grid(traj, (2,) * dim, min_count=1)
+        tracemalloc.start()
+        try:
+            accumulate_moments(traj, vel, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 8

@@ -27,6 +27,7 @@ from signed_gauge import (
     all_signed_permutations,
     check_transform_law,
     linear_map_law_check,
+    sequential_align,
     signed_permutation_matrix,
 )
 
@@ -248,7 +249,59 @@ def _grid(shape):
     return BinGrid(tuple(np.linspace(0, 1, s + 1) for s in shape), 1)
 
 
+@st.composite
+def frame_fields(draw):
+    """(grid, frames, counts): random occupancy of a grid of N <= 3 axes of
+    1..4 bins, so often several components, random frames (a third flagged
+    degenerate) inserted in random order, and counts in 1..3, so ties in
+    count are common."""
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupied = rng.random(shape) < draw(st.floats(0.2, 1.0))
+    keys = [k for k in np.ndindex(shape) if occupied[k]] or [(0,) * dim]
+    frames = {}
+    for i in rng.permutation(len(keys)):
+        m = rng.standard_normal((dim, dim)) + 2 * np.eye(dim)
+        d = np.sort(rng.random(dim))[::-1]
+        frames[keys[i]] = LocalFrame(m, np.linalg.inv(m), d, bool(rng.random() < 1 / 3))
+    return _grid(shape), frames, {k: int(rng.integers(1, 4)) for k in frames}
+
+
+def assert_same_field(field, ref):
+    """Same bins in the same order, component ids, and frame bits."""
+    assert list(field.frames) == list(ref.frames)
+    assert list(field.component_ids.items()) == list(ref.component_ids.items())
+    for k, f in ref.frames.items():
+        g = field.frames[k]
+        assert g.degenerate_flag == f.degenerate_flag
+        for a, b in ((g.m, f.m), (g.v, f.v), (g.d, f.d)):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestAlignFrameField:
+    @settings(max_examples=80, deadline=None)
+    @given(frame_fields())
+    def test_bit_identical_to_sequential_search(self, case):
+        assert_same_field(align_frame_field(*case), sequential_align(*case))
+
+    def test_bit_identical_with_components_and_degenerate_flags(self):
+        # a 4 x 5 grid in three components, with ties in count and
+        # degenerate bins next to the roots
+        rng = np.random.default_rng(7)
+        occupied = ["XX.XX", "XX.X.", "...XX", "XXX.."]
+        frames, counts = {}, {}
+        for i, row in enumerate(occupied):
+            for j, c in enumerate(row):
+                if c == "X":
+                    m = rng.standard_normal((2, 2)) + 2 * np.eye(2)
+                    flag = (i + j) % 3 == 1
+                    frames[(i, j)] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]), flag)
+                    counts[(i, j)] = 5 + (i * j) % 2
+        field = align_frame_field(_grid((4, 5)), frames, counts)
+        assert set(field.component_ids.values()) == {0, 1, 2}
+        assert_same_field(field, sequential_align(_grid((4, 5)), frames, counts))
+
     def _base_frame(self, rng, n=2):
         m = rng.standard_normal((n, n)) + 2 * np.eye(n)
         d = np.array([3.0, 1.0])[:n]

@@ -1,6 +1,6 @@
-"""Every module of the package reads each name it imports, every CLI
-subcommand reads each option it accepts, and importing a module or script
-runs nothing.
+"""Every module of the package, script and test file reads each name it
+imports, every CLI subcommand reads each option it accepts, and importing a
+module or script runs nothing.
 
 A name that is imported and never read is usually left over from deleted
 code.  The package's __init__.py imports names to re-export them and is
@@ -22,6 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "innerseries"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ENTRY_FILES = sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+# scripts and tests have no re-exporting __init__.py: each one is scanned
+OTHER_FILES = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,6 +48,11 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", OTHER_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_import_in_scripts_and_tests(path):
     assert unused_imports(path.read_text()) == []
 
 

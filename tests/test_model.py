@@ -1,5 +1,5 @@
-import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +13,14 @@ from innerseries.model import (
     SignedPermutation,
     Trajectory,
     best_signed_assignment,
+    best_signed_assignments,
 )
-from signed_gauge import all_signed_permutations, signed_permutation_matrix
+from signed_gauge import (
+    all_signed_permutations,
+    first_optimal_assignment,
+    inverse,
+    signed_permutation_matrix,
+)
 
 
 class TestTrajectory:
@@ -64,7 +70,7 @@ class TestSignedPermutation:
         out = p.apply_to_array(w)
         np.testing.assert_array_equal(out[:, 0], w[:, 1])
         np.testing.assert_array_equal(out[:, 1], -w[:, 0])
-        np.testing.assert_array_equal(p.inverse().apply_to_array(out), w)
+        np.testing.assert_array_equal(inverse(p).apply_to_array(out), w)
 
     def test_valid_mask_preserved(self):
         # p acts within each row, so a row mask commutes with it
@@ -86,7 +92,7 @@ class TestSignedPermutation:
         assert len(keys) == len(group) == 2**n * math.factorial(n)
         eye = np.eye(n)
         for p in group:
-            q = p.inverse()
+            q = inverse(p)
             assert (tuple(q.perm), tuple(q.signs)) in keys
             np.testing.assert_array_equal(q.apply_to_array(p.apply_to_array(eye)), eye)
             np.testing.assert_array_equal(p.apply_to_array(q.apply_to_array(eye)), eye)
@@ -117,7 +123,7 @@ class TestSignedPermutation:
 def test_apply_then_inverse_roundtrip(data, perm, signs):
     w = np.array(data)
     p = SignedPermutation(np.array(perm), np.array(signs))
-    np.testing.assert_array_equal(p.inverse().apply_to_array(p.apply_to_array(w)), w)
+    np.testing.assert_array_equal(inverse(p).apply_to_array(p.apply_to_array(w)), w)
 
 
 def _reference_flat_index(edges, pts):
@@ -183,20 +189,60 @@ class TestBinGridFlatIndex:
             grid.flat_index(np.zeros((3, 2)))
 
 
-def _first_optimum(score):
-    """Reference: the first maximum of sum |score[j, perm[j]]| in
-    itertools.permutations order, summed left to right."""
-    absr = np.abs(score)
-    n = len(score)
-    best, best_total = None, -np.inf
-    for perm in itertools.permutations(range(n)):
-        total = sum(absr[j, perm[j]] for j in range(n))
-        if total > best_total:
-            best, best_total = perm, total
-    return list(best)
+@st.composite
+def score_stacks(draw):
+    """A stack of up to four N x N score matrices, N = 1..6, each drawn
+    normal, as small integers (exact ties), zero or all-equal."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    kinds = st.sampled_from(["normal", "integer", "zero", "equal"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        if kind == "normal":
+            mats.append(rng.standard_normal((n, n)))
+        elif kind == "integer":
+            mats.append(rng.integers(-2, 3, (n, n)).astype(float))
+        else:
+            mats.append(np.full((n, n), 0.0 if kind == "zero" else draw(st.floats(-1e3, 1e3))))
+    return np.stack(mats)
 
 
 class TestBestSignedAssignment:
+    @settings(max_examples=60, deadline=None)
+    @given(score_stacks())
+    def test_batch_matches_exhaustive_search_and_single_calls(self, scores):
+        perms, signs = best_signed_assignments(scores)
+        for score, perm, sign in zip(scores, perms, signs):
+            p = SignedPermutation(perm, sign)
+            assert p == first_optimal_assignment(score)
+            assert p == best_signed_assignment(score)
+
+    def test_rounding_tie_goes_to_larger_partial_sum(self):
+        # both perms total 1.0 once 1e-20 + 1 rounds, but (1, 0) leads the
+        # column set {0, 1} with 1e-20 > 0 and so is the one kept
+        score = np.array([[0.0, 1e-20, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert first_optimal_assignment(score).perm.tolist() == [0, 1, 2]
+        assert best_signed_assignment(score).perm.tolist() == [1, 0, 2]
+
+    def test_blocks_bound_the_working_set_n10(self):
+        # 400 noisy signed permutations at N = 10: run as one block, the
+        # candidate sums of all rows alone would take 400 * 10 * 2^9 * 8
+        # bytes (16 MB)
+        n, e = 10, 400
+        rng = np.random.default_rng(10)
+        truth = [SignedPermutation(rng.permutation(n), rng.choice([-1, 1], n)) for _ in range(e)]
+        scores = np.stack([signed_permutation_matrix(p) for p in truth])
+        scores += 0.1 * rng.standard_normal(scores.shape)
+        best_signed_assignments(scores[:1])  # the per-N tables are built once
+        tracemalloc.start()
+        try:
+            perms, signs = best_signed_assignments(scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert [SignedPermutation(p, s) for p, s in zip(perms, signs)] == truth
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_exhaustive_search(self, n):
         rng = np.random.default_rng(n)
@@ -204,10 +250,7 @@ class TestBestSignedAssignment:
             score = rng.standard_normal((n, n))
             if trial % 2:  # small integers: many exact ties
                 score = np.rint(2 * score)
-            p = best_signed_assignment(score)
-            assert p.perm.tolist() == _first_optimum(score)
-            picked = score[np.arange(n), p.perm]
-            assert p.signs.tolist() == [1 if x >= 0 else -1 for x in picked]
+            assert best_signed_assignment(score) == first_optimal_assignment(score)
 
     def test_recovers_signed_permutation_n8(self):
         p = SignedPermutation([3, 7, 0, 5, 1, 6, 2, 4], [1, -1, -1, 1, 1, -1, 1, -1])

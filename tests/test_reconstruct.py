@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from innerseries.ingest import gen_bounded_walk, gen_sine
+from innerseries.ingest import gen_sine
 from innerseries.experiments import run_pipeline
 from innerseries.model import BinGrid, FrameField, LocalFrame, WeightSeries
 from innerseries.reconstruct import integrate_weights

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from innerseries import serialize
-from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
+from innerseries.estimate import estimate_velocity
 from innerseries.experiments import run_pipeline
 from innerseries.ingest import gen_bounded_walk
 from innerseries.weights import compute_weights

@@ -1,8 +1,11 @@
 import csv
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from innerseries.estimate import estimate_velocity
 from innerseries.ingest import _CHUNK, gen_bounded_walk, gen_sine
@@ -135,6 +138,62 @@ def _whole_array_weights(traj, vel, field):
     return values, valid, valid & fallback_bins[flat]
 
 
+def full_sweep_lookup(field):
+    """Reference: flat-bin -> slot map and fallback mask from every one of
+    the 3^N - 1 offsets, fewest axes first."""
+    shape = field.grid.shape
+    slots = np.full(shape, -1, dtype=np.int64)
+    for i, k in enumerate(sorted(field.frames)):
+        slots[k] = i
+    padded = np.pad(slots, 1, constant_values=-1)
+    chosen = slots.copy()
+    offsets = sorted(itertools.product((-1, 0, 1), repeat=len(shape)), key=np.count_nonzero)
+    for offset in offsets[1:]:
+        shifted = padded[tuple(slice(1 + o, 1 + o + s) for o, s in zip(offset, shape))]
+        take = (chosen < 0) & (shifted >= 0)
+        chosen[take] = shifted[take]
+    return chosen.ravel(), (chosen.ravel() >= 0) & (slots.ravel() < 0)
+
+
+def identity_field(shape, occupied):
+    eye = np.eye(len(shape))
+    frames = {k: LocalFrame(eye, eye, np.ones(len(shape))) for k in occupied}
+    return FrameField(BinGrid(tuple(np.linspace(0, 1, s + 1) for s in shape), 1), frames)
+
+
+@st.composite
+def occupancies(draw):
+    """A field of N <= 4 axes of 1..5 bins with a random share occupied."""
+    dim = draw(st.integers(1, 4))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    occupied = rng.random(shape) < draw(st.floats(0.02, 1.0))
+    return identity_field(shape, [k for k in np.ndindex(shape) if occupied[k]] or [(0,) * dim])
+
+
+class TestBinLookup:
+    @settings(max_examples=80, deadline=None)
+    @given(occupancies())
+    def test_early_stop_matches_full_sweep(self, field):
+        flat_to_slot, fallback, _, _ = _bin_lookup(field)
+        ref_slots, ref_fallback = full_sweep_lookup(field)
+        np.testing.assert_array_equal(flat_to_slot, ref_slots)
+        np.testing.assert_array_equal(fallback, ref_fallback)
+
+    def test_bin_with_no_occupied_neighbour_stays_unresolved(self):
+        # 1-D: (1,) borrows (0,); 2-D: (3, 3) is two steps from (0, 0)
+        flat_to_slot, fallback, _, _ = _bin_lookup(identity_field((4,), [(0,)]))
+        assert flat_to_slot.tolist() == [0, 0, -1, -1]
+        assert fallback.tolist() == [False, True, False, False]
+        field = identity_field((4, 4), [(0, 0), (0, 3)])
+        flat_to_slot, fallback, _, _ = _bin_lookup(field)
+        assert flat_to_slot.reshape(4, 4)[3].tolist() == [-1, -1, -1, -1]
+        assert flat_to_slot.reshape(4, 4)[1].tolist() == [0, 0, 1, 1]
+        ref_slots, ref_fallback = full_sweep_lookup(field)
+        np.testing.assert_array_equal(flat_to_slot, ref_slots)
+        np.testing.assert_array_equal(fallback, ref_fallback)
+
+
 class TestBlockwiseWeights:
     @pytest.mark.parametrize("dim", [1, 2, 6])
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK + 1])
@@ -159,6 +218,19 @@ class TestBlockwiseWeights:
         finally:
             tracemalloc.stop()
         assert peak < n * dim * dim * 8
+
+    def test_peak_memory_below_output_plus_one_index_per_sample(self):
+        # the weights, valid and fallback masks take n (8 N + 2) bytes; an
+        # n-long bin or slot index would take 8 n more on its own
+        n, dim = 200_000, 1
+        traj, vel, field = _random_field_inputs(n, dim, margin=0.0)
+        tracemalloc.start()
+        try:
+            compute_weights(traj, vel, field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * (8 * dim + 2) + 8 * n
 
 
 def _whole_array_corr(a, b, mask):
