@@ -157,14 +157,11 @@ def align_frame_field(
                 refs = [min((k for k in adjacent[nb] if k in aligned), key=anchor.get) for nb in nxt]
                 m = np.stack([frames[k].m for k in nxt])
                 perms, signs = best_signed_assignments(m @ np.stack([aligned[k].v for k in refs]))
-                # apply each inverse: row j becomes row inv[j], with its picked sign
+                # undo each pick: row j of the frame becomes row inv[j], with its sign
                 inv = np.argsort(perms, axis=1)
-                edge = np.arange(len(nxt))[:, None]
-                m = m[edge, inv] * signs[edge, inv][..., None]
-                v = np.linalg.inv(m)
-                d = np.stack([frames[k].d for k in nxt])[edge, inv]
                 for j, k in enumerate(nxt):
-                    aligned[k] = LocalFrame(m[j], v[j], d[j], frames[k].degenerate_flag)
+                    p = SignedPermutation(inv[j], signs[j, inv[j]])
+                    aligned[k] = apply_signed_permutation_to_frame(p, frames[k])
             level = nxt
         comp += 1
     return FrameField(grid, aligned, component_ids)

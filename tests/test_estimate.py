@@ -316,14 +316,16 @@ def per_bin_moments(traj, vel, grid):
 
 @st.composite
 def sparse_binned_velocities(draw):
-    """(traj, vel, grid): N <= 3 channels on a 3-per-axis grid over skewed
-    positions, so some bins fall under min_count; every 7th velocity
-    invalid; one bin's velocities all equal, so its c2 is 0."""
-    dim = draw(st.integers(1, 3))
+    """(traj, vel, grid): N <= 6 channels on a 3-per-axis grid (2 per axis
+    above N = 3) over skewed positions, so some bins fall under min_count;
+    every 7th velocity invalid; one bin's velocities all equal, so its c2
+    is 0."""
+    dim = draw(st.integers(1, 6))
     n = draw(st.integers(200, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     traj = Trajectory(rng.random((n, dim)) ** 2, 1.0)
-    grid = build_grid(traj, (3,) * dim, min_count=draw(st.integers(1, 60)))
+    bins = (3 if dim <= 3 else 2,) * dim
+    grid = build_grid(traj, bins, min_count=draw(st.integers(1, 60)))
     v = rng.laplace(size=(n, dim))
     flat = grid.flat_index(traj.samples)
     v[flat == flat[0]] = v[0]
@@ -353,6 +355,18 @@ class TestStackedMoments:
             return
         assert_same_moments(moments, ref)
 
+    def test_six_channels_on_a_3_per_axis_grid(self):
+        # the shape of the six-channel benchmark fit, a few hundred bins
+        rng = np.random.default_rng(9)
+        n = 20_000
+        traj = Trajectory(rng.random((n, 6)), 1.0)
+        v = rng.laplace(size=(n, 6)) @ rng.standard_normal((6, 6))
+        vel = VelocitySeries(v, np.ones(n, dtype=bool))
+        grid = build_grid(traj, (3,) * 6, min_count=20)
+        ref = per_bin_moments(traj, vel, grid)
+        assert len(ref) > 300
+        assert_same_moments(accumulate_moments(traj, vel, grid), ref)
+
     def test_zero_c2_and_sparse_bins(self):
         # bin 0 holds 50 equal velocities, bin 1 five samples, bin 2 the rest
         rng = np.random.default_rng(6)
@@ -365,7 +379,6 @@ class TestStackedMoments:
         moments = accumulate_moments(traj, vel, grid)
         assert list(moments) == [(0, 0), (2, 2)]
         assert not moments[(0, 0)].c2.any() and not moments[(0, 0)].t.any()
-        ref = per_bin_moments(traj, vel, grid)
         assert_same_moments(moments, per_bin_moments(traj, vel, grid))
 
     def test_peak_memory_below_one_centred_copy(self):
