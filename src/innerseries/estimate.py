@@ -98,7 +98,7 @@ def accumulate_moments(
     keys = np.stack(np.unravel_index(flat[[g[0] for g in groups]], grid.shape), axis=1)
     for key, group, mean, c, p in zip(keys.tolist(), groups, means, c2, c2_pinv):
         dvl = vel.values[group] - mean
-        q = np.einsum("ti,ij,tj->t", dvl, p, dvl)
+        q = ((dvl @ p) * dvl).sum(axis=1)
         t = (dvl * q[:, None]).T @ dvl / len(group)
         t = 0.5 * (t + t.T)
         out[tuple(key)] = LocalMoments(len(group), c, t)

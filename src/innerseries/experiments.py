@@ -114,10 +114,7 @@ def run_pipeline(
     grid = build_grid(traj, bins, min_count)
     moments = accumulate_moments(traj, vel, grid)
     field, skipped = fit_field(grid, moments)
-    r1 = r2 = 0.0
-    for key, fr in field.frames.items():
-        a, b = frame_residuals(fr, moments[key])
-        r1, r2 = max(r1, a), max(r2, b)
+    r1, r2 = frame_residuals(list(field.frames.values()), [moments[k] for k in field.frames])
     w = compute_weights(traj, vel, field)
     return PipelineResult(traj, field, w, moments, r1, r2, len(skipped))
 

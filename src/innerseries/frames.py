@@ -9,11 +9,16 @@ holds, and the M-transformed fourth-order contraction equals O^T S O, so
 choosing O's columns as S's eigenvectors makes it diagonal.  The remaining
 freedom is exactly a signed permutation of rows (plus arbitrary rotations
 inside degenerate eigenspaces of D).
+
+fit_field solves all bins as one stack (eigh, whiten, eigh, inv, each run
+once), and solve_frame is the same code on one bin.  A signed permutation
+acts on frames by gathers alone: row j of M becomes signs[j] * row perm[j],
+d follows its row, and V = M^-1 becomes V[:, perm] * signs, its exact inverse.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +39,26 @@ class FrameSolveError(ValueError):
     pass
 
 
+def _solve_stack(moments: Sequence[LocalMoments], dim: int, gap_tol: float):
+    """Stacks of m, v, d and the degenerate flags of the bins' frames, the
+    mask of bins whose c2 passes the COND_TOL test, and c2's eigenvalues.  A
+    bin that fails is whitened by its eigenvectors alone, so the stack
+    solves without warnings; its m, v and d mean nothing."""
+    t = np.array([mom.t for mom in moments]).reshape(-1, dim, dim)
+    evals, evecs = np.linalg.eigh(np.array([mom.c2 for mom in moments]).reshape(-1, dim, dim))
+    ok = (evals[:, 0] > COND_TOL * evals[:, -1]) & (evals[:, -1] > 0)
+    w = np.swapaxes(evecs, 1, 2) / np.sqrt(np.where(ok[:, None], evals, 1.0))[:, :, None]
+    s = w @ t @ np.swapaxes(w, 1, 2)
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
+    d_asc, o = np.linalg.eigh(s)
+    order = np.argsort(d_asc, axis=1)[:, ::-1]
+    d = np.take_along_axis(d_asc, order, axis=1)
+    m = np.swapaxes(np.take_along_axis(o, order[:, None, :], axis=2), 1, 2) @ w
+    scale = np.maximum(np.abs(d).max(axis=1), np.finfo(float).tiny)
+    degenerate = np.any(np.abs(np.diff(d, axis=1)) < gap_tol * scale[:, None], axis=1)
+    return m, np.linalg.inv(m), d, degenerate, ok, evals
+
+
 def solve_frame(moments: LocalMoments, gap_tol: float = DEFAULT_GAP_TOL) -> LocalFrame:
     """Closed-form local frame from one bin's velocity moments.
 
@@ -41,49 +66,44 @@ def solve_frame(moments: LocalMoments, gap_tol: float = DEFAULT_GAP_TOL) -> Loca
     diagonal (= diag(d), sorted descending).  degenerate_flag is set when two
     adjacent d values are closer than gap_tol * max|d|.
     """
-    c2 = moments.c2
-    n = moments.dim
-    evals, evecs = np.linalg.eigh(c2)
-    if evals[0] <= COND_TOL * evals[-1] or evals[-1] <= 0:
+    m, v, d, degenerate, ok, evals = _solve_stack([moments], moments.dim, gap_tol)
+    if not ok[0]:
         raise FrameSolveError(
-            f"c2 ill-conditioned: eigenvalues {evals[0]:.3e} .. {evals[-1]:.3e}"
+            f"c2 ill-conditioned: eigenvalues {evals[0, 0]:.3e} .. {evals[0, -1]:.3e}"
         )
-    w = evecs.T / np.sqrt(evals)[:, None]
-    s = w @ moments.t @ w.T
-    s = 0.5 * (s + s.T)
-    d_asc, o = np.linalg.eigh(s)
-    order = np.argsort(d_asc)[::-1]
-    d = d_asc[order]
-    m = o[:, order].T @ w
-    v = np.linalg.inv(m)
-    degenerate = False
-    if n > 1:
-        scale = np.max(np.abs(d))
-        gaps = np.abs(np.diff(d))
-        degenerate = bool(np.any(gaps < gap_tol * max(scale, np.finfo(float).tiny)))
-    return LocalFrame(m, v, d, degenerate)
+    return LocalFrame(m[0], v[0], d[0], bool(degenerate[0]))
 
 
-def frame_residuals(frame: LocalFrame, moments: LocalMoments) -> tuple[float, float]:
-    """(max |M c2 M^T - I|, max off-diagonal of the transformed fourth-order
-    contraction, relative to max |d|)."""
-    m = frame.m
-    white = m @ moments.c2 @ m.T - np.eye(frame.dim)
-    r1 = float(np.max(np.abs(white)))
-    contr = m @ moments.t @ m.T
-    off = contr - np.diag(np.diag(contr))
-    scale = max(float(np.max(np.abs(frame.d))), np.finfo(float).tiny)
-    r2 = float(np.max(np.abs(off))) / scale
-    return r1, r2
+def frame_residuals(
+    frames: Sequence[LocalFrame], moments: Sequence[LocalMoments]
+) -> tuple[float, float]:
+    """Largest over the bins of max |M c2 M^T - I| and of the max
+    off-diagonal of the transformed fourth-order contraction, relative to
+    the bin's max |d|; frames[i] is solved from moments[i]."""
+    m = np.array([f.m for f in frames])
+    mt = np.swapaxes(m, 1, 2)
+    white = m @ np.array([mo.c2 for mo in moments]) @ mt - np.eye(m.shape[1])
+    off = np.abs(m @ np.array([mo.t for mo in moments]) @ mt)
+    off[:, np.arange(m.shape[1]), np.arange(m.shape[1])] = 0.0
+    scale = np.maximum(np.abs([f.d for f in frames]).max(axis=1), np.finfo(float).tiny)
+    return float(np.abs(white).max()), float((off.max(axis=(1, 2)) / scale).max())
+
+
+def _permute_frames(p: SignedPermutation, m, v, d):
+    """A frame's arrays, or stacks of them and of p: row j of m becomes
+    signs[j] * row perm[j], d follows its row, v = m^-1 its column."""
+    return (
+        np.swapaxes(p.apply_to_array(np.swapaxes(m, -1, -2)), -1, -2),
+        p.apply_to_array(v),
+        np.take_along_axis(d, p.perm, axis=-1),
+    )
 
 
 def apply_signed_permutation_to_frame(
     p: SignedPermutation, frame: LocalFrame
 ) -> LocalFrame:
-    """Row-relabel/reflect a frame; d follows its row, v is recomputed."""
-    m = p.apply_to_array(frame.m.T).T  # permutes rows: row j <- signs[j]*row perm[j]
-    d = frame.d[p.perm]
-    return LocalFrame(m, np.linalg.inv(m), d, frame.degenerate_flag)
+    """Row-relabel/reflect a frame; d follows its row, v its column."""
+    return LocalFrame(*_permute_frames(p, frame.m, frame.v, frame.d), frame.degenerate_flag)
 
 
 def canonicalize_frame(frame: LocalFrame) -> LocalFrame:
@@ -127,24 +147,31 @@ def align_frame_field(
     parity of their index sum, so the adjacency is bipartite and every
     aligned neighbour of a bin at depth d lies at depth d - 1: a level's
     references are all fixed before it starts.  Its bins are found in
-    first-in first-out order, and its assignments are solved as one stack
-    (best_signed_assignments), so the result is that of the bin-by-bin
-    search.
+    first-in first-out order, and its assignments are solved and applied as
+    one stack (best_signed_assignments, _permute_frames), so the result is
+    that of the bin-by-bin search.
     """
     if not frames:
         raise ValueError("no frames to align")
     shape = grid.shape
+    slot = {k: i for i, k in enumerate(frames)}
+    # the frames as stacks, each bin's overwritten by its aligned frame
+    m = np.array([f.m for f in frames.values()])
+    v = np.array([f.v for f in frames.values()])
+    d = np.array([f.d for f in frames.values()])
     adjacent = {k: [nb for nb in _face_neighbors(k, shape) if nb in frames] for k in frames}
     # the anchor: non-degenerate first, then the most populated
     anchor = {k: (frames[k].degenerate_flag, -counts[k], k) for k in frames}
-    aligned: dict[tuple[int, ...], LocalFrame] = {}
+    aligned: dict[tuple[int, ...], int] = {}  # slot of each aligned bin, in visiting order
     component_ids: dict[tuple[int, ...], int] = {}
     comp = 0
     for root in sorted(frames, key=lambda k: (-counts[k], k)):
         if root in component_ids:
             continue
         component_ids[root] = comp
-        aligned[root] = canonicalize_frame(frames[root])
+        c = canonicalize_frame(frames[root])
+        i = aligned[root] = slot[root]
+        m[i], v[i], d[i] = c.m, c.v, c.d
         level = [root]
         while level:
             nxt = []  # in first-in first-out order
@@ -154,17 +181,18 @@ def align_frame_field(
                         component_ids[nb] = comp
                         nxt.append(nb)
             if nxt:
+                idx = [slot[k] for k in nxt]
                 refs = [min((k for k in adjacent[nb] if k in aligned), key=anchor.get) for nb in nxt]
-                m = np.stack([frames[k].m for k in nxt])
-                perms, signs = best_signed_assignments(m @ np.stack([aligned[k].v for k in refs]))
+                perms, signs = best_signed_assignments(m[idx] @ v[[slot[k] for k in refs]])
                 # undo each pick: row j of the frame becomes row inv[j], with its sign
                 inv = np.argsort(perms, axis=1)
-                for j, k in enumerate(nxt):
-                    p = SignedPermutation(inv[j], signs[j, inv[j]])
-                    aligned[k] = apply_signed_permutation_to_frame(p, frames[k])
+                undo = SignedPermutation(inv, np.take_along_axis(signs, inv, axis=1))
+                m[idx], v[idx], d[idx] = _permute_frames(undo, m[idx], v[idx], d[idx])
+                aligned.update(zip(nxt, idx))
             level = nxt
         comp += 1
-    return FrameField(grid, aligned, component_ids)
+    out = {k: LocalFrame(m[i], v[i], d[i], frames[k].degenerate_flag) for k, i in aligned.items()}
+    return FrameField(grid, out, component_ids)
 
 
 def fit_field(
@@ -172,24 +200,26 @@ def fit_field(
     moments: Mapping[tuple[int, ...], LocalMoments],
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> tuple[FrameField, dict[tuple[int, ...], str]]:
-    """Solve every bin's frame and align them into one field.
+    """Solve every bin's frame, all as one stack, and align them into a field.
 
-    A bin whose solve raises ValueError (an ill-conditioned c2) is left out
-    of the field; the second value maps each such bin to the reason.  When
-    every bin is left out, the ValueError names their number and the first
-    bin's reason.
+    A bin with an ill-conditioned c2 is left out of the field; the second
+    value maps each such bin to the reason solve_frame gives.  When every
+    bin is left out, the ValueError names their number and the first bin's
+    reason.
     """
-    frames = {}
-    skipped = {}
-    for key, mom in moments.items():
+    m, v, d, degenerate, ok, _ = _solve_stack(list(moments.values()), grid.dim, gap_tol)
+    frames, skipped = {}, {}
+    for i, key in enumerate(moments):
         try:
-            frames[key] = solve_frame(mom, gap_tol=gap_tol)
-        except ValueError as err:
+            if not ok[i]:
+                solve_frame(moments[key], gap_tol)  # raises, worded as for one bin
+            frames[key] = LocalFrame(m[i], v[i], d[i], bool(degenerate[i]))
+        except FrameSolveError as err:
             skipped[key] = str(err)
     if skipped and not frames:
         key, reason = next(iter(skipped.items()))
         raise ValueError(
             f"no frames to align: all {len(skipped)} bins skipped; {key}: {reason}"
         )
-    field = align_frame_field(grid, frames, {k: m.count for k, m in moments.items()})
+    field = align_frame_field(grid, frames, {k: mom.count for k, mom in moments.items()})
     return field, skipped

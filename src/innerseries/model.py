@@ -292,7 +292,9 @@ class WeightSeries:
 class SignedPermutation:
     """Permutation composed with per-channel reflections (0-based).
 
-    Applying p to a vector w gives out[j] = signs[j] * w[perm[j]].
+    Applying p to a vector w gives out[j] = signs[j] * w[perm[j]].  perm and
+    signs may also be (B, N) stacks of B signed permutations, applied one to
+    each of a stack of B arrays.
     """
 
     perm: np.ndarray
@@ -301,10 +303,9 @@ class SignedPermutation:
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
         signs = np.asarray(self.signs, dtype=np.int64)
-        n = perm.shape[0]
-        if sorted(perm.tolist()) != list(range(n)):
+        if perm.ndim not in (1, 2) or np.any(np.sort(perm, axis=-1) != np.arange(perm.shape[-1])):
             raise ValueError("perm must be a permutation of 0..N-1")
-        if signs.shape != (n,) or not np.all(np.abs(signs) == 1):
+        if signs.shape != perm.shape or not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +-1 per channel")
         perm.setflags(write=False)
         signs.setflags(write=False)
@@ -313,13 +314,15 @@ class SignedPermutation:
 
     @property
     def dim(self) -> int:
-        return self.perm.shape[0]
+        return self.perm.shape[-1]
 
     def apply_to_array(self, values: np.ndarray) -> np.ndarray:
-        """Apply along the last axis."""
+        """Apply along the last axis; a stack applies its b-th signed
+        permutation to values[b]."""
         if values.shape[-1] != self.dim:
             raise DimensionMismatchError("array dimension does not match")
-        return values[..., self.perm] * self.signs
+        shape = self.perm.shape[:-1] + (1,) * (values.ndim - self.perm.ndim) + (self.dim,)
+        return np.take_along_axis(values, self.perm.reshape(shape), axis=-1) * self.signs.reshape(shape)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPermutation):

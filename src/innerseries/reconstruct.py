@@ -4,6 +4,8 @@ inherent to the construction, so expect drift over long horizons."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .model import FrameField, Trajectory, WeightSeries
@@ -35,21 +37,30 @@ def integrate_weights(
     if grid.flat_index(x0)[0] < 0:
         raise ValueError("x0 outside grid")
     flat_to_slot, _, _, v_stack = _bin_lookup(field)
-    lo = np.array([e[0] for e in grid.edges])
-    hi = np.array([e[-1] for e in grid.edges])
-    slack = grid.step_sizes()
+    flat_to_slot = flat_to_slot.tolist()
+    valid = w.valid_mask[:steps].tolist()
+    # per axis, as Python floats: the bounds with one grid step of slack, and
+    # the clip and inner edges that give the bin (edges at or below the point)
+    axes = []
+    for e, step in zip(grid.edges, grid.step_sizes().tolist()):
+        lo, hi = e[0].item(), e[-1].item()
+        axes.append((lo - step, hi + step, lo, hi, e[1:-1].tolist(), len(e) - 1))
     path = [x0]
     x = x0
     truncated = False
     for k in range(steps):
-        if np.any(x < lo - slack) or np.any(x > hi + slack):
+        xs = x.tolist()
+        if any(xa < a or xa > b for xa, (a, b, *_) in zip(xs, axes)):
             truncated = True
             break
-        slot = flat_to_slot[grid.flat_index(np.clip(x, lo, hi))[0]]
+        flat = 0
+        for xa, (_, _, lo, hi, cuts, nb) in zip(xs, axes):
+            flat = flat * nb + bisect_right(cuts, min(max(xa, lo), hi))
+        slot = flat_to_slot[flat]
         if slot < 0:  # no occupied bin within one grid step
             truncated = True
             break
-        if w.valid_mask[k]:
+        if valid[k]:
             x = x + w.dt * (v_stack[slot] @ w.values[k])
         path.append(x)
     return Trajectory(np.stack(path), w.dt), truncated

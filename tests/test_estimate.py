@@ -293,6 +293,28 @@ class TestMomentInvariances:
             assert max_rel_diff(scaled[key].t / ss, m.t) <= tol
 
 
+class TestQuadraticForm:
+    """q = dv^T c2^-1 dv is summed as ((dv @ p) * dv).sum(1), in another
+    order than the three-operand einsum that defines it.  The two differ by
+    rounding that grows with cond(c2): over 400 draws of these inputs the
+    largest gap in t was 0.68 eps cond(c2), and 2e-15 where cond(c2) < 100.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=binned_velocities())
+    def test_t_close_to_einsum_definition(self, data):
+        traj, grid, v = data
+        vel = VelocitySeries(v, np.ones(len(v), dtype=bool))
+        flat = grid.flat_index(traj.samples)
+        for key, m in accumulate_moments(traj, vel, grid).items():
+            dvl = v[flat == np.ravel_multi_index(key, grid.shape)]
+            dvl = dvl - dvl.mean(axis=0)
+            q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(m.c2, hermitian=True), dvl)
+            t = (dvl * q[:, None]).T @ dvl / len(dvl)
+            tol = 1e-14 + 2 * EPS * np.linalg.cond(m.c2)
+            assert max_rel_diff(m.t, 0.5 * (t + t.T)) <= tol
+
+
 def per_bin_moments(traj, vel, grid):
     """Reference: one bin at a time, each with its own pinv, as
     {key: (count, c2, t)}."""
@@ -307,7 +329,7 @@ def per_bin_moments(traj, vel, grid):
         dvl = vel.values[group] - vel.values[group].mean(axis=0)
         c2 = dvl.T @ dvl / len(group)
         c2 = 0.5 * (c2 + c2.T)
-        q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(c2, hermitian=True), dvl)
+        q = ((dvl @ np.linalg.pinv(c2, hermitian=True)) * dvl).sum(axis=1)
         t = (dvl * q[:, None]).T @ dvl / len(group)
         key = np.unravel_index(flat[group[0]], grid.shape)
         out[tuple(int(i) for i in key)] = (len(group), c2, 0.5 * (t + t.T))

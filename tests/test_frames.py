@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,7 +73,7 @@ class TestSolveFrame:
         )
         mom = moments_from_samples(v @ rng.standard_normal((2, 2)))
         frame = solve_frame(mom)
-        r1, r2 = frame_residuals(frame, mom)
+        r1, r2 = frame_residuals([frame], [mom])
         assert r1 < 1e-10
         assert r2 < 1e-8
 
@@ -169,6 +171,130 @@ class TestFitField:
         # d >= 0 (t is PSD), so every gap is below 1.0 * max|d|
         field, _ = fit_field(grid, moments, gap_tol=1.0)
         assert all(f.degenerate_flag for f in field.frames.values())
+
+
+@st.composite
+def moment_stacks(draw):
+    """(grid, moments): 1..8 bins of N <= 6 channels along the first axis,
+    c2 = A A^T with A near I, and t symmetric positive definite."""
+    dim = draw(st.integers(1, 6))
+    bins = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    moments = {}
+    for i in rng.permutation(bins):
+        a = np.eye(dim) + 0.4 * rng.standard_normal((dim, dim))
+        b = rng.standard_normal((dim, dim))
+        moments[(int(i),) + (0,) * (dim - 1)] = LocalMoments(50, a @ a.T, b @ b.T + np.eye(dim))
+    return _grid((bins,) + (1,) * (dim - 1)), moments
+
+
+def solve_frame_reference(mom, gap_tol=1e-3):
+    """The solve one bin at a time on 2-D arrays, as a loop over bins ran it
+    before the stacked solve; None for an ill-conditioned c2."""
+    evals, evecs = np.linalg.eigh(mom.c2)
+    if evals[0] <= 1e-10 * evals[-1] or evals[-1] <= 0:
+        return None
+    w = evecs.T / np.sqrt(evals)[:, None]
+    s = w @ mom.t @ w.T
+    d_asc, o = np.linalg.eigh(0.5 * (s + s.T))
+    order = np.argsort(d_asc)[::-1]
+    d = d_asc[order]
+    m = o[:, order].T @ w
+    gaps = np.abs(np.diff(d))
+    degenerate = bool(np.any(gaps < gap_tol * max(np.max(np.abs(d)), np.finfo(float).tiny)))
+    return LocalFrame(m, np.linalg.inv(m), d, degenerate)
+
+
+def residuals_reference(frames, moments):
+    """frame_residuals one bin at a time, then the largest of each."""
+    r1 = r2 = 0.0
+    for f, mom in zip(frames, moments):
+        white = f.m @ mom.c2 @ f.m.T - np.eye(f.dim)
+        contr = f.m @ mom.t @ f.m.T
+        off = contr - np.diag(np.diag(contr))
+        scale = max(float(np.max(np.abs(f.d))), np.finfo(float).tiny)
+        r1 = max(r1, float(np.max(np.abs(white))))
+        r2 = max(r2, float(np.max(np.abs(off))) / scale)
+    return r1, r2
+
+
+def frames_before_alignment(monkeypatch, grid, moments, gap_tol=1e-3):
+    """fit_field's skipped bins, and the frames it hands to the alignment."""
+    seen = {}
+
+    def record(grid, frames, counts):
+        seen.update(frames)
+        return align_frame_field(grid, frames, counts)
+
+    monkeypatch.setattr("innerseries.frames.align_frame_field", record)
+    _, skipped = fit_field(grid, moments, gap_tol=gap_tol)
+    return seen, skipped
+
+
+class TestStackedSolve:
+    """fit_field solves every bin in one stack; solve_frame is the same code
+    on one bin."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(moment_stacks())
+    def test_bit_identical_to_per_bin_solve(self, case):
+        grid, moments = case
+        with pytest.MonkeyPatch.context() as mp:
+            frames, skipped = frames_before_alignment(mp, grid, moments)
+        assert not skipped and list(frames) == list(moments)
+        for key, mom in moments.items():
+            f = frames[key]
+            for g in (solve_frame(mom), solve_frame_reference(mom)):
+                assert f.degenerate_flag == g.degenerate_flag
+                for a, b in ((f.m, g.m), (f.v, g.v), (f.d, g.d)):
+                    assert a.tobytes() == b.tobytes()
+        args = list(frames.values()), list(moments.values())
+        assert frame_residuals(*args) == residuals_reference(*args)
+
+    @settings(max_examples=30, deadline=None)
+    @given(moment_stacks(), st.integers(0, 2**32 - 1))
+    def test_permuted_v_is_the_inverse_of_permuted_m(self, case, seed):
+        # v takes the signed permutation on its columns instead of being
+        # inverted again; on solved frames that gives the same bits
+        rng = np.random.default_rng(seed)
+        for mom in case[1].values():
+            f = solve_frame(mom)
+            p = SignedPermutation(rng.permutation(f.dim), rng.choice([-1, 1], f.dim))
+            g = apply_signed_permutation_to_frame(p, f)
+            assert g.v.tobytes() == np.linalg.inv(g.m).tobytes()
+
+    def test_bad_bins_in_one_stack(self, monkeypatch):
+        good = LocalMoments(100, np.eye(2), np.diag([3.0, 1.0]))
+        moments = {
+            (0, 0): LocalMoments(100, np.zeros((2, 2)), np.zeros((2, 2))),
+            (1, 0): good,
+            (2, 0): LocalMoments(100, np.diag([1.0, 1e-14]), np.zeros((2, 2))),
+            (3, 0): LocalMoments(100, np.eye(2), np.diag([3.0, 3.0001])),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the bad bins raise no warning in the stack
+            frames, skipped = frames_before_alignment(monkeypatch, _grid((4, 1)), moments)
+        assert skipped == {
+            (0, 0): "c2 ill-conditioned: eigenvalues 0.000e+00 .. 0.000e+00",
+            (2, 0): "c2 ill-conditioned: eigenvalues 1.000e-14 .. 1.000e+00",
+        }
+        assert list(frames) == [(1, 0), (3, 0)]
+        assert not frames[(1, 0)].degenerate_flag
+        assert frames[(3, 0)].degenerate_flag
+        np.testing.assert_array_equal(frames[(1, 0)].m @ frames[(1, 0)].v, np.eye(2))
+
+    def test_no_moments(self):
+        with pytest.raises(ValueError, match="^no frames to align$"):
+            fit_field(_grid((2,)), {})
+
+    def test_every_bin_skipped(self):
+        moments = {(i,): LocalMoments(9, np.zeros((1, 1)), np.zeros((1, 1))) for i in range(2)}
+        with pytest.raises(ValueError) as err:
+            fit_field(_grid((2,)), moments)
+        assert str(err.value) == (
+            "no frames to align: all 2 bins skipped; "
+            "(0,): c2 ill-conditioned: eigenvalues 0.000e+00 .. 0.000e+00"
+        )
 
 
 class TestCanonicalize:

@@ -22,8 +22,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "innerseries"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ENTRY_FILES = sorted([*SRC.glob("*.py"), *(ROOT / "scripts").glob("*.py")])
-# scripts and tests have no re-exporting __init__.py: each one is scanned
+# scripts, tests and the benchmark have no re-exporting __init__.py: each
+# one is scanned
 OTHER_FILES = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+BENCH_FILES = sorted((ROOT / "bench").glob("**/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +46,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_modules_found():
     assert {"cli.py", "model.py", "ingest.py"} <= {p.name for p in MODULES}
+    assert {"run.py", "tracer.py", "test_bench.py"} <= {p.name for p in BENCH_FILES}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -53,6 +56,11 @@ def test_no_unused_import(path):
 
 @pytest.mark.parametrize("path", OTHER_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import_in_scripts_and_tests(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_import_in_bench(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -108,6 +108,18 @@ class TestSignedPermutation:
             SignedPermutation([0, 0], [1, 1])
         with pytest.raises(ValueError):
             SignedPermutation([0, 1], [2, 1])
+        with pytest.raises(ValueError):
+            SignedPermutation([[0, 1], [1, 1]], [[1, 1], [1, 1]])
+
+    def test_stack_applies_one_to_each_array(self):
+        rng = np.random.default_rng(4)
+        group = list(all_signed_permutations(3))
+        picks = [group[i] for i in rng.integers(len(group), size=5)]
+        stack = SignedPermutation([p.perm for p in picks], [p.signs for p in picks])
+        values = rng.standard_normal((5, 4, 3))
+        out = stack.apply_to_array(values)
+        for p, v, o in zip(picks, values, out):
+            np.testing.assert_array_equal(o, p.apply_to_array(v))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,10 +1,37 @@
 import numpy as np
 import pytest
 
-from innerseries.ingest import gen_sine
+from innerseries.ingest import gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline
-from innerseries.model import BinGrid, FrameField, LocalFrame, WeightSeries
+from innerseries.model import BinGrid, FrameField, LocalFrame, Trajectory, WeightSeries
 from innerseries.reconstruct import integrate_weights
+from innerseries.weights import _bin_lookup
+
+
+def integrate_weights_reference(w, field, x0, steps):
+    """integrate_weights with numpy calls on the one point each step: the
+    bounds test, the clip and the bin lookup through grid.flat_index."""
+    grid = field.grid
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    flat_to_slot, _, _, v_stack = _bin_lookup(field)
+    lo = np.array([e[0] for e in grid.edges])
+    hi = np.array([e[-1] for e in grid.edges])
+    slack = grid.step_sizes()
+    path = [x0]
+    x = x0
+    truncated = False
+    for k in range(steps):
+        if np.any(x < lo - slack) or np.any(x > hi + slack):
+            truncated = True
+            break
+        slot = flat_to_slot[grid.flat_index(np.clip(x, lo, hi))[0]]
+        if slot < 0:
+            truncated = True
+            break
+        if w.valid_mask[k]:
+            x = x + w.dt * (v_stack[slot] @ w.values[k])
+        path.append(x)
+    return Trajectory(np.stack(path), w.dt), truncated
 
 
 def single_bin_field(v_matrix):
@@ -122,3 +149,23 @@ class TestIntegrateWeights:
         rms = np.sqrt(np.mean(ref**2))
         assert err / rms < 0.05
         assert n > 900
+
+
+class TestAgainstReference:
+    """The bin lookup on Python floats gives the path of the numpy one."""
+
+    @pytest.fixture(scope="class")
+    def walk(self):
+        traj = gen_bounded_walk(40_000, seed=3, dim=2, noise=("laplace", "uniform"))
+        return traj, run_pipeline(traj, (8, 8))
+
+    @pytest.mark.parametrize("gain", [1.0, 1.5, 4.0])
+    def test_same_path_bits(self, walk, gain):
+        # at gain 1 the path steps past the grid edge and through fallback
+        # bins; at 1.5 and 4 it leaves the occupied region and is truncated
+        traj, res = walk
+        w = WeightSeries(gain * res.weights.values, res.weights.valid_mask, dt=res.weights.dt)
+        got, truncated = integrate_weights(w, res.field, traj.samples[1], 5000)
+        ref, ref_truncated = integrate_weights_reference(w, res.field, traj.samples[1], 5000)
+        assert truncated == ref_truncated
+        assert got.samples.tobytes() == ref.samples.tobytes()
