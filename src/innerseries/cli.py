@@ -20,7 +20,7 @@ from . import ingest, serialize, svgplot
 from .estimate import accumulate_moments, build_grid, estimate_velocity
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from .frames import DEFAULT_GAP_TOL, fit_field
-from .model import Trajectory, WeightSeries
+from .model import Trajectory
 from .reconstruct import integrate_weights
 from .weights import (
     align_weight_series,
@@ -38,6 +38,8 @@ def _parse_bins(text: str) -> tuple[int, ...]:
 def _read_traj(path: str, dt: float | None):
     path = Path(path)
     if path.suffix.lower() == ".wav":
+        if dt is not None:
+            raise ValueError(f"{path}: a WAV file's sample rate sets dt; --dt cannot be given")
         return ingest.read_wav_trajectory(path)
     return ingest.read_csv_trajectory(path, dt=dt)
 
@@ -80,24 +82,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_velocity(args) -> int:
-    traj = _read_traj(args.input, args.dt)
-    vel = estimate_velocity(traj, args.scheme)
-    w = WeightSeries(vel.values, vel.valid_mask, dt=traj.dt)
-    write_csv_weights(w, args.out, channel_names=[f"v_{c}" for c in traj.channel_names])
-    return 0
-
-
-def cmd_grid(args) -> int:
-    traj = _read_traj(args.input, args.dt)
-    grid = build_grid(traj, args.bins, args.min_count)
-    serialize.dump_json(serialize.grid_to_dict(grid), args.out)
-    return 0
-
-
 def cmd_moments(args) -> int:
     traj = _read_traj(args.input, args.dt)
-    vel = estimate_velocity(traj, args.scheme)
+    vel = estimate_velocity(traj)
     grid = build_grid(traj, args.bins, args.min_count)
     moments = accumulate_moments(traj, vel, grid)
     serialize.dump_json(serialize.moments_to_dict(grid, moments), args.out)
@@ -116,7 +103,7 @@ def cmd_frames(args) -> int:
 def cmd_weights(args) -> int:
     traj = _read_traj(args.input, args.dt)
     field = serialize.field_from_dict(serialize.load_json(args.field))
-    vel = estimate_velocity(traj, args.scheme)
+    vel = estimate_velocity(traj)
     w = compute_weights(traj, vel, field)
     write_csv_weights(w, args.out)
     return 0
@@ -172,7 +159,6 @@ def cmd_experiment(args) -> int:
         samples=args.samples,
         bins=args.bins,
         min_count=args.min_count,
-        scheme=args.scheme,
         transform=args.transform,
     )
     report = run_experiment(args.name, cfg, out_dir=args.out_dir)
@@ -204,12 +190,10 @@ def _emit_json(obj: dict, out: str | None):
         print(text)
 
 
-def _add_common(p, scheme: bool = True):
-    """--in and --dt, plus --scheme for the commands that compute velocities."""
+def _add_common(p):
+    """--in and --dt, for the commands that read a trajectory."""
     p.add_argument("--in", dest="input", required=True, help="trajectory CSV or WAV")
     p.add_argument("--dt", type=float, default=None, help="fixed dt when the CSV has no time column")
-    if scheme:
-        p.add_argument("--scheme", choices=("forward", "central"), default="central")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,18 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--latent-out", default=None)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("velocity", help="finite-difference velocity series")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_velocity)
-
-    p = sub.add_parser("grid", help="build the state-space bin grid")
-    _add_common(p, scheme=False)
-    p.add_argument("--bins", type=_parse_bins, required=True, help="per-axis counts, comma-separated")
-    p.add_argument("--min-count", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("moments", help="per-bin velocity moments")
     _add_common(p)
@@ -290,13 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--bins", type=_parse_bins, default=None)
     p.add_argument("--min-count", type=int, default=None)
-    p.add_argument("--scheme", choices=("forward", "central"), default="central")
     p.add_argument("--transform", choices=("cubic", "identity"), help="monotone-1d only; default cubic")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("plot", help="SVG line plot of a trajectory window")
-    _add_common(p, scheme=False)
+    _add_common(p)
     p.add_argument("--window", type=float, nargs=2, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)

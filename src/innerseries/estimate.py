@@ -13,26 +13,17 @@ def default_min_count(dim: int) -> int:
     return 50 * dim * dim
 
 
-def estimate_velocity(traj: Trajectory, scheme: str = "central") -> VelocitySeries:
-    """Finite-difference velocity aligned with the trajectory.
-
-    central: v[k] = (x[k+1]-x[k-1])/(2 dt), endpoints invalid.
-    forward: v[k] = (x[k+1]-x[k])/dt, last sample invalid.
-    """
+def estimate_velocity(traj: Trajectory) -> VelocitySeries:
+    """Central-difference velocity aligned with the trajectory:
+    v[k] = (x[k+1]-x[k-1])/(2 dt), endpoints invalid."""
     x = traj.samples
     n = traj.n_samples
     if n < 3:
         raise ValueError("need at least 3 samples")
     v = np.zeros_like(x)
+    v[1:-1] = (x[2:] - x[:-2]) / (2.0 * traj.dt)
     mask = np.ones(n, dtype=bool)
-    if scheme == "central":
-        v[1:-1] = (x[2:] - x[:-2]) / (2.0 * traj.dt)
-        mask[0] = mask[-1] = False
-    elif scheme == "forward":
-        v[:-1] = (x[1:] - x[:-1]) / traj.dt
-        mask[-1] = False
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    mask[0] = mask[-1] = False
     return VelocitySeries(v, mask)
 
 

@@ -41,7 +41,6 @@ class ExperimentConfig:
     samples: int | None = None
     bins: tuple[int, ...] | None = None
     min_count: int | None = None
-    scheme: str = "central"
     transform: str | None = None  # monotone-1d only: "cubic" (when None) or "identity"
 
 
@@ -107,10 +106,9 @@ def run_pipeline(
     traj: Trajectory,
     bins: tuple[int, ...],
     min_count: int | None = None,
-    scheme: str = "central",
 ) -> PipelineResult:
     """trajectory -> velocity -> grid -> moments -> aligned frames -> weights."""
-    vel = estimate_velocity(traj, scheme)
+    vel = estimate_velocity(traj)
     grid = build_grid(traj, bins, min_count)
     moments = accumulate_moments(traj, vel, grid)
     field, skipped = fit_field(grid, moments)
@@ -157,7 +155,7 @@ def _sine(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     n = cfg.samples or 100_000
     bins = cfg.bins or (128,)
     traj = ingest.gen_sine(a, 0.01, n)
-    res = run_pipeline(traj, bins, cfg.min_count, cfg.scheme)
+    res = run_pipeline(traj, bins, cfg.min_count)
 
     match = sine_sign_match(traj, res.weights, a)
     c11_err = 0.0
@@ -213,8 +211,8 @@ def _monotone_1d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
         traj_p = traj
     else:
         traj_p = ingest.apply_transform(traj, [0.0, 1.0, 0.0, 0.5], (-1.2, 1.2))
-    res = run_pipeline(traj, bins, cfg.min_count, cfg.scheme)
-    res_p = run_pipeline(traj_p, bins, cfg.min_count, cfg.scheme)
+    res = run_pipeline(traj, bins, cfg.min_count)
+    res_p = run_pipeline(traj_p, bins, cfg.min_count)
     _, corrs = align_weight_series(res.weights, res_p.weights)
     corr = float(np.min(corrs))
     metrics = {"aligned_weight_correlation": corr}
@@ -242,8 +240,8 @@ def _lifted_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
         ingest.distort_lift(lifted.samples), lifted.dt, lifted.channel_names
     )
     xp, frac_b = ingest.pca_embed(distorted, 2)
-    res = run_pipeline(x, bins, cfg.min_count, cfg.scheme)
-    res_p = run_pipeline(xp, bins, cfg.min_count, cfg.scheme)
+    res = run_pipeline(x, bins, cfg.min_count)
+    res_p = run_pipeline(xp, bins, cfg.min_count)
     _, corrs = align_weight_series(res.weights, res_p.weights)
     corr = float(np.min(corrs))
     top2_a = float(np.sum(frac_a))
@@ -285,13 +283,13 @@ def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     s2 = ingest.gen_bounded_walk(
         n, seed=cfg.seed + 1, dim=1, box=box, dt=dt, noise="uniform"
     )
-    res1 = run_pipeline(s1, bins_src, cfg.min_count, cfg.scheme)
-    res2 = run_pipeline(s2, bins_src, cfg.min_count, cfg.scheme)
+    res1 = run_pipeline(s1, bins_src, cfg.min_count)
+    res2 = run_pipeline(s2, bins_src, cfg.min_count)
     # nested, so the stacked and mixed arrays are freed once pca_embed returns
     xprime, _ = ingest.pca_embed(
         ingest.mix_two_sources(Trajectory(np.hstack([s1.samples, s2.samples]), dt)), 2
     )
-    res_mix = run_pipeline(xprime, bins_mix, cfg.min_count, cfg.scheme)
+    res_mix = run_pipeline(xprime, bins_mix, cfg.min_count)
     rep = separability_report(res_mix.weights, [res1.weights, res2.weights])
     metrics = {
         "min_channel_corr": rep.min_channel_corr,

@@ -80,11 +80,14 @@ def _time_step(path, times: np.ndarray) -> float:
     if len(times) == 1:
         raise ValueError(f"{path}: one data row, cannot infer dt from column '{TIME_COLUMN}'")
     steps = np.diff(times)
-    if steps[0] <= 0:
+    step = float(steps[0])
+    if step <= 0:
         raise ValueError(f"{path}: time column must be strictly increasing")
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+    # the deviations from the first step, in place: no further n-long copy
+    steps -= step
+    if np.max(np.abs(steps, out=steps)) > 1e-9 * step:
         raise ValueError(f"{path}: non-uniform timestamps in column '{TIME_COLUMN}'")
-    return float(steps[0])
+    return step
 
 
 def _write_csv_columns(path, header, dt: float, columns) -> None:
@@ -102,11 +105,15 @@ def read_csv_trajectory(path, dt: float | None = None) -> Trajectory:
     """Read a trajectory from CSV: header row, optional time column "t", one
     column per channel.
 
-    dt is taken from the time column (which must be uniform to 1e-9 relative)
-    unless a fixed dt is given instead.
+    dt is taken from the time column, which must be uniform to 1e-9 relative.
+    A file without one needs a fixed dt, and a file with one rejects it.
     """
     header, data = _read_csv_table(path)
     if TIME_COLUMN in header:
+        if dt is not None:
+            raise ValueError(
+                f"{path}: column '{TIME_COLUMN}' sets dt; a fixed dt cannot also be given"
+            )
         tcol = header.index(TIME_COLUMN)
         dt = _time_step(path, data[:, tcol])
         data = np.delete(data, tcol, axis=1)
@@ -140,11 +147,13 @@ def read_wav_trajectory(path) -> Trajectory:
 
 def write_wav_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as PCM 16-bit WAV; samples must already be integers
-    in the 16-bit range."""
+    in the 16-bit range, and 1/dt an integer sample rate to 1e-9 relative."""
     data = traj.samples
     if np.any(np.abs(data) > 2**15 - 1) or np.any(data != np.round(data)):
         raise ValueError("samples must be integers within the 16-bit range")
-    rate = int(round(1.0 / traj.dt))
+    rate = round(1.0 / traj.dt)
+    if abs(1.0 / traj.dt - rate) > 1e-9 / traj.dt:
+        raise ValueError(f"1/dt = {1.0 / traj.dt!r} is not an integer sample rate")
     with wave.open(str(Path(path)), "wb") as wf:
         wf.setnchannels(traj.dim)
         wf.setsampwidth(2)

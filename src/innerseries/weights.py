@@ -181,10 +181,9 @@ def separability_report(
 # serialization: weight CSV mirrors the trajectory schema, plus a valid flag
 # ---------------------------------------------------------------------------
 
-def write_csv_weights(w: WeightSeries, path, channel_names=None) -> None:
-    names = channel_names or [f"w{i + 1}" for i in range(w.dim)]
-    columns = [*w.values.T, w.valid_mask.astype(np.int8)]
-    _write_csv_columns(path, [TIME_COLUMN, *names, "valid"], w.dt, columns)
+def write_csv_weights(w: WeightSeries, path) -> None:
+    header = [TIME_COLUMN, *(f"w{i + 1}" for i in range(w.dim)), "valid"]
+    _write_csv_columns(path, header, w.dt, [*w.values.T, w.valid_mask.astype(np.int8)])
 
 
 def read_csv_weights(path) -> WeightSeries:

@@ -76,7 +76,7 @@ def linear_map_law_check(
     Returns (max residual over checked bins, number of bins checked).
     """
     traj = gen_bounded_walk(n, seed=seed, dim=2, box=1.0, dt=1.0, noise=("laplace", "uniform"))
-    vel = estimate_velocity(traj, "central")
+    vel = estimate_velocity(traj)
     grid = build_grid(traj, bins)
     moments = accumulate_moments(traj, vel, grid)
     moments_p = accumulate_moments(traj, VelocitySeries(vel.values @ lin.T, vel.valid_mask), grid)

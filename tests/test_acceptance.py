@@ -139,7 +139,7 @@ def test_criterion_8_exact_invariances():
     # resubstitution: w equals M xdot recomputed bin by bin
     grid = res.field.grid
     flat = grid.flat_index(traj.samples)
-    vel = estimate_velocity(traj, "central")
+    vel = estimate_velocity(traj)
     resub_err = 0.0
     sel = res.weights.valid_mask & ~res.weights.fallback_mask
     for t in np.flatnonzero(sel):

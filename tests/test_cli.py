@@ -40,8 +40,10 @@ class TestSynth:
         # the .wav suffix alone picks WAV, and the CLI reads it back
         traj = read_wav_trajectory(out)
         assert (traj.n_samples, traj.dim) == (2000, 2)
-        grid = tmp_path / "grid.json"
-        assert run(["grid", "--in", out, "--bins", "4,4", "--out", grid]) == 0
+        moments = tmp_path / "moments.json"
+        assert run(["moments", "--in", out, "--bins", "2,2", "--min-count", "10",
+                    "--out", moments]) == 0
+        assert serialize.load_json(moments)["bins"]
 
     def test_format_option_gone(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -175,20 +177,6 @@ class TestStagedPipeline:
         np.testing.assert_array_equal(w.values, res.weights.values)
         np.testing.assert_array_equal(w.valid_mask, res.weights.valid_mask)
 
-    def test_grid_command(self, staged, tmp_path):
-        out = tmp_path / "grid.json"
-        rc = run(["grid", "--in", staged / "walk.csv", "--bins", "4,4", "--out", out])
-        assert rc == 0
-        d = json.loads(out.read_text())
-        assert len(d["edges"]) == 2
-
-    def test_velocity_command(self, staged, tmp_path):
-        out = tmp_path / "vel.csv"
-        rc = run(["velocity", "--in", staged / "walk.csv", "--out", out])
-        assert rc == 0
-        v = read_csv_weights(out)
-        assert not v.valid_mask[0] and not v.valid_mask[-1]
-
     def test_plot_command(self, staged, tmp_path):
         out = tmp_path / "plot.svg"
         rc = run(["plot", "--in", staged / "walk.csv", "--out", out])
@@ -256,25 +244,25 @@ class TestExperimentCommand:
 
 class TestFramesSkip:
     def test_skipped_bin_reported_and_field_written(self, tmp_path, capsys):
-        # a walk that ends resting at x = 3: with forward differences the top
-        # bin holds only zero velocities, so its c2 is 0
+        # a walk that ends on the exact ramp x = 2 + k/128: every central
+        # difference on the ramp is equal, so the top three bins have c2 = 0
         walk = gen_bounded_walk(20_000, seed=0, dim=1)
+        ramp = 2 + np.arange(256) / 128
         traj = tmp_path / "traj.csv"
         write_csv_trajectory(
-            Trajectory(np.concatenate([walk.samples[:, 0], np.full(300, 3.0)]), walk.dt), traj
+            Trajectory(np.concatenate([walk.samples[:, 0], ramp]), walk.dt), traj
         )
         moments, field = tmp_path / "moments.json", tmp_path / "field.json"
-        assert run(
-            ["moments", "--in", traj, "--bins", "8", "--scheme", "forward", "--out", moments]
-        ) == 0
-        assert "7" in serialize.load_json(moments)["bins"]
+        assert run(["moments", "--in", traj, "--bins", "8", "--out", moments]) == 0
+        assert {"5", "6", "7"} <= set(serialize.load_json(moments)["bins"])
         capsys.readouterr()
         assert run(["frames", "--moments", moments, "--out", field]) == 0
-        err = capsys.readouterr().err
-        assert err.startswith("skipping bin (7,): c2 ill-conditioned")
-        assert len(err.splitlines()) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        for key, line in zip((5, 6, 7), lines):
+            assert line.startswith(f"skipping bin ({key},): c2 ill-conditioned")
         frames = serialize.field_from_dict(serialize.load_json(field)).frames
-        assert (7,) not in frames and len(frames) == 4
+        assert set(frames) == {(0,), (1,), (2,), (3,)}
 
     def test_all_bins_skipped_names_count_and_first_reason(self, tmp_path, capsys):
         # a ramp has one constant velocity, so every bin's c2 is 0
@@ -282,8 +270,7 @@ class TestFramesSkip:
         traj.write_text("t,x\n" + "".join(f"{0.5 * k},{0.25 * k}\n" for k in range(400)))
         moments, field = tmp_path / "moments.json", tmp_path / "field.json"
         assert run(
-            ["moments", "--in", traj, "--bins", "2", "--scheme", "forward",
-             "--min-count", "10", "--out", moments]
+            ["moments", "--in", traj, "--bins", "2", "--min-count", "10", "--out", moments]
         ) == 0
         capsys.readouterr()
         assert run(["frames", "--moments", moments, "--out", field]) == 2
@@ -296,7 +283,7 @@ class TestFramesSkip:
 
 class TestErrors:
     def test_missing_input_file(self, tmp_path, capsys):
-        rc = run(["velocity", "--in", tmp_path / "nope.csv", "--out", tmp_path / "o"])
+        rc = run(["moments", "--in", tmp_path / "nope.csv", "--bins", "4", "--out", tmp_path / "o"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
@@ -304,7 +291,49 @@ class TestErrors:
         p = tmp_path / "a.csv"
         p.write_text("t,x\n0,0\n1,1\n2,2\n")
         with pytest.raises(SystemExit):
-            run(["grid", "--in", p, "--bins", "zero", "--out", tmp_path / "g"])
+            run(["moments", "--in", p, "--bins", "zero", "--out", tmp_path / "m"])
+
+    def test_wav_rejects_dt(self, tmp_path, capsys):
+        out = tmp_path / "walk.wav"
+        assert run(["synth", "--kind", "walk", "--samples", "500", "--amplitude", "20000",
+                    "--out", out]) == 0
+        moments = tmp_path / "moments.json"
+        rc = run(["moments", "--in", out, "--dt", "0.5", "--bins", "2", "--out", moments])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error [moments]: {out}: a WAV file's sample rate sets dt; --dt cannot be given\n"
+        )
+        assert not moments.exists()
+
+    def test_csv_time_column_rejects_dt(self, tmp_path, capsys):
+        traj = tmp_path / "walk.csv"
+        assert run(["synth", "--kind", "sine", "--samples", "500", "--out", traj]) == 0
+        moments = tmp_path / "moments.json"
+        rc = run(["moments", "--in", traj, "--dt", "0.5", "--bins", "2", "--out", moments])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error [moments]: {traj}: column 't' sets dt; a fixed dt cannot also be given\n"
+        )
+        assert not moments.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["velocity", "--in", "x.csv", "--out", "v.csv"],
+            ["grid", "--in", "x.csv", "--bins", "4", "--out", "g.json"],
+            ["moments", "--in", "x.csv", "--bins", "4", "--scheme", "central", "--out", "m.json"],
+            ["weights", "--in", "x.csv", "--field", "f.json", "--scheme", "central",
+             "--out", "w.csv"],
+            ["experiment", "sine", "--scheme", "central"],
+        ],
+        ids=["velocity", "grid", "moments-scheme", "weights-scheme", "experiment-scheme"],
+    )
+    def test_removed_command_or_scheme_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments: --scheme central" in err
 
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -13,7 +13,7 @@ from innerseries.model import BinGrid, Trajectory, VelocitySeries
 class TestEstimateVelocity:
     def test_linear_ramp_central(self):
         traj = Trajectory(np.array([0.0, 1.0, 2.0]), 1.0)
-        vel = estimate_velocity(traj, "central")
+        vel = estimate_velocity(traj)
         assert vel.values[1, 0] == 1.0
         assert not vel.valid_mask[0] and not vel.valid_mask[-1]
         assert vel.valid_mask[1]
@@ -23,21 +23,11 @@ class TestEstimateVelocity:
         vel = estimate_velocity(traj)
         assert np.all(vel.values[vel.valid_mask] == 0.0)
 
-    def test_forward_scheme(self):
-        traj = Trajectory(np.array([0.0, 2.0, 6.0]), 2.0)
-        vel = estimate_velocity(traj, "forward")
-        np.testing.assert_allclose(vel.values[:2, 0], [1.0, 2.0])
-        assert not vel.valid_mask[-1]
-
     def test_sine_derivative_taylor_remainder(self):
         # central difference of sin(k*0.01) at k=100 is cos(1) + O(dt^2)
         traj = gen_sine(1.0, 0.01, 200)
-        vel = estimate_velocity(traj, "central")
+        vel = estimate_velocity(traj)
         assert abs(vel.values[100, 0] - np.cos(1.0)) < 1e-4
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            estimate_velocity(Trajectory(np.arange(5.0), 1.0), "backward")
 
 
 class TestBuildGrid:
@@ -224,7 +214,7 @@ class TestAccumulateMoments:
         # estimated C11 near a^2 - x^2 at bin centers for a unit sine
         a = 1.0
         traj = gen_sine(a, 0.01, 100_000)
-        vel = estimate_velocity(traj, "central")
+        vel = estimate_velocity(traj)
         grid = build_grid(traj, [128], min_count=50)
         moments = accumulate_moments(traj, vel, grid)
         assert len(moments) > 100

@@ -135,31 +135,35 @@ class TestSolveFrame:
         np.testing.assert_allclose(ca.m, cb.m, atol=1e-8)
 
 
-def walk_then_plateau():
-    """1-D walk in [-1, 1] that ends resting at x = 3.  With forward
-    differences every valid plateau sample has velocity exactly 0, so with
-    bins (8,) the top bin holds 299 equal velocities and c2 = 0 there."""
+def walk_then_ramp():
+    """1-D walk in [-1, 1] that ends on the exact ramp x = 2 + k/128.  Every
+    central difference inside the ramp is exactly 1/128 (dt = 1), so with
+    bins (8,) the top three bins each hold equal velocities and c2 = 0."""
     walk = gen_bounded_walk(20_000, seed=0, dim=1)
-    return Trajectory(np.concatenate([walk.samples[:, 0], np.full(300, 3.0)]), walk.dt)
+    ramp = 2 + np.arange(256) / 128
+    return Trajectory(np.concatenate([walk.samples[:, 0], ramp]), walk.dt)
+
+
+RAMP_BINS = [(5,), (6,), (7,)]
 
 
 class TestFitField:
     def test_skips_bin_of_equal_velocities(self):
-        traj = walk_then_plateau()
+        traj = walk_then_ramp()
         grid = build_grid(traj, (8,))
-        moments = accumulate_moments(traj, estimate_velocity(traj, "forward"), grid)
-        top = moments[(7,)]
-        assert top.count == 299
-        assert np.all(top.c2 == 0.0) and np.all(top.t == 0.0)
+        moments = accumulate_moments(traj, estimate_velocity(traj), grid)
+        assert [moments[k].count for k in RAMP_BINS] == [80, 80, 79]
+        for k in RAMP_BINS:
+            assert np.all(moments[k].c2 == 0.0) and np.all(moments[k].t == 0.0)
         field, skipped = fit_field(grid, moments)
-        assert list(skipped) == [(7,)]
-        assert skipped[(7,)].startswith("c2 ill-conditioned")
-        assert set(field.frames) == set(moments) - {(7,)}
+        assert list(skipped) == RAMP_BINS
+        assert all(r.startswith("c2 ill-conditioned") for r in skipped.values())
+        assert set(field.frames) == set(moments) - set(RAMP_BINS)
 
     def test_run_pipeline_counts_skipped_bin(self):
-        res = run_pipeline(walk_then_plateau(), (8,), scheme="forward")
-        assert res.n_skipped_bins == 1
-        assert (7,) in res.moments and (7,) not in res.field.frames
+        res = run_pipeline(walk_then_ramp(), (8,))
+        assert res.n_skipped_bins == 3
+        assert all(k in res.moments and k not in res.field.frames for k in RAMP_BINS)
 
     def test_gap_tol_reaches_solve(self):
         traj = gen_bounded_walk(20_000, seed=1, dim=2, noise=("laplace", "uniform"))

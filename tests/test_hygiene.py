@@ -1,12 +1,15 @@
 """Every module of the package, script and test file reads each name it
-imports, every CLI subcommand reads each option it accepts, and importing a
-module or script runs nothing.
+imports, every CLI subcommand reads each option it accepts, every defaulted
+parameter of the package is passed by some caller, and importing a module or
+script runs nothing.
 
 A name that is imported and never read is usually left over from deleted
 code.  The package's __init__.py imports names to re-export them and is
 exempt.  An option whose value its command never reads is accepted and then
-silently ignored.  A call at the top level of a module, outside an
-`if __name__ == "__main__":` block, runs whenever the module is imported.
+silently ignored.  A defaulted parameter that no call in the package or its
+scripts passes is a setting nothing uses.  A call at the top level of a
+module, outside an `if __name__ == "__main__":` block, runs whenever the
+module is imported.
 """
 
 import argparse
@@ -122,6 +125,90 @@ def test_scan_flags_unread_options():
     p.add_argument("--scheme", "-s")
     p.set_defaults(func=cmd_go)
     assert unread_options(subcommands(ap)["go"], source) == ["--scheme/-s", "name"]
+
+
+def public_functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """('name' or 'Class.name', node) for each public module-level function
+    and each public method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{n.name}", n) for n in node.body if isinstance(n, ast.FunctionDef)]
+    return [(q, f) for q, f in out if not q.rpartition(".")[2].startswith("_")]
+
+
+def defaulted_parameters(func: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position or None for keyword-only, name) of each parameter with a
+    default."""
+    a = func.args
+    pos = [*a.posonlyargs, *a.args]
+    first = len(pos) - len(a.defaults)
+    out = [(i, p.arg) for i, p in enumerate(pos) if i >= first]
+    return out + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def uncalled_parameters(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """'module:function(param)' for each defaulted parameter of a public
+    function in sources that no call in callers passes, by position or by
+    keyword.  Calls are matched by the called name alone, a call with *args
+    or **kwargs counts as passing every parameter, and a method call's
+    positions start after self."""
+    funcs = {
+        (module, q): f for module, src in sources.items() for q, f in public_functions(ast.parse(src))
+    }
+    passed = {}
+    for src in callers:
+        for n in ast.walk(ast.parse(src)):
+            if not isinstance(n, ast.Call):
+                continue
+            name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            got = passed.setdefault(name, set())
+            if any(isinstance(a, ast.Starred) for a in n.args) or any(
+                k.arg is None for k in n.keywords
+            ):
+                got.add("*")
+            got.update(range(len(n.args)))
+            got.update(k.arg for k in n.keywords)
+    out = []
+    for (module, q), func in funcs.items():
+        got = passed.get(q.rpartition(".")[2], set())
+        shift = 1 if "." in q else 0  # a method call does not pass self
+        out += [
+            f"{module}:{q}({p})"
+            for i, p in defaulted_parameters(func)
+            if "*" not in got and p not in got and (i is None or i - shift not in got)
+        ]
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed():
+    callers = [p.read_text() for p in ENTRY_FILES]
+    assert uncalled_parameters({p.stem: p.read_text() for p in MODULES}, callers) == []
+
+
+def test_scan_flags_uncalled_parameters():
+    sources = {
+        "a": (
+            "def load(path, dt=None, *, strict=False, mode='r'):\n"
+            "    pass\n"
+            "def spread(x, scale=1.0):\n"
+            "    pass\n"
+            "def _private(x, unused=0):\n"
+            "    pass\n"
+            "class Box:\n"
+            "    def fill(self, value=0, count=1):\n"
+            "        pass\n"
+        ),
+    }
+    callers = [
+        "load('x.csv', 0.5)\nload('y.csv', mode='w')\n",
+        "spread(*args)\nBox().fill(3)\n",
+    ]
+    # dt is passed by position, mode by keyword, spread through *args, and
+    # Box.fill's value by its first position after self
+    assert uncalled_parameters(sources, callers) == ["a:Box.fill(count)", "a:load(strict)"]
 
 
 # statements that only define a name; a constant computed by a call is one

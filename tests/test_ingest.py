@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,27 @@ class TestCsv:
         p.write_text("x,y\n0,1\n1,2\n2,3\n")
         traj = read_csv_trajectory(p, dt=0.25)
         assert traj.dim == 2 and traj.dt == 0.25
+
+    def test_fixed_dt_with_time_column_rejected(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("t,x\n0,0\n0.5,1\n1.0,2\n")
+        with pytest.raises(
+            ValueError, match=r"column 't' sets dt; a fixed dt cannot also be given"
+        ):
+            read_csv_trajectory(p, dt=0.5)
+
+    def test_time_step_holds_one_step_array(self):
+        # np.diff's array is the only n-long temporary: the deviations from
+        # the first step are taken in place
+        n = 100_000
+        times = np.arange(n) * 0.25
+        tracemalloc.start()
+        try:
+            assert ingest._time_step("a.csv", times) == 0.25
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * 8
 
     def test_one_row_with_fixed_dt(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -171,6 +193,19 @@ class TestWav:
         assert back.dt == 1.0 / 16000
         assert back.n_samples == 1000
         np.testing.assert_array_equal(back.samples, data)
+
+    @pytest.mark.parametrize("dt", [0.003, 1 / 16000.5, 3.0])
+    def test_dt_without_integer_rate_rejected(self, tmp_path, dt):
+        p = tmp_path / "a.wav"
+        with pytest.raises(ValueError, match="is not an integer sample rate"):
+            write_wav_trajectory(Trajectory(np.zeros((8, 1)), dt), p)
+        assert not p.exists()
+
+    def test_rate_within_tolerance_accepted(self, tmp_path):
+        # 1/dt rounds to 16000 within 1e-9 relative
+        p = tmp_path / "a.wav"
+        write_wav_trajectory(Trajectory(np.zeros((8, 1)), 1 / 16000 * (1 + 1e-12)), p)
+        assert read_wav_trajectory(p).dt == 1 / 16000
 
     def test_all_zero(self, tmp_path):
         traj = Trajectory(np.zeros((64, 2)), 1.0 / 16000)

@@ -49,7 +49,7 @@ class TestComputeWeights:
         res = walk_pipeline
         grid = res.field.grid
         flat = grid.flat_index(res.traj.samples)
-        vel = estimate_velocity(res.traj, "central")
+        vel = estimate_velocity(res.traj)
         scale = max(np.max(np.abs(res.weights.values)), 1.0)
         checked = 0
         for t in np.flatnonzero(res.weights.valid_mask & ~res.weights.fallback_mask):
@@ -67,7 +67,7 @@ class TestComputeWeights:
 
     def test_zero_velocity_gives_zero_weight(self, walk_pipeline):
         res = walk_pipeline
-        vel = estimate_velocity(res.traj, "central")
+        vel = estimate_velocity(res.traj)
         vel0 = VelocitySeries(np.zeros_like(vel.values), vel.valid_mask.copy())
         w0 = compute_weights(res.traj, vel0, res.field)
         assert np.all(w0.values == 0.0)
@@ -475,7 +475,7 @@ class TestWeightsCsv:
         values = rng.standard_normal((9000, dim)) * 10.0 ** rng.integers(-300, 300, (9000, dim))
         mask = rng.random(9000) > 0.1
         values[~mask] = np.where(rng.random(((~mask).sum(), dim)) < 0.5, np.nan, 0.0)
-        names = ["a,b", *(f"w{i}" for i in range(1, dim))]
+        names = [f"w{i + 1}" for i in range(dim)]
         w = WeightSeries(values, mask, dt=1 / 16000)
         ref = tmp_path / "ref.csv"
         with ref.open("w", newline="") as fh:
@@ -486,7 +486,7 @@ class TestWeightsCsv:
                     [repr(float(k * w.dt)), *(repr(float(v)) for v in values[k]), int(mask[k])]
                 )
         out = tmp_path / "out.csv"
-        write_csv_weights(w, out, channel_names=names)
+        write_csv_weights(w, out)
         assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize(
