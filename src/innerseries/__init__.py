@@ -32,9 +32,9 @@ from .ingest import (
 )
 from .model import (
     BinGrid,
+    BinMoments,
     FrameField,
     LocalFrame,
-    LocalMoments,
     SignedPermutation,
     Trajectory,
     VelocitySeries,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BinGrid, LocalMoments, Trajectory, VelocitySeries
+from .model import BinGrid, BinMoments, Trajectory, VelocitySeries
 
 
 def default_min_count(dim: int) -> int:
@@ -52,11 +52,9 @@ def build_grid(
     return BinGrid(tuple(edges), int(min_count))
 
 
-def accumulate_moments(
-    traj: Trajectory, vel: VelocitySeries, grid: BinGrid
-) -> dict[tuple[int, ...], LocalMoments]:
-    """Centered second moment c2 and contracted fourth moment t per occupied
-    bin (see LocalMoments).
+def accumulate_moments(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> BinMoments:
+    """Centered second moment c2 and contracted fourth moment t of each
+    occupied bin (see BinMoments), the bins in ascending flat-index order.
 
     Samples with invalid velocity or outside the grid are skipped; bins
     whose valid count is below the grid's min_count are left out.  Each
@@ -85,12 +83,11 @@ def accumulate_moments(
     # pinv, not inv: a bin of equal velocities (c2 = 0) is still stored,
     # and the frame solve rejects it
     c2_pinv = np.linalg.pinv(np.stack(c2), hermitian=True)
-    out: dict[tuple[int, ...], LocalMoments] = {}
-    keys = np.stack(np.unravel_index(flat[[g[0] for g in groups]], grid.shape), axis=1)
-    for key, group, mean, c, p in zip(keys.tolist(), groups, means, c2, c2_pinv):
+    t = []
+    for group, mean, p in zip(groups, means, c2_pinv):
         dvl = vel.values[group] - mean
         q = ((dvl @ p) * dvl).sum(axis=1)
-        t = (dvl * q[:, None]).T @ dvl / len(group)
-        t = 0.5 * (t + t.T)
-        out[tuple(key)] = LocalMoments(len(group), c, t)
-    return out
+        tb = (dvl * q[:, None]).T @ dvl / len(group)
+        t.append(0.5 * (tb + tb.T))
+    keys = np.stack(np.unravel_index(flat[[g[0] for g in groups]], grid.shape), axis=1)
+    return BinMoments(keys, [len(g) for g in groups], np.stack(c2), np.stack(t))

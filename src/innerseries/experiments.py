@@ -21,7 +21,7 @@ import numpy as np
 from . import ingest, serialize, svgplot
 from .estimate import accumulate_moments, build_grid, estimate_velocity
 from .frames import fit_field, frame_residuals
-from .model import FrameField, Trajectory, WeightSeries
+from .model import BinMoments, FrameField, Trajectory, WeightSeries
 from .reconstruct import integrate_weights
 from .weights import (
     align_weight_series,
@@ -96,7 +96,7 @@ class PipelineResult:
     traj: Trajectory
     field: FrameField
     weights: WeightSeries
-    moments: dict
+    moments: BinMoments
     max_whiten_residual: float
     max_offdiag_residual: float
     n_skipped_bins: int
@@ -112,7 +112,7 @@ def run_pipeline(
     grid = build_grid(traj, bins, min_count)
     moments = accumulate_moments(traj, vel, grid)
     field, skipped = fit_field(grid, moments)
-    r1, r2 = frame_residuals(list(field.frames.values()), [moments[k] for k in field.frames])
+    r1, r2 = frame_residuals(field, moments)
     w = compute_weights(traj, vel, field)
     return PipelineResult(traj, field, w, moments, r1, r2, len(skipped))
 
@@ -158,10 +158,9 @@ def _sine(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     res = run_pipeline(traj, bins, cfg.min_count)
 
     match = sine_sign_match(traj, res.weights, a)
-    c11_err = 0.0
-    for key, mom in res.moments.items():
-        xc = res.field.grid.center(key)[0]
-        c11_err = max(c11_err, abs(mom.c2[0, 0] - (a * a - xc * xc)))
+    edges, k = res.field.grid.edges[0], res.moments.keys[:, 0]
+    xc = 0.5 * (edges[k] + edges[k + 1])  # the bin centres
+    c11_err = float(np.abs(res.moments.c2[:, 0, 0] - (a * a - xc * xc)).max())
 
     k0 = int(np.flatnonzero(res.weights.valid_mask)[0])
     steps = min(1000, len(res.weights) - k0)

@@ -3,30 +3,30 @@
 The per-bin solve is closed form, in two stages.  Stage 1 whitens the
 second-order moment: c2 = E L E^T, W = L^{-1/2} E^T, so W c2 W^T = I.  Stage 2
 reads the fourth moment contracted with c2^-1, T = E[(dv^T c2^-1 dv) dv dv^T]
-(LocalMoments.t, dv the centered velocity), forms the symmetric S = W T W^T,
+(BinMoments.t, dv the centered velocity), forms the symmetric S = W T W^T,
 and eigendecomposes S = O D O^T.  For any M = O^T W the whitening condition
 holds, and the M-transformed fourth-order contraction equals O^T S O, so
 choosing O's columns as S's eigenvectors makes it diagonal.  The remaining
 freedom is exactly a signed permutation of rows (plus arbitrary rotations
 inside degenerate eigenspaces of D).
 
-fit_field solves all bins as one stack (eigh, whiten, eigh, inv, each run
-once), and solve_frame is the same code on one bin.  A signed permutation
-acts on frames by gathers alone: row j of M becomes signs[j] * row perm[j],
-d follows its row, and V = M^-1 becomes V[:, perm] * signs, its exact inverse.
+fit_field keeps the bins stacked from their moments (BinMoments) to the
+aligned field: it solves every bin at once (solve_frame is the same code on
+one bin) and aligns them on arrays; only the returned FrameField holds
+LocalFrames.  A signed permutation acts on frames by gathers alone: row j of
+M becomes signs[j] * row perm[j], d follows its row, and V = M^-1 becomes
+V[:, perm] * signs, its exact inverse.
 """
 
 from __future__ import annotations
-
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .model import (
     BinGrid,
+    BinMoments,
     FrameField,
     LocalFrame,
-    LocalMoments,
     SignedPermutation,
     best_signed_assignments,
 )
@@ -39,13 +39,12 @@ class FrameSolveError(ValueError):
     pass
 
 
-def _solve_stack(moments: Sequence[LocalMoments], dim: int, gap_tol: float):
-    """Stacks of m, v, d and the degenerate flags of the bins' frames, the
-    mask of bins whose c2 passes the COND_TOL test, and c2's eigenvalues.  A
-    bin that fails is whitened by its eigenvectors alone, so the stack
-    solves without warnings; its m, v and d mean nothing."""
-    t = np.array([mom.t for mom in moments]).reshape(-1, dim, dim)
-    evals, evecs = np.linalg.eigh(np.array([mom.c2 for mom in moments]).reshape(-1, dim, dim))
+def _solve_stack(c2: np.ndarray, t: np.ndarray, gap_tol: float):
+    """Stacks of m, v, d and the degenerate flags of the frames of the
+    (B, N, N) moments c2 and t, the mask of bins whose c2 passes the COND_TOL
+    test, and c2's eigenvalues.  A bin that fails is whitened by its
+    eigenvectors alone, so the stack solves without warnings."""
+    evals, evecs = np.linalg.eigh(c2)
     ok = (evals[:, 0] > COND_TOL * evals[:, -1]) & (evals[:, -1] > 0)
     w = np.swapaxes(evecs, 1, 2) / np.sqrt(np.where(ok[:, None], evals, 1.0))[:, :, None]
     s = w @ t @ np.swapaxes(w, 1, 2)
@@ -59,14 +58,14 @@ def _solve_stack(moments: Sequence[LocalMoments], dim: int, gap_tol: float):
     return m, np.linalg.inv(m), d, degenerate, ok, evals
 
 
-def solve_frame(moments: LocalMoments, gap_tol: float = DEFAULT_GAP_TOL) -> LocalFrame:
-    """Closed-form local frame from one bin's velocity moments.
+def solve_frame(c2: np.ndarray, t: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> LocalFrame:
+    """Closed-form local frame from one bin's N x N moments c2 and t.
 
     Returns M with M c2 M^T = I and the M-transformed fourth-order contraction
     diagonal (= diag(d), sorted descending).  degenerate_flag is set when two
     adjacent d values are closer than gap_tol * max|d|.
     """
-    m, v, d, degenerate, ok, evals = _solve_stack([moments], moments.dim, gap_tol)
+    m, v, d, degenerate, ok, evals = _solve_stack(np.array([c2]), np.array([t]), gap_tol)
     if not ok[0]:
         raise FrameSolveError(
             f"c2 ill-conditioned: eigenvalues {evals[0, 0]:.3e} .. {evals[0, -1]:.3e}"
@@ -74,16 +73,17 @@ def solve_frame(moments: LocalMoments, gap_tol: float = DEFAULT_GAP_TOL) -> Loca
     return LocalFrame(m[0], v[0], d[0], bool(degenerate[0]))
 
 
-def frame_residuals(
-    frames: Sequence[LocalFrame], moments: Sequence[LocalMoments]
-) -> tuple[float, float]:
-    """Largest over the bins of max |M c2 M^T - I| and of the max
+def frame_residuals(field: FrameField, moments: BinMoments) -> tuple[float, float]:
+    """Largest over the field's bins of max |M c2 M^T - I| and of the max
     off-diagonal of the transformed fourth-order contraction, relative to
-    the bin's max |d|; frames[i] is solved from moments[i]."""
+    the bin's max |d|; each frame against its own bin's moments."""
+    row = {k: i for i, k in enumerate(map(tuple, moments.keys.tolist()))}
+    rows = [row[k] for k in field.frames]
+    frames = list(field.frames.values())
     m = np.array([f.m for f in frames])
     mt = np.swapaxes(m, 1, 2)
-    white = m @ np.array([mo.c2 for mo in moments]) @ mt - np.eye(m.shape[1])
-    off = np.abs(m @ np.array([mo.t for mo in moments]) @ mt)
+    white = m @ moments.c2[rows] @ mt - np.eye(m.shape[1])
+    off = np.abs(m @ moments.t[rows] @ mt)
     off[:, np.arange(m.shape[1]), np.arange(m.shape[1])] = 0.0
     scale = np.maximum(np.abs([f.d for f in frames]).max(axis=1), np.finfo(float).tiny)
     return float(np.abs(white).max()), float((off.max(axis=(1, 2)) / scale).max())
@@ -120,85 +120,84 @@ def canonicalize_frame(frame: LocalFrame) -> LocalFrame:
     )
 
 
-def _face_neighbors(idx: tuple[int, ...], shape: tuple[int, ...]):
-    for a in range(len(idx)):
-        for step in (-1, 1):
-            j = idx[a] + step
-            if 0 <= j < shape[a]:
-                yield idx[:a] + (j,) + idx[a + 1 :]
-
-
 def align_frame_field(
     grid: BinGrid,
-    frames: dict[tuple[int, ...], LocalFrame],
-    counts: Mapping[tuple[int, ...], int],
+    keys: np.ndarray,
+    counts: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    d: np.ndarray,
+    degenerate: np.ndarray,
 ) -> FrameField:
-    """Make per-bin frames sign/permutation consistent across the grid.
+    """Make the frames of B bins sign/permutation consistent across the grid.
 
-    Breadth-first over the occupied-bin face adjacency starting from the most
-    populated bin; each newly visited bin is corrected by the signed
-    permutation minimizing ||P M_new M_ref^-1 - I||_F against an already
-    aligned neighbor (non-degenerate reference preferred, then the most
-    populated).  Disconnected components are aligned independently and
-    tagged with component ids.  counts holds each bin's valid-sample count
-    (LocalMoments.count).
+    Row i of the stacks is bin keys[i] (B, N), with counts[i] valid samples
+    and frame m[i], v[i] = m[i]^-1, d[i], degenerate[i].  Breadth-first over
+    the occupied-bin face adjacency starting from the most populated bin;
+    each newly visited bin is corrected by the signed permutation minimizing
+    ||P M_new M_ref^-1 - I||_F against an already aligned neighbor
+    (non-degenerate reference preferred, then the most populated, then the
+    smallest key).  Disconnected components are aligned independently and
+    tagged with component ids; the frames are in visiting order.
 
-    The search runs one level at a time.  Face neighbours differ in the
-    parity of their index sum, so the adjacency is bipartite and every
-    aligned neighbour of a bin at depth d lies at depth d - 1: a level's
-    references are all fixed before it starts.  Its bins are found in
-    first-in first-out order, and its assignments are solved and applied as
-    one stack (best_signed_assignments, _permute_frames), so the result is
-    that of the bin-by-bin search.
+    The search runs one level at a time, on arrays.  Face neighbours differ
+    in the parity of their index sum, so the adjacency is bipartite and
+    every aligned neighbour of a bin at depth d lies at depth d - 1: a
+    level's references are all fixed before it starts.  Its bins are found
+    in first-in first-out order, and its assignments are solved and applied
+    as one stack, so the result is that of the bin-by-bin search.
     """
-    if not frames:
+    b, n = keys.shape
+    if not b:
         raise ValueError("no frames to align")
-    shape = grid.shape
-    slot = {k: i for i, k in enumerate(frames)}
-    # the frames as stacks, each bin's overwritten by its aligned frame
-    m = np.array([f.m for f in frames.values()])
-    v = np.array([f.v for f in frames.values()])
-    d = np.array([f.d for f in frames.values()])
-    adjacent = {k: [nb for nb in _face_neighbors(k, shape) if nb in frames] for k in frames}
-    # the anchor: non-degenerate first, then the most populated
-    anchor = {k: (frames[k].degenerate_flag, -counts[k], k) for k in frames}
-    aligned: dict[tuple[int, ...], int] = {}  # slot of each aligned bin, in visiting order
-    component_ids: dict[tuple[int, ...], int] = {}
+    m, v, d = np.array(m, dtype=float), np.array(v, dtype=float), np.array(d, dtype=float)
+    # each bin's row in the grid padded by one empty bin on every side, so
+    # every face neighbour has an entry
+    slot = np.full(tuple(s + 2 for s in grid.shape), -1, dtype=np.int64)
+    slot[tuple(keys.T + 1)] = np.arange(b)
+    # the face offsets axis by axis, the lower neighbour first, plus the padding
+    offsets = (np.eye(n, dtype=np.int64)[:, None] * [[-1], [1]]).reshape(2 * n, n) + 1
+    flat = np.ravel_multi_index(keys.T, grid.shape)
+    # the reference rank: non-degenerate first, then the most populated, then by key
+    by_rank = np.lexsort((flat, -counts, degenerate))
+    rank = np.empty(b, dtype=np.int64)
+    rank[by_rank] = np.arange(b)
+    best = np.full(b, b)  # each bin's best reference rank, set at its level
+    component = np.full(b, -1)
+    visited = []  # the levels' rows, in visiting order
     comp = 0
-    for root in sorted(frames, key=lambda k: (-counts[k], k)):
-        if root in component_ids:
+    for root in np.lexsort((flat, -counts)).tolist():
+        if component[root] >= 0:
             continue
-        component_ids[root] = comp
-        c = canonicalize_frame(frames[root])
-        i = aligned[root] = slot[root]
-        m[i], v[i], d[i] = c.m, c.v, c.d
-        level = [root]
-        while level:
-            nxt = []  # in first-in first-out order
-            for cur in level:
-                for nb in adjacent[cur]:
-                    if nb not in component_ids:
-                        component_ids[nb] = comp
-                        nxt.append(nb)
-            if nxt:
-                idx = [slot[k] for k in nxt]
-                refs = [min((k for k in adjacent[nb] if k in aligned), key=anchor.get) for nb in nxt]
-                perms, signs = best_signed_assignments(m[idx] @ v[[slot[k] for k in refs]])
-                # undo each pick: row j of the frame becomes row inv[j], with its sign
-                inv = np.argsort(perms, axis=1)
-                undo = SignedPermutation(inv, np.take_along_axis(signs, inv, axis=1))
-                m[idx], v[idx], d[idx] = _permute_frames(undo, m[idx], v[idx], d[idx])
-                aligned.update(zip(nxt, idx))
-            level = nxt
+        component[root] = comp
+        c = canonicalize_frame(LocalFrame(m[root], v[root], d[root], bool(degenerate[root])))
+        m[root], v[root], d[root] = c.m, c.v, c.d
+        level = np.array([root])
+        while True:
+            visited.append(level)
+            nbs = slot[tuple(np.moveaxis(keys[level][:, None] + offsets, -1, 0))]
+            new = (nbs >= 0) & (component[nbs] < 0)
+            src, dst = np.broadcast_to(level[:, None], nbs.shape)[new], nbs[new]
+            _, first = np.unique(dst, return_index=True)  # first in, first out
+            level = dst[np.sort(first)]
+            if not len(level):
+                break
+            component[level] = comp
+            np.minimum.at(best, dst, rank[src])
+            perms, signs = best_signed_assignments(m[level] @ v[by_rank[best[level]]])
+            # undo each pick: row j of the frame becomes row inv[j], with its sign
+            inv = np.argsort(perms, axis=1)
+            undo = SignedPermutation(inv, np.take_along_axis(signs, inv, axis=1))
+            m[level], v[level], d[level] = _permute_frames(undo, m[level], v[level], d[level])
         comp += 1
-    out = {k: LocalFrame(m[i], v[i], d[i], frames[k].degenerate_flag) for k, i in aligned.items()}
-    return FrameField(grid, out, component_ids)
+    order = np.concatenate(visited).tolist()
+    key_list = keys.tolist()
+    frames = {tuple(key_list[i]): LocalFrame(m[i], v[i], d[i], bool(degenerate[i])) for i in order}
+    return FrameField(grid, frames, {tuple(key_list[i]): int(component[i]) for i in order})
 
 
 def fit_field(
-    grid: BinGrid,
-    moments: Mapping[tuple[int, ...], LocalMoments],
-    gap_tol: float = DEFAULT_GAP_TOL,
+    grid: BinGrid, moments: BinMoments, gap_tol: float = DEFAULT_GAP_TOL
 ) -> tuple[FrameField, dict[tuple[int, ...], str]]:
     """Solve every bin's frame, all as one stack, and align them into a field.
 
@@ -207,19 +206,19 @@ def fit_field(
     bin is left out, the ValueError names their number and the first bin's
     reason.
     """
-    m, v, d, degenerate, ok, _ = _solve_stack(list(moments.values()), grid.dim, gap_tol)
-    frames, skipped = {}, {}
-    for i, key in enumerate(moments):
+    m, v, d, degenerate, ok, _ = _solve_stack(moments.c2, moments.t, gap_tol)
+    skipped = {}
+    for key, c2, t in zip(moments.keys[~ok].tolist(), moments.c2[~ok], moments.t[~ok]):
         try:
-            if not ok[i]:
-                solve_frame(moments[key], gap_tol)  # raises, worded as for one bin
-            frames[key] = LocalFrame(m[i], v[i], d[i], bool(degenerate[i]))
+            solve_frame(c2, t, gap_tol)  # raises, worded as for one bin
         except FrameSolveError as err:
-            skipped[key] = str(err)
-    if skipped and not frames:
+            skipped[tuple(key)] = str(err)
+    if skipped and not ok.any():
         key, reason = next(iter(skipped.items()))
         raise ValueError(
             f"no frames to align: all {len(skipped)} bins skipped; {key}: {reason}"
         )
-    field = align_frame_field(grid, frames, {k: mom.count for k, mom in moments.items()})
+    field = align_frame_field(
+        grid, moments.keys[ok], moments.count[ok], m[ok], v[ok], d[ok], degenerate[ok]
+    )
     return field, skipped

@@ -140,6 +140,11 @@ def read_wav_trajectory(path) -> Trajectory:
         rate = wf.getframerate()
         n = wf.getnframes()
         raw = wf.readframes(n)
+    if len(raw) != 2 * n_chan * n:
+        raise ValueError(
+            f"{path}: truncated: the header gives {n} frames, the data holds "
+            f"{len(raw) // (2 * n_chan)} ({len(raw)} of {2 * n_chan * n} bytes)"
+        )
     data = np.frombuffer(raw, dtype="<i2").astype(float).reshape(n, n_chan)
     names = tuple(f"ch{i + 1}" for i in range(n_chan))
     return Trajectory(data, 1.0 / rate, names)

@@ -138,11 +138,6 @@ class BinGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(len(e) - 1 for e in self.edges)
 
-    def center(self, idx: tuple[int, ...]) -> np.ndarray:
-        return np.array(
-            [0.5 * (self.edges[a][i] + self.edges[a][i + 1]) for a, i in enumerate(idx)]
-        )
-
     def flat_index(self, points: np.ndarray) -> np.ndarray:
         """Row-major flat bin index of each point, or -1 outside the grid.
 
@@ -170,29 +165,33 @@ class BinGrid:
 
 
 @dataclass(frozen=True)
-class LocalMoments:
-    """Per-bin velocity statistics: centered second moment c2 and the
-    contracted fourth moment t = E[(dv^T c2^-1 dv) dv dv^T], dv = v - mean.
-    The mean only centers them and is not kept.
+class BinMoments:
+    """Velocity statistics of B occupied bins, one row per bin: its grid
+    index keys (B, N), valid-sample count (B,), centered second moment c2
+    (B, N, N) and contracted fourth moment t = E[(dv^T c2^-1 dv) dv dv^T]
+    (B, N, N), dv = v - the bin's mean, which is not kept.
     """
 
-    count: int
+    keys: np.ndarray
+    count: np.ndarray
     c2: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
+        keys = np.asarray(self.keys, dtype=np.int64)
+        count = np.asarray(self.count, dtype=np.int64)
         c2 = _as_float_array(self.c2, "c2")
         t = _as_float_array(self.t, "t")
-        if c2.ndim != 2 or c2.shape[0] != c2.shape[1] or t.shape != c2.shape:
+        if keys.ndim != 2 or count.shape != keys.shape[:1] or not (
+            c2.shape == t.shape == keys.shape + keys.shape[1:]
+        ):
             raise ValueError("moment shapes inconsistent with dimension")
-        for a in (c2, t):
+        for name, a in zip(("keys", "count", "c2", "t"), (keys, count, c2, t)):
             a.setflags(write=False)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "t", t)
+            object.__setattr__(self, name, a)
 
-    @property
-    def dim(self) -> int:
-        return self.c2.shape[0]
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 @dataclass(frozen=True)

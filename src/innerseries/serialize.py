@@ -4,7 +4,9 @@ Floats go through Python's shortest round-trip repr, so a load after a dump
 reproduces every value bit-exactly.  Every artifact carries "schema"; the
 loaders reject any version but SCHEMA_VERSION, one version for all three
 kinds.  Grids hold edges and min_count only, no sample indices; moments
-bins hold count, c2 and the contracted fourth moment t, both N x N.
+bins hold count, c2 and the contracted fourth moment t, both N x N.  The
+loaders check each bin against its grid: a key of N indices inside the
+grid's shape, and arrays of the grid's dimension.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import BinGrid, FrameField, LocalFrame, LocalMoments
+from .model import BinGrid, BinMoments, FrameField, LocalFrame
 
 SCHEMA_VERSION = 4
 
@@ -23,8 +25,20 @@ def _key(idx: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in idx)
 
 
-def _unkey(s: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in s.split(","))
+def _unkey(s: str, grid: BinGrid, what: str) -> tuple[int, ...]:
+    idx = tuple(int(p) for p in s.split(","))
+    if len(idx) != grid.dim:
+        raise ValueError(f"{what} bin {s!r}: key length {len(idx)}, grid dimension {grid.dim}")
+    if not all(0 <= i < n for i, n in zip(idx, grid.shape)):
+        raise ValueError(f"{what} bin {s!r}: outside the grid of shape {grid.shape}")
+    return idx
+
+
+def _array(b: dict, name: str, shape: tuple[int, ...], what: str, s: str) -> np.ndarray:
+    a = np.asarray(b[name], dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"{what} bin {s!r}: {name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 def _check_schema(d: dict, what: str) -> None:
@@ -46,29 +60,30 @@ def grid_from_dict(d: dict) -> BinGrid:
     return BinGrid(tuple(np.asarray(e) for e in d["edges"]), int(d["min_count"]))
 
 
-def moments_to_dict(grid: BinGrid, moments: dict) -> dict:
+def moments_to_dict(grid: BinGrid, moments: BinMoments) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "grid": grid_to_dict(grid),
         "bins": {
-            _key(k): {
-                "count": m.count,
-                "c2": m.c2.tolist(),
-                "t": m.t.tolist(),
-            }
-            for k, m in moments.items()
+            _key(k): {"count": count, "c2": c2.tolist(), "t": t.tolist()}
+            for k, count, c2, t in zip(
+                moments.keys.tolist(), moments.count.tolist(), moments.c2, moments.t
+            )
         },
     }
 
 
-def moments_from_dict(d: dict) -> tuple[BinGrid, dict]:
+def moments_from_dict(d: dict) -> tuple[BinGrid, BinMoments]:
     _check_schema(d, "moments")
     grid = grid_from_dict(d["grid"])
-    moments = {
-        _unkey(k): LocalMoments(int(b["count"]), np.asarray(b["c2"]), np.asarray(b["t"]))
-        for k, b in d["bins"].items()
-    }
-    return grid, moments
+    n, bins = grid.dim, d["bins"]
+    keys = [_unkey(s, grid, "moments") for s in bins]
+    c2 = [_array(b, "c2", (n, n), "moments", s) for s, b in bins.items()]
+    t = [_array(b, "t", (n, n), "moments", s) for s, b in bins.items()]
+    counts = [int(b["count"]) for b in bins.values()]
+    return grid, BinMoments(
+        np.reshape(keys, (-1, n)), counts, np.reshape(c2, (-1, n, n)), np.reshape(t, (-1, n, n))
+    )
 
 
 def field_to_dict(field: FrameField) -> dict:
@@ -90,13 +105,15 @@ def field_to_dict(field: FrameField) -> dict:
 def field_from_dict(d: dict) -> FrameField:
     _check_schema(d, "field")
     grid = grid_from_dict(d["grid"])
+    n, ids = grid.dim, d.get("component_ids", {})
     frames = {}
-    for k, f in d["frames"].items():
-        m = np.asarray(f["m"])
-        frames[_unkey(k)] = LocalFrame(
-            m, np.linalg.inv(m), np.asarray(f["d"]), bool(f["degenerate"])
-        )
-    comp = {_unkey(k): int(c) for k, c in d.get("component_ids", {}).items()}
+    for s, f in d["frames"].items():
+        key = _unkey(s, grid, "field")
+        m, dd = _array(f, "m", (n, n), "field", s), _array(f, "d", (n,), "field", s)
+        if s not in ids:
+            raise ValueError(f"field bin {s!r}: no component_ids entry")
+        frames[key] = LocalFrame(m, np.linalg.inv(m), dd, bool(f["degenerate"]))
+    comp = {_unkey(s, grid, "field"): int(c) for s, c in ids.items()}
     return FrameField(grid, frames, comp)
 
 

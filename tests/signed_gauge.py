@@ -1,8 +1,9 @@
 """Test-side oracles for the signed-permutation gauge: the exhaustive group,
 the exhaustive assignment, the inverse and the matrix of a signed
 permutation, the covariant transformation law M' = P M (dx/dx') checked bin
-by bin, and the bin-by-bin breadth-first alignment.  The package itself only
-needs the exact assignment and applying it."""
+by bin, and the bin-by-bin breadth-first alignment, with the package's
+stacked alignment called on the same dicts.  The package itself only needs
+the exact assignment and applying it."""
 
 import itertools
 from collections import deque
@@ -10,7 +11,12 @@ from collections import deque
 import numpy as np
 
 from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
-from innerseries.frames import apply_signed_permutation_to_frame, canonicalize_frame, solve_frame
+from innerseries.frames import (
+    align_frame_field,
+    apply_signed_permutation_to_frame,
+    canonicalize_frame,
+    solve_frame,
+)
 from innerseries.ingest import gen_bounded_walk
 from innerseries.model import (
     FrameField,
@@ -80,16 +86,19 @@ def linear_map_law_check(
     grid = build_grid(traj, bins)
     moments = accumulate_moments(traj, vel, grid)
     moments_p = accumulate_moments(traj, VelocitySeries(vel.values @ lin.T, vel.valid_mask), grid)
+    assert np.array_equal(moments.keys, moments_p.keys)
     jac = np.linalg.inv(lin)  # dx/dx'
     residuals = []
-    for key, mom in moments.items():
-        fr, fr_p = solve_frame(mom), solve_frame(moments_p[key])
+    for c2, t, c2_p, t_p in zip(moments.c2, moments.t, moments_p.c2, moments_p.t):
+        fr, fr_p = solve_frame(c2, t), solve_frame(c2_p, t_p)
         if not (fr.degenerate_flag or fr_p.degenerate_flag):
             residuals.append(check_transform_law(fr.m, fr_p.m, jac)[0])
     return max(residuals, default=0.0), len(residuals)
 
 
 def _face_neighbors(idx, shape):
+    """The face neighbours of bin idx inside the grid: axis by axis, the
+    lower one first."""
     for a in range(len(idx)):
         for step in (-1, 1):
             j = idx[a] + step
@@ -97,10 +106,26 @@ def _face_neighbors(idx, shape):
                 yield idx[:a] + (j,) + idx[a + 1 :]
 
 
+def stacked_align(grid, frames, counts) -> FrameField:
+    """align_frame_field on the dicts of sequential_align, as stacks in the
+    dicts' order."""
+    keys = list(frames)
+    return align_frame_field(
+        grid,
+        np.array(keys, dtype=np.int64).reshape(len(keys), grid.dim),
+        np.array([counts[k] for k in keys], dtype=np.int64),
+        np.array([f.m for f in frames.values()]),
+        np.array([f.v for f in frames.values()]),
+        np.array([f.d for f in frames.values()]),
+        np.array([f.degenerate_flag for f in frames.values()]),
+    )
+
+
 def sequential_align(grid, frames, counts) -> FrameField:
-    """align_frame_field one bin and one edge at a time: a first-in
-    first-out queue per component, from its most populated bin, each bin
-    corrected against its best aligned neighbour when it is found."""
+    """align_frame_field one bin and one edge at a time, on dicts of the
+    frames and counts by bin: a first-in first-out queue per component, from
+    its most populated bin, each bin corrected against its best aligned
+    neighbour when it is found."""
     shape = grid.shape
     unvisited = set(frames)
     aligned, component_ids = {}, {}

@@ -281,6 +281,81 @@ class TestFramesSkip:
         assert not field.exists()
 
 
+def _rename_first(bins: dict, key: str) -> str:
+    first = next(iter(bins))
+    bins[key] = bins.pop(first)
+    return first
+
+
+# (file, edit of its JSON, message): each bin must lie in its grid and hold
+# arrays of the grid's dimension, and each frame needs a component id
+BAD_BINS = {
+    "moments-key-outside": (
+        "moments.json",
+        lambda d: _rename_first(d["bins"], "7,7"),
+        "moments bin '7,7': outside the grid of shape (3, 3)",
+    ),
+    "moments-key-length": (
+        "moments.json",
+        lambda d: _rename_first(d["bins"], "1"),
+        "moments bin '1': key length 1, grid dimension 2",
+    ),
+    "moments-c2-shape": (
+        "moments.json",
+        lambda d: d["bins"]["0,0"].update(c2=np.eye(3).tolist(), t=np.eye(3).tolist()),
+        "moments bin '0,0': c2 has shape (3, 3), expected (2, 2)",
+    ),
+    "moments-t-shape": (
+        "moments.json",
+        lambda d: d["bins"]["0,0"].update(t=np.eye(3).tolist()),
+        "moments bin '0,0': t has shape (3, 3), expected (2, 2)",
+    ),
+    "field-key-negative": (
+        "field.json",
+        lambda d: _rename_first(d["frames"], "-1,0"),
+        "field bin '-1,0': outside the grid of shape (3, 3)",
+    ),
+    "field-key-length": (
+        "field.json",
+        lambda d: _rename_first(d["frames"], "0,0,0"),
+        "field bin '0,0,0': key length 3, grid dimension 2",
+    ),
+    "field-m-shape": (
+        "field.json",
+        lambda d: d["frames"]["0,0"].update(m=np.eye(3).tolist()),
+        "field bin '0,0': m has shape (3, 3), expected (2, 2)",
+    ),
+    "field-d-shape": (
+        "field.json",
+        lambda d: d["frames"]["0,0"].update(d=[1.0]),
+        "field bin '0,0': d has shape (1,), expected (2,)",
+    ),
+    "field-no-component-id": (
+        "field.json",
+        lambda d: d["component_ids"].pop("0,0"),
+        "field bin '0,0': no component_ids entry",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BINS))
+def test_bins_must_agree_with_their_grid(case, staged, tmp_path, capsys):
+    name, edit, message = BAD_BINS[case]
+    d = serialize.load_json(staged / name)
+    edit(d)
+    bad = tmp_path / name
+    serialize.dump_json(d, bad)
+    out = tmp_path / "out"
+    if name == "moments.json":
+        command, argv = "frames", ["--moments", bad]
+    else:
+        command, argv = "weights", ["--in", staged / "walk.csv", "--field", bad]
+    capsys.readouterr()
+    assert run([command, *argv, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error [{command}]: {message}\n"
+    assert not out.exists()
+
+
 class TestErrors:
     def test_missing_input_file(self, tmp_path, capsys):
         rc = run(["moments", "--in", tmp_path / "nope.csv", "--bins", "4", "--out", tmp_path / "o"])

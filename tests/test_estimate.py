@@ -10,6 +10,11 @@ from innerseries.ingest import gen_sine
 from innerseries.model import BinGrid, Trajectory, VelocitySeries
 
 
+def keys_of(moments):
+    """The bins of a BinMoments, as key tuples in row order."""
+    return [tuple(k) for k in moments.keys.tolist()]
+
+
 class TestEstimateVelocity:
     def test_linear_ramp_central(self):
         traj = Trajectory(np.array([0.0, 1.0, 2.0]), 1.0)
@@ -57,8 +62,8 @@ class TestBuildGrid:
             if c
         }
         moments = accumulate_moments(traj, vel, grid)
-        assert {k: m.count for k, m in moments.items()} == expect
-        assert sum(m.count for m in moments.values()) == n
+        assert dict(zip(keys_of(moments), moments.count.tolist())) == expect
+        assert moments.count.sum() == n
 
     def test_uniform_occupancy_binomial(self):
         # every bin count within 4 sigma of n/bins for uniform data
@@ -71,8 +76,7 @@ class TestBuildGrid:
         assert len(moments) == nb
         p = 1.0 / nb
         sigma = np.sqrt(n * p * (1 - p))
-        for m in moments.values():
-            assert abs(m.count - n * p) < 4 * sigma
+        assert np.all(np.abs(moments.count - n * p) < 4 * sigma)
 
     def test_min_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="min_count must be >= 1"):
@@ -103,15 +107,16 @@ class TestAccumulateMoments:
     def test_pm_one_velocities(self):
         traj, vel, grid = _single_bin_setup([1.0, -1.0, 1.0, -1.0])
         moments = accumulate_moments(traj, vel, grid)
-        m = moments[(0,)]
-        assert m.c2[0, 0] == 1.0
-        assert m.t[0, 0] == 1.0
+        assert keys_of(moments) == [(0,)]
+        assert moments.c2[0, 0, 0] == 1.0
+        assert moments.t[0, 0, 0] == 1.0
 
     def test_identical_velocities_zero_c2(self):
         traj, vel, grid = _single_bin_setup([2.0] * 6)
-        m = accumulate_moments(traj, vel, grid)[(0,)]
-        assert m.c2[0, 0] == 0.0
-        assert m.t[0, 0] == 0.0
+        moments = accumulate_moments(traj, vel, grid)
+        assert keys_of(moments) == [(0,)]
+        assert moments.c2[0, 0, 0] == 0.0
+        assert moments.t[0, 0, 0] == 0.0
 
     def test_min_count_filters_bins(self):
         rng = np.random.default_rng(0)
@@ -129,19 +134,20 @@ class TestAccumulateMoments:
         vel = VelocitySeries(rng.standard_normal((3000, 1)), mask)
         grid = build_grid(traj, [8], min_count=1)
         moments = accumulate_moments(traj, vel, grid)
-        assert sum(m.count for m in moments.values()) == mask.sum()
+        assert moments.count.sum() == mask.sum()
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(3)
         traj = Trajectory(rng.random((4000, 2)), 1.0)
         vel = VelocitySeries(rng.standard_normal((4000, 2)), np.ones(4000, dtype=bool))
         grid = build_grid(traj, [3, 3], min_count=10)
-        for m in accumulate_moments(traj, vel, grid).values():
-            np.testing.assert_allclose(m.c2, m.c2.T)
-            assert np.min(np.linalg.eigvalsh(m.c2)) >= -1e-12
+        moments = accumulate_moments(traj, vel, grid)
+        for c2, t in zip(moments.c2, moments.t):
+            np.testing.assert_allclose(c2, c2.T)
+            assert np.min(np.linalg.eigvalsh(c2)) >= -1e-12
             # t = E[q dv dv^T] with q = dv^T c2^-1 dv >= 0
-            np.testing.assert_array_equal(m.t, m.t.T)
-            assert np.min(np.linalg.eigvalsh(m.t)) >= -1e-12 * np.max(np.abs(m.t))
+            np.testing.assert_array_equal(t, t.T)
+            assert np.min(np.linalg.eigvalsh(t)) >= -1e-12 * np.max(np.abs(t))
 
     def test_order_independence(self):
         rng = np.random.default_rng(4)
@@ -155,10 +161,9 @@ class TestAccumulateMoments:
         vel_b = VelocitySeries(v[order], np.ones(n, dtype=bool))
         ma = accumulate_moments(traj_a, vel_a, build_grid(traj_a, [8], min_count=1))
         mb = accumulate_moments(traj_b, vel_b, build_grid(traj_b, [8], min_count=1))
-        assert ma.keys() == mb.keys()
-        for k in ma:
-            np.testing.assert_allclose(ma[k].c2, mb[k].c2, rtol=1e-10)
-            np.testing.assert_allclose(ma[k].t, mb[k].t, rtol=1e-10)
+        assert keys_of(ma) == keys_of(mb)
+        np.testing.assert_allclose(ma.c2, mb.c2, rtol=1e-10)
+        np.testing.assert_allclose(ma.t, mb.t, rtol=1e-10)
 
     def test_affine_covariance_exact(self):
         # per-axis scaling by a power of two keeps bin membership identical
@@ -179,12 +184,13 @@ class TestAccumulateMoments:
         np.testing.assert_array_equal(ga.flat_index(traj_a.samples), gb.flat_index(traj_b.samples))
         ma = accumulate_moments(traj_a, vel_a, ga)
         mb = accumulate_moments(traj_b, vel_b, gb)
-        assert {k: m.count for k, m in ma.items()} == {k: m.count for k, m in mb.items()}
+        assert keys_of(ma) == keys_of(mb)
+        np.testing.assert_array_equal(ma.count, mb.count)
         s2 = np.outer(scale, scale)
-        for k in ma:
-            np.testing.assert_array_equal(mb[k].c2, ma[k].c2 * s2)
-            t_ref = ma[k].t * s2
-            assert np.max(np.abs(mb[k].t - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
+        np.testing.assert_array_equal(mb.c2, ma.c2 * s2)
+        for t_a, t_b in zip(ma.t, mb.t):
+            t_ref = t_a * s2
+            assert np.max(np.abs(t_b - t_ref)) <= 1e-13 * np.max(np.abs(t_ref))
 
     @pytest.mark.parametrize("n_dim", range(1, 7))
     def test_t_is_contracted_fourth_moment(self, n_dim):
@@ -194,21 +200,22 @@ class TestAccumulateMoments:
         v = rng.laplace(size=(2000, n_dim)) @ mix.T
         traj = Trajectory(rng.random((2000, n_dim)), 1.0)
         grid = build_grid(traj, [1] * n_dim, min_count=1)
-        (m,) = accumulate_moments(traj, VelocitySeries(v, np.ones(2000, dtype=bool)), grid).values()
+        moments = accumulate_moments(traj, VelocitySeries(v, np.ones(2000, dtype=bool)), grid)
+        assert len(moments) == 1
         d = v - v.mean(axis=0)
         c2 = d.T @ d / len(d)
         c4 = np.einsum("ti,tj,tk,tl->ijkl", d, d, d, d) / len(d)
         t_ref = np.einsum("mn,klmn->kl", np.linalg.inv(c2), c4)
-        assert np.max(np.abs(m.t - t_ref)) <= 1e-12 * np.max(np.abs(t_ref))
+        assert np.max(np.abs(moments.t[0] - t_ref)) <= 1e-12 * np.max(np.abs(t_ref))
 
     def test_seven_channels(self):
         # t is N x N, so N is not capped by the size of a dense fourth moment
         rng = np.random.default_rng(7)
         traj = Trajectory(rng.random((3000, 7)), 1.0)
         vel = VelocitySeries(rng.laplace(size=(3000, 7)), np.ones(3000, dtype=bool))
-        (m,) = accumulate_moments(traj, vel, build_grid(traj, [1] * 7, min_count=1)).values()
-        assert m.count == 3000
-        assert m.c2.shape == m.t.shape == (7, 7)
+        moments = accumulate_moments(traj, vel, build_grid(traj, [1] * 7, min_count=1))
+        assert moments.count.tolist() == [3000]
+        assert moments.c2.shape == moments.t.shape == (1, 7, 7)
 
     def test_sine_c2_matches_analytic(self):
         # estimated C11 near a^2 - x^2 at bin centers for a unit sine
@@ -218,9 +225,9 @@ class TestAccumulateMoments:
         grid = build_grid(traj, [128], min_count=50)
         moments = accumulate_moments(traj, vel, grid)
         assert len(moments) > 100
-        for key, m in moments.items():
-            xc = grid.center(key)[0]
-            assert abs(m.c2[0, 0] - (a * a - xc * xc)) < 0.05
+        edges, k = grid.edges[0], moments.keys[:, 0]
+        xc = 0.5 * (edges[k] + edges[k + 1])  # the bin centres
+        assert np.all(np.abs(moments.c2[:, 0, 0] - (a * a - xc * xc)) < 0.05)
 
 
 EPS = np.finfo(float).eps
@@ -262,12 +269,12 @@ class TestMomentInvariances:
         traj, grid, v = data
         offset = np.array(frac[: v.shape[1]]) * np.abs(v).max()
         base, shifted = moments_of(traj, grid, v), moments_of(traj, grid, v + offset)
-        assert shifted.keys() == base.keys()
-        for key, m in base.items():
-            assert shifted[key].count == m.count
-            assert max_rel_diff(shifted[key].c2, m.c2) <= 1e-13
-            tol = 1e-13 + 32 * EPS * np.linalg.cond(m.c2)
-            assert max_rel_diff(shifted[key].t, m.t) <= tol
+        assert keys_of(shifted) == keys_of(base)
+        np.testing.assert_array_equal(shifted.count, base.count)
+        for i, c2 in enumerate(base.c2):
+            assert max_rel_diff(shifted.c2[i], c2) <= 1e-13
+            tol = 1e-13 + 32 * EPS * np.linalg.cond(c2)
+            assert max_rel_diff(shifted.t[i], base.t[i]) <= tol
 
     @settings(max_examples=30, deadline=None)
     @given(data=binned_velocities(), exps=st.lists(st.integers(-8, 8), min_size=3, max_size=3))
@@ -276,11 +283,11 @@ class TestMomentInvariances:
         s = 2.0 ** np.array(exps[: v.shape[1]])
         ss = np.outer(s, s)
         base, scaled = moments_of(traj, grid, v), moments_of(traj, grid, v * s)
-        assert scaled.keys() == base.keys()
-        for key, m in base.items():
-            np.testing.assert_array_equal(scaled[key].c2, m.c2 * ss)
-            tol = 1e-13 + 4 * EPS * (np.linalg.cond(m.c2) + np.linalg.cond(scaled[key].c2))
-            assert max_rel_diff(scaled[key].t / ss, m.t) <= tol
+        assert keys_of(scaled) == keys_of(base)
+        np.testing.assert_array_equal(scaled.c2, base.c2 * ss)
+        for i, c2 in enumerate(base.c2):
+            tol = 1e-13 + 4 * EPS * (np.linalg.cond(c2) + np.linalg.cond(scaled.c2[i]))
+            assert max_rel_diff(scaled.t[i] / ss, base.t[i]) <= tol
 
 
 class TestQuadraticForm:
@@ -296,13 +303,14 @@ class TestQuadraticForm:
         traj, grid, v = data
         vel = VelocitySeries(v, np.ones(len(v), dtype=bool))
         flat = grid.flat_index(traj.samples)
-        for key, m in accumulate_moments(traj, vel, grid).items():
+        moments = accumulate_moments(traj, vel, grid)
+        for key, c2, m_t in zip(keys_of(moments), moments.c2, moments.t):
             dvl = v[flat == np.ravel_multi_index(key, grid.shape)]
             dvl = dvl - dvl.mean(axis=0)
-            q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(m.c2, hermitian=True), dvl)
+            q = np.einsum("ti,ij,tj->t", dvl, np.linalg.pinv(c2, hermitian=True), dvl)
             t = (dvl * q[:, None]).T @ dvl / len(dvl)
-            tol = 1e-14 + 2 * EPS * np.linalg.cond(m.c2)
-            assert max_rel_diff(m.t, 0.5 * (t + t.T)) <= tol
+            tol = 1e-14 + 2 * EPS * np.linalg.cond(c2)
+            assert max_rel_diff(m_t, 0.5 * (t + t.T)) <= tol
 
 
 def per_bin_moments(traj, vel, grid):
@@ -347,11 +355,11 @@ def sparse_binned_velocities(draw):
 
 
 def assert_same_moments(moments, ref):
-    assert list(moments) == list(ref)
-    for key, (count, c2, t) in ref.items():
-        assert moments[key].count == count
-        assert moments[key].c2.tobytes() == c2.tobytes()
-        assert moments[key].t.tobytes() == t.tobytes()
+    assert keys_of(moments) == list(ref)
+    for i, (count, c2, t) in enumerate(ref.values()):
+        assert moments.count[i] == count
+        assert moments.c2[i].tobytes() == c2.tobytes()
+        assert moments.t[i].tobytes() == t.tobytes()
 
 
 class TestStackedMoments:
@@ -389,8 +397,8 @@ class TestStackedMoments:
         vel = VelocitySeries(v, np.ones(len(pos), dtype=bool))
         grid = build_grid(traj, [3, 3], min_count=10)
         moments = accumulate_moments(traj, vel, grid)
-        assert list(moments) == [(0, 0), (2, 2)]
-        assert not moments[(0, 0)].c2.any() and not moments[(0, 0)].t.any()
+        assert keys_of(moments) == [(0, 0), (2, 2)]
+        assert not moments.c2[0].any() and not moments.t[0].any()
         assert_same_moments(moments, per_bin_moments(traj, vel, grid))
 
     def test_peak_memory_below_one_centred_copy(self):

@@ -19,8 +19,9 @@ from innerseries.frames import (
 from innerseries.ingest import gen_bounded_walk
 from innerseries.model import (
     BinGrid,
+    BinMoments,
+    FrameField,
     LocalFrame,
-    LocalMoments,
     SignedPermutation,
     Trajectory,
     best_signed_assignment,
@@ -31,18 +32,19 @@ from signed_gauge import (
     linear_map_law_check,
     sequential_align,
     signed_permutation_matrix,
+    stacked_align,
 )
 
 
 def moments_from_samples(v):
-    """Direct-average oracle for per-bin moments: t contracts the dense
-    fourth moment with c2^-1."""
+    """Direct-average oracle for one bin's moments (c2, t): t contracts the
+    dense fourth moment with c2^-1."""
     v = np.asarray(v, dtype=float)
     d = v - v.mean(axis=0)
     c2 = d.T @ d / len(v)
     c4 = np.einsum("ti,tj,tk,tl->ijkl", d, d, d, d) / len(v)
     t = np.einsum("mn,klmn->kl", np.linalg.inv(c2), c4)
-    return LocalMoments(len(v), c2, t)
+    return c2, t
 
 
 class TestSolveFrame:
@@ -51,8 +53,7 @@ class TestSolveFrame:
         # contraction t is diag of those entries
         n = 3
         diag = [5.0, 3.0, 1.0]
-        mom = LocalMoments(100, np.eye(n), np.diag(diag))
-        frame = solve_frame(mom)
+        frame = solve_frame(np.eye(n), np.diag(diag))
         # m must be a signed permutation of the identity
         p = best_signed_assignment(frame.m)
         assert np.linalg.norm(frame.m - signed_permutation_matrix(p)) < 1e-12
@@ -61,8 +62,7 @@ class TestSolveFrame:
     def test_1d_analytic_form(self):
         for c11 in (0.75, 0.19, 1.0):
             # a Gaussian-like fourth moment 3 c11^2, contracted with 1/c11
-            mom = LocalMoments(100, np.array([[c11]]), np.array([[3 * c11]]))
-            frame = solve_frame(mom)
+            frame = solve_frame(np.array([[c11]]), np.array([[3 * c11]]))
             assert abs(frame.m[0, 0]) == pytest.approx(1.0 / np.sqrt(c11))
             assert abs(frame.v[0, 0]) == pytest.approx(np.sqrt(c11))
 
@@ -71,9 +71,9 @@ class TestSolveFrame:
         v = np.stack(
             [rng.laplace(size=5000), rng.uniform(-1, 1, size=5000)], axis=1
         )
-        mom = moments_from_samples(v @ rng.standard_normal((2, 2)))
-        frame = solve_frame(mom)
-        r1, r2 = frame_residuals([frame], [mom])
+        c2, t = moments_from_samples(v @ rng.standard_normal((2, 2)))
+        frame = solve_frame(c2, t)
+        r1, r2 = frame_residuals(*one_bin(frame, c2, t))
         assert r1 < 1e-10
         assert r2 < 1e-8
 
@@ -88,29 +88,24 @@ class TestSolveFrame:
             [s1 * rng.laplace(size=20000), s2 * rng.uniform(-1, 1, size=20000)],
             axis=1,
         )
-        mom = moments_from_samples(v)
-        frame = solve_frame(mom)
+        frame = solve_frame(*moments_from_samples(v))
         target = np.diag(1.0 / v.std(axis=0))
         r = frame.m @ np.linalg.inv(target)
         p = best_signed_assignment(r)
         assert np.linalg.norm(r - signed_permutation_matrix(p)) < 0.1
         w = v @ frame.m.T
-        mom_w = moments_from_samples(w)
-        np.testing.assert_allclose(mom_w.c2, np.eye(2), atol=1e-10)
-        t = mom_w.t
+        c2_w, t = moments_from_samples(w)
+        np.testing.assert_allclose(c2_w, np.eye(2), atol=1e-10)
         off = t - np.diag(np.diag(t))
         assert np.max(np.abs(off)) < 1e-6 * np.max(np.abs(t))
 
     def test_ill_conditioned_rejected(self):
-        mom = LocalMoments(100, np.diag([1.0, 1e-14]), np.zeros((2, 2)))
         with pytest.raises(FrameSolveError):
-            solve_frame(mom)
+            solve_frame(np.diag([1.0, 1e-14]), np.zeros((2, 2)))
 
     def test_degenerate_flag(self):
-        mom = LocalMoments(100, np.eye(2), np.diag([3.0, 3.0001]))
-        assert solve_frame(mom, gap_tol=1e-3).degenerate_flag
-        mom2 = LocalMoments(100, np.eye(2), np.diag([3.0, 1.0]))
-        assert not solve_frame(mom2, gap_tol=1e-3).degenerate_flag
+        assert solve_frame(np.eye(2), np.diag([3.0, 3.0001]), gap_tol=1e-3).degenerate_flag
+        assert not solve_frame(np.eye(2), np.diag([3.0, 1.0]), gap_tol=1e-3).degenerate_flag
 
     def test_uniqueness_up_to_signed_permutation(self):
         # re-solving after an invertible linear change of coordinates gives
@@ -119,11 +114,9 @@ class TestSolveFrame:
         v = np.stack(
             [rng.laplace(size=8000), rng.uniform(-1, 1, size=8000)], axis=1
         )
-        mom = moments_from_samples(v)
-        frame = solve_frame(mom)
+        frame = solve_frame(*moments_from_samples(v))
         lin = rng.standard_normal((2, 2)) + 2 * np.eye(2)
-        mom_t = moments_from_samples(v @ lin.T)
-        frame_t = solve_frame(mom_t)
+        frame_t = solve_frame(*moments_from_samples(v @ lin.T))
         back = LocalFrame(
             frame_t.m @ lin,
             np.linalg.inv(frame_t.m @ lin),
@@ -147,23 +140,35 @@ def walk_then_ramp():
 RAMP_BINS = [(5,), (6,), (7,)]
 
 
+def rows_of(moments):
+    """Each bin's row in a BinMoments, by key."""
+    return {tuple(k): i for i, k in enumerate(moments.keys.tolist())}
+
+
+def one_bin(frame, c2, t):
+    """A one-bin field of frame, and the BinMoments it was solved from."""
+    key = (0,) * frame.dim
+    return FrameField(_grid((1,) * frame.dim), {key: frame}), BinMoments([key], [1], [c2], [t])
+
+
 class TestFitField:
     def test_skips_bin_of_equal_velocities(self):
         traj = walk_then_ramp()
         grid = build_grid(traj, (8,))
         moments = accumulate_moments(traj, estimate_velocity(traj), grid)
-        assert [moments[k].count for k in RAMP_BINS] == [80, 80, 79]
+        row = rows_of(moments)
+        assert [moments.count[row[k]] for k in RAMP_BINS] == [80, 80, 79]
         for k in RAMP_BINS:
-            assert np.all(moments[k].c2 == 0.0) and np.all(moments[k].t == 0.0)
+            assert np.all(moments.c2[row[k]] == 0.0) and np.all(moments.t[row[k]] == 0.0)
         field, skipped = fit_field(grid, moments)
         assert list(skipped) == RAMP_BINS
         assert all(r.startswith("c2 ill-conditioned") for r in skipped.values())
-        assert set(field.frames) == set(moments) - set(RAMP_BINS)
+        assert set(field.frames) == set(row) - set(RAMP_BINS)
 
     def test_run_pipeline_counts_skipped_bin(self):
         res = run_pipeline(walk_then_ramp(), (8,))
         assert res.n_skipped_bins == 3
-        assert all(k in res.moments and k not in res.field.frames for k in RAMP_BINS)
+        assert all(k in rows_of(res.moments) and k not in res.field.frames for k in RAMP_BINS)
 
     def test_gap_tol_reaches_solve(self):
         traj = gen_bounded_walk(20_000, seed=1, dim=2, noise=("laplace", "uniform"))
@@ -180,26 +185,28 @@ class TestFitField:
 @st.composite
 def moment_stacks(draw):
     """(grid, moments): 1..8 bins of N <= 6 channels along the first axis,
-    c2 = A A^T with A near I, and t symmetric positive definite."""
+    in random order, c2 = A A^T with A near I, and t symmetric positive
+    definite."""
     dim = draw(st.integers(1, 6))
     bins = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    moments = {}
-    for i in rng.permutation(bins):
-        a = np.eye(dim) + 0.4 * rng.standard_normal((dim, dim))
-        b = rng.standard_normal((dim, dim))
-        moments[(int(i),) + (0,) * (dim - 1)] = LocalMoments(50, a @ a.T, b @ b.T + np.eye(dim))
-    return _grid((bins,) + (1,) * (dim - 1)), moments
+    keys = np.zeros((bins, dim), dtype=np.int64)
+    keys[:, 0] = rng.permutation(bins)
+    a = np.eye(dim) + 0.4 * rng.standard_normal((bins, dim, dim))
+    b = rng.standard_normal((bins, dim, dim))
+    c2 = a @ np.swapaxes(a, 1, 2)
+    t = b @ np.swapaxes(b, 1, 2) + np.eye(dim)
+    return _grid((bins,) + (1,) * (dim - 1)), BinMoments(keys, np.full(bins, 50), c2, t)
 
 
-def solve_frame_reference(mom, gap_tol=1e-3):
+def solve_frame_reference(c2, t, gap_tol=1e-3):
     """The solve one bin at a time on 2-D arrays, as a loop over bins ran it
     before the stacked solve; None for an ill-conditioned c2."""
-    evals, evecs = np.linalg.eigh(mom.c2)
+    evals, evecs = np.linalg.eigh(c2)
     if evals[0] <= 1e-10 * evals[-1] or evals[-1] <= 0:
         return None
     w = evecs.T / np.sqrt(evals)[:, None]
-    s = w @ mom.t @ w.T
+    s = w @ t @ w.T
     d_asc, o = np.linalg.eigh(0.5 * (s + s.T))
     order = np.argsort(d_asc)[::-1]
     d = d_asc[order]
@@ -209,12 +216,12 @@ def solve_frame_reference(mom, gap_tol=1e-3):
     return LocalFrame(m, np.linalg.inv(m), d, degenerate)
 
 
-def residuals_reference(frames, moments):
+def residuals_reference(frames, c2s, ts):
     """frame_residuals one bin at a time, then the largest of each."""
     r1 = r2 = 0.0
-    for f, mom in zip(frames, moments):
-        white = f.m @ mom.c2 @ f.m.T - np.eye(f.dim)
-        contr = f.m @ mom.t @ f.m.T
+    for f, c2, t in zip(frames, c2s, ts):
+        white = f.m @ c2 @ f.m.T - np.eye(f.dim)
+        contr = f.m @ t @ f.m.T
         off = contr - np.diag(np.diag(contr))
         scale = max(float(np.max(np.abs(f.d))), np.finfo(float).tiny)
         r1 = max(r1, float(np.max(np.abs(white))))
@@ -223,12 +230,14 @@ def residuals_reference(frames, moments):
 
 
 def frames_before_alignment(monkeypatch, grid, moments, gap_tol=1e-3):
-    """fit_field's skipped bins, and the frames it hands to the alignment."""
+    """fit_field's skipped bins, and the frames it hands to the alignment,
+    by key in the order of its stacks."""
     seen = {}
 
-    def record(grid, frames, counts):
-        seen.update(frames)
-        return align_frame_field(grid, frames, counts)
+    def record(grid, keys, counts, m, v, d, degenerate):
+        for i, key in enumerate(keys.tolist()):
+            seen[tuple(key)] = LocalFrame(m[i], v[i], d[i], bool(degenerate[i]))
+        return align_frame_field(grid, keys, counts, m, v, d, degenerate)
 
     monkeypatch.setattr("innerseries.frames.align_frame_field", record)
     _, skipped = fit_field(grid, moments, gap_tol=gap_tol)
@@ -245,15 +254,15 @@ class TestStackedSolve:
         grid, moments = case
         with pytest.MonkeyPatch.context() as mp:
             frames, skipped = frames_before_alignment(mp, grid, moments)
-        assert not skipped and list(frames) == list(moments)
-        for key, mom in moments.items():
-            f = frames[key]
-            for g in (solve_frame(mom), solve_frame_reference(mom)):
+        assert not skipped and list(frames) == list(rows_of(moments))
+        for f, c2, t in zip(frames.values(), moments.c2, moments.t):
+            for g in (solve_frame(c2, t), solve_frame_reference(c2, t)):
                 assert f.degenerate_flag == g.degenerate_flag
                 for a, b in ((f.m, g.m), (f.v, g.v), (f.d, g.d)):
                     assert a.tobytes() == b.tobytes()
-        args = list(frames.values()), list(moments.values())
-        assert frame_residuals(*args) == residuals_reference(*args)
+        assert frame_residuals(FrameField(grid, frames), moments) == residuals_reference(
+            frames.values(), moments.c2, moments.t
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(moment_stacks(), st.integers(0, 2**32 - 1))
@@ -261,20 +270,19 @@ class TestStackedSolve:
         # v takes the signed permutation on its columns instead of being
         # inverted again; on solved frames that gives the same bits
         rng = np.random.default_rng(seed)
-        for mom in case[1].values():
-            f = solve_frame(mom)
+        for c2, t in zip(case[1].c2, case[1].t):
+            f = solve_frame(c2, t)
             p = SignedPermutation(rng.permutation(f.dim), rng.choice([-1, 1], f.dim))
             g = apply_signed_permutation_to_frame(p, f)
             assert g.v.tobytes() == np.linalg.inv(g.m).tobytes()
 
     def test_bad_bins_in_one_stack(self, monkeypatch):
-        good = LocalMoments(100, np.eye(2), np.diag([3.0, 1.0]))
-        moments = {
-            (0, 0): LocalMoments(100, np.zeros((2, 2)), np.zeros((2, 2))),
-            (1, 0): good,
-            (2, 0): LocalMoments(100, np.diag([1.0, 1e-14]), np.zeros((2, 2))),
-            (3, 0): LocalMoments(100, np.eye(2), np.diag([3.0, 3.0001])),
-        }
+        moments = BinMoments(
+            [(0, 0), (1, 0), (2, 0), (3, 0)],
+            [100] * 4,
+            [np.zeros((2, 2)), np.eye(2), np.diag([1.0, 1e-14]), np.eye(2)],
+            [np.zeros((2, 2)), np.diag([3.0, 1.0]), np.zeros((2, 2)), np.diag([3.0, 3.0001])],
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the bad bins raise no warning in the stack
             frames, skipped = frames_before_alignment(monkeypatch, _grid((4, 1)), moments)
@@ -289,10 +297,10 @@ class TestStackedSolve:
 
     def test_no_moments(self):
         with pytest.raises(ValueError, match="^no frames to align$"):
-            fit_field(_grid((2,)), {})
+            fit_field(_grid((2,)), BinMoments(np.zeros((0, 1)), [], *np.zeros((2, 0, 1, 1))))
 
     def test_every_bin_skipped(self):
-        moments = {(i,): LocalMoments(9, np.zeros((1, 1)), np.zeros((1, 1))) for i in range(2)}
+        moments = BinMoments([(0,), (1,)], [9, 9], np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
         with pytest.raises(ValueError) as err:
             fit_field(_grid((2,)), moments)
         assert str(err.value) == (
@@ -413,7 +421,7 @@ class TestAlignFrameField:
     @settings(max_examples=80, deadline=None)
     @given(frame_fields())
     def test_bit_identical_to_sequential_search(self, case):
-        assert_same_field(align_frame_field(*case), sequential_align(*case))
+        assert_same_field(stacked_align(*case), sequential_align(*case))
 
     def test_bit_identical_with_components_and_degenerate_flags(self):
         # a 4 x 5 grid in three components, with ties in count and
@@ -428,9 +436,39 @@ class TestAlignFrameField:
                     flag = (i + j) % 3 == 1
                     frames[(i, j)] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]), flag)
                     counts[(i, j)] = 5 + (i * j) % 2
-        field = align_frame_field(_grid((4, 5)), frames, counts)
+        field = stacked_align(_grid((4, 5)), frames, counts)
         assert set(field.component_ids.values()) == {0, 1, 2}
         assert_same_field(field, sequential_align(_grid((4, 5)), frames, counts))
+
+    def test_chain_of_128_bins_from_the_middle(self):
+        # the 1-D experiment arms: 128 bins, the most populated in the
+        # middle, so each level holds the two bins on either side of it, in
+        # ties of count
+        rng = np.random.default_rng(11)
+        frames = {}
+        for i in rng.permutation(128):
+            m = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0, (1, 1))
+            frames[(int(i),)] = LocalFrame(m, np.linalg.inv(m), np.array([rng.random()]))
+        counts = {(i,): 1000 - abs(i - 64) for i in range(128)}
+        field = stacked_align(_grid((128,)), frames, counts)
+        assert list(field.frames)[:3] == [(64,), (63,), (65,)]
+        assert set(field.component_ids.values()) == {0}
+        assert_same_field(field, sequential_align(_grid((128,)), frames, counts))
+
+    def test_3_to_the_6_grid_with_holes(self):
+        # the six-channel benchmark's grid, about a third of its bins empty
+        rng = np.random.default_rng(12)
+        shape = (3,) * 6
+        keys = [k for k in np.ndindex(shape) if rng.random() < 0.65]
+        frames = {}
+        for i in rng.permutation(len(keys)):
+            m = rng.standard_normal((6, 6)) + 2 * np.eye(6)
+            d = np.sort(rng.random(6))[::-1]
+            frames[keys[i]] = LocalFrame(m, np.linalg.inv(m), d, bool(rng.random() < 1 / 3))
+        counts = {k: int(rng.integers(1, 4)) for k in frames}
+        field = stacked_align(_grid(shape), frames, counts)
+        assert len(field.frames) == len(keys) > 400
+        assert_same_field(field, sequential_align(_grid(shape), frames, counts))
 
     def _base_frame(self, rng, n=2):
         m = rng.standard_normal((n, n)) + 2 * np.eye(n)
@@ -442,7 +480,7 @@ class TestAlignFrameField:
         base = canonicalize_frame(self._base_frame(rng))
         counts = {(i, j): 10 for i in range(3) for j in range(3)}
         frames = {k: base for k in counts}
-        field = align_frame_field(_grid((3, 3)), frames, counts)
+        field = stacked_align(_grid((3, 3)), frames, counts)
         for f in field.frames.values():
             np.testing.assert_allclose(f.m, base.m, atol=1e-12)
         assert set(field.component_ids.values()) == {0}
@@ -453,7 +491,7 @@ class TestAlignFrameField:
         swapped = apply_signed_permutation_to_frame(
             SignedPermutation([1, 0], [1, 1]), base
         )
-        field = align_frame_field(
+        field = stacked_align(
             _grid((2,)), {(0,): base, (1,): swapped}, {(0,): 20, (1,): 10}
         )
         np.testing.assert_allclose(field.frames[(1,)].m, base.m, atol=1e-12)
@@ -480,7 +518,7 @@ class TestAlignFrameField:
             for k, f in true_frames.items()
         }
         counts = {k: 10 + rng.integers(5) for k in true_frames}
-        field = align_frame_field(_grid(shape), scrambled, counts)
+        field = stacked_align(_grid(shape), scrambled, counts)
         # the residual of each aligned frame vs truth must share one global P
         globals_seen = set()
         for k, f in field.frames.items():
@@ -493,7 +531,7 @@ class TestAlignFrameField:
     def test_disconnected_components(self):
         rng = np.random.default_rng(3)
         base = canonicalize_frame(self._base_frame(rng))
-        field = align_frame_field(
+        field = stacked_align(
             _grid((5,)), {(0,): base, (4,): base}, {(0,): 10, (4,): 10}
         )
         assert len(set(field.component_ids.values())) == 2

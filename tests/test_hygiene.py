@@ -1,7 +1,7 @@
 """Every module of the package, script and test file reads each name it
 imports, every CLI subcommand reads each option it accepts, every defaulted
-parameter of the package is passed by some caller, and importing a module or
-script runs nothing.
+parameter of the package is passed by some caller, importing a module or
+script runs nothing, and every function the benchmark's tracer probes exists.
 
 A name that is imported and never read is usually left over from deleted
 code.  The package's __init__.py imports names to re-export them and is
@@ -9,17 +9,22 @@ exempt.  An option whose value its command never reads is accepted and then
 silently ignored.  A defaulted parameter that no call in the package or its
 scripts passes is a setting nothing uses.  A call at the top level of a
 module, outside an `if __name__ == "__main__":` block, runs whenever the
-module is imported.
+module is imported.  The tracer skips a probe whose function is gone and
+reports its metrics as missing, so a rename would go unnoticed there.
 """
 
 import argparse
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from innerseries import experiments
 from innerseries.cli import build_parser
+from innerseries.ingest import gen_bounded_walk
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "innerseries"
@@ -336,3 +341,38 @@ def test_scan_flags_unread_public_names():
         "a:unused",
         "b:spare",
     ]
+
+
+def load_bench_tracer():
+    """The benchmark's tracer module, bench/tracer.py, imported from its file."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_bench_probes_name_package_functions():
+    tracer = load_bench_tracer()
+    gone = [
+        f"{p.module}.{p.name}"
+        for p in tracer.PROBES
+        if not callable(getattr(importlib.import_module(f"innerseries.{p.module}"), p.name, None))
+    ]
+    assert gone == []
+    traj = gen_bounded_walk(20_000, seed=0, dim=2, noise=("laplace", "uniform"))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        res = experiments.run_pipeline(traj, (3, 3))
+    finally:
+        t.uninstall()
+    assert t.missing == set()
+    assert t.counts["estimate.bins_occupied"] == len(res.moments)
+    field = res.field
+    assert t.counts["frames.alignment_edges"] == len(field.frames) - len(
+        set(field.component_ids.values())
+    )

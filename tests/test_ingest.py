@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,19 @@ class TestWav:
         p = tmp_path / "a.wav"
         write_wav_trajectory(Trajectory(np.zeros((8, 1)), 1 / 16000 * (1 + 1e-12)), p)
         assert read_wav_trajectory(p).dt == 1 / 16000
+
+    @pytest.mark.parametrize("cut, held", [(3, 999), (4, 999)])
+    def test_truncated_file_named_with_frame_counts(self, tmp_path, cut, held):
+        # 1000 frames of two channels: 4000 data bytes after the header
+        p = tmp_path / "cut.wav"
+        write_wav_trajectory(Trajectory(np.ones((1000, 2)), 1.0 / 16000), p)
+        p.write_bytes(p.read_bytes()[:-cut])
+        message = (
+            f"{p}: truncated: the header gives 1000 frames, the data holds {held} "
+            f"({4000 - cut} of 4000 bytes)"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_wav_trajectory(p)
 
     def test_all_zero(self, tmp_path):
         traj = Trajectory(np.zeros((64, 2)), 1.0 / 16000)

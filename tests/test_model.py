@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from innerseries.estimate import estimate_velocity
 from innerseries.model import (
     BinGrid,
+    BinMoments,
     DimensionMismatchError,
     SignedPermutation,
     Trajectory,
@@ -199,6 +200,32 @@ class TestBinGridFlatIndex:
         grid = BinGrid((np.array([0.0, 1.0]),), 1)
         with pytest.raises(DimensionMismatchError):
             grid.flat_index(np.zeros((3, 2)))
+
+
+class TestBinMoments:
+    def test_stacks_read_only_and_counted(self):
+        moments = BinMoments([(0, 1), (2, 0)], [60, 70], np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+        assert len(moments) == 2
+        assert moments.keys.dtype == moments.count.dtype == np.int64
+        for a in (moments.keys, moments.count, moments.c2, moments.t):
+            assert not a.flags.writeable
+
+    @pytest.mark.parametrize(
+        "keys, count, c2, t",
+        [
+            ([(0, 1)], [60, 70], np.ones((1, 2, 2)), np.ones((1, 2, 2))),  # one count per bin
+            ([(0, 1)], [60], np.ones((1, 3, 3)), np.ones((1, 3, 3))),  # N x N for N-index keys
+            ([(0, 1)], [60], np.ones((1, 2, 2)), np.ones((1, 2, 1))),  # t like c2
+            ([0, 1], [60, 70], np.ones((2, 1, 1)), np.ones((2, 1, 1))),  # keys (B, N)
+        ],
+    )
+    def test_inconsistent_shapes_rejected(self, keys, count, c2, t):
+        with pytest.raises(ValueError, match="moment shapes inconsistent"):
+            BinMoments(keys, count, c2, t)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="c2 contains non-finite"):
+            BinMoments([(0,)], [5], [[[np.nan]]], [[[1.0]]])
 
 
 @st.composite
