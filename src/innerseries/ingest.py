@@ -5,11 +5,20 @@ map x -> x': apply_transform re-senses each channel through a monotone
 polynomial, and mix_two_sources is the fixed two-source nonlinear mixing.
 WAV samples are kept as raw 16-bit integers (as real numbers), which keeps
 them inside the +-2^15 box the two-source mixing functions require.
+
+Trajectory and weight CSVs are formatted in contiguous parts, one per
+usable CPU: forked processes format every part after the first while this
+process writes the first.  The bytes do not depend on the number of parts,
+and there is no option to set it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import shutil
+import tempfile
 import warnings
 import wave
 from pathlib import Path
@@ -90,15 +99,65 @@ def _time_step(path, times: np.ndarray) -> float:
     return step
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot fork or
+    does not report CPU affinity (Windows, macOS)."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _write_rows(fh, dt: float, columns, lo: int, hi: int) -> None:
+    """Write rows lo..hi-1: sample time k * dt, then the columns' k-th
+    values, each cell as its repr, _CHUNK rows per write."""
+    for a in range(lo, hi, _CHUNK):
+        b = min(a + _CHUNK, hi)
+        cells = [(np.arange(a, b) * dt).tolist(), *(c[a:b].tolist() for c in columns)]
+        fh.write("\r\n".join(map(",".join, zip(*(map(repr, c) for c in cells)))) + "\r\n")
+
+
 def _write_csv_columns(path, header, dt: float, columns) -> None:
     """Write the bytes csv.writer would for the header, then rows of sample
-    time k * dt and the 1-D columns' k-th values, each cell as its repr."""
-    columns = [np.arange(len(columns[0])) * float(dt), *columns]
-    with Path(path).open("w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for lo in range(0, len(columns[0]), _CHUNK):
-            cells = [list(map(repr, c[lo : lo + _CHUNK].tolist())) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+    time k * dt and the 1-D columns' k-th values, each cell as its repr.
+
+    The rows are cut into one contiguous part per usable CPU (at most one
+    per _CHUNK block).  A forked child formats each part after the first
+    into an unlinked temporary file while this process writes the header
+    and the first part; the parts are then appended in order.
+    """
+    dt, n = float(dt), len(columns[0])
+    blocks = -(-n // _CHUNK)
+    k = max(1, min(_usable_cpus(), blocks))
+    cuts = [_CHUNK * (blocks * i // k) for i in range(k)] + [n]
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(Path(path).open("w", newline=""))
+        parts = [stack.enter_context(tempfile.TemporaryFile("w+", newline="")) for _ in cuts[2:]]
+        pids = []
+        try:
+            for part, lo, hi in zip(parts, cuts[1:], cuts[2:]):
+                pid = os.fork()
+                if pid == 0:  # the child: format its part, never return
+                    code = 1
+                    try:
+                        _write_rows(part, dt, columns, lo, hi)
+                        part.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            csv.writer(fh).writerow(header)
+            _write_rows(fh, dt, columns, cuts[0], cuts[1])
+        finally:
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for code, lo, hi in zip(codes, cuts[1:], cuts[2:]):
+            if code != 0:
+                raise RuntimeError(
+                    f"{path}: the process writing rows {lo + 2}-{hi + 1} exited with code {code}"
+                )
+        fh.flush()
+        for part in parts:
+            part.seek(0)
+            shutil.copyfileobj(part.buffer, fh.buffer)
 
 
 def read_csv_trajectory(path, dt: float | None = None) -> Trajectory:

@@ -186,6 +186,9 @@ class BinMoments:
             c2.shape == t.shape == keys.shape + keys.shape[1:]
         ):
             raise ValueError("moment shapes inconsistent with dimension")
+        uniq, seen = np.unique(keys, axis=0, return_counts=True)
+        if np.any(seen > 1):
+            raise ValueError(f"bin {tuple(uniq[seen > 1][0].tolist())} has more than one row")
         for name, a in zip(("keys", "count", "c2", "t"), (keys, count, c2, t)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)

@@ -6,7 +6,9 @@ loaders reject any version but SCHEMA_VERSION, one version for all three
 kinds.  Grids hold edges and min_count only, no sample indices; moments
 bins hold count, c2 and the contracted fourth moment t, both N x N.  The
 loaders check each bin against its grid: a key of N indices inside the
-grid's shape, and arrays of the grid's dimension.
+grid's shape, spelled as the dumpers write it ("0,1", not "00,1"), and
+arrays of the grid's dimension; a field's component ids name only bins
+that hold a frame.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ def _key(idx: tuple[int, ...]) -> str:
 
 
 def _unkey(s: str, grid: BinGrid, what: str) -> tuple[int, ...]:
-    idx = tuple(int(p) for p in s.split(","))
+    """The bin index of key s, which must be spelled as _key writes it, so
+    that one bin has one key."""
+    try:
+        idx = tuple(int(p) for p in s.split(","))
+    except ValueError:
+        idx = None
+    if idx is None or _key(idx) != s:
+        raise ValueError(f"{what} bin {s!r}: not a key of comma-separated integers in plain form")
     if len(idx) != grid.dim:
         raise ValueError(f"{what} bin {s!r}: key length {len(idx)}, grid dimension {grid.dim}")
     if not all(0 <= i < n for i, n in zip(idx, grid.shape)):
@@ -113,7 +122,12 @@ def field_from_dict(d: dict) -> FrameField:
         if s not in ids:
             raise ValueError(f"field bin {s!r}: no component_ids entry")
         frames[key] = LocalFrame(m, np.linalg.inv(m), dd, bool(f["degenerate"]))
-    comp = {_unkey(s, grid, "field"): int(c) for s, c in ids.items()}
+    comp = {}
+    for s, c in ids.items():
+        key = _unkey(s, grid, "field")
+        if key not in frames:
+            raise ValueError(f"field bin {s!r}: component_ids entry but no frame")
+        comp[key] = int(c)
     return FrameField(grid, frames, comp)
 
 

@@ -183,7 +183,7 @@ def separability_report(
 
 def write_csv_weights(w: WeightSeries, path) -> None:
     header = [TIME_COLUMN, *(f"w{i + 1}" for i in range(w.dim)), "valid"]
-    _write_csv_columns(path, header, w.dt, [*w.values.T, w.valid_mask.astype(np.int8)])
+    _write_csv_columns(path, header, w.dt, [*w.values.T, w.valid_mask.view(np.int8)])
 
 
 def read_csv_weights(path) -> WeightSeries:

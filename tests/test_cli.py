@@ -287,8 +287,9 @@ def _rename_first(bins: dict, key: str) -> str:
     return first
 
 
-# (file, edit of its JSON, message): each bin must lie in its grid and hold
-# arrays of the grid's dimension, and each frame needs a component id
+# (file, edit of its JSON, message): each bin must lie in its grid, have one
+# key spelling and hold arrays of the grid's dimension, and each frame needs a
+# component id and each component id a frame
 BAD_BINS = {
     "moments-key-outside": (
         "moments.json",
@@ -329,6 +330,21 @@ BAD_BINS = {
         "field.json",
         lambda d: d["frames"]["0,0"].update(d=[1.0]),
         "field bin '0,0': d has shape (1,), expected (2,)",
+    ),
+    "moments-key-spelling": (
+        "moments.json",
+        lambda d: d["bins"].update({"00,1": d["bins"]["0,1"]}),
+        "moments bin '00,1': not a key of comma-separated integers in plain form",
+    ),
+    "field-key-spelling": (
+        "field.json",
+        lambda d: _rename_first(d["frames"], "0,00"),
+        "field bin '0,00': not a key of comma-separated integers in plain form",
+    ),
+    "field-component-id-without-frame": (
+        "field.json",
+        lambda d: d["frames"].pop("0,0"),
+        "field bin '0,0': component_ids entry but no frame",
     ),
     "field-no-component-id": (
         "field.json",

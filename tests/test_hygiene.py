@@ -17,6 +17,8 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -341,6 +343,98 @@ def test_scan_flags_unread_public_names():
         "a:unused",
         "b:spare",
     ]
+
+
+# modules that start processes or threads
+PROCESS_MODULES = {"multiprocessing", "concurrent", "subprocess", "threading", "_thread"}
+
+
+def process_use(source: str) -> list[tuple[str, str, int]]:
+    """(what, where, line) for each use of os.fork and each import of a
+    module in PROCESS_MODULES; where is the enclosing 'Class.function', or
+    '<module>' at the top level."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if where == "<module>" else f"{where}.{child.name}"
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                names = [child.module]
+                if child.module == "os":
+                    names += ["os.fork" for a in child.names if a.name == "fork"]
+            elif (
+                isinstance(child, ast.Attribute)
+                and child.attr == "fork"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "os"
+            ):
+                names = ["os.fork"]
+            else:
+                names = []
+            out.extend(
+                (name, where, child.lineno)
+                for name in names
+                if name == "os.fork" or name.split(".")[0] in PROCESS_MODULES
+            )
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_processes_start_only_in_the_csv_writer(path):
+    # the CSV writer forks its formatting children; nothing else in the
+    # package starts a process or a thread
+    allowed = {("os.fork", "_write_csv_columns")} if path.name == "ingest.py" else set()
+    found = process_use(path.read_text())
+    assert [u for u in found if u[:2] not in allowed] == []
+    assert allowed <= {u[:2] for u in found}
+
+
+def test_scan_flags_process_use():
+    source = (
+        "import os, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from os import fork, getpid\n"
+        "def write():\n"
+        "    import multiprocessing.pool\n"
+        "    return os.fork()\n"
+        "class Pool:\n"
+        "    def start(self):\n"
+        "        from subprocess import run\n"
+        "        run(['ls'])\n"
+        "pid = os.getpid()\n"
+        "from . import threads\n"
+    )
+    assert process_use(source) == [
+        ("threading", "<module>", 1),
+        ("concurrent.futures", "<module>", 2),
+        ("os.fork", "<module>", 3),
+        ("multiprocessing.pool", "write", 5),
+        ("os.fork", "write", 6),
+        ("subprocess", "Pool.start", 9),
+    ]
+
+
+def test_package_import_loads_no_process_pool():
+    # multiprocessing and concurrent.futures cost import time on every run
+    # of the CLI
+    code = (
+        "import sys, innerseries.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in {'multiprocessing', "
+        "'concurrent'}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def load_bench_tracer():

@@ -1,4 +1,6 @@
 import csv
+import io
+import os
 import re
 import tracemalloc
 
@@ -19,7 +21,8 @@ from innerseries.ingest import (
     write_csv_trajectory,
     write_wav_trajectory,
 )
-from innerseries.model import Trajectory
+from innerseries.model import Trajectory, WeightSeries
+from innerseries.weights import write_csv_weights
 
 
 class TestCsv:
@@ -132,6 +135,111 @@ class TestCsv:
         p.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_csv_trajectory(p)
+
+
+# row counts about the _CHUNK block boundaries at which the writer cuts parts
+WRITER_ROWS = [1, ingest._CHUNK - 1, ingest._CHUNK, 2 * ingest._CHUNK + 1, 5 * ingest._CHUNK + 7]
+
+
+def _csv_writer_lines(header, dt, rows) -> list[str]:
+    """The lines, without their CRLF, that a row-at-a-time csv.writer writes
+    for the header and rows of time k * dt then each value's repr (an int
+    cell as is)."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for k, row in enumerate(rows):
+        cells = (repr(v) if isinstance(v, float) else int(v) for v in row)
+        writer.writerow([repr(float(k * dt)), *cells])
+    return out.getvalue().split("\r\n")[:-1]
+
+
+@pytest.fixture(scope="module")
+def writer_reference():
+    """A column with -0.0 and exponents to +-300, valid flags, and the
+    reference lines of a trajectory and a weight CSV of them at the largest
+    row count."""
+    n = WRITER_ROWS[-1]
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    x[::5] = -0.0
+    mask = rng.random(n) > 0.1
+    traj_lines = _csv_writer_lines(["t", "a,b"], 1 / 3.0, zip(x.tolist()))
+    weight_lines = _csv_writer_lines(["t", "w1", "valid"], 0.125, zip(x.tolist(), mask.tolist()))
+    return x, mask, traj_lines, weight_lines
+
+
+class TestForkedWriter:
+    """The rows are cut into one part per usable CPU, each part after the
+    first formatted by a forked child: the bytes must not depend on the
+    number of parts, and a failed child must leave no process or file."""
+
+    @pytest.mark.parametrize("rows", WRITER_ROWS)
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, writer_reference, cpus, rows):
+        x, mask, traj_lines, weight_lines = writer_reference
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "traj.csv"
+        write_csv_trajectory(Trajectory(x[:rows, None], 1 / 3.0, ("a,b",)), out)
+        assert out.read_bytes() == ("\r\n".join(traj_lines[: rows + 1]) + "\r\n").encode()
+        out = tmp_path / "w.csv"
+        write_csv_weights(WeightSeries(x[:rows, None], mask[:rows], dt=0.125), out)
+        assert out.read_bytes() == ("\r\n".join(weight_lines[: rows + 1]) + "\r\n").encode()
+
+    def test_one_part_starts_no_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 1)
+        write_csv_trajectory(Trajectory(np.zeros((3 * ingest._CHUNK, 1)), 1.0), tmp_path / "a.csv")
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 4)
+        write_csv_trajectory(Trajectory(np.zeros((ingest._CHUNK, 1)), 1.0), tmp_path / "b.csv")
+
+    def test_failed_child_names_file_and_leaves_nothing(self, tmp_path, monkeypatch):
+        write_rows = ingest._write_rows
+
+        def failing(fh, dt, columns, lo, hi):
+            if lo > 0:
+                raise OSError("disk full")
+            write_rows(fh, dt, columns, lo, hi)
+
+        monkeypatch.setattr(ingest, "_write_rows", failing)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+        out = tmp_path / "w.csv"
+        w = WeightSeries(np.zeros((3 * ingest._CHUNK, 1)), np.ones(3 * ingest._CHUNK, bool))
+        # the first child formats the second block: file rows _CHUNK + 2 on
+        rows = f"rows {ingest._CHUNK + 2}-{2 * ingest._CHUNK + 1} "
+        with pytest.raises(RuntimeError, match=rf"{re.escape(str(out))}: .*{rows}"):
+            write_csv_weights(w, out)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_writer_peak_memory_holds_no_column(self, monkeypatch):
+        # no n-long time or flag array: the peak is one block's strings,
+        # where the n-long time column alone would take n * 8 = 1.6 MB.  This
+        # process formats the first of four parts; the children stop
+        # tracing, which only this process's peak needs
+        write_rows = ingest._write_rows
+
+        def untraced_child(fh, dt, columns, lo, hi):
+            if lo > 0:
+                tracemalloc.stop()
+            write_rows(fh, dt, columns, lo, hi)
+
+        monkeypatch.setattr(ingest, "_write_rows", untraced_child)
+        n = 200_000
+        rng = np.random.default_rng(3)
+        w = WeightSeries(rng.standard_normal((n, 2)), rng.random(n) > 0.1, dt=1 / 3.0)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 4)
+        tracemalloc.start()
+        try:
+            write_csv_weights(w, os.devnull)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6
 
 
 def _reference_walk(n, seed, dim, box, noise, smooth, step_scale):

@@ -227,6 +227,11 @@ class TestBinMoments:
         with pytest.raises(ValueError, match="c2 contains non-finite"):
             BinMoments([(0,)], [5], [[[np.nan]]], [[[1.0]]])
 
+    def test_duplicate_key_rejected(self):
+        # two rows for one bin would give it two frames
+        with pytest.raises(ValueError, match=r"^bin \(0, 1\) has more than one row$"):
+            BinMoments([(2, 0), (0, 1), (0, 1)], [6, 7, 8], np.ones((3, 2, 2)), np.ones((3, 2, 2)))
+
 
 @st.composite
 def score_stacks(draw):

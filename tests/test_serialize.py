@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,32 @@ class TestFieldRoundtrip:
             np.testing.assert_array_equal(back.frames[k].d, res.field.frames[k].d)
             assert back.frames[k].degenerate_flag == res.field.frames[k].degenerate_flag
         assert back.component_ids == res.field.component_ids
+
+
+class TestBinKeys:
+    """One bin has one key: a second spelling of a key, as the dumpers never
+    write it, would load as a second row or frame for the same bin."""
+
+    @pytest.mark.parametrize("key", ["00,1", "0,01", " 0,1", "0, 1", "+0,1", "0,1,", "a,1", ""])
+    def test_loaders_reject_other_spellings(self, key):
+        traj, res = make_pipeline()
+        grid = res.field.grid
+        d = serialize.moments_to_dict(grid, res.moments)
+        d["bins"][key] = d["bins"]["0,1"]
+        with pytest.raises(ValueError, match=f"^moments bin {re.escape(repr(key))}: not a key"):
+            serialize.moments_from_dict(d)
+        d = serialize.field_to_dict(res.field)
+        d["frames"][key] = d["frames"]["0,1"]
+        d["component_ids"][key] = d["component_ids"]["0,1"]
+        with pytest.raises(ValueError, match=f"^field bin {re.escape(repr(key))}: not a key"):
+            serialize.field_from_dict(d)
+
+    def test_component_id_without_frame_rejected(self):
+        traj, res = make_pipeline()
+        d = serialize.field_to_dict(res.field)
+        del d["frames"]["0,1"]
+        with pytest.raises(ValueError, match="^field bin '0,1': component_ids entry but no frame$"):
+            serialize.field_from_dict(d)
 
 
 class TestDumpJson:
