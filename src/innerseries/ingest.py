@@ -8,8 +8,11 @@ them inside the +-2^15 box the two-source mixing functions require.
 
 Trajectory and weight CSVs are formatted in contiguous parts, one per
 usable CPU: forked processes format every part after the first while this
-process writes the first.  The bytes do not depend on the number of parts,
-and there is no option to set it.
+process writes the first.  A large CSV body is read the same way: cut at
+line starts, each part parsed by a forked process into a temporary file,
+and the parts' rows gathered into one table.  The bytes written and the
+arrays read do not depend on the number of parts, and there is no option to
+set it; where os.fork is missing one process does all.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import os
+import re
 import shutil
 import tempfile
 import warnings
@@ -40,6 +44,42 @@ class TransformError(ValueError):
 # ---------------------------------------------------------------------------
 
 _CHUNK = 8192  # rows per Python-level batch; bounds the per-row lists held at once
+_PART_BYTES = 1 << 20  # a CSV body is parsed in parts of at least this many bytes
+_BLOCK = 1 << 16  # bytes per read while the reader looks for a line start
+_LINE_END = re.compile(rb"\r\n|\r|\n")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot fork or
+    does not report CPU affinity (Windows, macOS)."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+@contextlib.contextmanager
+def _forked(path, jobs):
+    """Run each (what, job) of jobs in a forked child while the with-block
+    runs in this process; then wait for every child, and raise a
+    RuntimeError naming path and what a failed child was doing."""
+    pids = []
+    try:
+        for _, job in jobs:
+            pid = os.fork()
+            if pid == 0:  # the child: run its job, never return
+                code = 1
+                try:
+                    job()
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        yield
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for code, (what, _) in zip(codes, jobs):
+        if code != 0:
+            raise RuntimeError(f"{path}: the process {what} exited with code {code}")
 
 
 def _parse_cells(path, header: list[str]) -> np.ndarray:
@@ -62,20 +102,120 @@ def _parse_cells(path, header: list[str]) -> np.ndarray:
     return np.array([[float(c) for c in row] for row in rows])
 
 
+def _loadtxt(body, width: int) -> np.ndarray | None:
+    """The rows of a CSV body (quoted or plain cells, blank lines skipped),
+    an open text file or the name of one, or None unless each row is width
+    finite numbers."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    except ValueError:
+        return None
+    if len(data) == 0:  # every line was blank: no cell to check
+        return np.empty((0, width))
+    return data if data.shape[1] == width and np.isfinite(data).all() else None
+
+
+def _line_start(fb, pos: int) -> int:
+    """The first line start at or after byte pos > 0 of a binary file, or
+    the file's size: a line starts after a \n or after a \r that no \n
+    follows."""
+    at = pos - 1
+    while True:
+        fb.seek(at)
+        block = fb.read(_BLOCK)
+        m = _LINE_END.search(block)
+        if m is None:
+            if len(block) < _BLOCK:
+                return at + len(block)
+            at += len(block)
+        elif m.group() == b"\r" and m.end() == _BLOCK:
+            at += m.start()  # read on from this \r to see whether a \n follows
+        else:
+            return at + m.end()
+
+
+def _parse_part(path, lo: int, hi: int, width: int, out) -> None:
+    """Parse bytes lo..hi-1 of a CSV body, cut at line starts, into rows of
+    width finite numbers, and write their float64 bytes to the binary file
+    out.
+
+    The part is parsed from a named copy: np.loadtxt reads a named file in
+    large blocks, but iterates an open one line by line in Python.
+    """
+    with open(path, "rb") as fb:
+        fb.seek(lo)
+        raw = fb.read(hi - lo)
+    data = None
+    if not (b'"' in raw and raw.count(b'"') % 2):  # else a quoted cell spans a cut
+        with tempfile.NamedTemporaryFile() as text:
+            text.write(raw)
+            text.flush()
+            data = _loadtxt(text.name, width)
+    if data is None:
+        raise ValueError(f"{path}: bytes {lo}-{hi - 1} are not a table of finite numbers")
+    out.write(data.tobytes())
+    out.flush()
+
+
+def _parse_in_parts(path, cuts: list[int], width: int) -> np.ndarray:
+    """The rows of a CSV body cut at line starts: a forked child parses each
+    part into an unlinked temporary file, and the parts' rows are read into
+    one table in order."""
+    with contextlib.ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in cuts[1:]]
+
+        def job(part, lo, hi):
+            return f"reading bytes {lo}-{hi - 1}", lambda: _parse_part(path, lo, hi, width, part)
+
+        with _forked(path, [job(*p) for p in zip(parts, cuts, cuts[1:])]):
+            pass
+        counts = [os.fstat(part.fileno()).st_size // (8 * width) for part in parts]
+        table = np.empty((sum(counts), width))
+        at = 0
+        for part, count in zip(parts, counts):
+            part.seek(0)
+            part.readinto(table[at : at + count])
+            at += count
+    return table
+
+
 def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
     """Header and body of a CSV whose cells are all finite numbers (quoted or
-    not; blank lines skipped); errors name the row and column at fault."""
+    not; blank lines skipped); errors name the row and column at fault.
+
+    A body of at least 2 * _PART_BYTES is cut at line starts into one part
+    per usable CPU, each parsed by a forked child; if any part fails, the
+    per-cell parse finds the fault.
+    """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        head = []  # the lines the header row is read from
+
+        def header_lines():
+            for line in fh:
+                head.append(line)
+                yield line
+
+        header = next(csv.reader(header_lines()), None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header row")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # empty body, raised below
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-        except ValueError:
-            data = None
-    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        start = len("".join(head).encode(fh.encoding))
+        size = os.fstat(fh.fileno()).st_size
+        k = max(1, min(_usable_cpus(), (size - start) // _PART_BYTES))
+        cuts = [start, size]
+        if k > 1:
+            with open(path, "rb") as fb:
+                inner = {_line_start(fb, start + (size - start) * i // k) for i in range(1, k)}
+            cuts = sorted({*cuts, *inner})
+        if len(cuts) == 2:
+            data = _loadtxt(fh, len(header))
+        else:
+            try:
+                data = _parse_in_parts(path, cuts, len(header))
+            except RuntimeError:
+                data = None
+    if data is None:
         # only the per-cell parse can say where the problem is
         data = _parse_cells(path, header)
     if len(data) == 0:
@@ -97,14 +237,6 @@ def _time_step(path, times: np.ndarray) -> float:
     if np.max(np.abs(steps, out=steps)) > 1e-9 * step:
         raise ValueError(f"{path}: non-uniform timestamps in column '{TIME_COLUMN}'")
     return step
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot fork or
-    does not report CPU affinity (Windows, macOS)."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
 
 
 def _write_rows(fh, dt: float, columns, lo: int, hi: int) -> None:
@@ -132,28 +264,17 @@ def _write_csv_columns(path, header, dt: float, columns) -> None:
     with contextlib.ExitStack() as stack:
         fh = stack.enter_context(Path(path).open("w", newline=""))
         parts = [stack.enter_context(tempfile.TemporaryFile("w+", newline="")) for _ in cuts[2:]]
-        pids = []
-        try:
-            for part, lo, hi in zip(parts, cuts[1:], cuts[2:]):
-                pid = os.fork()
-                if pid == 0:  # the child: format its part, never return
-                    code = 1
-                    try:
-                        _write_rows(part, dt, columns, lo, hi)
-                        part.flush()
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
+
+        def job(part, lo, hi):
+            def write():
+                _write_rows(part, dt, columns, lo, hi)
+                part.flush()
+
+            return f"writing rows {lo + 2}-{hi + 1}", write
+
+        with _forked(path, [job(*p) for p in zip(parts, cuts[1:], cuts[2:])]):
             csv.writer(fh).writerow(header)
             _write_rows(fh, dt, columns, cuts[0], cuts[1])
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-        for code, lo, hi in zip(codes, cuts[1:], cuts[2:]):
-            if code != 0:
-                raise RuntimeError(
-                    f"{path}: the process writing rows {lo + 2}-{hi + 1} exited with code {code}"
-                )
         fh.flush()
         for part in parts:
             part.seek(0)

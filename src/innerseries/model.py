@@ -143,7 +143,9 @@ class BinGrid:
 
         Lower bins are half-open; a point exactly on the top edge lands in
         the last bin.  Built axis by axis and in place, so it holds O(n)
-        integers: the index itself and one axis's bin.
+        numbers: the index itself, one axis's bin and a contiguous copy of
+        that axis's column, on which the comparisons and the search run
+        faster than on a strided column.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
@@ -151,6 +153,7 @@ class BinGrid:
         flat = np.zeros(len(pts), dtype=np.int64)
         inside = np.ones(len(pts), dtype=bool)
         for e, x in zip(self.edges, pts.T):
+            x = np.ascontiguousarray(x)
             inside &= x >= e[0]
             inside &= x <= e[-1]
             # a bin is the count of inner edges at or below the point, so

@@ -102,6 +102,11 @@ class TestSolveFrame:
     def test_ill_conditioned_rejected(self):
         with pytest.raises(FrameSolveError):
             solve_frame(np.diag([1.0, 1e-14]), np.zeros((2, 2)))
+        # correlated near-singular, eigenvalues about 1e-14 and 2: no
+        # rescaling of the axes makes it well conditioned
+        c = 1 - 1e-14
+        with pytest.raises(FrameSolveError):
+            solve_frame(np.array([[1.0, c], [c, 1.0]]), np.zeros((2, 2)))
 
     def test_degenerate_flag(self):
         assert solve_frame(np.eye(2), np.diag([3.0, 3.0001]), gap_tol=1e-3).degenerate_flag

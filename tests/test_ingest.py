@@ -22,7 +22,7 @@ from innerseries.ingest import (
     write_wav_trajectory,
 )
 from innerseries.model import Trajectory, WeightSeries
-from innerseries.weights import write_csv_weights
+from innerseries.weights import read_csv_weights, write_csv_weights
 
 
 class TestCsv:
@@ -240,6 +240,220 @@ class TestForkedWriter:
         finally:
             tracemalloc.stop()
         assert peak < 3.5e6
+
+
+def _reader_body(n, seed) -> tuple[list[str], np.ndarray]:
+    """n body lines of t, x, y, with -0.0, exponents to +-300 and every
+    fifth x cell quoted, and the (n, 3) table they hold."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+    table[:, 0] = np.arange(n) / 4
+    table[::7, 2] = -0.0
+    cells = [[repr(v) for v in row] for row in table.tolist()]
+    for row in cells[::5]:
+        row[1] = f'"{row[1]}"'
+    return [",".join(row) for row in cells], table
+
+
+def _write_lines(path, lines, end="\r\n", final=True) -> None:
+    path.write_bytes((end.join(lines) + (end if final else "")).encode())
+
+
+class TestForkedReader:
+    """A body is cut at line starts into one part per usable CPU, each part
+    parsed by a forked child: the arrays must be bit-identical to a one-part
+    read, a fault must be reported as the one-part read reports it, and no
+    child may be left."""
+
+    @pytest.fixture
+    def small_parts(self, monkeypatch):
+        # parts of at least 64 bytes and reads of 5 bytes, so that a small
+        # file is cut in several places and line ends fall between reads
+        monkeypatch.setattr(ingest, "_PART_BYTES", 64)
+        monkeypatch.setattr(ingest, "_BLOCK", 5)
+
+    @pytest.fixture
+    def no_cell_parse(self, monkeypatch):
+        # the parts must hold the table: the per-cell parse would read any
+        # file to the same arrays, and so hide a part read wrongly
+        def fail(path, header):
+            raise AssertionError("read cell by cell")
+
+        monkeypatch.setattr(ingest, "_parse_cells", fail)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """A list that gains an item each time this process forks."""
+        calls = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        return calls
+
+    @staticmethod
+    def read(monkeypatch, reader, path, cpus):
+        """reader(path) with cpus usable CPUs; after it returns or raises,
+        no child is left."""
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+        try:
+            return reader(path)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_arrays_match_one_part(
+        self, tmp_path, monkeypatch, small_parts, no_cell_parse, forks, cpus, end, final
+    ):
+        lines, table = _reader_body(40, 0)
+        p = tmp_path / "a.csv"
+        _write_lines(p, ['t,"a,b",y', *lines], end, final)
+        header, data = self.read(monkeypatch, ingest._read_csv_table, p, cpus)
+        assert header == ["t", "a,b", "y"]
+        assert len(forks) == (cpus if cpus > 1 else 0)
+        assert data.shape == table.shape and data.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_blank_lines_at_and_next_to_a_cut(
+        self, tmp_path, monkeypatch, small_parts, no_cell_parse, forks, cpus, end
+    ):
+        # a blank line or two after every row, so some fall on a cut and
+        # some just before or after one
+        lines, table = _reader_body(12, 1)
+        p = tmp_path / "a.csv"
+        for at in range(len(lines) + 1):
+            for blanks in ([""], ["", ""]):
+                _write_lines(p, ["t,x,y", *lines[:at], *blanks, *lines[at:]], end)
+                forks.clear()
+                _, data = self.read(monkeypatch, ingest._read_csv_table, p, cpus)
+                assert len(forks) == cpus and data.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_quoted_line_end_across_a_cut(self, tmp_path, monkeypatch, small_parts, forks, cpus):
+        # a quoted cell may hold a line end, and "1.5\r\n" is still a number
+        # to both parses; where such a cell spans a cut, the per-cell parse
+        # reads the file instead, to the same table
+        lines, table = _reader_body(12, 2)
+        p = tmp_path / "a.csv"
+        for at in range(len(lines)):
+            t, x, y = lines[at].split(",")
+            held = [*lines[:at], f'{t},{x},"{y}\r\n"', *lines[at + 1 :]]
+            _write_lines(p, ["t,x,y", *held])
+            forks.clear()
+            _, data = self.read(monkeypatch, ingest._read_csv_table, p, cpus)
+            assert len(forks) == cpus and data.tobytes() == table.tobytes()
+
+    def test_part_ending_in_a_quoted_cell_fails(self, tmp_path):
+        # np.loadtxt reads '0,"1\n' as the row 0, 1, but its quote is closed
+        # only in the next part: an odd number of quotes fails the part
+        p = tmp_path / "a.csv"
+        p.write_bytes(b'0,"1\n')
+        assert ingest._loadtxt(io.StringIO('0,"1\n', newline=""), 2).tolist() == [[0.0, 1.0]]
+        with pytest.raises(ValueError, match=r"bytes 0-4 are not a table of finite numbers"):
+            ingest._parse_part(p, 0, 5, 2, io.BytesIO())
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("3.0,0.5", "row 14 has 2 cells, expected 3"),
+            ("3.0,#,1", "row 14, column 'x': not a number: '#'"),
+            ("3.0,1,inf", "row 14, column 'y': non-finite value"),
+            ("3.01,1,2", "non-uniform timestamps in column 't'"),
+        ],
+    )
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_fault_in_the_last_part(
+        self, tmp_path, monkeypatch, small_parts, forks, cpus, row, message
+    ):
+        lines, _ = _reader_body(16, 3)
+        lines[12] = row  # file row 14, in the last part
+        p = tmp_path / "a.csv"
+        _write_lines(p, ["t,x,y", *lines])
+        with pytest.raises(ValueError) as one:
+            self.read(monkeypatch, read_csv_trajectory, p, 1)
+        assert forks == []
+        with pytest.raises(ValueError) as parts:
+            self.read(monkeypatch, read_csv_trajectory, p, cpus)
+        assert len(forks) == cpus
+        assert str(parts.value) == str(one.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_rows_narrower_than_the_header(self, tmp_path, monkeypatch, small_parts, cpus):
+        # each part alone is a table, one column wide; the header sets three
+        p = tmp_path / "a.csv"
+        _write_lines(p, ["t,x,y", *(repr(k / 4) for k in range(40))])
+        with pytest.raises(ValueError) as one:
+            self.read(monkeypatch, read_csv_trajectory, p, 1)
+        with pytest.raises(ValueError) as parts:
+            self.read(monkeypatch, read_csv_trajectory, p, cpus)
+        assert str(parts.value) == str(one.value) == f"{p}: row 2 has 1 cells, expected 3"
+
+    def test_weights_match_one_part(
+        self, tmp_path, monkeypatch, small_parts, no_cell_parse, forks
+    ):
+        rng = np.random.default_rng(4)
+        w = WeightSeries(rng.standard_normal((50, 2)), rng.random(50) > 0.2, dt=1 / 3.0)
+        p = tmp_path / "w.csv"
+        write_csv_weights(w, p)
+        for cpus in 1, 2, 3:
+            forks.clear()
+            back = self.read(monkeypatch, read_csv_weights, p, cpus)
+            assert len(forks) == (cpus if cpus > 1 else 0)
+            assert back.values.tobytes() == w.values.tobytes()
+            assert np.array_equal(back.valid_mask, w.valid_mask) and back.dt == w.dt
+
+    def test_one_part_starts_no_process(self, tmp_path, monkeypatch, small_parts, forks):
+        lines, _ = _reader_body(40, 5)
+        p = tmp_path / "a.csv"
+        _write_lines(p, ["t,x,y", *lines])
+        self.read(monkeypatch, ingest._read_csv_table, p, 1)
+        # one line longer than the parts: no line start to cut at
+        _write_lines(p, ["t,x,y", lines[0] + "0" * 300])
+        self.read(monkeypatch, ingest._read_csv_table, p, 3)
+        # a body shorter than two parts
+        _write_lines(p, ["t,x,y", *lines])
+        monkeypatch.setattr(ingest, "_PART_BYTES", p.stat().st_size // 2 + 1)
+        self.read(monkeypatch, ingest._read_csv_table, p, 4)
+        assert forks == []
+
+    @pytest.mark.parametrize("block", [2, 3, 5, 1 << 16])
+    def test_line_starts(self, tmp_path, monkeypatch, block):
+        # reads of a few bytes put a \r\n between two reads
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        text = "t\r\n1\r2\n\r\n\r\r3\r\n\n4\r"
+        lines = io.StringIO(text, newline="").readlines()
+        starts = np.cumsum([len(line) for line in lines]).tolist()
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode())
+        with open(p, "rb") as fb:
+            for pos in range(1, len(text)):
+                assert ingest._line_start(fb, pos) == min(s for s in starts if s >= pos)
+
+    def test_no_fork_means_one_process(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert ingest._usable_cpus() == 1
+
+    def test_parent_holds_no_file_text(self, tmp_path, monkeypatch):
+        # at the real part size, a 100 000-row file (4.8 MB) is cut in two
+        # and both parts are parsed by children: beside the table, this
+        # process holds one _BLOCK of the file, about 26 kB.  A one-part
+        # read holds loadtxt's text as well, about 0.3 MB
+        n = 100_000
+        rng = np.random.default_rng(6)
+        traj = Trajectory(rng.standard_normal((n, 2)), 0.25)
+        p = tmp_path / "a.csv"
+        write_csv_trajectory(traj, p)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+        tracemalloc.start()
+        try:
+            _, data = ingest._read_csv_table(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data[:, 1:].tobytes() == traj.samples.tobytes()
+        assert peak - data.nbytes < 0.02 * p.stat().st_size
 
 
 def _reference_walk(n, seed, dim, box, noise, smooth, step_scale):
