@@ -7,7 +7,7 @@ permutation, and project velocities onto the frames to get dimensionless
 weights that are invariant under instantaneous invertible sensor transforms.
 """
 
-from .estimate import accumulate_moments, build_grid, estimate_velocity
+from .estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
@@ -33,6 +33,7 @@ from .ingest import (
 from .model import (
     BinGrid,
     BinMoments,
+    Binning,
     FrameField,
     LocalFrame,
     SignedPermutation,

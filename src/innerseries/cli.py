@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, serialize, svgplot
-from .estimate import accumulate_moments, build_grid, estimate_velocity
+from .estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from .frames import DEFAULT_GAP_TOL, fit_field
 from .model import Trajectory
@@ -86,7 +86,7 @@ def cmd_moments(args) -> int:
     traj = _read_traj(args.input, args.dt)
     vel = estimate_velocity(traj)
     grid = build_grid(traj, args.bins, args.min_count)
-    moments = accumulate_moments(traj, vel, grid)
+    moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
     serialize.dump_json(serialize.moments_to_dict(grid, moments), args.out)
     return 0
 
@@ -104,7 +104,7 @@ def cmd_weights(args) -> int:
     traj = _read_traj(args.input, args.dt)
     field = serialize.field_from_dict(serialize.load_json(args.field))
     vel = estimate_velocity(traj)
-    w = compute_weights(traj, vel, field)
+    w = compute_weights(traj, vel, field, bin_samples(traj, vel, field.grid))
     write_csv_weights(w, args.out)
     return 0
 

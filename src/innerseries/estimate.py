@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .model import BinGrid, BinMoments, Trajectory, VelocitySeries
+from .model import BinGrid, BinMoments, Binning, Trajectory, VelocitySeries
 
 
 def default_min_count(dim: int) -> int:
@@ -52,7 +54,35 @@ def build_grid(
     return BinGrid(tuple(edges), int(min_count))
 
 
-def accumulate_moments(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> BinMoments:
+def bin_samples(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> Binning:
+    """Group the samples with a valid velocity inside grid by bin (see
+    Binning), from one pass of grid.flat_index.
+
+    The samples are stable-sorted on the narrowest unsigned key that holds
+    every flat index of the grid: numpy radix-sorts 8- and 16-bit keys, and
+    a stable order is unique, so it is the order an int64 key gives.  Only
+    that order (int32 below 2^31 samples) and each listed bin's flat index
+    and row range are kept, not the n-long flat index.
+    """
+    if len(vel) != traj.n_samples:
+        raise ValueError("velocity series not aligned with trajectory")
+    flat = grid.flat_index(traj.samples)
+    keep = vel.valid_mask & (flat >= 0)
+    key = flat[keep].astype(np.min_scalar_type(math.prod(grid.shape) - 1))
+    del flat  # the n-long int64 index is not held through the sort
+    index_type = np.int32 if traj.n_samples < 2**31 else np.int64
+    sel = np.flatnonzero(keep).astype(index_type)
+    perm = np.argsort(key, kind="stable")  # keeps samples ascending per bin
+    key = key[perm]
+    first = np.ones(len(key), dtype=bool)  # the first row of each bin
+    first[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(first)
+    return Binning(
+        grid, traj.n_samples, sel[perm], key[first].astype(np.int64), np.append(first, len(key))
+    )
+
+
+def accumulate_moments(vel: VelocitySeries, binning: Binning) -> BinMoments:
     """Centered second moment c2 and contracted fourth moment t of each
     occupied bin (see BinMoments), the bins in ascending flat-index order.
 
@@ -61,15 +91,13 @@ def accumulate_moments(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> 
     bin's samples are accumulated in ascending sample order, so the result
     is independent of how the samples were originally ordered.
     """
-    if len(vel) != traj.n_samples:
-        raise ValueError("velocity series not aligned with trajectory")
-    flat = grid.flat_index(traj.samples)
-    sel = np.flatnonzero(vel.valid_mask & (flat >= 0))
-    sel = sel[np.argsort(flat[sel], kind="stable")]  # keeps samples ascending per bin
-    boundaries = np.flatnonzero(np.diff(flat[sel])) + 1
-    groups = [g for g in np.split(sel, boundaries) if len(g) >= grid.min_count]
-    if not groups:
+    if len(vel) != binning.n_samples:
+        raise ValueError("velocity series not aligned with the binned trajectory")
+    grid = binning.grid
+    occupied = [(f, rows) for f, rows in binning.groups() if len(rows) >= grid.min_count]
+    if not occupied:
         raise ValueError("no occupied bins (min_count too high or data too sparse)")
+    flat, groups = zip(*occupied)
     # two passes over each bin's rows, gathered afresh each time, so no
     # centred copy of all rows is held: c2 first, then t through one
     # stacked pinv
@@ -89,5 +117,5 @@ def accumulate_moments(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> 
         q = ((dvl @ p) * dvl).sum(axis=1)
         tb = (dvl * q[:, None]).T @ dvl / len(group)
         t.append(0.5 * (tb + tb.T))
-    keys = np.stack(np.unravel_index(flat[[g[0] for g in groups]], grid.shape), axis=1)
+    keys = np.stack(np.unravel_index(flat, grid.shape), axis=1)
     return BinMoments(keys, [len(g) for g in groups], np.stack(c2), np.stack(t))

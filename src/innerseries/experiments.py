@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, serialize, svgplot
-from .estimate import accumulate_moments, build_grid, estimate_velocity
+from .estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from .frames import fit_field, frame_residuals
 from .model import BinMoments, FrameField, Trajectory, WeightSeries
 from .reconstruct import integrate_weights
@@ -110,10 +110,11 @@ def run_pipeline(
     """trajectory -> velocity -> grid -> moments -> aligned frames -> weights."""
     vel = estimate_velocity(traj)
     grid = build_grid(traj, bins, min_count)
-    moments = accumulate_moments(traj, vel, grid)
+    binning = bin_samples(traj, vel, grid)
+    moments = accumulate_moments(vel, binning)
     field, skipped = fit_field(grid, moments)
     r1, r2 = frame_residuals(field, moments)
-    w = compute_weights(traj, vel, field)
+    w = compute_weights(traj, vel, field, binning)
     return PipelineResult(traj, field, w, moments, r1, r2, len(skipped))
 
 

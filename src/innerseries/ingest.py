@@ -103,9 +103,9 @@ def _parse_cells(path, header: list[str]) -> np.ndarray:
 
 
 def _loadtxt(body, width: int) -> np.ndarray | None:
-    """The rows of a CSV body (quoted or plain cells, blank lines skipped),
-    an open text file or the name of one, or None unless each row is width
-    finite numbers."""
+    """The rows of a CSV body (quoted or plain cells, blank lines skipped)
+    in the named file body, or None unless each row is width finite
+    numbers."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows
@@ -136,23 +136,30 @@ def _line_start(fb, pos: int) -> int:
             return at + m.end()
 
 
-def _parse_part(path, lo: int, hi: int, width: int, out) -> None:
-    """Parse bytes lo..hi-1 of a CSV body, cut at line starts, into rows of
-    width finite numbers, and write their float64 bytes to the binary file
-    out.
+def _parse_range(path, lo: int, hi: int, width: int) -> np.ndarray | None:
+    """The rows of bytes lo..hi-1 of a CSV body, cut at line starts, or None
+    unless they are rows of width finite numbers.
 
-    The part is parsed from a named copy: np.loadtxt reads a named file in
-    large blocks, but iterates an open one line by line in Python.
+    The bytes are parsed from a named copy, written one _BLOCK at a time:
+    np.loadtxt reads a named file in large blocks, but iterates an open one
+    line by line in Python.  An odd number of quotes fails the range, as a
+    quoted cell then spans a cut.
     """
-    with open(path, "rb") as fb:
+    quotes = 0
+    with open(path, "rb") as fb, tempfile.NamedTemporaryFile() as text:
         fb.seek(lo)
-        raw = fb.read(hi - lo)
-    data = None
-    if not (b'"' in raw and raw.count(b'"') % 2):  # else a quoted cell spans a cut
-        with tempfile.NamedTemporaryFile() as text:
-            text.write(raw)
-            text.flush()
-            data = _loadtxt(text.name, width)
+        for at in range(lo, hi, _BLOCK):
+            block = fb.read(min(_BLOCK, hi - at))
+            quotes += block.count(b'"')
+            text.write(block)
+        text.flush()
+        return None if quotes % 2 else _loadtxt(text.name, width)
+
+
+def _parse_part(path, lo: int, hi: int, width: int, out) -> None:
+    """Parse bytes lo..hi-1 of a CSV body (see _parse_range) and write the
+    rows' float64 bytes to the binary file out."""
+    data = _parse_range(path, lo, hi, width)
     if data is None:
         raise ValueError(f"{path}: bytes {lo}-{hi - 1} are not a table of finite numbers")
     out.write(data.tobytes())
@@ -186,8 +193,9 @@ def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
     not; blank lines skipped); errors name the row and column at fault.
 
     A body of at least 2 * _PART_BYTES is cut at line starts into one part
-    per usable CPU, each parsed by a forked child; if any part fails, the
-    per-cell parse finds the fault.
+    per usable CPU, each parsed by a forked child; a body in one part is
+    parsed by this process the same way (_parse_range).  If any part
+    fails, the per-cell parse finds the fault.
     """
     with open(path, newline="") as fh:
         head = []  # the lines the header row is read from
@@ -209,7 +217,7 @@ def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
                 inner = {_line_start(fb, start + (size - start) * i // k) for i in range(1, k)}
             cuts = sorted({*cuts, *inner})
         if len(cuts) == 2:
-            data = _loadtxt(fh, len(header))
+            data = _parse_range(path, start, size, len(header))
         else:
             try:
                 data = _parse_in_parts(path, cuts, len(header))

@@ -168,6 +168,32 @@ class BinGrid:
 
 
 @dataclass(frozen=True)
+class Binning:
+    """The samples of an n_samples-long trajectory that have a valid
+    velocity and lie inside grid, grouped by bin: the bin of flat index
+    flat[b] (row-major, ascending in b) holds the samples
+    order[starts[b]:starts[b + 1]], ascending.  Every listed bin holds at
+    least one sample, whether or not it reaches the grid's min_count.
+    """
+
+    grid: BinGrid
+    n_samples: int
+    order: np.ndarray
+    flat: np.ndarray
+    starts: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.order, self.flat, self.starts):
+            a.setflags(write=False)
+
+    def groups(self):
+        """(flat index, sample rows) of each listed bin, in ascending bin
+        order; the rows are views of order."""
+        bounds = self.starts.tolist()
+        return ((f, self.order[lo:hi]) for f, lo, hi in zip(self.flat.tolist(), bounds, bounds[1:]))
+
+
+@dataclass(frozen=True)
 class BinMoments:
     """Velocity statistics of B occupied bins, one row per bin: its grid
     index keys (B, N), valid-sample count (B,), centered second moment c2
@@ -274,7 +300,9 @@ class WeightSeries:
             raise ValueError("valid_mask must be one flag per sample")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if np.any(mask & ~np.isfinite(values).all(axis=1)):
+        finite = np.isfinite(values)
+        # the whole-array test first: a per-row reduction costs ten times more
+        if not finite.all() and np.any(mask & ~finite.all(axis=1)):
             raise ValueError("valid weights must be finite")
         values.setflags(write=False)
         mask.setflags(write=False)

@@ -36,8 +36,9 @@ def integrate_weights(
         raise ValueError("steps exceeds weight series length")
     if grid.flat_index(x0)[0] < 0:
         raise ValueError("x0 outside grid")
-    flat_to_slot, _, _, v_stack = _bin_lookup(field)
+    flat_to_slot, _ = _bin_lookup(field)
     flat_to_slot = flat_to_slot.tolist()
+    v_stack = np.stack([field.frames[k].v for k in sorted(field.frames)])
     valid = w.valid_mask[:steps].tolist()
     # per axis, as Python floats: the bounds with one grid step of slack, and
     # the clip and inner edges that give the bin (edges at or below the point)

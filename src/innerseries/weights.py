@@ -10,6 +10,7 @@ import numpy as np
 
 from .ingest import _CHUNK, TIME_COLUMN, _read_csv_table, _time_step, _write_csv_columns
 from .model import (
+    Binning,
     DimensionMismatchError,
     FrameField,
     SignedPermutation,
@@ -28,7 +29,8 @@ class AlignmentError(ValueError):
 
 def _bin_lookup(field: FrameField):
     """Flat-bin -> frame-slot map, with a one-step nearest-occupied fallback
-    for unoccupied bins.
+    for unoccupied bins, and the mask of the bins that fall back.  Slot i is
+    the i-th key of sorted(field.frames).
 
     An unoccupied bin borrows the occupied bin among its 3^N neighbours
     that is fewest axes away, ties going to the first offset in
@@ -53,40 +55,42 @@ def _bin_lookup(field: FrameField):
         chosen[take] = shifted[take]
         unresolved &= ~take
     flat_to_slot = chosen.ravel()
-    fallback = (flat_to_slot >= 0) & (slots.ravel() < 0)
-    m_stack = np.stack([field.frames[k].m for k in keys])
-    v_stack = np.stack([field.frames[k].v for k in keys])
-    return flat_to_slot, fallback, m_stack, v_stack
+    return flat_to_slot, (flat_to_slot >= 0) & (slots.ravel() < 0)
 
 
 def compute_weights(
-    traj: Trajectory, vel: VelocitySeries, field: FrameField
+    traj: Trajectory, vel: VelocitySeries, field: FrameField, binning: Binning
 ) -> WeightSeries:
-    """w(t) = M_bin(x(t)) . xdot(t) per valid sample.
+    """w(t) = M_bin(x(t)) . xdot(t) per valid sample, from the binning of
+    traj and vel on the field's grid.
 
     Samples in unoccupied bins fall back to the nearest occupied bin within
     one grid step (flagged); samples with no such bin, or landing outside the
-    grid, are invalid.
+    grid, are invalid.  Each bin's frame is applied to all of the bin's rows
+    as one product.
     """
     if not field.frames:
         raise ValueError("empty frame field")
-    if len(vel) != traj.n_samples:
-        raise ValueError("velocity not aligned with trajectory")
-    flat_to_slot, fallback_bins, m_stack, _ = _bin_lookup(field)
+    if not len(vel) == binning.n_samples == traj.n_samples:
+        raise ValueError("velocity or binning not aligned with trajectory")
+    if not (
+        binning.grid.dim == field.grid.dim
+        and all(map(np.array_equal, binning.grid.edges, field.grid.edges))
+    ):
+        raise ValueError("samples binned on another grid than the field's")
+    flat_to_slot, fallback_bins = _bin_lookup(field)
+    m_stack = np.stack([field.frames[k].m for k in sorted(field.frames)])
     values = np.zeros((traj.n_samples, traj.dim))
     valid = np.zeros(traj.n_samples, dtype=bool)
     fallback = np.zeros(traj.n_samples, dtype=bool)
-    # one block of samples at a time: the bin indices, slots and gathered
-    # frames are held for _CHUNK samples, never for all n
-    for lo in range(0, traj.n_samples, _CHUNK):
-        block = slice(lo, lo + _CHUNK)
-        flat = field.grid.flat_index(traj.samples[block])
-        # flat = -1 reads the last entry; the flat >= 0 test masks it out
-        slots = np.where(flat >= 0, flat_to_slot[flat], -1)
-        valid[block] = vel.valid_mask[block] & (slots >= 0)
-        fallback[block] = valid[block] & fallback_bins[flat]
-        rows = np.flatnonzero(valid[block])
-        values[lo + rows] = np.einsum("nij,nj->ni", m_stack[slots[rows]], vel.values[lo + rows])
+    for f, rows in binning.groups():
+        slot = flat_to_slot[f]
+        if slot < 0:  # no occupied bin within one grid step
+            continue
+        values[rows] = vel.values[rows] @ m_stack[slot].T
+        valid[rows] = True
+        if fallback_bins[f]:
+            fallback[rows] = True
     return WeightSeries(values, valid, dt=traj.dt, fallback_mask=fallback)
 
 

@@ -10,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from innerseries.frames import (
     align_frame_field,
     apply_signed_permutation_to_frame,
@@ -84,8 +84,9 @@ def linear_map_law_check(
     traj = gen_bounded_walk(n, seed=seed, dim=2, box=1.0, dt=1.0, noise=("laplace", "uniform"))
     vel = estimate_velocity(traj)
     grid = build_grid(traj, bins)
-    moments = accumulate_moments(traj, vel, grid)
-    moments_p = accumulate_moments(traj, VelocitySeries(vel.values @ lin.T, vel.valid_mask), grid)
+    binning = bin_samples(traj, vel, grid)
+    moments = accumulate_moments(vel, binning)
+    moments_p = accumulate_moments(VelocitySeries(vel.values @ lin.T, vel.valid_mask), binning)
     assert np.array_equal(moments.keys, moments_p.keys)
     jac = np.linalg.inv(lin)  # dx/dx'
     residuals = []

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from innerseries.ingest import gen_sine
 from innerseries.model import BinGrid, Trajectory, VelocitySeries
-
-
-def keys_of(moments):
-    """The bins of a BinMoments, as key tuples in row order."""
-    return [tuple(k) for k in moments.keys.tolist()]
+from stage_references import assert_same_moments, keys_of, per_bin_moments
 
 
 class TestEstimateVelocity:
@@ -61,7 +57,7 @@ class TestBuildGrid:
             for f, c in enumerate(np.bincount(flat, minlength=35))
             if c
         }
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert dict(zip(keys_of(moments), moments.count.tolist())) == expect
         assert moments.count.sum() == n
 
@@ -72,7 +68,7 @@ class TestBuildGrid:
         traj = Trajectory(rng.random(n), 1.0)
         vel = VelocitySeries(rng.standard_normal((n, 1)), np.ones(n, dtype=bool))
         grid = build_grid(traj, [nb], min_count=1)
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert len(moments) == nb
         p = 1.0 / nb
         sigma = np.sqrt(n * p * (1 - p))
@@ -106,14 +102,14 @@ def _single_bin_setup(velocities):
 class TestAccumulateMoments:
     def test_pm_one_velocities(self):
         traj, vel, grid = _single_bin_setup([1.0, -1.0, 1.0, -1.0])
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert keys_of(moments) == [(0,)]
         assert moments.c2[0, 0, 0] == 1.0
         assert moments.t[0, 0, 0] == 1.0
 
     def test_identical_velocities_zero_c2(self):
         traj, vel, grid = _single_bin_setup([2.0] * 6)
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert keys_of(moments) == [(0,)]
         assert moments.c2[0, 0, 0] == 0.0
         assert moments.t[0, 0, 0] == 0.0
@@ -124,7 +120,7 @@ class TestAccumulateMoments:
         vel = VelocitySeries(rng.standard_normal((200, 1)), np.ones(200, dtype=bool))
         grid = build_grid(traj, [4], min_count=10**6)
         with pytest.raises(ValueError):
-            accumulate_moments(traj, vel, grid)
+            accumulate_moments(vel, bin_samples(traj, vel, grid))
 
     def test_occupancy_sum_matches_valid_samples(self):
         rng = np.random.default_rng(2)
@@ -133,7 +129,7 @@ class TestAccumulateMoments:
         mask[:5] = False
         vel = VelocitySeries(rng.standard_normal((3000, 1)), mask)
         grid = build_grid(traj, [8], min_count=1)
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert moments.count.sum() == mask.sum()
 
     def test_symmetry_and_psd(self):
@@ -141,7 +137,7 @@ class TestAccumulateMoments:
         traj = Trajectory(rng.random((4000, 2)), 1.0)
         vel = VelocitySeries(rng.standard_normal((4000, 2)), np.ones(4000, dtype=bool))
         grid = build_grid(traj, [3, 3], min_count=10)
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         for c2, t in zip(moments.c2, moments.t):
             np.testing.assert_allclose(c2, c2.T)
             assert np.min(np.linalg.eigvalsh(c2)) >= -1e-12
@@ -159,8 +155,10 @@ class TestAccumulateMoments:
         traj_b = Trajectory(pos[order], 1.0)
         vel_a = VelocitySeries(v, np.ones(n, dtype=bool))
         vel_b = VelocitySeries(v[order], np.ones(n, dtype=bool))
-        ma = accumulate_moments(traj_a, vel_a, build_grid(traj_a, [8], min_count=1))
-        mb = accumulate_moments(traj_b, vel_b, build_grid(traj_b, [8], min_count=1))
+        grid_a = build_grid(traj_a, [8], min_count=1)
+        grid_b = build_grid(traj_b, [8], min_count=1)
+        ma = accumulate_moments(vel_a, bin_samples(traj_a, vel_a, grid_a))
+        mb = accumulate_moments(vel_b, bin_samples(traj_b, vel_b, grid_b))
         assert keys_of(ma) == keys_of(mb)
         np.testing.assert_allclose(ma.c2, mb.c2, rtol=1e-10)
         np.testing.assert_allclose(ma.t, mb.t, rtol=1e-10)
@@ -182,8 +180,8 @@ class TestAccumulateMoments:
         ga = build_grid(traj_a, [4, 4], min_count=1)
         gb = build_grid(traj_b, [4, 4], min_count=1)
         np.testing.assert_array_equal(ga.flat_index(traj_a.samples), gb.flat_index(traj_b.samples))
-        ma = accumulate_moments(traj_a, vel_a, ga)
-        mb = accumulate_moments(traj_b, vel_b, gb)
+        ma = accumulate_moments(vel_a, bin_samples(traj_a, vel_a, ga))
+        mb = accumulate_moments(vel_b, bin_samples(traj_b, vel_b, gb))
         assert keys_of(ma) == keys_of(mb)
         np.testing.assert_array_equal(ma.count, mb.count)
         s2 = np.outer(scale, scale)
@@ -200,7 +198,8 @@ class TestAccumulateMoments:
         v = rng.laplace(size=(2000, n_dim)) @ mix.T
         traj = Trajectory(rng.random((2000, n_dim)), 1.0)
         grid = build_grid(traj, [1] * n_dim, min_count=1)
-        moments = accumulate_moments(traj, VelocitySeries(v, np.ones(2000, dtype=bool)), grid)
+        vel = VelocitySeries(v, np.ones(2000, dtype=bool))
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert len(moments) == 1
         d = v - v.mean(axis=0)
         c2 = d.T @ d / len(d)
@@ -213,7 +212,8 @@ class TestAccumulateMoments:
         rng = np.random.default_rng(7)
         traj = Trajectory(rng.random((3000, 7)), 1.0)
         vel = VelocitySeries(rng.laplace(size=(3000, 7)), np.ones(3000, dtype=bool))
-        moments = accumulate_moments(traj, vel, build_grid(traj, [1] * 7, min_count=1))
+        grid = build_grid(traj, [1] * 7, min_count=1)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert moments.count.tolist() == [3000]
         assert moments.c2.shape == moments.t.shape == (1, 7, 7)
 
@@ -223,7 +223,7 @@ class TestAccumulateMoments:
         traj = gen_sine(a, 0.01, 100_000)
         vel = estimate_velocity(traj)
         grid = build_grid(traj, [128], min_count=50)
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert len(moments) > 100
         edges, k = grid.edges[0], moments.keys[:, 0]
         xc = 0.5 * (edges[k] + edges[k + 1])  # the bin centres
@@ -249,7 +249,8 @@ def binned_velocities(draw):
 
 
 def moments_of(traj, grid, v):
-    return accumulate_moments(traj, VelocitySeries(v, np.ones(len(v), dtype=bool)), grid)
+    vel = VelocitySeries(v, np.ones(len(v), dtype=bool))
+    return accumulate_moments(vel, bin_samples(traj, vel, grid))
 
 
 def max_rel_diff(a, b):
@@ -303,7 +304,7 @@ class TestQuadraticForm:
         traj, grid, v = data
         vel = VelocitySeries(v, np.ones(len(v), dtype=bool))
         flat = grid.flat_index(traj.samples)
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         for key, c2, m_t in zip(keys_of(moments), moments.c2, moments.t):
             dvl = v[flat == np.ravel_multi_index(key, grid.shape)]
             dvl = dvl - dvl.mean(axis=0)
@@ -311,27 +312,6 @@ class TestQuadraticForm:
             t = (dvl * q[:, None]).T @ dvl / len(dvl)
             tol = 1e-14 + 2 * EPS * np.linalg.cond(c2)
             assert max_rel_diff(m_t, 0.5 * (t + t.T)) <= tol
-
-
-def per_bin_moments(traj, vel, grid):
-    """Reference: one bin at a time, each with its own pinv, as
-    {key: (count, c2, t)}."""
-    flat = grid.flat_index(traj.samples)
-    sel = np.flatnonzero(vel.valid_mask & (flat >= 0))
-    order = np.argsort(flat[sel], kind="stable")
-    boundaries = np.flatnonzero(np.diff(flat[sel[order]])) + 1
-    out = {}
-    for group in np.split(sel[order], boundaries):
-        if len(group) < grid.min_count:
-            continue
-        dvl = vel.values[group] - vel.values[group].mean(axis=0)
-        c2 = dvl.T @ dvl / len(group)
-        c2 = 0.5 * (c2 + c2.T)
-        q = ((dvl @ np.linalg.pinv(c2, hermitian=True)) * dvl).sum(axis=1)
-        t = (dvl * q[:, None]).T @ dvl / len(group)
-        key = np.unravel_index(flat[group[0]], grid.shape)
-        out[tuple(int(i) for i in key)] = (len(group), c2, 0.5 * (t + t.T))
-    return out
 
 
 @st.composite
@@ -354,14 +334,6 @@ def sparse_binned_velocities(draw):
     return traj, VelocitySeries(v, mask), grid
 
 
-def assert_same_moments(moments, ref):
-    assert keys_of(moments) == list(ref)
-    for i, (count, c2, t) in enumerate(ref.values()):
-        assert moments.count[i] == count
-        assert moments.c2[i].tobytes() == c2.tobytes()
-        assert moments.t[i].tobytes() == t.tobytes()
-
-
 class TestStackedMoments:
     @settings(max_examples=40, deadline=None)
     @given(sparse_binned_velocities())
@@ -369,7 +341,7 @@ class TestStackedMoments:
         traj, vel, grid = case
         ref = per_bin_moments(traj, vel, grid)
         try:
-            moments = accumulate_moments(traj, vel, grid)
+            moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         except ValueError:
             assert not ref
             return
@@ -385,7 +357,7 @@ class TestStackedMoments:
         grid = build_grid(traj, (3,) * 6, min_count=20)
         ref = per_bin_moments(traj, vel, grid)
         assert len(ref) > 300
-        assert_same_moments(accumulate_moments(traj, vel, grid), ref)
+        assert_same_moments(accumulate_moments(vel, bin_samples(traj, vel, grid)), ref)
 
     def test_zero_c2_and_sparse_bins(self):
         # bin 0 holds 50 equal velocities, bin 1 five samples, bin 2 the rest
@@ -396,7 +368,7 @@ class TestStackedMoments:
         traj = Trajectory(np.column_stack([pos, pos]), 1.0)
         vel = VelocitySeries(v, np.ones(len(pos), dtype=bool))
         grid = build_grid(traj, [3, 3], min_count=10)
-        moments = accumulate_moments(traj, vel, grid)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert keys_of(moments) == [(0, 0), (2, 2)]
         assert not moments.c2[0].any() and not moments.t[0].any()
         assert_same_moments(moments, per_bin_moments(traj, vel, grid))
@@ -411,7 +383,7 @@ class TestStackedMoments:
         grid = build_grid(traj, (2,) * dim, min_count=1)
         tracemalloc.start()
         try:
-            accumulate_moments(traj, vel, grid)
+            accumulate_moments(vel, bin_samples(traj, vel, grid))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerseries.estimate import accumulate_moments, build_grid, estimate_velocity
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from innerseries.experiments import run_pipeline
 from innerseries.frames import (
     FrameSolveError,
@@ -160,7 +160,8 @@ class TestFitField:
     def test_skips_bin_of_equal_velocities(self):
         traj = walk_then_ramp()
         grid = build_grid(traj, (8,))
-        moments = accumulate_moments(traj, estimate_velocity(traj), grid)
+        vel = estimate_velocity(traj)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         row = rows_of(moments)
         assert [moments.count[row[k]] for k in RAMP_BINS] == [80, 80, 79]
         for k in RAMP_BINS:
@@ -178,7 +179,8 @@ class TestFitField:
     def test_gap_tol_reaches_solve(self):
         traj = gen_bounded_walk(20_000, seed=1, dim=2, noise=("laplace", "uniform"))
         grid = build_grid(traj, (3, 3))
-        moments = accumulate_moments(traj, estimate_velocity(traj), grid)
+        vel = estimate_velocity(traj)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         field, skipped = fit_field(grid, moments)
         assert not skipped
         assert not all(f.degenerate_flag for f in field.frames.values())

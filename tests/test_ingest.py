@@ -350,7 +350,7 @@ class TestForkedReader:
         # only in the next part: an odd number of quotes fails the part
         p = tmp_path / "a.csv"
         p.write_bytes(b'0,"1\n')
-        assert ingest._loadtxt(io.StringIO('0,"1\n', newline=""), 2).tolist() == [[0.0, 1.0]]
+        assert ingest._loadtxt(str(p), 2).tolist() == [[0.0, 1.0]]
         with pytest.raises(ValueError, match=r"bytes 0-4 are not a table of finite numbers"):
             ingest._parse_part(p, 0, 5, 2, io.BytesIO())
 
@@ -417,6 +417,33 @@ class TestForkedReader:
         monkeypatch.setattr(ingest, "_PART_BYTES", p.stat().st_size // 2 + 1)
         self.read(monkeypatch, ingest._read_csv_table, p, 4)
         assert forks == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_small_body_parsed_from_a_named_copy_in_this_process(
+        self, tmp_path, monkeypatch, no_cell_parse, forks, cpus
+    ):
+        # at the real part size a body under 2 MiB is one part: this process
+        # parses it from a named copy, as a forked child parses its part, and
+        # not from the open file.  Quoted cells (one holding a line end), a
+        # blank line after every row and \r-only line ends read to the table
+        lines, table = _reader_body(2000, 7)
+        t, x, y = lines[3].split(",")
+        lines[3] = f'{t},{x},"{y}\r\n"'
+        p = tmp_path / "a.csv"
+        _write_lines(p, ['t,"x",y', *(cell for line in lines for cell in (line, ""))], "\r")
+        assert p.stat().st_size < 2 * ingest._PART_BYTES
+        bodies = []
+        loadtxt = ingest._loadtxt
+
+        def spy(body, width):
+            bodies.append(body)
+            return loadtxt(body, width)
+
+        monkeypatch.setattr(ingest, "_loadtxt", spy)
+        header, data = self.read(monkeypatch, ingest._read_csv_table, p, cpus)
+        assert header == ["t", "x", "y"] and forks == []
+        assert len(bodies) == 1 and isinstance(bodies[0], str) and bodies[0] != str(p)
+        assert data.shape == table.shape and data.tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("block", [2, 3, 5, 1 << 16])
     def test_line_starts(self, tmp_path, monkeypatch, block):

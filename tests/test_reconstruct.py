@@ -13,7 +13,8 @@ def integrate_weights_reference(w, field, x0, steps):
     bounds test, the clip and the bin lookup through grid.flat_index."""
     grid = field.grid
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    flat_to_slot, _, _, v_stack = _bin_lookup(field)
+    flat_to_slot, _ = _bin_lookup(field)
+    v_stack = np.stack([field.frames[k].v for k in sorted(field.frames)])
     lo = np.array([e[0] for e in grid.edges])
     hi = np.array([e[-1] for e in grid.edges])
     slack = grid.step_sizes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from innerseries import serialize
-from innerseries.estimate import estimate_velocity
+from innerseries.estimate import bin_samples, estimate_velocity
 from innerseries.experiments import run_pipeline
 from innerseries.ingest import gen_bounded_walk
 from innerseries.weights import compute_weights
@@ -97,8 +97,8 @@ class TestFieldRoundtrip:
         serialize.dump_json(serialize.field_to_dict(res.field), p)
         back = serialize.field_from_dict(serialize.load_json(p))
         vel = estimate_velocity(traj)
-        w1 = compute_weights(traj, vel, res.field)
-        w2 = compute_weights(traj, vel, back)
+        w1 = compute_weights(traj, vel, res.field, bin_samples(traj, vel, res.field.grid))
+        w2 = compute_weights(traj, vel, back, bin_samples(traj, vel, back.grid))
         np.testing.assert_array_equal(w1.values, w2.values)
         np.testing.assert_array_equal(w1.valid_mask, w2.valid_mask)
 

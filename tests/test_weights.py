@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerseries.estimate import estimate_velocity
+from innerseries.estimate import bin_samples, estimate_velocity
 from innerseries.ingest import _CHUNK, gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline, sine_sign_match
 from innerseries.model import (
@@ -32,6 +32,7 @@ from innerseries.weights import (
     separability_report,
     write_csv_weights,
 )
+from stage_references import assert_near_per_channel, einsum_weights, per_bin_weights
 
 
 ONLY_50_JOINT = rf"only 50 jointly valid samples \(need {MIN_OVERLAP}\)"
@@ -69,7 +70,8 @@ class TestComputeWeights:
         res = walk_pipeline
         vel = estimate_velocity(res.traj)
         vel0 = VelocitySeries(np.zeros_like(vel.values), vel.valid_mask.copy())
-        w0 = compute_weights(res.traj, vel0, res.field)
+        binning = bin_samples(res.traj, vel0, res.field.grid)
+        w0 = compute_weights(res.traj, vel0, res.field, binning)
         assert np.all(w0.values == 0.0)
 
     def test_sine_sign_match_small(self):
@@ -127,17 +129,6 @@ def _random_field_inputs(n, dim, seed=0, margin=0.1):
     return traj, vel, FrameField(grid, frames)
 
 
-def _whole_array_weights(traj, vel, field):
-    """Reference: one gather of every valid sample's frame, one einsum."""
-    flat = field.grid.flat_index(traj.samples)
-    flat_to_slot, fallback_bins, m_stack, _ = _bin_lookup(field)
-    slots = np.where(flat >= 0, flat_to_slot[flat], -1)
-    valid = vel.valid_mask & (slots >= 0)
-    values = np.zeros((traj.n_samples, traj.dim))
-    values[valid] = np.einsum("nij,nj->ni", m_stack[slots[valid]], vel.values[valid])
-    return values, valid, valid & fallback_bins[flat]
-
-
 def full_sweep_lookup(field):
     """Reference: flat-bin -> slot map and fallback mask from every one of
     the 3^N - 1 offsets, fewest axes first."""
@@ -175,18 +166,18 @@ class TestBinLookup:
     @settings(max_examples=80, deadline=None)
     @given(occupancies())
     def test_early_stop_matches_full_sweep(self, field):
-        flat_to_slot, fallback, _, _ = _bin_lookup(field)
+        flat_to_slot, fallback = _bin_lookup(field)
         ref_slots, ref_fallback = full_sweep_lookup(field)
         np.testing.assert_array_equal(flat_to_slot, ref_slots)
         np.testing.assert_array_equal(fallback, ref_fallback)
 
     def test_bin_with_no_occupied_neighbour_stays_unresolved(self):
         # 1-D: (1,) borrows (0,); 2-D: (3, 3) is two steps from (0, 0)
-        flat_to_slot, fallback, _, _ = _bin_lookup(identity_field((4,), [(0,)]))
+        flat_to_slot, fallback = _bin_lookup(identity_field((4,), [(0,)]))
         assert flat_to_slot.tolist() == [0, 0, -1, -1]
         assert fallback.tolist() == [False, True, False, False]
         field = identity_field((4, 4), [(0, 0), (0, 3)])
-        flat_to_slot, fallback, _, _ = _bin_lookup(field)
+        flat_to_slot, fallback = _bin_lookup(field)
         assert flat_to_slot.reshape(4, 4)[3].tolist() == [-1, -1, -1, -1]
         assert flat_to_slot.reshape(4, 4)[1].tolist() == [0, 0, 1, 1]
         ref_slots, ref_fallback = full_sweep_lookup(field)
@@ -198,22 +189,30 @@ class TestBlockwiseWeights:
     @pytest.mark.parametrize("dim", [1, 2, 6])
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK + 1])
     def test_bit_identical_to_whole_array(self, n, dim):
+        # bit for bit against the per-bin product; the one einsum over all
+        # samples that defines w sums in another order, so it is matched to
+        # 1e-15 of max|w| per channel
         traj, vel, field = _random_field_inputs(n, dim, seed=dim)
-        values, valid, fallback = _whole_array_weights(traj, vel, field)
-        w = compute_weights(traj, vel, field)
+        values, valid, fallback = per_bin_weights(traj, vel, field)
+        w = compute_weights(traj, vel, field, bin_samples(traj, vel, field.grid))
         assert fallback.any() and (vel.valid_mask & ~valid).any()
         np.testing.assert_array_equal(w.valid_mask, valid)
         np.testing.assert_array_equal(w.fallback_mask, fallback)
         assert w.values.tobytes() == values.tobytes()
+        ein_values, ein_valid, ein_fallback = einsum_weights(traj, vel, field)
+        np.testing.assert_array_equal(ein_valid, valid)
+        np.testing.assert_array_equal(ein_fallback, fallback)
+        assert_near_per_channel(w.values, ein_values)
 
     def test_peak_memory_below_one_frame_per_sample(self):
         # every sample in the grid: a frame gathered for each would alone
         # take n N^2 8 bytes
         n, dim = 50_000, 6
         traj, vel, field = _random_field_inputs(n, dim, margin=0.0)
+        binning = bin_samples(traj, vel, field.grid)
         tracemalloc.start()
         try:
-            compute_weights(traj, vel, field)
+            compute_weights(traj, vel, field, binning)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -224,9 +223,10 @@ class TestBlockwiseWeights:
         # n-long bin or slot index would take 8 n more on its own
         n, dim = 200_000, 1
         traj, vel, field = _random_field_inputs(n, dim, margin=0.0)
+        binning = bin_samples(traj, vel, field.grid)
         tracemalloc.start()
         try:
-            compute_weights(traj, vel, field)
+            compute_weights(traj, vel, field, binning)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
