@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
-    python3 scripts/paired_bench.py PARENT CHANGE --workload W --seeds 3000-3009 [--seconds S]
+    python3 scripts/paired_bench.py PARENT CHANGE --workload W --seeds 3000-3009
 
 For each seed, runs `python3 bench/run.py --workload W --seed S` once in each
 checkout, the parent first at even positions in the seed list and the change
@@ -32,14 +32,13 @@ def parse_seeds(tokens: list[str]) -> list[int]:
     return seeds
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_bench(root: Path, workload: str, seed: int) -> dict:
     """The result object bench/run.py prints for one workload run in root."""
     argv = [
         sys.executable,
         str(root / "bench" / "run.py"),
         "--workload", workload,
         "--seed", str(seed),
-        "--seconds", str(seconds),
     ]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
@@ -61,7 +60,6 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", nargs="+", required=True, help="integers or ranges a-b")
-    ap.add_argument("--seconds", type=int, default=10, help="passed on to bench/run.py")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = parse_seeds(args.seeds)
@@ -71,7 +69,7 @@ def main(argv=None) -> int:
     ok = True
     for i, seed in enumerate(seeds):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            result = run_bench(roots[side], args.workload, seed, args.seconds)
+            result = run_bench(roots[side], args.workload, seed)
             results[side].append(result)
             if not result["correct"] or result["failed"]:
                 ok = False

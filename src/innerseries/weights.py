@@ -58,16 +58,27 @@ def _bin_lookup(field: FrameField):
     return flat_to_slot, (flat_to_slot >= 0) & (slots.ravel() < 0)
 
 
+# A bin of at least this many samples takes one product with its frame;
+# the samples of smaller bins take a per-sample product, _CHUNK sorted rows
+# at a time, so the loop over bins runs at most n / _PRODUCT_ROWS times on
+# any grid.  Below about this size a product costs more per sample than the
+# per-sample gather.
+_PRODUCT_ROWS = 128
+
+
 def compute_weights(
     traj: Trajectory, vel: VelocitySeries, field: FrameField, binning: Binning
 ) -> WeightSeries:
-    """w(t) = M_bin(x(t)) . xdot(t) per valid sample, from the binning of
-    traj and vel on the field's grid.
+    """w(t) = M_bin(x(t)) . xdot(t) per valid sample, from
+    binning = bin_samples(traj, vel, field.grid) of this same vel: the
+    binning holds the samples with a valid velocity, and only those can be
+    valid weights.
 
     Samples in unoccupied bins fall back to the nearest occupied bin within
     one grid step (flagged); samples with no such bin, or landing outside the
-    grid, are invalid.  Each bin's frame is applied to all of the bin's rows
-    as one product.
+    grid, are invalid.  A bin of at least _PRODUCT_ROWS samples is applied
+    its frame as one product; the samples of smaller bins each get their
+    frame gathered.
     """
     if not field.frames:
         raise ValueError("empty frame field")
@@ -80,17 +91,28 @@ def compute_weights(
         raise ValueError("samples binned on another grid than the field's")
     flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([field.frames[k].m for k in sorted(field.frames)])
+    order, starts = binning.order, binning.starts
+    slot = flat_to_slot[binning.flat]  # per listed bin; -1: no occupied bin within one step
+    counts = np.diff(starts)
     values = np.zeros((traj.n_samples, traj.dim))
     valid = np.zeros(traj.n_samples, dtype=bool)
     fallback = np.zeros(traj.n_samples, dtype=bool)
-    for f, rows in binning.groups():
-        slot = flat_to_slot[f]
-        if slot < 0:  # no occupied bin within one grid step
-            continue
-        values[rows] = vel.values[rows] @ m_stack[slot].T
-        valid[rows] = True
-        if fallback_bins[f]:
-            fallback[rows] = True
+    valid[order] = np.repeat(slot >= 0, counts)
+    fallback[order] = np.repeat(fallback_bins[binning.flat], counts)
+    large = (slot >= 0) & (counts >= _PRODUCT_ROWS)
+    for s, lo, hi in zip(slot[large].tolist(), starts[:-1][large].tolist(), starts[1:][large].tolist()):
+        rows = order[lo:hi]
+        values[rows] = vel.values[rows] @ m_stack[s].T
+    small = np.where(large, -1, slot)  # the slot of each small bin
+    if np.any(small >= 0):
+        for lo in range(0, len(order), _CHUNK):
+            hi = min(lo + _CHUNK, len(order))
+            # the bins that overlap sorted rows lo:hi, and the rows of each
+            first, stop = np.searchsorted(starts, lo, side="right") - 1, np.searchsorted(starts, hi)
+            block = np.repeat(small[first:stop], np.diff(np.clip(starts[first : stop + 1], lo, hi)))
+            pick = np.flatnonzero(block >= 0)
+            rows = order[lo + pick]
+            values[rows] = np.einsum("nij,nj->ni", m_stack[block[pick]], vel.values[rows])
     return WeightSeries(values, valid, dt=traj.dt, fallback_mask=fallback)
 
 

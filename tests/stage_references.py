@@ -1,11 +1,12 @@
 """Test-side references for the binned stages: the moments bin by bin, each
-bin with its own pinv, and the weights both as a per-bin product and as
-the one einsum over all samples that defines them.  Each finds a bin's
+bin with its own pinv, and the weights both as compute_weights forms them
+(a product per large bin, a per-sample einsum for the rest) and as the one
+einsum over all samples that defines them.  Each finds a bin's
 samples through its own flat index, not through the package's binning."""
 
 import numpy as np
 
-from innerseries.weights import _bin_lookup
+from innerseries.weights import _PRODUCT_ROWS, _bin_lookup
 
 
 def keys_of(moments):
@@ -56,8 +57,9 @@ def einsum_weights(traj, vel, field):
 
 def per_bin_weights(traj, vel, field):
     """Reference: each bin's frame, or its fallback bin's, applied to the
-    bin's valid samples, ascending, as one product, each bin found by its
-    own scan of the flat index."""
+    bin's valid samples, ascending, as one product when the bin holds at
+    least _PRODUCT_ROWS of them and sample by sample through the einsum
+    otherwise, each bin found by its own scan of the flat index."""
     flat = field.grid.flat_index(traj.samples)
     flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([field.frames[k].m for k in sorted(field.frames)])
@@ -65,7 +67,11 @@ def per_bin_weights(traj, vel, field):
     values = np.zeros((traj.n_samples, traj.dim))
     for f in np.unique(flat[valid]):
         rows = np.flatnonzero(valid & (flat == f))
-        values[rows] = vel.values[rows] @ m_stack[flat_to_slot[f]].T
+        m = m_stack[flat_to_slot[f]]
+        if len(rows) >= _PRODUCT_ROWS:
+            values[rows] = vel.values[rows] @ m.T
+        else:
+            values[rows] = np.einsum("ij,nj->ni", m, vel.values[rows])
     return values, valid, valid & fallback_bins[flat]
 
 

@@ -21,6 +21,7 @@ from innerseries.model import (
     WeightSeries,
 )
 from innerseries.weights import (
+    _PRODUCT_ROWS,
     MIN_OVERLAP,
     AlignmentError,
     _bin_lookup,
@@ -189,9 +190,10 @@ class TestBlockwiseWeights:
     @pytest.mark.parametrize("dim", [1, 2, 6])
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK + 1])
     def test_bit_identical_to_whole_array(self, n, dim):
-        # bit for bit against the per-bin product; the one einsum over all
-        # samples that defines w sums in another order, so it is matched to
-        # 1e-15 of max|w| per channel
+        # bit for bit against the per-bin reference (a product per large
+        # bin, the einsum per sample in the others); the one einsum over all
+        # samples that defines w sums the large bins in another order, so it
+        # is matched to 1e-15 of max|w| per channel
         traj, vel, field = _random_field_inputs(n, dim, seed=dim)
         values, valid, fallback = per_bin_weights(traj, vel, field)
         w = compute_weights(traj, vel, field, bin_samples(traj, vel, field.grid))
@@ -203,6 +205,50 @@ class TestBlockwiseWeights:
         np.testing.assert_array_equal(ein_valid, valid)
         np.testing.assert_array_equal(ein_fallback, fallback)
         assert_near_per_channel(w.values, ein_values)
+
+    def test_bins_either_side_of_the_product_size(self):
+        # bins of _PRODUCT_ROWS - 1, _PRODUCT_ROWS and _PRODUCT_ROWS + 1
+        # samples, and a fourth bin without a frame that borrows the third's
+        k = _PRODUCT_ROWS
+        counts = [k - 1, k, k + 1, 5]
+        rng = np.random.default_rng(7)
+        x = np.repeat((np.arange(4) + 0.5) / 4, counts)
+        samples = np.column_stack([x, np.full(len(x), 0.5)])[rng.permutation(len(x))]
+        traj = Trajectory(samples, 1.0)
+        vel = VelocitySeries(rng.standard_normal((len(x), 2)), np.ones(len(x), dtype=bool))
+        grid = BinGrid((np.linspace(0.0, 1.0, 5), np.array([0.0, 1.0])), 1)
+        frames = {}
+        for key in [(0, 0), (1, 0), (2, 0)]:
+            m = rng.standard_normal((2, 2)) + 3 * np.eye(2)
+            frames[key] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
+        field = FrameField(grid, frames)
+        w = compute_weights(traj, vel, field, bin_samples(traj, vel, grid))
+        values, valid, fallback = per_bin_weights(traj, vel, field)
+        assert valid.all() and np.count_nonzero(fallback) == 5
+        np.testing.assert_array_equal(w.valid_mask, valid)
+        np.testing.assert_array_equal(w.fallback_mask, fallback)
+        assert w.values.tobytes() == values.tobytes()
+        assert_near_per_channel(w.values, einsum_weights(traj, vel, field)[0])
+
+    def test_fine_grid_of_sparse_bins(self):
+        # 40 000 samples over 200 x 200 bins, about one per bin, a frame on
+        # every seventh bin: most bins fall back or stay unresolved
+        rng = np.random.default_rng(11)
+        n, shape = 40_000, (200, 200)
+        traj = Trajectory(rng.random((n, 2)), 1.0)
+        mask = rng.random(n) > 0.05
+        vel = VelocitySeries(rng.standard_normal((n, 2)), mask)
+        grid = BinGrid(tuple(np.linspace(0.0, 1.0, s + 1) for s in shape), 1)
+        m = np.array([[2.0, 1.0], [-1.0, 3.0]])
+        frame = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
+        field = FrameField(grid, {k: frame for i, k in enumerate(np.ndindex(shape)) if i % 7 == 0})
+        w = compute_weights(traj, vel, field, bin_samples(traj, vel, grid))
+        values, valid, fallback = per_bin_weights(traj, vel, field)
+        assert fallback.any() and (mask & ~valid).any()
+        np.testing.assert_array_equal(w.valid_mask, valid)
+        np.testing.assert_array_equal(w.fallback_mask, fallback)
+        assert w.values.tobytes() == values.tobytes()
+        assert_near_per_channel(w.values, einsum_weights(traj, vel, field)[0])
 
     def test_peak_memory_below_one_frame_per_sample(self):
         # every sample in the grid: a frame gathered for each would alone
