@@ -76,9 +76,9 @@ def compute_weights(
 
     Samples in unoccupied bins fall back to the nearest occupied bin within
     one grid step (flagged); samples with no such bin, or landing outside the
-    grid, are invalid.  A bin of at least _PRODUCT_ROWS samples is applied
-    its frame as one product; the samples of smaller bins each get their
-    frame gathered.
+    grid, are invalid.  Each bin of at least _PRODUCT_ROWS samples gets its
+    frame applied as one product; the samples of smaller bins each get
+    their frame gathered.
     """
     if not field.frames:
         raise ValueError("empty frame field")
@@ -100,7 +100,8 @@ def compute_weights(
     valid[order] = np.repeat(slot >= 0, counts)
     fallback[order] = np.repeat(fallback_bins[binning.flat], counts)
     large = (slot >= 0) & (counts >= _PRODUCT_ROWS)
-    for s, lo, hi in zip(slot[large].tolist(), starts[:-1][large].tolist(), starts[1:][large].tolist()):
+    bounds = zip(starts[:-1][large].tolist(), starts[1:][large].tolist())
+    for s, (lo, hi) in zip(slot[large].tolist(), bounds):
         rows = order[lo:hi]
         values[rows] = vel.values[rows] @ m_stack[s].T
     small = np.where(large, -1, slot)  # the slot of each small bin
