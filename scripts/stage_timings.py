@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Time the stages of one fit in-process, on fixed inputs.
+
+    python3 scripts/stage_timings.py
+
+For each input it prints the median of 5 runs, in ms, of the binning
+(`bin_samples`), the moments (`accumulate_moments`), `fit_field` and the
+weights (`compute_weights`), each stage run on the output of the one before.
+It also prints the input's occupied bins and aligned components, the
+breadth-first levels below the components' roots, summed over the
+components, and the largest depth of a bin below its root.  A search level
+by level per component solves one assignment per level; the alignment
+solves one per depth, across all components.  Velocities and the grid are
+built once per input and not timed.
+
+The inputs: the six-channel `highdim-6d` benchmark input at seed 0 (3^6
+bins, min_count 100); the 200 000-sample 2-D walk of the `cli-files`
+benchmark at seed 0, on 8x8 bins (default min_count), on 100x100 bins with
+min_count 20 and on 300x300 bins with min_count 5; and a 500 000-sample 1-D
+walk at seed 0 on 10 000 bins with min_count 5.
+"""
+
+import statistics
+import time
+
+import numpy as np
+
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
+from innerseries.frames import fit_field
+from innerseries.ingest import gen_bounded_walk
+from innerseries.model import Trajectory
+from innerseries.weights import compute_weights
+
+REPEATS = 5
+# the highdim-6d input: one 1-D walk per channel, with its own noise kind and
+# smoothing, as bench/workloads.py builds it
+HIGHDIM_CHANNELS = (
+    ("laplace", 0.2),
+    ("uniform", 0.2),
+    ("laplace", 0.5),
+    ("uniform", 0.5),
+    ("laplace", 0.8),
+    ("gauss", 0.5),
+)
+
+
+def inputs():
+    """(name, trajectory, bins, min_count) of each input."""
+    cols = [
+        gen_bounded_walk(200_000, seed=j, noise=kind, smooth=smooth).samples[:, 0]
+        for j, (kind, smooth) in enumerate(HIGHDIM_CHANNELS)
+    ]
+    yield "highdim-6d", Trajectory(np.stack(cols, axis=1), 1.0), (3,) * 6, 100
+    walk = gen_bounded_walk(200_000, seed=0, dim=2, noise=("laplace", "uniform"))
+    yield "cli-files 8x8", walk, (8, 8), None
+    yield "cli-files 100x100 min 20", walk, (100, 100), 20
+    yield "cli-files 300x300 min 5", walk, (300, 300), 5
+    yield "1-D 500k, 10^4 bins min 5", gen_bounded_walk(500_000, seed=0, dim=1), (10_000,), 5
+
+
+def timed(fn):
+    """fn's result and the median of REPEATS calls, in ms."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - start)
+    return out, 1e3 * statistics.median(times)
+
+
+def levels(field) -> tuple[int, int]:
+    """The breadth-first levels below the roots, summed over the components,
+    and the largest depth; a component's root is its first bin in the
+    field's order."""
+    depth = {}
+    for root in field.frames:
+        if root in depth:
+            continue
+        depth[root], frontier = 0, [root]
+        while frontier:
+            found = []
+            for key in frontier:
+                for axis in range(len(key)):
+                    for step in (-1, 1):
+                        nb = key[:axis] + (key[axis] + step,) + key[axis + 1 :]
+                        if nb in field.frames and nb not in depth:
+                            depth[nb] = depth[key] + 1
+                            found.append(nb)
+            frontier = found
+    deepest = {}
+    for key, c in field.component_ids.items():
+        deepest[c] = max(deepest.get(c, 0), depth[key])
+    return sum(deepest.values()), max(deepest.values())
+
+
+def main() -> None:
+    print(f"median of {REPEATS} runs, ms")
+    header = ("input", "bins", "components", "levels", "depth")
+    header += ("binning", "moments", "fit_field", "weights")
+    print("{:<27}{:>7}{:>11}{:>8}{:>7}{:>9}{:>9}{:>10}{:>9}".format(*header))
+    for name, traj, bins, min_count in inputs():
+        vel = estimate_velocity(traj)
+        grid = build_grid(traj, bins, min_count)
+        binning, t_bin = timed(lambda: bin_samples(traj, vel, grid))
+        moments, t_moments = timed(lambda: accumulate_moments(vel, binning))
+        (field, _), t_fit = timed(lambda: fit_field(grid, moments))
+        _, t_weights = timed(lambda: compute_weights(traj, vel, field, binning))
+        components = len(set(field.component_ids.values()))
+        n_levels, depth = levels(field)
+        print(
+            f"{name:<27}{len(moments):>7}{components:>11}{n_levels:>8}{depth:>7}"
+            f"{t_bin:>9.1f}{t_moments:>9.1f}{t_fit:>10.1f}{t_weights:>9.1f}"
+        )
+
+
+if __name__ == "__main__":
+    main()

@@ -15,12 +15,7 @@ from .experiments import (
     run_experiment,
     run_pipeline,
 )
-from .frames import (
-    align_frame_field,
-    canonicalize_frame,
-    fit_field,
-    solve_frame,
-)
+from .frames import align_frame_field, fit_field, solve_frame
 from .ingest import (
     apply_transform,
     gen_lifted_latent,

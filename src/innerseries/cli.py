@@ -19,7 +19,7 @@ import numpy as np
 from . import ingest, serialize, svgplot
 from .estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
-from .frames import DEFAULT_GAP_TOL, fit_field
+from .frames import fit_field
 from .model import Trajectory
 from .reconstruct import integrate_weights
 from .weights import (
@@ -93,7 +93,7 @@ def cmd_moments(args) -> int:
 
 def cmd_frames(args) -> int:
     grid, moments = serialize.moments_from_dict(serialize.load_json(args.moments))
-    field, skipped = fit_field(grid, moments, gap_tol=args.gap_tol)
+    field, skipped = fit_field(grid, moments)
     for key, reason in skipped.items():
         print(f"skipping bin {key}: {reason}", file=sys.stderr)
     serialize.dump_json(serialize.field_to_dict(field), args.out)
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frames", help="solve and align local frames from moments")
     p.add_argument("--moments", required=True)
-    p.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_frames)
 

@@ -13,9 +13,9 @@ inside degenerate eigenspaces of D).
 fit_field keeps the bins stacked from their moments (BinMoments) to the
 aligned field: it solves every bin at once (solve_frame is the same code on
 one bin) and aligns them on arrays; only the returned FrameField holds
-LocalFrames.  A signed permutation acts on frames by gathers alone: row j of
-M becomes signs[j] * row perm[j], d follows its row, and V = M^-1 becomes
-V[:, perm] * signs, its exact inverse.
+LocalFrames.  A signed permutation (perm, signs) acts on a stack of frames
+by gathers alone: row j of M becomes signs[j] * row perm[j], d follows its
+row, and V = M^-1 becomes V[:, perm] * signs, its exact inverse.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .model import (
     BinMoments,
     FrameField,
     LocalFrame,
-    SignedPermutation,
     best_signed_assignments,
 )
 
-DEFAULT_GAP_TOL = 1e-3
+GAP_TOL = 1e-3  # adjacent d closer than this times max|d|: degenerate
 COND_TOL = 1e-10  # smallest accepted eigenvalue ratio of c2
 
 
@@ -39,7 +38,7 @@ class FrameSolveError(ValueError):
     pass
 
 
-def _solve_stack(c2: np.ndarray, t: np.ndarray, gap_tol: float):
+def _solve_stack(c2: np.ndarray, t: np.ndarray):
     """Stacks of m, v, d and the degenerate flags of the frames of the
     (B, N, N) moments c2 and t, the mask of bins whose c2 passes the COND_TOL
     test, and c2's eigenvalues.  A bin that fails is whitened by its
@@ -54,18 +53,18 @@ def _solve_stack(c2: np.ndarray, t: np.ndarray, gap_tol: float):
     d = np.take_along_axis(d_asc, order, axis=1)
     m = np.swapaxes(np.take_along_axis(o, order[:, None, :], axis=2), 1, 2) @ w
     scale = np.maximum(np.abs(d).max(axis=1), np.finfo(float).tiny)
-    degenerate = np.any(np.abs(np.diff(d, axis=1)) < gap_tol * scale[:, None], axis=1)
+    degenerate = np.any(np.abs(np.diff(d, axis=1)) < GAP_TOL * scale[:, None], axis=1)
     return m, np.linalg.inv(m), d, degenerate, ok, evals
 
 
-def solve_frame(c2: np.ndarray, t: np.ndarray, gap_tol: float = DEFAULT_GAP_TOL) -> LocalFrame:
+def solve_frame(c2: np.ndarray, t: np.ndarray) -> LocalFrame:
     """Closed-form local frame from one bin's N x N moments c2 and t.
 
     Returns M with M c2 M^T = I and the M-transformed fourth-order contraction
     diagonal (= diag(d), sorted descending).  degenerate_flag is set when two
-    adjacent d values are closer than gap_tol * max|d|.
+    adjacent d values are closer than GAP_TOL * max|d|.
     """
-    m, v, d, degenerate, ok, evals = _solve_stack(np.array([c2]), np.array([t]), gap_tol)
+    m, v, d, degenerate, ok, evals = _solve_stack(np.array([c2]), np.array([t]))
     if not ok[0]:
         raise FrameSolveError(
             f"c2 ill-conditioned: eigenvalues {evals[0, 0]:.3e} .. {evals[0, -1]:.3e}"
@@ -89,34 +88,29 @@ def frame_residuals(field: FrameField, moments: BinMoments) -> tuple[float, floa
     return float(np.abs(white).max()), float((off.max(axis=(1, 2)) / scale).max())
 
 
-def _permute_frames(p: SignedPermutation, m, v, d):
-    """A frame's arrays, or stacks of them and of p: row j of m becomes
-    signs[j] * row perm[j], d follows its row, v = m^-1 its column."""
+def _canonical(m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (perm, signs), each (B, N), that put each frame of the stacks m
+    and d in its canonical gauge: each row's largest-magnitude entry (the
+    first, of equal magnitudes) made positive, then the rows ordered by
+    descending d, ties by lexicographic comparison of the sign-fixed rows.
+    Idempotent and constant on signed-permutation orbits."""
+    big = np.take_along_axis(m, np.abs(m).argmax(axis=2)[..., None], axis=2)[..., 0]
+    flip = np.where(big < 0, -1, 1)
+    fixed = m * flip[..., None]
+    perm = np.lexsort((*np.moveaxis(fixed[..., ::-1], 2, 0), -d))
+    return perm, np.take_along_axis(flip, perm, axis=1)
+
+
+def _gauge(perm: np.ndarray, signs: np.ndarray, m: np.ndarray, v: np.ndarray, d: np.ndarray):
+    """Stacks of frames with the b-th (perm, signs) applied to frame b: row j
+    of m becomes signs[j] * row perm[j], d follows its row, v = m^-1 its
+    column."""
+    rows = np.arange(len(perm))[:, None]
+    vt = v.swapaxes(1, 2)
     return (
-        np.swapaxes(p.apply_to_array(np.swapaxes(m, -1, -2)), -1, -2),
-        p.apply_to_array(v),
-        np.take_along_axis(d, p.perm, axis=-1),
-    )
-
-
-def apply_signed_permutation_to_frame(
-    p: SignedPermutation, frame: LocalFrame
-) -> LocalFrame:
-    """Row-relabel/reflect a frame; d follows its row, v its column."""
-    return LocalFrame(*_permute_frames(p, frame.m, frame.v, frame.d), frame.degenerate_flag)
-
-
-def canonicalize_frame(frame: LocalFrame) -> LocalFrame:
-    """Fix the signed-permutation gauge: rows ordered by descending d (ties by
-    lexicographic sign-fixed row comparison), each row's largest-magnitude
-    entry made positive.  Idempotent and constant on signed-permutation
-    orbits."""
-    rows = np.arange(frame.dim)
-    signs = np.where(frame.m[rows, np.argmax(np.abs(frame.m), axis=1)] < 0, -1, 1)
-    m = frame.m * signs[:, None]
-    order = sorted(rows, key=lambda i: (-frame.d[i], tuple(m[i])))
-    return apply_signed_permutation_to_frame(
-        SignedPermutation(order, signs[order]), frame
+        m[rows, perm] * signs[..., None],
+        (vt[rows, perm] * signs[..., None]).swapaxes(1, 2),
+        d[rows, perm],
     )
 
 
@@ -140,17 +134,19 @@ def align_frame_field(
     smallest key).  Disconnected components are aligned independently and
     tagged with component ids; the frames are in visiting order.
 
-    The search runs one level at a time, on arrays.  Face neighbours differ
-    in the parity of their index sum, so the adjacency is bipartite and
-    every aligned neighbour of a bin at depth d lies at depth d - 1: a
-    level's references are all fixed before it starts.  Its bins are found
-    in first-in first-out order, and its assignments are solved and applied
-    as one stack, so the result is that of the bin-by-bin search.
+    The search tree comes first, from the keys, counts and flags alone:
+    face neighbours differ in the parity of their index sum, so the
+    adjacency is bipartite and every aligned neighbour of a bin at depth k
+    lies at depth k - 1.  Each bin's reference is its best-ranked neighbour
+    there.  Then every component's root is put in its canonical gauge, all
+    as one stack, and the bins at each depth k >= 1, of every component,
+    are solved with one assignment against their references, which are
+    aligned by then.  Each bin is corrected against the same reference as
+    in the bin-by-bin search, so the result is that search's.
     """
     b, n = keys.shape
     if not b:
         raise ValueError("no frames to align")
-    m, v, d = np.array(m, dtype=float), np.array(v, dtype=float), np.array(d, dtype=float)
     # each bin's row in the grid padded by one empty bin on every side, so
     # every face neighbour has an entry
     slot = np.full(tuple(s + 2 for s in grid.shape), -1, dtype=np.int64)
@@ -164,41 +160,46 @@ def align_frame_field(
     rank[by_rank] = np.arange(b)
     best = np.full(b, b)  # each bin's best reference rank, set at its level
     component = np.full(b, -1)
-    visited = []  # the levels' rows, in visiting order
-    comp = 0
+    depth = np.zeros(b, dtype=np.int64)
+    roots, visited = [], []  # visited: the levels' rows, in visiting order
     for root in np.lexsort((flat, -counts)).tolist():
         if component[root] >= 0:
             continue
-        component[root] = comp
-        c = canonicalize_frame(LocalFrame(m[root], v[root], d[root], bool(degenerate[root])))
-        m[root], v[root], d[root] = c.m, c.v, c.d
+        component[root] = len(roots)
+        roots.append(root)
         level = np.array([root])
-        while True:
+        while len(level):
             visited.append(level)
-            nbs = slot[tuple(np.moveaxis(keys[level][:, None] + offsets, -1, 0))]
+            nbs = slot[tuple((keys[level][:, None] + offsets).transpose(2, 0, 1))]
             new = (nbs >= 0) & (component[nbs] < 0)
-            src, dst = np.broadcast_to(level[:, None], nbs.shape)[new], nbs[new]
+            src, dst = level[np.nonzero(new)[0]], nbs[new]
             _, first = np.unique(dst, return_index=True)  # first in, first out
-            level = dst[np.sort(first)]
-            if not len(level):
-                break
-            component[level] = comp
+            next_level = dst[np.sort(first)]
+            component[next_level] = component[root]
+            depth[next_level] = depth[level[0]] + 1
             np.minimum.at(best, dst, rank[src])
-            perms, signs = best_signed_assignments(m[level] @ v[by_rank[best[level]]])
-            # undo each pick: row j of the frame becomes row inv[j], with its sign
-            inv = np.argsort(perms, axis=1)
-            undo = SignedPermutation(inv, np.take_along_axis(signs, inv, axis=1))
-            m[level], v[level], d[level] = _permute_frames(undo, m[level], v[level], d[level])
-        comp += 1
+            level = next_level
+    m, v, d = np.array(m, dtype=float), np.array(v, dtype=float), np.array(d, dtype=float)
+    m[roots], v[roots], d[roots] = _gauge(
+        *_canonical(m[roots], d[roots]), m[roots], v[roots], d[roots]
+    )
+    by_depth = np.argsort(depth, kind="stable")
+    bounds = np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 2)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = by_depth[lo:hi]
+        perms, signs = best_signed_assignments(m[rows] @ v[by_rank[best[rows]]])
+        # undo each pick: row j of the frame becomes row inv[j], with its sign
+        inv = np.argsort(perms, axis=1)
+        m[rows], v[rows], d[rows] = _gauge(
+            inv, np.take_along_axis(signs, inv, axis=1), m[rows], v[rows], d[rows]
+        )
     order = np.concatenate(visited).tolist()
     key_list = keys.tolist()
     frames = {tuple(key_list[i]): LocalFrame(m[i], v[i], d[i], bool(degenerate[i])) for i in order}
     return FrameField(grid, frames, {tuple(key_list[i]): int(component[i]) for i in order})
 
 
-def fit_field(
-    grid: BinGrid, moments: BinMoments, gap_tol: float = DEFAULT_GAP_TOL
-) -> tuple[FrameField, dict[tuple[int, ...], str]]:
+def fit_field(grid: BinGrid, moments: BinMoments) -> tuple[FrameField, dict[tuple[int, ...], str]]:
     """Solve every bin's frame, all as one stack, and align them into a field.
 
     A bin with an ill-conditioned c2 is left out of the field; the second
@@ -206,11 +207,11 @@ def fit_field(
     bin is left out, the ValueError names their number and the first bin's
     reason.
     """
-    m, v, d, degenerate, ok, _ = _solve_stack(moments.c2, moments.t, gap_tol)
+    m, v, d, degenerate, ok, _ = _solve_stack(moments.c2, moments.t)
     skipped = {}
     for key, c2, t in zip(moments.keys[~ok].tolist(), moments.c2[~ok], moments.t[~ok]):
         try:
-            solve_frame(c2, t, gap_tol)  # raises, worded as for one bin
+            solve_frame(c2, t)  # raises, worded as for one bin
         except FrameSolveError as err:
             skipped[tuple(key)] = str(err)
     if skipped and not ok.any():

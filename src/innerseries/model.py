@@ -323,9 +323,8 @@ class WeightSeries:
 class SignedPermutation:
     """Permutation composed with per-channel reflections (0-based).
 
-    Applying p to a vector w gives out[j] = signs[j] * w[perm[j]].  perm and
-    signs may also be (B, N) stacks of B signed permutations, applied one to
-    each of a stack of B arrays.
+    Applying p to a vector w gives out[j] = signs[j] * w[perm[j]], and to
+    the rows of an (n, N) array w[:, perm] * signs.
     """
 
     perm: np.ndarray
@@ -334,7 +333,7 @@ class SignedPermutation:
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
         signs = np.asarray(self.signs, dtype=np.int64)
-        if perm.ndim not in (1, 2) or np.any(np.sort(perm, axis=-1) != np.arange(perm.shape[-1])):
+        if perm.ndim != 1 or np.any(np.sort(perm) != np.arange(len(perm))):
             raise ValueError("perm must be a permutation of 0..N-1")
         if signs.shape != perm.shape or not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +-1 per channel")
@@ -342,18 +341,6 @@ class SignedPermutation:
         signs.setflags(write=False)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
-
-    @property
-    def dim(self) -> int:
-        return self.perm.shape[-1]
-
-    def apply_to_array(self, values: np.ndarray) -> np.ndarray:
-        """Apply along the last axis; a stack applies its b-th signed
-        permutation to values[b]."""
-        if values.shape[-1] != self.dim:
-            raise DimensionMismatchError("array dimension does not match")
-        shape = self.perm.shape[:-1] + (1,) * (values.ndim - self.perm.ndim) + (self.dim,)
-        return np.take_along_axis(values, self.perm.reshape(shape), axis=-1) * self.signs.reshape(shape)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPermutation):

@@ -1,9 +1,10 @@
 """Test-side oracles for the signed-permutation gauge: the exhaustive group,
 the exhaustive assignment, the inverse and the matrix of a signed
-permutation, the covariant transformation law M' = P M (dx/dx') checked bin
-by bin, and the bin-by-bin breadth-first alignment, with the package's
+permutation, applying one to an array and to a frame, the per-frame
+canonical gauge, the covariant transformation law M' = P M (dx/dx') checked
+bin by bin, and the bin-by-bin breadth-first alignment, with the package's
 stacked alignment called on the same dicts.  The package itself only needs
-the exact assignment and applying it."""
+the exact assignment and applies signed permutations to stacks inline."""
 
 import itertools
 from collections import deque
@@ -11,15 +12,11 @@ from collections import deque
 import numpy as np
 
 from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
-from innerseries.frames import (
-    align_frame_field,
-    apply_signed_permutation_to_frame,
-    canonicalize_frame,
-    solve_frame,
-)
+from innerseries.frames import align_frame_field, solve_frame
 from innerseries.ingest import gen_bounded_walk
 from innerseries.model import (
     FrameField,
+    LocalFrame,
     SignedPermutation,
     VelocitySeries,
     best_signed_assignment,
@@ -57,10 +54,38 @@ def inverse(p: SignedPermutation) -> SignedPermutation:
 
 
 def signed_permutation_matrix(p: SignedPermutation) -> np.ndarray:
-    """The matrix P with P @ w == p.apply_to_array(w)."""
-    m = np.zeros((p.dim, p.dim))
-    m[np.arange(p.dim), p.perm] = p.signs
+    """The matrix P with P @ w == apply_to_array(p, w)."""
+    n = len(p.perm)
+    m = np.zeros((n, n))
+    m[np.arange(n), p.perm] = p.signs
     return m
+
+
+def apply_to_array(p: SignedPermutation, w: np.ndarray) -> np.ndarray:
+    """p applied along the last axis: out[..., j] = signs[j] * w[..., perm[j]]."""
+    return w[..., p.perm] * p.signs
+
+
+def apply_to_frame(p: SignedPermutation, frame: LocalFrame) -> LocalFrame:
+    """Row-relabel/reflect a frame: row j of m becomes signs[j] * row
+    perm[j], d follows its row, v = m^-1 its column."""
+    return LocalFrame(
+        frame.m[p.perm] * p.signs[:, None],
+        apply_to_array(p, frame.v),
+        frame.d[p.perm],
+        frame.degenerate_flag,
+    )
+
+
+def canonicalize_frame(frame: LocalFrame) -> LocalFrame:
+    """One frame in the canonical gauge: each row's largest-magnitude entry
+    (the first, of equal magnitudes) made positive, then the rows ordered by
+    descending d, ties by lexicographic comparison of the sign-fixed rows."""
+    rows = np.arange(frame.dim)
+    signs = np.where(frame.m[rows, np.argmax(np.abs(frame.m), axis=1)] < 0, -1, 1)
+    m = frame.m * signs[:, None]
+    order = sorted(rows, key=lambda i: (-frame.d[i], tuple(m[i])))
+    return apply_to_frame(SignedPermutation(order, signs[order]), frame)
 
 
 def check_transform_law(m_x, m_xprime, jacobian) -> tuple[float, SignedPermutation]:
@@ -148,7 +173,7 @@ def sequential_align(grid, frames, counts) -> FrameField:
                 ]
                 ref = min(refs, key=lambda k: (aligned[k].degenerate_flag, -counts[k], k))
                 q = best_signed_assignment(frames[nb].m @ aligned[ref].v)
-                aligned[nb] = apply_signed_permutation_to_frame(inverse(q), frames[nb])
+                aligned[nb] = apply_to_frame(inverse(q), frames[nb])
                 component_ids[nb] = comp
                 unvisited.discard(nb)
                 queue.append(nb)

@@ -9,11 +9,16 @@ import pytest
 
 from innerseries.estimate import estimate_velocity
 from innerseries.experiments import ExperimentConfig, run_experiment, run_pipeline
-from innerseries.frames import apply_signed_permutation_to_frame, canonicalize_frame
+from innerseries.frames import _canonical, _gauge
 from innerseries.ingest import gen_bounded_walk
 from innerseries.model import LocalFrame, Trajectory
 from innerseries.weights import align_weight_series
-from signed_gauge import all_signed_permutations, linear_map_law_check
+from signed_gauge import (
+    all_signed_permutations,
+    apply_to_array,
+    apply_to_frame,
+    linear_map_law_check,
+)
 
 
 def _report(name, ok, detail):
@@ -131,7 +136,7 @@ def test_criterion_8_exact_invariances():
     scale = np.array([4.0, 0.5])
     res_s = run_pipeline(Trajectory(traj.samples * scale, traj.dt), (3, 3))
     p, _ = align_weight_series(res.weights, res_s.weights)
-    aligned = p.apply_to_array(res_s.weights.values)
+    aligned = apply_to_array(p, res_s.weights.values)
     joint = res.weights.valid_mask & res_s.weights.valid_mask
     wscale = max(float(np.max(np.abs(res.weights.values[joint]))), 1.0)
     scale_err = float(np.max(np.abs(aligned[joint] - res.weights.values[joint]))) / wscale
@@ -148,20 +153,19 @@ def test_criterion_8_exact_invariances():
         resub_err = max(resub_err, float(np.max(np.abs(res.weights.values[t] - expect))))
     resub_err /= wscale
 
-    # canonicalization collapses every signed-permutation orbit, N <= 3
+    # canonicalization collapses every signed-permutation orbit, N <= 3:
+    # the whole orbit canonicalized as one stack
     rng = np.random.default_rng(0)
     orbit_ok = True
     for n in (1, 2, 3):
         m = rng.standard_normal((n, n)) + 2 * np.eye(n)
         d = np.sort(rng.random(n) + 0.5)[::-1]
         frame = LocalFrame(m, np.linalg.inv(m), d)
-        ref = canonicalize_frame(frame)
-        for q in all_signed_permutations(n):
-            c = canonicalize_frame(apply_signed_permutation_to_frame(q, frame))
-            if not (
-                np.allclose(c.m, ref.m, atol=1e-12) and np.allclose(c.d, ref.d)
-            ):
-                orbit_ok = False
+        orbit = [apply_to_frame(q, frame) for q in all_signed_permutations(n)]
+        stacks = [np.array([getattr(g, a) for g in orbit]) for a in "mvd"]
+        cm, _, cd = _gauge(*_canonical(stacks[0], stacks[2]), *stacks)
+        if not (np.allclose(cm, cm[0], atol=1e-12) and np.allclose(cd, cd[0])):
+            orbit_ok = False
 
     ok = scale_err < 1e-10 and resub_err < 1e-12 and orbit_ok
     _report(

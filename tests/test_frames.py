@@ -9,9 +9,9 @@ from innerseries.estimate import accumulate_moments, bin_samples, build_grid, es
 from innerseries.experiments import run_pipeline
 from innerseries.frames import (
     FrameSolveError,
+    _canonical,
+    _gauge,
     align_frame_field,
-    apply_signed_permutation_to_frame,
-    canonicalize_frame,
     fit_field,
     frame_residuals,
     solve_frame,
@@ -25,9 +25,12 @@ from innerseries.model import (
     SignedPermutation,
     Trajectory,
     best_signed_assignment,
+    best_signed_assignments,
 )
 from signed_gauge import (
     all_signed_permutations,
+    apply_to_frame,
+    canonicalize_frame,
     check_transform_law,
     linear_map_law_check,
     sequential_align,
@@ -109,8 +112,8 @@ class TestSolveFrame:
             solve_frame(np.array([[1.0, c], [c, 1.0]]), np.zeros((2, 2)))
 
     def test_degenerate_flag(self):
-        assert solve_frame(np.eye(2), np.diag([3.0, 3.0001]), gap_tol=1e-3).degenerate_flag
-        assert not solve_frame(np.eye(2), np.diag([3.0, 1.0]), gap_tol=1e-3).degenerate_flag
+        assert solve_frame(np.eye(2), np.diag([3.0, 3.0001])).degenerate_flag
+        assert not solve_frame(np.eye(2), np.diag([3.0, 1.0])).degenerate_flag
 
     def test_uniqueness_up_to_signed_permutation(self):
         # re-solving after an invertible linear change of coordinates gives
@@ -176,18 +179,6 @@ class TestFitField:
         assert res.n_skipped_bins == 3
         assert all(k in rows_of(res.moments) and k not in res.field.frames for k in RAMP_BINS)
 
-    def test_gap_tol_reaches_solve(self):
-        traj = gen_bounded_walk(20_000, seed=1, dim=2, noise=("laplace", "uniform"))
-        grid = build_grid(traj, (3, 3))
-        vel = estimate_velocity(traj)
-        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
-        field, skipped = fit_field(grid, moments)
-        assert not skipped
-        assert not all(f.degenerate_flag for f in field.frames.values())
-        # d >= 0 (t is PSD), so every gap is below 1.0 * max|d|
-        field, _ = fit_field(grid, moments, gap_tol=1.0)
-        assert all(f.degenerate_flag for f in field.frames.values())
-
 
 @st.composite
 def moment_stacks(draw):
@@ -206,7 +197,7 @@ def moment_stacks(draw):
     return _grid((bins,) + (1,) * (dim - 1)), BinMoments(keys, np.full(bins, 50), c2, t)
 
 
-def solve_frame_reference(c2, t, gap_tol=1e-3):
+def solve_frame_reference(c2, t):
     """The solve one bin at a time on 2-D arrays, as a loop over bins ran it
     before the stacked solve; None for an ill-conditioned c2."""
     evals, evecs = np.linalg.eigh(c2)
@@ -219,7 +210,7 @@ def solve_frame_reference(c2, t, gap_tol=1e-3):
     d = d_asc[order]
     m = o[:, order].T @ w
     gaps = np.abs(np.diff(d))
-    degenerate = bool(np.any(gaps < gap_tol * max(np.max(np.abs(d)), np.finfo(float).tiny)))
+    degenerate = bool(np.any(gaps < 1e-3 * max(np.max(np.abs(d)), np.finfo(float).tiny)))
     return LocalFrame(m, np.linalg.inv(m), d, degenerate)
 
 
@@ -236,7 +227,7 @@ def residuals_reference(frames, c2s, ts):
     return r1, r2
 
 
-def frames_before_alignment(monkeypatch, grid, moments, gap_tol=1e-3):
+def frames_before_alignment(monkeypatch, grid, moments):
     """fit_field's skipped bins, and the frames it hands to the alignment,
     by key in the order of its stacks."""
     seen = {}
@@ -247,7 +238,7 @@ def frames_before_alignment(monkeypatch, grid, moments, gap_tol=1e-3):
         return align_frame_field(grid, keys, counts, m, v, d, degenerate)
 
     monkeypatch.setattr("innerseries.frames.align_frame_field", record)
-    _, skipped = fit_field(grid, moments, gap_tol=gap_tol)
+    _, skipped = fit_field(grid, moments)
     return seen, skipped
 
 
@@ -279,9 +270,9 @@ class TestStackedSolve:
         rng = np.random.default_rng(seed)
         for c2, t in zip(case[1].c2, case[1].t):
             f = solve_frame(c2, t)
-            p = SignedPermutation(rng.permutation(f.dim), rng.choice([-1, 1], f.dim))
-            g = apply_signed_permutation_to_frame(p, f)
-            assert g.v.tobytes() == np.linalg.inv(g.m).tobytes()
+            perm, signs = rng.permutation(f.dim)[None], rng.choice([-1, 1], (1, f.dim))
+            gm, gv, _ = _gauge(perm, signs, f.m[None], f.v[None], f.d[None])
+            assert gv.tobytes() == np.linalg.inv(gm).tobytes()
 
     def test_bad_bins_in_one_stack(self, monkeypatch):
         moments = BinMoments(
@@ -316,7 +307,48 @@ class TestStackedSolve:
         )
 
 
+def _invertible(rng, n, integer):
+    """An n x n matrix of small integers (rows often tie in their largest
+    magnitude) or of normal draws, redrawn until well conditioned."""
+    while True:
+        m = rng.integers(-2, 3, (n, n)).astype(float) if integer else rng.standard_normal((n, n))
+        if np.linalg.cond(m) < 1e6:
+            return m
+
+
+@st.composite
+def frame_stacks(draw):
+    """(m, v, d): stacks of 1..6 frames of N = 1..4 channels; d is often
+    drawn from three values, so rows tie in d, and m often holds small
+    integers, so rows tie in their largest magnitude."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, d = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        m.append(_invertible(rng, n, draw(st.booleans())))
+        d.append(rng.choice([0.5, 1.0, 2.0], n) if draw(st.booleans()) else rng.random(n))
+    m = np.array(m)
+    return m, np.linalg.inv(m), np.array(d)
+
+
+def assert_same_frames(stacks, frames):
+    """The stacks (m, v, d) hold the frames, bit for bit."""
+    for i, f in enumerate(frames):
+        for a, b in zip(stacks, (f.m, f.v, f.d)):
+            assert a[i].tobytes() == b.tobytes()
+
+
+def stacked_canonical(frame):
+    """The package's stacked canonical gauge on a one-frame stack."""
+    m, v, d = frame.m[None], frame.v[None], frame.d[None]
+    cm, cv, cd = _gauge(*_canonical(m, d), m, v, d)
+    return LocalFrame(cm[0], cv[0], cd[0], frame.degenerate_flag)
+
+
 class TestCanonicalize:
+    """_canonical and _gauge put a stack of frames in the canonical gauge,
+    with the bits of the per-frame oracle."""
+
     def _random_frame(self, rng, n=3):
         m = rng.standard_normal((n, n)) + 2 * np.eye(n)
         d = np.sort(rng.random(n) + 0.5)[::-1]
@@ -325,8 +357,8 @@ class TestCanonicalize:
     def test_idempotent(self):
         rng = np.random.default_rng(0)
         f = self._random_frame(rng)
-        c1 = canonicalize_frame(f)
-        c2 = canonicalize_frame(c1)
+        c1 = stacked_canonical(f)
+        c2 = stacked_canonical(c1)
         np.testing.assert_array_equal(c1.m, c2.m)
         np.testing.assert_array_equal(c1.d, c2.d)
 
@@ -337,18 +369,44 @@ class TestCanonicalize:
         m2[1] *= -1
         f2 = LocalFrame(m2, np.linalg.inv(m2), f.d)
         np.testing.assert_allclose(
-            canonicalize_frame(f).m, canonicalize_frame(f2).m, atol=1e-14
+            stacked_canonical(f).m, stacked_canonical(f2).m, atol=1e-14
         )
 
     def test_orbit_collapse_exhaustive_n3(self):
         rng = np.random.default_rng(2)
         f = self._random_frame(rng, n=3)
-        ref = canonicalize_frame(f)
+        ref = stacked_canonical(f)
         for p in all_signed_permutations(3):
-            g = apply_signed_permutation_to_frame(p, f)
-            c = canonicalize_frame(g)
+            g = apply_to_frame(p, f)
+            c = stacked_canonical(g)
             np.testing.assert_allclose(c.m, ref.m, atol=1e-12)
             np.testing.assert_allclose(c.d, ref.d, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks())
+    def test_matches_per_frame_oracle(self, case):
+        m, v, d = case
+        out = _gauge(*_canonical(m, d), m, v, d)
+        assert_same_frames(out, [canonicalize_frame(LocalFrame(*f)) for f in zip(m, v, d)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks())
+    def test_idempotent_on_stacks(self, case):
+        m, v, d = case
+        once = _gauge(*_canonical(m, d), m, v, d)
+        twice = _gauge(*_canonical(once[0], once[2]), *once)
+        for a, b in zip(once, twice):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(frame_stacks())
+    def test_constant_on_orbits(self, case):
+        m, v, d = case
+        frame = LocalFrame(m[0], v[0], d[0])
+        orbit = [apply_to_frame(p, frame) for p in all_signed_permutations(frame.dim)]
+        om, ov, od = (np.array([getattr(g, a) for g in orbit]) for a in "mvd")
+        out = _gauge(*_canonical(om, od), om, ov, od)
+        assert_same_frames(out, [canonicalize_frame(frame)] * len(orbit))
 
 
 class TestNearestSignedPermutation:
@@ -495,9 +553,7 @@ class TestAlignFrameField:
     def test_row_swap_corrected(self):
         rng = np.random.default_rng(1)
         base = canonicalize_frame(self._base_frame(rng))
-        swapped = apply_signed_permutation_to_frame(
-            SignedPermutation([1, 0], [1, 1]), base
-        )
+        swapped = apply_to_frame(SignedPermutation([1, 0], [1, 1]), base)
         field = stacked_align(
             _grid((2,)), {(0,): base, (1,): swapped}, {(0,): 20, (1,): 10}
         )
@@ -521,7 +577,7 @@ class TestAlignFrameField:
                 )
         group = list(all_signed_permutations(2))
         scrambled = {
-            k: apply_signed_permutation_to_frame(group[rng.integers(len(group))], f)
+            k: apply_to_frame(group[rng.integers(len(group))], f)
             for k, f in true_frames.items()
         }
         counts = {k: 10 + rng.integers(5) for k in true_frames}
@@ -542,6 +598,56 @@ class TestAlignFrameField:
             _grid((5,)), {(0,): base, (4,): base}, {(0,): 10, (4,): 10}
         )
         assert len(set(field.component_ids.values())) == 2
+
+
+def bfs_depths(field):
+    """Each bin's breadth-first depth in its component, from the component's
+    first bin in the field's order (its root)."""
+    depth = {}
+    for key in field.frames:
+        if key in depth:
+            continue
+        depth[key], frontier = 0, [key]
+        while frontier:
+            nxt = []
+            for k in frontier:
+                for a in range(len(k)):
+                    for step in (-1, 1):
+                        nb = k[:a] + (k[a] + step,) + k[a + 1 :]
+                        if nb in field.frames and nb not in depth:
+                            depth[nb] = depth[k] + 1
+                            nxt.append(nb)
+            frontier = nxt
+    return depth
+
+
+class TestPerDepthAssignment:
+    def test_fine_grid_one_assignment_per_depth(self, monkeypatch):
+        # a 2-D walk on a fine grid with a low min_count: many components
+        # of differing depths, each depth solved across all of them at once
+        traj = gen_bounded_walk(30_000, seed=4, dim=2, noise=("laplace", "uniform"))
+        grid = build_grid(traj, (70, 70), 6)
+        vel = estimate_velocity(traj)
+        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
+        with pytest.MonkeyPatch.context() as mp:
+            frames, _ = frames_before_alignment(mp, grid, moments)
+        calls = []
+
+        def count(scores):
+            calls.append(len(scores))
+            return best_signed_assignments(scores)
+
+        monkeypatch.setattr("innerseries.frames.best_signed_assignments", count)
+        field, _ = fit_field(grid, moments)
+        depth = bfs_depths(field)
+        per_component = {}
+        for k, c in field.component_ids.items():
+            per_component[c] = max(per_component.get(c, 0), depth[k])
+        assert len(per_component) >= 50 and len(set(per_component.values())) >= 5
+        assert len(calls) == max(depth.values())
+        assert calls == [list(depth.values()).count(k) for k in range(1, len(calls) + 1)]
+        counts = dict(zip(map(tuple, moments.keys.tolist()), moments.count.tolist()))
+        assert_same_field(field, sequential_align(grid, frames, counts))
 
 
 def _rotation(theta):

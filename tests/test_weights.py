@@ -33,6 +33,7 @@ from innerseries.weights import (
     separability_report,
     write_csv_weights,
 )
+from signed_gauge import apply_to_array
 from stage_references import assert_near_per_channel, einsum_weights, per_bin_weights
 
 
@@ -88,7 +89,7 @@ class TestComputeWeights:
         traj_s = Trajectory(res.traj.samples * scale, res.traj.dt)
         res_s = run_pipeline(traj_s, (3, 3))
         p, corrs = align_weight_series(res.weights, res_s.weights)
-        aligned = p.apply_to_array(res_s.weights.values)
+        aligned = apply_to_array(p, res_s.weights.values)
         joint = res.weights.valid_mask & res_s.weights.valid_mask
         diff = np.max(np.abs(aligned[joint] - res.weights.values[joint]))
         assert diff < 1e-10 * max(np.max(np.abs(res.weights.values)), 1.0)
@@ -102,7 +103,7 @@ class TestComputeWeights:
         w = res.weights
         assert w.fallback_mask[w.valid_mask].sum() > 300
         p, corrs = align_weight_series(w, res_s.weights)
-        aligned = p.apply_to_array(res_s.weights.values)
+        aligned = apply_to_array(p, res_s.weights.values)
         np.testing.assert_array_equal(res_s.weights.valid_mask, w.valid_mask)
         np.testing.assert_array_equal(res_s.weights.fallback_mask, w.fallback_mask)
         diff = np.max(np.abs(aligned[w.valid_mask] - w.values[w.valid_mask]))
@@ -366,7 +367,7 @@ class TestAlignWeightSeries:
     def test_swap_and_negate_recovered(self):
         w = self._series(np.random.default_rng(1))
         p_true = SignedPermutation([1, 0], [1, -1])
-        wp = WeightSeries(p_true.apply_to_array(w.values), w.valid_mask)
+        wp = WeightSeries(apply_to_array(p_true, w.values), w.valid_mask)
         p, corrs = align_weight_series(wp, w)
         assert p == p_true
         np.testing.assert_allclose(corrs, 1.0, atol=1e-12)
@@ -375,7 +376,7 @@ class TestAlignWeightSeries:
         rng = np.random.default_rng(2)
         w = self._series(rng, n=5000)
         p_true = SignedPermutation([1, 0], [-1, 1])
-        wp = WeightSeries(p_true.apply_to_array(w.values), w.valid_mask)
+        wp = WeightSeries(apply_to_array(p_true, w.values), w.valid_mask)
         noisy = WeightSeries(
             wp.values + 0.1 * wp.values.std(axis=0) * rng.standard_normal(wp.values.shape),
             wp.valid_mask,
