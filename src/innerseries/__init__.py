@@ -31,7 +31,6 @@ from .model import (
     Binning,
     FrameField,
     LocalFrame,
-    SignedPermutation,
     Trajectory,
     VelocitySeries,
     WeightSeries,

@@ -112,10 +112,10 @@ def cmd_weights(args) -> int:
 def cmd_align(args) -> int:
     w = read_csv_weights(args.a)
     wp = read_csv_weights(args.b)
-    p, corrs = align_weight_series(w, wp)
+    perm, signs, corrs = align_weight_series(w, wp)
     out = {
-        "perm": p.perm.tolist(),
-        "signs": p.signs.tolist(),
+        "perm": perm.tolist(),
+        "signs": signs.tolist(),
         "correlations": [float(c) for c in corrs],
     }
     _emit_json(out, args.out)
@@ -129,8 +129,8 @@ def cmd_separability(args) -> int:
         mix, sources, min_match_corr=args.min_corr, max_abs_cross_corr=args.max_cross
     )
     out = {
-        "perm": rep.permutation.perm.tolist(),
-        "signs": rep.permutation.signs.tolist(),
+        "perm": rep.perm.tolist(),
+        "signs": rep.signs.tolist(),
         "channel_correlations": [float(c) for c in rep.channel_correlations],
         "cross_correlation": rep.mixture_cross_correlation.tolist(),
         "min_channel_corr": rep.min_channel_corr,

@@ -213,7 +213,7 @@ def _monotone_1d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
         traj_p = ingest.apply_transform(traj, [0.0, 1.0, 0.0, 0.5], (-1.2, 1.2))
     res = run_pipeline(traj, bins, cfg.min_count)
     res_p = run_pipeline(traj_p, bins, cfg.min_count)
-    _, corrs = align_weight_series(res.weights, res_p.weights)
+    *_, corrs = align_weight_series(res.weights, res_p.weights)
     corr = float(np.min(corrs))
     metrics = {"aligned_weight_correlation": corr}
     criteria = [Criterion("aligned_weight_correlation", corr, 0.95, ">=")]
@@ -242,7 +242,7 @@ def _lifted_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     xp, frac_b = ingest.pca_embed(distorted, 2)
     res = run_pipeline(x, bins, cfg.min_count)
     res_p = run_pipeline(xp, bins, cfg.min_count)
-    _, corrs = align_weight_series(res.weights, res_p.weights)
+    *_, corrs = align_weight_series(res.weights, res_p.weights)
     corr = float(np.min(corrs))
     top2_a = float(np.sum(frac_a))
     top2_b = float(np.sum(frac_b))
@@ -295,8 +295,8 @@ def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
         "min_channel_corr": rep.min_channel_corr,
         "max_cross_corr": rep.max_cross_corr,
         "per_channel_correlations": [float(c) for c in rep.channel_correlations],
-        "matched_perm": rep.permutation.perm.tolist(),
-        "matched_signs": rep.permutation.signs.tolist(),
+        "matched_perm": rep.perm.tolist(),
+        "matched_signs": rep.signs.tolist(),
     }
     criteria = [
         Criterion("min_channel_corr", rep.min_channel_corr, 0.9, ">="),

@@ -1,5 +1,6 @@
-"""Core domain types: trajectories, grids, moments, frames, weights, and the
-signed permutation that describes their residual gauge freedom.
+"""Core domain types: trajectories, grids, moments, frames and weights, and
+the exact assignment that fixes their residual gauge, a signed permutation
+held as a (perm, signs) pair of arrays.
 
 All types are immutable after construction and safe to share across workers.
 Weights are dimensionless: rows of a local frame matrix carry inverse-velocity
@@ -319,37 +320,6 @@ class WeightSeries:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Permutation composed with per-channel reflections (0-based).
-
-    Applying p to a vector w gives out[j] = signs[j] * w[perm[j]], and to
-    the rows of an (n, N) array w[:, perm] * signs.
-    """
-
-    perm: np.ndarray
-    signs: np.ndarray
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
-        signs = np.asarray(self.signs, dtype=np.int64)
-        if perm.ndim != 1 or np.any(np.sort(perm) != np.arange(len(perm))):
-            raise ValueError("perm must be a permutation of 0..N-1")
-        if signs.shape != perm.shape or not np.all(np.abs(signs) == 1):
-            raise ValueError("signs must be +-1 per channel")
-        perm.setflags(write=False)
-        signs.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        return bool(
-            np.all(self.perm == other.perm) and np.all(self.signs == other.signs)
-        )
-
-
 # candidate entries (matrices x column sets x last columns) per block of the
 # assignment program; bounds its working set at large N
 _DP_BLOCK = 1 << 16
@@ -374,8 +344,11 @@ def _assignment_tables(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def best_signed_assignments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """best_signed_assignment of each matrix in an (E, N, N) stack, as perms
-    and signs, both (E, N).
+    """For each matrix score of an (E, N, N) stack, the signed permutation
+    maximizing sum_j |score[j, perm[j]]|, each sign taken from the picked
+    entry (+1 at zero), as perms and signs, both (E, N).  Applied to the
+    rows of an (n, N) array w it gives w[:, perm] * signs.  Exact at every
+    N; pass score[None] for one matrix.
 
     One dynamic program over the set of columns taken by rows 0..k-1, run
     on every matrix at once, O(N 2^N) per matrix.  A set's partial sum runs
@@ -415,14 +388,3 @@ def best_signed_assignments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]
             at = parents[at, pick]
     picked = scores[np.arange(e)[:, None], np.arange(n), perms]
     return perms, np.where(picked >= 0, 1, -1)
-
-
-def best_signed_assignment(score: np.ndarray) -> SignedPermutation:
-    """Signed permutation p maximizing sum_j |score[j, perm[j]]|, with each
-    sign taken from the picked entry (+1 at zero).
-
-    Exact at every N; the first optimum in itertools.permutations order
-    (see best_signed_assignments, which this runs on one matrix).
-    """
-    perms, signs = best_signed_assignments(np.asarray(score, dtype=float)[None])
-    return SignedPermutation(perms[0], signs[0])

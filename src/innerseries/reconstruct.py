@@ -8,7 +8,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .model import FrameField, Trajectory, WeightSeries
+from .model import DimensionMismatchError, FrameField, Trajectory, WeightSeries
 from .weights import _bin_lookup
 
 
@@ -28,6 +28,10 @@ def integrate_weights(
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     grid = field.grid
+    if w.dim != grid.dim:
+        raise DimensionMismatchError(
+            f"weight series has {w.dim} channels, field dimension {grid.dim}"
+        )
     if x0.shape[0] != grid.dim:
         raise ValueError("x0 dimension does not match grid")
     if steps < 0:
@@ -36,9 +40,9 @@ def integrate_weights(
         raise ValueError("steps exceeds weight series length")
     if grid.flat_index(x0)[0] < 0:
         raise ValueError("x0 outside grid")
-    flat_to_slot, _ = _bin_lookup(field)
+    frames, flat_to_slot, _ = _bin_lookup(field)
     flat_to_slot = flat_to_slot.tolist()
-    v_stack = np.stack([field.frames[k].v for k in sorted(field.frames)])
+    v_stack = np.stack([f.v for f in frames])
     valid = w.valid_mask[:steps].tolist()
     # per axis, as Python floats: the bounds with one grid step of slack, and
     # the clip and inner edges that give the bin (edges at or below the point)

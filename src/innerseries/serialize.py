@@ -6,9 +6,11 @@ loaders reject any version but SCHEMA_VERSION, one version for all three
 kinds.  Grids hold edges and min_count only, no sample indices; moments
 bins hold count, c2 and the contracted fourth moment t, both N x N.  The
 loaders check each bin against its grid: a key of N indices inside the
-grid's shape, spelled as the dumpers write it ("0,1", not "00,1"), and
-arrays of the grid's dimension; a field's component ids name only bins
-that hold a frame.
+grid's shape, spelled as the dumpers write it ("0,1", not "00,1"), finite
+arrays of the grid's dimension, a count that is an integer >= 1, a
+degenerate flag that is true or false and an invertible m; a field's
+component ids name only bins that hold a frame.  Each error names the
+file kind and the bin.
 """
 
 from __future__ import annotations
@@ -47,7 +49,16 @@ def _array(b: dict, name: str, shape: tuple[int, ...], what: str, s: str) -> np.
     a = np.asarray(b[name], dtype=float)
     if a.shape != shape:
         raise ValueError(f"{what} bin {s!r}: {name} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} bin {s!r}: {name} contains non-finite values")
     return a
+
+
+def _count(b: dict, s: str) -> int:
+    c = b["count"]
+    if type(c) is not int or c < 1:  # a JSON integer, not a float or a boolean
+        raise ValueError(f"moments bin {s!r}: count must be an integer >= 1, got {c!r}")
+    return c
 
 
 def _check_schema(d: dict, what: str) -> None:
@@ -89,7 +100,7 @@ def moments_from_dict(d: dict) -> tuple[BinGrid, BinMoments]:
     keys = [_unkey(s, grid, "moments") for s in bins]
     c2 = [_array(b, "c2", (n, n), "moments", s) for s, b in bins.items()]
     t = [_array(b, "t", (n, n), "moments", s) for s, b in bins.items()]
-    counts = [int(b["count"]) for b in bins.values()]
+    counts = [_count(b, s) for s, b in bins.items()]
     return grid, BinMoments(
         np.reshape(keys, (-1, n)), counts, np.reshape(c2, (-1, n, n)), np.reshape(t, (-1, n, n))
     )
@@ -121,7 +132,14 @@ def field_from_dict(d: dict) -> FrameField:
         m, dd = _array(f, "m", (n, n), "field", s), _array(f, "d", (n,), "field", s)
         if s not in ids:
             raise ValueError(f"field bin {s!r}: no component_ids entry")
-        frames[key] = LocalFrame(m, np.linalg.inv(m), dd, bool(f["degenerate"]))
+        flag = f["degenerate"]
+        if type(flag) is not bool:
+            raise ValueError(f"field bin {s!r}: degenerate must be true or false, got {flag!r}")
+        try:
+            v = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"field bin {s!r}: m is singular") from None
+        frames[key] = LocalFrame(m, v, dd, flag)
     comp = {}
     for s, c in ids.items():
         key = _unkey(s, grid, "field")

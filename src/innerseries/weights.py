@@ -13,11 +13,11 @@ from .model import (
     Binning,
     DimensionMismatchError,
     FrameField,
-    SignedPermutation,
+    LocalFrame,
     Trajectory,
     VelocitySeries,
     WeightSeries,
-    best_signed_assignment,
+    best_signed_assignments,
 )
 
 MIN_OVERLAP = 100
@@ -27,10 +27,10 @@ class AlignmentError(ValueError):
     pass
 
 
-def _bin_lookup(field: FrameField):
-    """Flat-bin -> frame-slot map, with a one-step nearest-occupied fallback
-    for unoccupied bins, and the mask of the bins that fall back.  Slot i is
-    the i-th key of sorted(field.frames).
+def _bin_lookup(field: FrameField) -> tuple[list[LocalFrame], np.ndarray, np.ndarray]:
+    """The frames in slot order, the flat-bin -> frame-slot map, with a
+    one-step nearest-occupied fallback for unoccupied bins, and the mask of
+    the bins that fall back.  Slot i is the i-th key of sorted(field.frames).
 
     An unoccupied bin borrows the occupied bin among its 3^N neighbours
     that is fewest axes away, ties going to the first offset in
@@ -55,7 +55,8 @@ def _bin_lookup(field: FrameField):
         chosen[take] = shifted[take]
         unresolved &= ~take
     flat_to_slot = chosen.ravel()
-    return flat_to_slot, (flat_to_slot >= 0) & (slots.ravel() < 0)
+    frames = [field.frames[k] for k in keys]
+    return frames, flat_to_slot, (flat_to_slot >= 0) & (slots.ravel() < 0)
 
 
 # A bin of at least this many samples takes one product with its frame;
@@ -89,8 +90,8 @@ def compute_weights(
         and all(map(np.array_equal, binning.grid.edges, field.grid.edges))
     ):
         raise ValueError("samples binned on another grid than the field's")
-    flat_to_slot, fallback_bins = _bin_lookup(field)
-    m_stack = np.stack([field.frames[k].m for k in sorted(field.frames)])
+    frames, flat_to_slot, fallback_bins = _bin_lookup(field)
+    m_stack = np.stack([f.m for f in frames])
     order, starts = binning.order, binning.starts
     slot = flat_to_slot[binning.flat]  # per listed bin; -1: no occupied bin within one step
     counts = np.diff(starts)
@@ -136,25 +137,27 @@ def _corr_matrix(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _match_channels(sources: list[np.ndarray], target: np.ndarray, joint: np.ndarray):
-    """Best signed assignment of the stacked source columns to the target
-    columns over the rows in joint, and the |corr| of each matched pair."""
+    """Best signed assignment (perm, signs) of the stacked source columns to
+    the target columns over the rows in joint, and the |corr| of each
+    matched pair."""
     count = np.count_nonzero(joint)
     if count < MIN_OVERLAP:
         raise AlignmentError(f"only {count} jointly valid samples (need {MIN_OVERLAP})")
     c = np.vstack([_corr_matrix(x, target, joint) for x in sources])
-    p = best_signed_assignment(c)
-    return p, np.abs(c[np.arange(len(c)), p.perm])
+    (perm,), (signs,) = best_signed_assignments(c[None])
+    return perm, signs, np.abs(c[np.arange(len(c)), perm])
 
 
 def align_weight_series(
     w: WeightSeries, wprime: WeightSeries
-) -> tuple[SignedPermutation, np.ndarray]:
-    """Signed permutation p maximizing the summed per-channel correlation of
-    w with apply(p, wprime), over jointly valid samples.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signed permutation (perm, signs) maximizing the summed per-channel
+    correlation of w with wprime.values[:, perm] * signs, over jointly valid
+    samples.
 
-    The assignment is exact at every N (see best_signed_assignment); signs
-    come from the correlation signs.  Returns p and the achieved per-channel
-    correlations.
+    The assignment is exact at every N (see best_signed_assignments); signs
+    come from the correlation signs.  Returns perm, signs and the achieved
+    per-channel correlations.
     """
     if w.dim != wprime.dim:
         raise DimensionMismatchError("weight series dimensions differ")
@@ -173,7 +176,8 @@ def cross_channel_correlation(w: WeightSeries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    permutation: SignedPermutation
+    perm: np.ndarray  # stacked source channel j matches mixture channel perm[j]
+    signs: np.ndarray
     channel_correlations: np.ndarray  # |corr| of each source channel with its match
     mixture_cross_correlation: np.ndarray
     min_channel_corr: float
@@ -195,13 +199,13 @@ def separability_report(
     if lengths != {len(w_mixture)}:
         raise AlignmentError("source and mixture weight series lengths differ")
     joint = np.logical_and.reduce([w_mixture.valid_mask, *(s.valid_mask for s in w_source_list)])
-    p, corrs = _match_channels([s.values for s in w_source_list], w_mixture.values, joint)
+    perm, signs, corrs = _match_channels([s.values for s in w_source_list], w_mixture.values, joint)
     cross = cross_channel_correlation(w_mixture)
     off = cross[~np.eye(w_mixture.dim, dtype=bool)]
     max_cross = float(np.max(np.abs(off))) if off.size else 0.0
     min_corr = float(np.min(corrs))
     passed = min_corr >= min_match_corr and max_cross < max_abs_cross_corr
-    return SeparabilityReport(p, corrs, cross, min_corr, max_cross, passed)
+    return SeparabilityReport(perm, signs, corrs, cross, min_corr, max_cross, passed)
 
 
 # ---------------------------------------------------------------------------

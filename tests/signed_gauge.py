@@ -3,8 +3,9 @@ the exhaustive assignment, the inverse and the matrix of a signed
 permutation, applying one to an array and to a frame, the per-frame
 canonical gauge, the covariant transformation law M' = P M (dx/dx') checked
 bin by bin, and the bin-by-bin breadth-first alignment, with the package's
-stacked alignment called on the same dicts.  The package itself only needs
-the exact assignment and applies signed permutations to stacks inline."""
+stacked alignment called on the same dicts.  A signed permutation is a
+(perm, signs) pair of int arrays, as the package returns it; compare two
+with np.testing.assert_array_equal."""
 
 import itertools
 from collections import deque
@@ -14,25 +15,20 @@ import numpy as np
 from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from innerseries.frames import align_frame_field, solve_frame
 from innerseries.ingest import gen_bounded_walk
-from innerseries.model import (
-    FrameField,
-    LocalFrame,
-    SignedPermutation,
-    VelocitySeries,
-    best_signed_assignment,
-)
+from innerseries.model import FrameField, LocalFrame, VelocitySeries, best_signed_assignments
 
 FIXED_MAP = np.array([[1.2, 0.4], [-0.3, 0.9]])
 
 
 def all_signed_permutations(n: int):
-    """Every element of the signed-permutation group on n channels (2^n n!)."""
+    """Every element of the signed-permutation group on n channels (2^n n!),
+    as (perm, signs) pairs."""
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(np.array(perm), np.array(signs))
+            yield np.array(perm), np.array(signs)
 
 
-def first_optimal_assignment(score) -> SignedPermutation:
+def first_optimal_assignment(score) -> tuple[np.ndarray, np.ndarray]:
     """The first maximum of sum_j |score[j, perm[j]]|, summed left to right,
     in itertools.permutations order, with each sign from its picked entry
     (+1 at zero)."""
@@ -44,35 +40,39 @@ def first_optimal_assignment(score) -> SignedPermutation:
         if total > best_total:
             best, best_total = perm, total
     perm = np.array(best)
-    return SignedPermutation(perm, np.where(score[np.arange(n), perm] >= 0, 1, -1))
+    return perm, np.where(score[np.arange(n), perm] >= 0, 1, -1)
 
 
-def inverse(p: SignedPermutation) -> SignedPermutation:
-    """The signed permutation that undoes p."""
-    inv_perm = np.argsort(p.perm)
-    return SignedPermutation(inv_perm, p.signs[inv_perm])
+def inverse(p) -> tuple[np.ndarray, np.ndarray]:
+    """The signed permutation that undoes p = (perm, signs)."""
+    perm, signs = p
+    inv_perm = np.argsort(perm)
+    return inv_perm, signs[inv_perm]
 
 
-def signed_permutation_matrix(p: SignedPermutation) -> np.ndarray:
+def signed_permutation_matrix(p) -> np.ndarray:
     """The matrix P with P @ w == apply_to_array(p, w)."""
-    n = len(p.perm)
+    perm, signs = p
+    n = len(perm)
     m = np.zeros((n, n))
-    m[np.arange(n), p.perm] = p.signs
+    m[np.arange(n), perm] = signs
     return m
 
 
-def apply_to_array(p: SignedPermutation, w: np.ndarray) -> np.ndarray:
+def apply_to_array(p, w: np.ndarray) -> np.ndarray:
     """p applied along the last axis: out[..., j] = signs[j] * w[..., perm[j]]."""
-    return w[..., p.perm] * p.signs
+    perm, signs = p
+    return w[..., perm] * signs
 
 
-def apply_to_frame(p: SignedPermutation, frame: LocalFrame) -> LocalFrame:
+def apply_to_frame(p, frame: LocalFrame) -> LocalFrame:
     """Row-relabel/reflect a frame: row j of m becomes signs[j] * row
     perm[j], d follows its row, v = m^-1 its column."""
+    perm, signs = p
     return LocalFrame(
-        frame.m[p.perm] * p.signs[:, None],
+        frame.m[perm] * signs[:, None],
         apply_to_array(p, frame.v),
-        frame.d[p.perm],
+        frame.d[perm],
         frame.degenerate_flag,
     )
 
@@ -85,15 +85,16 @@ def canonicalize_frame(frame: LocalFrame) -> LocalFrame:
     signs = np.where(frame.m[rows, np.argmax(np.abs(frame.m), axis=1)] < 0, -1, 1)
     m = frame.m * signs[:, None]
     order = sorted(rows, key=lambda i: (-frame.d[i], tuple(m[i])))
-    return apply_to_frame(SignedPermutation(order, signs[order]), frame)
+    return apply_to_frame((np.array(order), signs[order]), frame)
 
 
-def check_transform_law(m_x, m_xprime, jacobian) -> tuple[float, SignedPermutation]:
+def check_transform_law(m_x, m_xprime, jacobian) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Residual ||R - P||_F of R = M' (M J)^-1 from its nearest signed
-    permutation P, and P; J = dx/dx'.  A singular J raises LinAlgError, a
-    ValueError."""
+    permutation P, and P as (perm, signs); J = dx/dx'.  A singular J raises
+    LinAlgError, a ValueError."""
     r = np.asarray(m_xprime) @ np.linalg.inv(np.asarray(m_x) @ np.asarray(jacobian))
-    p = best_signed_assignment(r)
+    perms, signs = best_signed_assignments(r[None])
+    p = perms[0], signs[0]
     return float(np.linalg.norm(r - signed_permutation_matrix(p))), p
 
 
@@ -172,8 +173,8 @@ def sequential_align(grid, frames, counts) -> FrameField:
                     if k in aligned and component_ids[k] == comp
                 ]
                 ref = min(refs, key=lambda k: (aligned[k].degenerate_flag, -counts[k], k))
-                q = best_signed_assignment(frames[nb].m @ aligned[ref].v)
-                aligned[nb] = apply_to_frame(inverse(q), frames[nb])
+                perms, signs = best_signed_assignments((frames[nb].m @ aligned[ref].v)[None])
+                aligned[nb] = apply_to_frame(inverse((perms[0], signs[0])), frames[nb])
                 component_ids[nb] = comp
                 unvisited.discard(nb)
                 queue.append(nb)

@@ -46,7 +46,7 @@ def assert_same_moments(moments, ref):
 def einsum_weights(traj, vel, field):
     """Reference: one gather of every valid sample's frame, one einsum."""
     flat = field.grid.flat_index(traj.samples)
-    flat_to_slot, fallback_bins = _bin_lookup(field)
+    _, flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([field.frames[k].m for k in sorted(field.frames)])
     slots = np.where(flat >= 0, flat_to_slot[flat], -1)
     valid = vel.valid_mask & (slots >= 0)
@@ -61,7 +61,7 @@ def per_bin_weights(traj, vel, field):
     least _PRODUCT_ROWS of them and sample by sample through the einsum
     otherwise, each bin found by its own scan of the flat index."""
     flat = field.grid.flat_index(traj.samples)
-    flat_to_slot, fallback_bins = _bin_lookup(field)
+    _, flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([field.frames[k].m for k in sorted(field.frames)])
     valid = vel.valid_mask & (flat >= 0) & (flat_to_slot[flat] >= 0)
     values = np.zeros((traj.n_samples, traj.dim))

@@ -135,8 +135,8 @@ def test_criterion_8_exact_invariances():
     # scale covariance: power-of-two axis scaling leaves w invariant
     scale = np.array([4.0, 0.5])
     res_s = run_pipeline(Trajectory(traj.samples * scale, traj.dt), (3, 3))
-    p, _ = align_weight_series(res.weights, res_s.weights)
-    aligned = apply_to_array(p, res_s.weights.values)
+    perm, signs, _ = align_weight_series(res.weights, res_s.weights)
+    aligned = apply_to_array((perm, signs), res_s.weights.values)
     joint = res.weights.valid_mask & res_s.weights.valid_mask
     wscale = max(float(np.max(np.abs(res.weights.values[joint]))), 1.0)
     scale_err = float(np.max(np.abs(aligned[joint] - res.weights.values[joint]))) / wscale

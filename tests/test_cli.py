@@ -12,8 +12,8 @@ from innerseries.ingest import (
     read_wav_trajectory,
     write_csv_trajectory,
 )
-from innerseries.model import Trajectory
-from innerseries.weights import read_csv_weights
+from innerseries.model import Trajectory, WeightSeries
+from innerseries.weights import read_csv_weights, write_csv_weights
 
 
 def run(argv):
@@ -144,6 +144,19 @@ class TestStagedPipeline:
     def test_reconstruct_negative_steps_rejected(self, staged, tmp_path, capsys):
         assert self.reconstruct_rows(staged, tmp_path, -1) == (2, None)
         assert "steps must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_reconstruct_weight_dimension_checked(self, staged, tmp_path, capsys):
+        # three weight channels on the staged 2-D field
+        w = read_csv_weights(staged / "weights.csv")
+        wide = tmp_path / "wide.csv"
+        values = np.hstack([w.values, w.values[:, :1]])
+        write_csv_weights(WeightSeries(values, w.valid_mask, dt=w.dt), wide)
+        rc = run(
+            ["reconstruct", "--weights", wide, "--field", staged / "field.json",
+             "--x0=0,0", "--out", tmp_path / "recon.csv"]
+        )
+        assert rc == 2
+        assert "weight series has 3 channels, field dimension 2" in capsys.readouterr().err
 
     def test_reconstruct_negative_x0_as_separate_argument(self, staged, tmp_path):
         # "--x0 -0.5,0.2" must work as "--x0=-0.5,0.2" does

@@ -3,7 +3,14 @@ import pytest
 
 from innerseries.ingest import gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline
-from innerseries.model import BinGrid, FrameField, LocalFrame, Trajectory, WeightSeries
+from innerseries.model import (
+    BinGrid,
+    DimensionMismatchError,
+    FrameField,
+    LocalFrame,
+    Trajectory,
+    WeightSeries,
+)
 from innerseries.reconstruct import integrate_weights
 from innerseries.weights import _bin_lookup
 
@@ -13,7 +20,7 @@ def integrate_weights_reference(w, field, x0, steps):
     bounds test, the clip and the bin lookup through grid.flat_index."""
     grid = field.grid
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    flat_to_slot, _ = _bin_lookup(field)
+    _, flat_to_slot, _ = _bin_lookup(field)
     v_stack = np.stack([field.frames[k].v for k in sorted(field.frames)])
     lo = np.array([e[0] for e in grid.edges])
     hi = np.array([e[-1] for e in grid.edges])
@@ -117,6 +124,14 @@ class TestIntegrateWeights:
         w = WeightSeries(np.zeros((5, 1)), np.ones(5, dtype=bool))
         with pytest.raises(ValueError):
             integrate_weights(w, field, np.full(1, 50.0), 5)
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_weight_dimension_checked(self, valid):
+        # also when no sample is valid, so no increment would show it
+        field = single_bin_field(np.eye(2))
+        w = WeightSeries(np.zeros((5, 3)), np.full(5, valid))
+        with pytest.raises(DimensionMismatchError, match="3 channels, field dimension 2"):
+            integrate_weights(w, field, np.zeros(2), 5)
 
     def test_negative_steps_rejected(self):
         field = single_bin_field(np.eye(1))

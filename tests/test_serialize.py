@@ -1,3 +1,5 @@
+import copy
+import json
 import re
 
 import numpy as np
@@ -114,9 +116,22 @@ class TestFieldRoundtrip:
         assert back.component_ids == res.field.component_ids
 
 
+@pytest.fixture(scope="module")
+def loaded_dicts():
+    """The moments and field dicts of make_pipeline, as load_json gives them."""
+    _, res = make_pipeline()
+    dicts = {
+        "moments": serialize.moments_to_dict(res.field.grid, res.moments),
+        "field": serialize.field_to_dict(res.field),
+    }
+    return {kind: json.loads(json.dumps(d)) for kind, d in dicts.items()}
+
+
 class TestBinKeys:
     """One bin has one key: a second spelling of a key, as the dumpers never
-    write it, would load as a second row or frame for the same bin."""
+    write it, would load as a second row or frame for the same bin.  Every
+    other bad value in a bin is an error that names the file kind and the
+    bin."""
 
     @pytest.mark.parametrize("key", ["00,1", "0,01", " 0,1", "0, 1", "+0,1", "0,1,", "a,1", ""])
     def test_loaders_reject_other_spellings(self, key):
@@ -138,6 +153,28 @@ class TestBinKeys:
         del d["frames"]["0,1"]
         with pytest.raises(ValueError, match="^field bin '0,1': component_ids entry but no frame$"):
             serialize.field_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "kind, name, value, message",
+        [
+            ("field", "m", [[float("nan"), 0.0], [0.0, 1.0]], "m contains non-finite values"),
+            ("field", "d", [float("inf"), 1.0], "d contains non-finite values"),
+            ("field", "m", [[1.0, 2.0], [2.0, 4.0]], "m is singular"),
+            ("field", "degenerate", "no", "degenerate must be true or false, got 'no'"),
+            ("field", "degenerate", 0, "degenerate must be true or false, got 0"),
+            ("moments", "c2", [[1.0, float("nan")], [0.0, 1.0]], "c2 contains non-finite values"),
+            ("moments", "count", -3, "count must be an integer >= 1, got -3"),
+            ("moments", "count", 0, "count must be an integer >= 1, got 0"),
+            ("moments", "count", 2.7, "count must be an integer >= 1, got 2.7"),
+            ("moments", "count", True, "count must be an integer >= 1, got True"),
+        ],
+    )
+    def test_loaders_reject_bad_values(self, loaded_dicts, kind, name, value, message):
+        d = copy.deepcopy(loaded_dicts[kind])
+        d["frames" if kind == "field" else "bins"]["0,1"][name] = value
+        load = serialize.field_from_dict if kind == "field" else serialize.moments_from_dict
+        with pytest.raises(ValueError, match=f"^{kind} bin '0,1': {re.escape(message)}$"):
+            load(d)
 
 
 class TestDumpJson:

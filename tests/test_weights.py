@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from innerseries.estimate import bin_samples, estimate_velocity
@@ -15,7 +15,6 @@ from innerseries.model import (
     DimensionMismatchError,
     FrameField,
     LocalFrame,
-    SignedPermutation,
     Trajectory,
     VelocitySeries,
     WeightSeries,
@@ -33,7 +32,7 @@ from innerseries.weights import (
     separability_report,
     write_csv_weights,
 )
-from signed_gauge import apply_to_array
+from signed_gauge import apply_to_array, inverse
 from stage_references import assert_near_per_channel, einsum_weights, per_bin_weights
 
 
@@ -88,8 +87,8 @@ class TestComputeWeights:
         scale = np.array([4.0, 0.5])
         traj_s = Trajectory(res.traj.samples * scale, res.traj.dt)
         res_s = run_pipeline(traj_s, (3, 3))
-        p, corrs = align_weight_series(res.weights, res_s.weights)
-        aligned = apply_to_array(p, res_s.weights.values)
+        perm, signs, corrs = align_weight_series(res.weights, res_s.weights)
+        aligned = apply_to_array((perm, signs), res_s.weights.values)
         joint = res.weights.valid_mask & res_s.weights.valid_mask
         diff = np.max(np.abs(aligned[joint] - res.weights.values[joint]))
         assert diff < 1e-10 * max(np.max(np.abs(res.weights.values)), 1.0)
@@ -102,8 +101,8 @@ class TestComputeWeights:
         res, res_s = run_pipeline(traj, (6, 6)), run_pipeline(scaled, (6, 6))
         w = res.weights
         assert w.fallback_mask[w.valid_mask].sum() > 300
-        p, corrs = align_weight_series(w, res_s.weights)
-        aligned = apply_to_array(p, res_s.weights.values)
+        perm, signs, corrs = align_weight_series(w, res_s.weights)
+        aligned = apply_to_array((perm, signs), res_s.weights.values)
         np.testing.assert_array_equal(res_s.weights.valid_mask, w.valid_mask)
         np.testing.assert_array_equal(res_s.weights.fallback_mask, w.fallback_mask)
         diff = np.max(np.abs(aligned[w.valid_mask] - w.values[w.valid_mask]))
@@ -168,18 +167,19 @@ class TestBinLookup:
     @settings(max_examples=80, deadline=None)
     @given(occupancies())
     def test_early_stop_matches_full_sweep(self, field):
-        flat_to_slot, fallback = _bin_lookup(field)
+        frames, flat_to_slot, fallback = _bin_lookup(field)
+        assert list(map(id, frames)) == [id(field.frames[k]) for k in sorted(field.frames)]
         ref_slots, ref_fallback = full_sweep_lookup(field)
         np.testing.assert_array_equal(flat_to_slot, ref_slots)
         np.testing.assert_array_equal(fallback, ref_fallback)
 
     def test_bin_with_no_occupied_neighbour_stays_unresolved(self):
         # 1-D: (1,) borrows (0,); 2-D: (3, 3) is two steps from (0, 0)
-        flat_to_slot, fallback = _bin_lookup(identity_field((4,), [(0,)]))
+        _, flat_to_slot, fallback = _bin_lookup(identity_field((4,), [(0,)]))
         assert flat_to_slot.tolist() == [0, 0, -1, -1]
         assert fallback.tolist() == [False, True, False, False]
         field = identity_field((4, 4), [(0, 0), (0, 3)])
-        flat_to_slot, fallback = _bin_lookup(field)
+        _, flat_to_slot, fallback = _bin_lookup(field)
         assert flat_to_slot.reshape(4, 4)[3].tolist() == [-1, -1, -1, -1]
         assert flat_to_slot.reshape(4, 4)[1].tolist() == [0, 0, 1, 1]
         ref_slots, ref_fallback = full_sweep_lookup(field)
@@ -333,8 +333,8 @@ class TestBlockwiseCorrelations:
         b = a * [8.0, 0.25]
         mask = np.ones(len(a), dtype=bool)
         assert np.max(np.abs(_corr_matrix(a, b, mask))) <= 1.0
-        p, corrs = align_weight_series(WeightSeries(a, mask), WeightSeries(b, mask))
-        assert p.perm.tolist() == [0, 1] and p.signs.tolist() == [1, 1]
+        perm, signs, corrs = align_weight_series(WeightSeries(a, mask), WeightSeries(b, mask))
+        assert perm.tolist() == [0, 1] and signs.tolist() == [1, 1]
         assert corrs.tolist() == [1.0, 1.0]
 
     def test_cross_channel_diagonal_exactly_one(self):
@@ -360,30 +360,32 @@ class TestAlignWeightSeries:
 
     def test_identity(self):
         w = self._series(np.random.default_rng(0))
-        p, corrs = align_weight_series(w, w)
-        assert p.perm.tolist() == [0, 1] and p.signs.tolist() == [1, 1]
+        perm, signs, corrs = align_weight_series(w, w)
+        assert perm.tolist() == [0, 1] and signs.tolist() == [1, 1]
         np.testing.assert_allclose(corrs, 1.0, atol=1e-12)
 
-    def test_swap_and_negate_recovered(self):
-        w = self._series(np.random.default_rng(1))
-        p_true = SignedPermutation([1, 0], [1, -1])
-        wp = WeightSeries(apply_to_array(p_true, w.values), w.valid_mask)
-        p, corrs = align_weight_series(wp, w)
-        assert p == p_true
-        np.testing.assert_allclose(corrs, 1.0, atol=1e-12)
-
-    def test_recovery_under_noise(self):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p_true=st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)).map(np.array),
+                st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n).map(np.array),
+            )
+        ),
+        noise=st.just(0.0),
+    )
+    @example(p_true=(np.array([1, 0]), np.array([-1, 1])), noise=0.1)
+    def test_random_signed_permutation_undone(self, p_true, noise):
+        # w is matched to a signed permutation of itself, with noise of the
+        # given fraction of each channel's spread added: the answer is the
+        # permutation that undoes it
         rng = np.random.default_rng(2)
-        w = self._series(rng, n=5000)
-        p_true = SignedPermutation([1, 0], [-1, 1])
-        wp = WeightSeries(apply_to_array(p_true, w.values), w.valid_mask)
-        noisy = WeightSeries(
-            wp.values + 0.1 * wp.values.std(axis=0) * rng.standard_normal(wp.values.shape),
-            wp.valid_mask,
-        )
-        p, corrs = align_weight_series(noisy, w)
-        assert p == p_true
-        assert np.min(corrs) > 0.99
+        w = self._series(rng, n=5000, dim=len(p_true[0]))
+        wp = apply_to_array(p_true, w.values)
+        wp += noise * wp.std(axis=0) * rng.standard_normal(wp.shape)
+        perm, signs, corrs = align_weight_series(w, WeightSeries(wp, w.valid_mask))
+        np.testing.assert_array_equal((perm, signs), inverse(p_true))
+        assert np.min(corrs) > (0.99 if noise else 1 - 1e-12)
 
     def test_too_few_joint_samples(self):
         w = self._series(np.random.default_rng(3), n=300)
@@ -471,7 +473,7 @@ class TestSeparability:
         mix = WeightSeries(mix_values, np.ones(n, dtype=bool))
         rep = separability_report(mix, [s1, s2])
         ref = _whole_array_corr(np.concatenate([s1.values, s2.values], axis=1), mix_values, mask1)
-        assert rep.permutation == SignedPermutation([1, 0], [-1, 1])
+        np.testing.assert_array_equal((rep.perm, rep.signs), ([1, 0], [-1, 1]))
         np.testing.assert_allclose(
             rep.channel_correlations, np.abs(ref[[0, 1], [1, 0]]), rtol=1e-12
         )
