@@ -125,9 +125,7 @@ def cmd_align(args) -> int:
 def cmd_separability(args) -> int:
     mix = read_csv_weights(args.mixture)
     sources = [read_csv_weights(s) for s in args.sources]
-    rep = separability_report(
-        mix, sources, min_match_corr=args.min_corr, max_abs_cross_corr=args.max_cross
-    )
+    rep = separability_report(mix, sources)
     out = {
         "perm": rep.perm.tolist(),
         "signs": rep.signs.tolist(),
@@ -154,13 +152,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig(
-        seed=args.seed,
-        samples=args.samples,
-        bins=args.bins,
-        min_count=args.min_count,
-        transform=args.transform,
-    )
+    cfg = ExperimentConfig(seed=args.seed, samples=args.samples, transform=args.transform)
     report = run_experiment(args.name, cfg, out_dir=args.out_dir)
     for c in report.criteria:
         status = "PASS" if c.passed else "FAIL"
@@ -242,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separability", help="match mixture weights against source weights")
     p.add_argument("--mixture", required=True)
     p.add_argument("--sources", nargs="+", required=True)
-    p.add_argument("--min-corr", type=float, default=0.9)
-    p.add_argument("--max-cross", type=float, default=0.05)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_separability)
 
@@ -259,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=EXPERIMENT_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--bins", type=_parse_bins, default=None)
-    p.add_argument("--min-count", type=int, default=None)
     p.add_argument("--transform", choices=("cubic", "identity"), help="monotone-1d only; default cubic")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_experiment)

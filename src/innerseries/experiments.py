@@ -24,6 +24,8 @@ from .frames import fit_field, frame_residuals
 from .model import BinMoments, FrameField, Trajectory, WeightSeries
 from .reconstruct import integrate_weights
 from .weights import (
+    MAX_CROSS_CORR,
+    MIN_MATCH_CORR,
     align_weight_series,
     compute_weights,
     separability_report,
@@ -39,8 +41,6 @@ REPORT_SCHEMA = 1
 class ExperimentConfig:
     seed: int = 0
     samples: int | None = None
-    bins: tuple[int, ...] | None = None
-    min_count: int | None = None
     transform: str | None = None  # monotone-1d only: "cubic" (when None) or "identity"
 
 
@@ -103,11 +103,10 @@ class PipelineResult:
 
 
 def run_pipeline(
-    traj: Trajectory,
-    bins: tuple[int, ...],
-    min_count: int | None = None,
+    traj: Trajectory, bins: tuple[int, ...], min_count: int | None
 ) -> PipelineResult:
-    """trajectory -> velocity -> grid -> moments -> aligned frames -> weights."""
+    """trajectory -> velocity -> grid -> moments -> aligned frames -> weights,
+    on the grid build_grid(traj, bins, min_count) makes."""
     vel = estimate_velocity(traj)
     grid = build_grid(traj, bins, min_count)
     binning = bin_samples(traj, vel, grid)
@@ -154,9 +153,8 @@ def sine_sign_match(traj: Trajectory, w: WeightSeries, a: float) -> float:
 def _sine(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     a = 1.0
     n = cfg.samples or 100_000
-    bins = cfg.bins or (128,)
     traj = ingest.gen_sine(a, 0.01, n)
-    res = run_pipeline(traj, bins, cfg.min_count)
+    res = run_pipeline(traj, (128,), None)
 
     match = sine_sign_match(traj, res.weights, a)
     edges, k = res.field.grid.edges[0], res.moments.keys[:, 0]
@@ -205,14 +203,13 @@ def _sine(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
 
 def _monotone_1d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     n = cfg.samples or 500_000
-    bins = cfg.bins or (128,)
     traj = ingest.gen_broadband(n, seed=cfg.seed, amplitude=1.0)
     if cfg.transform == "identity":
         traj_p = traj
     else:
         traj_p = ingest.apply_transform(traj, [0.0, 1.0, 0.0, 0.5], (-1.2, 1.2))
-    res = run_pipeline(traj, bins, cfg.min_count)
-    res_p = run_pipeline(traj_p, bins, cfg.min_count)
+    res = run_pipeline(traj, (128,), None)
+    res_p = run_pipeline(traj_p, (128,), None)
     *_, corrs = align_weight_series(res.weights, res_p.weights)
     corr = float(np.min(corrs))
     metrics = {"aligned_weight_correlation": corr}
@@ -233,15 +230,14 @@ def _monotone_1d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
 
 def _lifted_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     n = cfg.samples or 150_000
-    bins = cfg.bins or (4, 4)
     _, lifted = ingest.gen_lifted_latent(n, cfg.seed)
     x, frac_a = ingest.pca_embed(lifted, 2)
     distorted = Trajectory(
         ingest.distort_lift(lifted.samples), lifted.dt, lifted.channel_names
     )
     xp, frac_b = ingest.pca_embed(distorted, 2)
-    res = run_pipeline(x, bins, cfg.min_count)
-    res_p = run_pipeline(xp, bins, cfg.min_count)
+    res = run_pipeline(x, (4, 4), None)
+    res_p = run_pipeline(xp, (4, 4), None)
     *_, corrs = align_weight_series(res.weights, res_p.weights)
     corr = float(np.min(corrs))
     top2_a = float(np.sum(frac_a))
@@ -273,8 +269,6 @@ def _lifted_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
 
 def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     n = cfg.samples or 500_000
-    bins_src = (cfg.bins or (16, 16))[:1]
-    bins_mix = cfg.bins or (16, 16)
     dt = 1.0 / 16000
     box = 2.0e4  # keeps both sources inside the +-2^15 mixing domain
     s1 = ingest.gen_bounded_walk(
@@ -283,13 +277,13 @@ def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     s2 = ingest.gen_bounded_walk(
         n, seed=cfg.seed + 1, dim=1, box=box, dt=dt, noise="uniform"
     )
-    res1 = run_pipeline(s1, bins_src, cfg.min_count)
-    res2 = run_pipeline(s2, bins_src, cfg.min_count)
+    res1 = run_pipeline(s1, (16,), None)
+    res2 = run_pipeline(s2, (16,), None)
     # nested, so the stacked and mixed arrays are freed once pca_embed returns
     xprime, _ = ingest.pca_embed(
         ingest.mix_two_sources(Trajectory(np.hstack([s1.samples, s2.samples]), dt)), 2
     )
-    res_mix = run_pipeline(xprime, bins_mix, cfg.min_count)
+    res_mix = run_pipeline(xprime, (16, 16), None)
     rep = separability_report(res_mix.weights, [res1.weights, res2.weights])
     metrics = {
         "min_channel_corr": rep.min_channel_corr,
@@ -299,8 +293,8 @@ def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
         "matched_signs": rep.signs.tolist(),
     }
     criteria = [
-        Criterion("min_channel_corr", rep.min_channel_corr, 0.9, ">="),
-        Criterion("max_cross_corr", rep.max_cross_corr, 0.05, "<"),
+        Criterion("min_channel_corr", rep.min_channel_corr, MIN_MATCH_CORR, ">="),
+        Criterion("max_cross_corr", rep.max_cross_corr, MAX_CROSS_CORR, "<"),
     ]
     t = xprime.times
     extras = {

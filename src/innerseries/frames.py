@@ -12,10 +12,11 @@ inside degenerate eigenspaces of D).
 
 fit_field keeps the bins stacked from their moments (BinMoments) to the
 aligned field: it solves every bin at once (solve_frame is the same code on
-one bin) and aligns them on arrays; only the returned FrameField holds
-LocalFrames.  A signed permutation (perm, signs) acts on a stack of frames
-by gathers alone: row j of M becomes signs[j] * row perm[j], d follows its
-row, and V = M^-1 becomes V[:, perm] * signs, its exact inverse.
+one bin) and aligns them on arrays; the returned FrameField keeps them as
+stacks, in visiting order, and each bin's LocalFrame is a view of its row.
+A signed permutation (perm, signs) acts on a stack of frames by gathers
+alone: row j of M becomes signs[j] * row perm[j], d follows its row, and
+V = M^-1 becomes V[:, perm] * signs, its exact inverse.
 """
 
 from __future__ import annotations
@@ -77,14 +78,13 @@ def frame_residuals(field: FrameField, moments: BinMoments) -> tuple[float, floa
     off-diagonal of the transformed fourth-order contraction, relative to
     the bin's max |d|; each frame against its own bin's moments."""
     row = {k: i for i, k in enumerate(map(tuple, moments.keys.tolist()))}
-    rows = [row[k] for k in field.frames]
-    frames = list(field.frames.values())
-    m = np.array([f.m for f in frames])
+    rows = [row[k] for k in map(tuple, field.keys.tolist())]
+    m = field.m
     mt = np.swapaxes(m, 1, 2)
     white = m @ moments.c2[rows] @ mt - np.eye(m.shape[1])
     off = np.abs(m @ moments.t[rows] @ mt)
     off[:, np.arange(m.shape[1]), np.arange(m.shape[1])] = 0.0
-    scale = np.maximum(np.abs([f.d for f in frames]).max(axis=1), np.finfo(float).tiny)
+    scale = np.maximum(np.abs(field.d).max(axis=1), np.finfo(float).tiny)
     return float(np.abs(white).max()), float((off.max(axis=(1, 2)) / scale).max())
 
 
@@ -193,10 +193,12 @@ def align_frame_field(
         m[rows], v[rows], d[rows] = _gauge(
             inv, np.take_along_axis(signs, inv, axis=1), m[rows], v[rows], d[rows]
         )
-    order = np.concatenate(visited).tolist()
-    key_list = keys.tolist()
-    frames = {tuple(key_list[i]): LocalFrame(m[i], v[i], d[i], bool(degenerate[i])) for i in order}
-    return FrameField(grid, frames, {tuple(key_list[i]): int(component[i]) for i in order})
+    order = np.concatenate(visited)
+    key_list = list(map(tuple, keys[order].tolist()))
+    frames = map(LocalFrame, m[order], v[order], d[order], degenerate[order].tolist())
+    return FrameField(
+        grid, dict(zip(key_list, frames)), dict(zip(key_list, component[order].tolist()))
+    )
 
 
 def fit_field(grid: BinGrid, moments: BinMoments) -> tuple[FrameField, dict[tuple[int, ...], str]]:

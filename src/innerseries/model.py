@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -227,11 +227,11 @@ class BinMoments:
         return len(self.keys)
 
 
-@dataclass(frozen=True)
-class LocalFrame:
+class LocalFrame(NamedTuple):
     """Per-bin matrix m whitening c2 and diagonalizing the contracted fourth
     moment; v holds the columns of m^-1 (the local basis vectors); d is the
-    diagnostic diagonal, stored descending.
+    diagnostic diagonal, stored descending.  Holds its arrays as given: the
+    FrameField built from it checks them.
     """
 
     m: np.ndarray
@@ -239,22 +239,20 @@ class LocalFrame:
     d: np.ndarray
     degenerate_flag: bool = False
 
-    def __post_init__(self):
-        m = _as_float_array(self.m, "m")
-        v = _as_float_array(self.v, "v")
-        d = _as_float_array(self.d, "d")
-        n = m.shape[0]
-        if m.shape != (n, n) or v.shape != (n, n) or d.shape != (n,):
-            raise ValueError("frame shapes inconsistent")
-        for a in (m, v, d):
-            a.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "d", d)
 
-    @property
-    def dim(self) -> int:
-        return self.m.shape[0]
+def _stack(keys: list, parts: tuple, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """The parts, one per bin of keys, as one read-only (B, *shape) array.
+    The ValueError for a part of another shape, or one not finite, names
+    its bin."""
+    for key, p in zip(keys, parts):
+        if np.shape(p) != shape:
+            raise ValueError(f"frame bin {key}: {name} has shape {np.shape(p)}, expected {shape}")
+    a = np.array(parts, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(a.reshape(len(a), -1)).all(axis=1))
+    if len(bad):
+        raise ValueError(f"frame bin {keys[bad[0]]}: {name} contains non-finite values")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -262,21 +260,43 @@ class FrameField:
     """Globally sign/permutation-consistent frames over the occupied bins of a
     grid.  Disconnected occupancy components are aligned independently;
     component_ids records which component each bin belongs to.
+
+    The frames are checked once and stacked in the mapping's order: row i of
+    keys (B, N), m, v (B, N, N) and d (B, N) is the i-th bin of frames, and
+    frames maps each bin to a LocalFrame of views of its row.  All of them
+    are read-only.
     """
 
     grid: BinGrid
     frames: Mapping[tuple[int, ...], LocalFrame]
     component_ids: Mapping[tuple[int, ...], int] = field(default_factory=dict)
+    keys: np.ndarray = field(init=False)
+    m: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
+    d: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", dict(self.frames))
-        object.__setattr__(self, "component_ids", dict(self.component_ids))
         if not self.frames:
             raise ValueError("frame field has no occupied bins")
-
-    @property
-    def dim(self) -> int:
-        return self.grid.dim
+        keys, (m, v, d, flags) = list(self.frames), zip(*self.frames.values())
+        n, shape = self.grid.dim, self.grid.shape
+        for key in keys:
+            if len(key) != n:
+                raise ValueError(f"frame bin {key}: key length {len(key)}, grid dimension {n}")
+        idx = np.array(keys, dtype=np.int64)
+        idx.setflags(write=False)
+        outside = np.flatnonzero(np.any((idx < 0) | (idx >= shape), axis=1))
+        if len(outside):
+            raise ValueError(f"frame bin {keys[outside[0]]}: outside the grid of shape {shape}")
+        m, v, d = (
+            _stack(keys, m, (n, n), "m"), _stack(keys, v, (n, n), "v"), _stack(keys, d, (n,), "d")
+        )
+        frames = dict(zip(keys, map(LocalFrame, m, v, d, flags)))
+        for name, value in zip(
+            ("keys", "m", "v", "d", "frames", "component_ids"),
+            (idx, m, v, d, frames, dict(self.component_ids)),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,7 @@ def integrate_weights(
         raise ValueError("steps exceeds weight series length")
     if grid.flat_index(x0)[0] < 0:
         raise ValueError("x0 outside grid")
-    frames, flat_to_slot, _ = _bin_lookup(field)
-    flat_to_slot = flat_to_slot.tolist()
-    v_stack = np.stack([f.v for f in frames])
+    flat_to_slot = _bin_lookup(field)[0].tolist()
     valid = w.valid_mask[:steps].tolist()
     # per axis, as Python floats: the bounds with one grid step of slack, and
     # the clip and inner edges that give the bin (edges at or below the point)
@@ -66,6 +64,6 @@ def integrate_weights(
             truncated = True
             break
         if valid[k]:
-            x = x + w.dt * (v_stack[slot] @ w.values[k])
+            x = x + w.dt * (field.v[slot] @ w.values[k])
         path.append(x)
     return Trajectory(np.stack(path), w.dt), truncated

@@ -9,8 +9,9 @@ loaders check each bin against its grid: a key of N indices inside the
 grid's shape, spelled as the dumpers write it ("0,1", not "00,1"), finite
 arrays of the grid's dimension, a count that is an integer >= 1, a
 degenerate flag that is true or false and an invertible m; a field's
-component ids name only bins that hold a frame.  Each error names the
-file kind and the bin.
+component ids are integers >= 0 and name only bins that hold a frame, and
+the grid's min_count is an integer >= 1.  Each error names the file kind,
+and the bin where there is one.
 """
 
 from __future__ import annotations
@@ -54,11 +55,10 @@ def _array(b: dict, name: str, shape: tuple[int, ...], what: str, s: str) -> np.
     return a
 
 
-def _count(b: dict, s: str) -> int:
-    c = b["count"]
-    if type(c) is not int or c < 1:  # a JSON integer, not a float or a boolean
-        raise ValueError(f"moments bin {s!r}: count must be an integer >= 1, got {c!r}")
-    return c
+def _int(value, low: int, where: str, name: str) -> int:
+    if type(value) is not int or value < low:  # a JSON integer, not a float or a boolean
+        raise ValueError(f"{where}: {name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _check_schema(d: dict, what: str) -> None:
@@ -75,9 +75,11 @@ def grid_to_dict(grid: BinGrid) -> dict:
     }
 
 
-def grid_from_dict(d: dict) -> BinGrid:
+def grid_from_dict(d: dict, what: str = "grid") -> BinGrid:
+    """The grid of d; what names it in a bad min_count's error."""
     _check_schema(d, "grid")
-    return BinGrid(tuple(np.asarray(e) for e in d["edges"]), int(d["min_count"]))
+    min_count = _int(d["min_count"], 1, what, "min_count")
+    return BinGrid(tuple(np.asarray(e) for e in d["edges"]), min_count)
 
 
 def moments_to_dict(grid: BinGrid, moments: BinMoments) -> dict:
@@ -95,12 +97,12 @@ def moments_to_dict(grid: BinGrid, moments: BinMoments) -> dict:
 
 def moments_from_dict(d: dict) -> tuple[BinGrid, BinMoments]:
     _check_schema(d, "moments")
-    grid = grid_from_dict(d["grid"])
+    grid = grid_from_dict(d["grid"], "moments grid")
     n, bins = grid.dim, d["bins"]
     keys = [_unkey(s, grid, "moments") for s in bins]
     c2 = [_array(b, "c2", (n, n), "moments", s) for s, b in bins.items()]
     t = [_array(b, "t", (n, n), "moments", s) for s, b in bins.items()]
-    counts = [_count(b, s) for s, b in bins.items()]
+    counts = [_int(b["count"], 1, f"moments bin {s!r}", "count") for s, b in bins.items()]
     return grid, BinMoments(
         np.reshape(keys, (-1, n)), counts, np.reshape(c2, (-1, n, n)), np.reshape(t, (-1, n, n))
     )
@@ -124,7 +126,7 @@ def field_to_dict(field: FrameField) -> dict:
 
 def field_from_dict(d: dict) -> FrameField:
     _check_schema(d, "field")
-    grid = grid_from_dict(d["grid"])
+    grid = grid_from_dict(d["grid"], "field grid")
     n, ids = grid.dim, d.get("component_ids", {})
     frames = {}
     for s, f in d["frames"].items():
@@ -145,7 +147,7 @@ def field_from_dict(d: dict) -> FrameField:
         key = _unkey(s, grid, "field")
         if key not in frames:
             raise ValueError(f"field bin {s!r}: component_ids entry but no frame")
-        comp[key] = int(c)
+        comp[key] = _int(c, 0, f"field bin {s!r}", "component id")
     return FrameField(grid, frames, comp)
 
 

@@ -13,7 +13,6 @@ from .model import (
     Binning,
     DimensionMismatchError,
     FrameField,
-    LocalFrame,
     Trajectory,
     VelocitySeries,
     WeightSeries,
@@ -21,16 +20,19 @@ from .model import (
 )
 
 MIN_OVERLAP = 100
+# a separability report passes when every matched |corr| is at least the
+# first and every cross-correlation of the mixture's channels below the second
+MIN_MATCH_CORR, MAX_CROSS_CORR = 0.9, 0.05
 
 
 class AlignmentError(ValueError):
     pass
 
 
-def _bin_lookup(field: FrameField) -> tuple[list[LocalFrame], np.ndarray, np.ndarray]:
-    """The frames in slot order, the flat-bin -> frame-slot map, with a
-    one-step nearest-occupied fallback for unoccupied bins, and the mask of
-    the bins that fall back.  Slot i is the i-th key of sorted(field.frames).
+def _bin_lookup(field: FrameField) -> tuple[np.ndarray, np.ndarray]:
+    """The flat-bin -> row map over the field's stacks, with a one-step
+    nearest-occupied fallback for unoccupied bins, and the mask of the bins
+    that fall back.
 
     An unoccupied bin borrows the occupied bin among its 3^N neighbours
     that is fewest axes away, ties going to the first offset in
@@ -38,10 +40,8 @@ def _bin_lookup(field: FrameField) -> tuple[list[LocalFrame], np.ndarray, np.nda
     grid steps, so the choice does not depend on the measurement units.
     """
     shape = field.grid.shape
-    keys = sorted(field.frames)
     slots = np.full(shape, -1, dtype=np.int64)
-    for i, k in enumerate(keys):
-        slots[k] = i
+    slots[tuple(field.keys.T)] = np.arange(len(field.keys))
     padded = np.pad(slots, 1, constant_values=-1)
     chosen = slots.copy()
     # fewest moved axes first; the sort is stable
@@ -55,8 +55,7 @@ def _bin_lookup(field: FrameField) -> tuple[list[LocalFrame], np.ndarray, np.nda
         chosen[take] = shifted[take]
         unresolved &= ~take
     flat_to_slot = chosen.ravel()
-    frames = [field.frames[k] for k in keys]
-    return frames, flat_to_slot, (flat_to_slot >= 0) & (slots.ravel() < 0)
+    return flat_to_slot, (flat_to_slot >= 0) & (slots.ravel() < 0)
 
 
 # A bin of at least this many samples takes one product with its frame;
@@ -81,8 +80,6 @@ def compute_weights(
     frame applied as one product; the samples of smaller bins each get
     their frame gathered.
     """
-    if not field.frames:
-        raise ValueError("empty frame field")
     if not len(vel) == binning.n_samples == traj.n_samples:
         raise ValueError("velocity or binning not aligned with trajectory")
     if not (
@@ -90,8 +87,7 @@ def compute_weights(
         and all(map(np.array_equal, binning.grid.edges, field.grid.edges))
     ):
         raise ValueError("samples binned on another grid than the field's")
-    frames, flat_to_slot, fallback_bins = _bin_lookup(field)
-    m_stack = np.stack([f.m for f in frames])
+    flat_to_slot, fallback_bins = _bin_lookup(field)
     order, starts = binning.order, binning.starts
     slot = flat_to_slot[binning.flat]  # per listed bin; -1: no occupied bin within one step
     counts = np.diff(starts)
@@ -104,7 +100,7 @@ def compute_weights(
     bounds = zip(starts[:-1][large].tolist(), starts[1:][large].tolist())
     for s, (lo, hi) in zip(slot[large].tolist(), bounds):
         rows = order[lo:hi]
-        values[rows] = vel.values[rows] @ m_stack[s].T
+        values[rows] = vel.values[rows] @ field.m[s].T
     small = np.where(large, -1, slot)  # the slot of each small bin
     if np.any(small >= 0):
         for lo in range(0, len(order), _CHUNK):
@@ -114,7 +110,7 @@ def compute_weights(
             block = np.repeat(small[first:stop], np.diff(np.clip(starts[first : stop + 1], lo, hi)))
             pick = np.flatnonzero(block >= 0)
             rows = order[lo + pick]
-            values[rows] = np.einsum("nij,nj->ni", m_stack[block[pick]], vel.values[rows])
+            values[rows] = np.einsum("nij,nj->ni", field.m[block[pick]], vel.values[rows])
     return WeightSeries(values, valid, dt=traj.dt, fallback_mask=fallback)
 
 
@@ -186,13 +182,11 @@ class SeparabilityReport:
 
 
 def separability_report(
-    w_mixture: WeightSeries,
-    w_source_list: list[WeightSeries],
-    min_match_corr: float = 0.9,
-    max_abs_cross_corr: float = 0.05,
+    w_mixture: WeightSeries, w_source_list: list[WeightSeries]
 ) -> SeparabilityReport:
     """Match each mixture weight channel to one source weight channel and
-    score the mixture's cross-channel correlations."""
+    score the mixture's cross-channel correlations against MIN_MATCH_CORR
+    and MAX_CROSS_CORR."""
     if sum(s.dim for s in w_source_list) != w_mixture.dim:
         raise DimensionMismatchError("source dimensions do not sum to mixture dimension")
     lengths = {len(s) for s in w_source_list}
@@ -204,7 +198,7 @@ def separability_report(
     off = cross[~np.eye(w_mixture.dim, dtype=bool)]
     max_cross = float(np.max(np.abs(off))) if off.size else 0.0
     min_corr = float(np.min(corrs))
-    passed = min_corr >= min_match_corr and max_cross < max_abs_cross_corr
+    passed = min_corr >= MIN_MATCH_CORR and max_cross < MAX_CROSS_CORR
     return SeparabilityReport(perm, signs, corrs, cross, min_corr, max_cross, passed)
 
 

@@ -81,7 +81,7 @@ def canonicalize_frame(frame: LocalFrame) -> LocalFrame:
     """One frame in the canonical gauge: each row's largest-magnitude entry
     (the first, of equal magnitudes) made positive, then the rows ordered by
     descending d, ties by lexicographic comparison of the sign-fixed rows."""
-    rows = np.arange(frame.dim)
+    rows = np.arange(len(frame.d))
     signs = np.where(frame.m[rows, np.argmax(np.abs(frame.m), axis=1)] < 0, -1, 1)
     m = frame.m * signs[:, None]
     order = sorted(rows, key=lambda i: (-frame.d[i], tuple(m[i])))

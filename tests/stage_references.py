@@ -46,8 +46,8 @@ def assert_same_moments(moments, ref):
 def einsum_weights(traj, vel, field):
     """Reference: one gather of every valid sample's frame, one einsum."""
     flat = field.grid.flat_index(traj.samples)
-    _, flat_to_slot, fallback_bins = _bin_lookup(field)
-    m_stack = np.stack([field.frames[k].m for k in sorted(field.frames)])
+    flat_to_slot, fallback_bins = _bin_lookup(field)
+    m_stack = np.stack([f.m for f in field.frames.values()])
     slots = np.where(flat >= 0, flat_to_slot[flat], -1)
     valid = vel.valid_mask & (slots >= 0)
     values = np.zeros((traj.n_samples, traj.dim))
@@ -61,8 +61,8 @@ def per_bin_weights(traj, vel, field):
     least _PRODUCT_ROWS of them and sample by sample through the einsum
     otherwise, each bin found by its own scan of the flat index."""
     flat = field.grid.flat_index(traj.samples)
-    _, flat_to_slot, fallback_bins = _bin_lookup(field)
-    m_stack = np.stack([field.frames[k].m for k in sorted(field.frames)])
+    flat_to_slot, fallback_bins = _bin_lookup(field)
+    m_stack = np.stack([f.m for f in field.frames.values()])
     valid = vel.valid_mask & (flat >= 0) & (flat_to_slot[flat] >= 0)
     values = np.zeros((traj.n_samples, traj.dim))
     for f in np.unique(flat[valid]):

@@ -130,11 +130,11 @@ def test_criterion_7_reconstruction(experiments):
 
 def test_criterion_8_exact_invariances():
     traj = gen_bounded_walk(40_000, seed=0, dim=2, noise=("laplace", "uniform"))
-    res = run_pipeline(traj, (3, 3))
+    res = run_pipeline(traj, (3, 3), None)
 
     # scale covariance: power-of-two axis scaling leaves w invariant
     scale = np.array([4.0, 0.5])
-    res_s = run_pipeline(Trajectory(traj.samples * scale, traj.dt), (3, 3))
+    res_s = run_pipeline(Trajectory(traj.samples * scale, traj.dt), (3, 3), None)
     perm, signs, _ = align_weight_series(res.weights, res_s.weights)
     aligned = apply_to_array((perm, signs), res_s.weights.values)
     joint = res.weights.valid_mask & res_s.weights.valid_mask

@@ -147,12 +147,12 @@ class TestOneBinningPerFit:
 
         monkeypatch.setattr(BinGrid, "flat_index", counted)
         traj = gen_bounded_walk(20_000, seed=0, dim=2, noise=("laplace", "uniform"))
-        run_pipeline(traj, (3, 3))
+        run_pipeline(traj, (3, 3), None)
         assert calls == [20_000]
 
     def test_weights_reject_a_binning_on_another_grid(self):
         traj = gen_bounded_walk(5_000, seed=1, dim=2, noise=("laplace", "uniform"))
-        res = run_pipeline(traj, (3, 3))
+        res = run_pipeline(traj, (3, 3), None)
         vel = VelocitySeries(np.ones((5_000, 2)), np.ones(5_000, dtype=bool))
         other = build_grid(Trajectory(traj.samples * 2.0, 1.0), (3, 3))
         with pytest.raises(ValueError, match="another grid"):

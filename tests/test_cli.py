@@ -178,7 +178,7 @@ class TestStagedPipeline:
     def test_matches_run_pipeline(self, staged):
         # moments -> frames -> weights through files gives the in-memory
         # pipeline's frame field and weights bit for bit
-        res = run_pipeline(read_csv_trajectory(staged / "walk.csv"), (3, 3))
+        res = run_pipeline(read_csv_trajectory(staged / "walk.csv"), (3, 3), None)
         field = serialize.field_from_dict(serialize.load_json(staged / "field.json"))
         assert field.frames.keys() == res.field.frames.keys()
         for k, f in field.frames.items():

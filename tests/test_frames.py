@@ -155,8 +155,8 @@ def rows_of(moments):
 
 def one_bin(frame, c2, t):
     """A one-bin field of frame, and the BinMoments it was solved from."""
-    key = (0,) * frame.dim
-    return FrameField(_grid((1,) * frame.dim), {key: frame}), BinMoments([key], [1], [c2], [t])
+    key = (0,) * len(frame.d)
+    return FrameField(_grid((1,) * len(frame.d)), {key: frame}), BinMoments([key], [1], [c2], [t])
 
 
 class TestFitField:
@@ -175,7 +175,7 @@ class TestFitField:
         assert set(field.frames) == set(row) - set(RAMP_BINS)
 
     def test_run_pipeline_counts_skipped_bin(self):
-        res = run_pipeline(walk_then_ramp(), (8,))
+        res = run_pipeline(walk_then_ramp(), (8,), None)
         assert res.n_skipped_bins == 3
         assert all(k in rows_of(res.moments) and k not in res.field.frames for k in RAMP_BINS)
 
@@ -218,7 +218,7 @@ def residuals_reference(frames, c2s, ts):
     """frame_residuals one bin at a time, then the largest of each."""
     r1 = r2 = 0.0
     for f, c2, t in zip(frames, c2s, ts):
-        white = f.m @ c2 @ f.m.T - np.eye(f.dim)
+        white = f.m @ c2 @ f.m.T - np.eye(len(f.d))
         contr = f.m @ t @ f.m.T
         off = contr - np.diag(np.diag(contr))
         scale = max(float(np.max(np.abs(f.d))), np.finfo(float).tiny)
@@ -270,7 +270,7 @@ class TestStackedSolve:
         rng = np.random.default_rng(seed)
         for c2, t in zip(case[1].c2, case[1].t):
             f = solve_frame(c2, t)
-            perm, signs = rng.permutation(f.dim)[None], rng.choice([-1, 1], (1, f.dim))
+            perm, signs = rng.permutation(len(f.d))[None], rng.choice([-1, 1], (1, len(f.d)))
             gm, gv, _ = _gauge(perm, signs, f.m[None], f.v[None], f.d[None])
             assert gv.tobytes() == np.linalg.inv(gm).tobytes()
 
@@ -403,7 +403,7 @@ class TestCanonicalize:
     def test_constant_on_orbits(self, case):
         m, v, d = case
         frame = LocalFrame(m[0], v[0], d[0])
-        orbit = [apply_to_frame(p, frame) for p in all_signed_permutations(frame.dim)]
+        orbit = [apply_to_frame(p, frame) for p in all_signed_permutations(len(frame.d))]
         om, ov, od = (np.array([getattr(g, a) for g in orbit]) for a in "mvd")
         out = _gauge(*_canonical(om, od), om, ov, od)
         assert_same_frames(out, [canonicalize_frame(frame)] * len(orbit))
@@ -558,9 +558,9 @@ class TestAlignFrameField:
         base = canonicalize_frame(self._base_frame(rng))
         swapped = apply_to_frame((np.array([1, 0]), np.array([1, 1])), base)
         field = stacked_align(
-            _grid((2,)), {(0,): base, (1,): swapped}, {(0,): 20, (1,): 10}
+            _grid((2, 1)), {(0, 0): base, (1, 0): swapped}, {(0, 0): 20, (1, 0): 10}
         )
-        np.testing.assert_allclose(field.frames[(1,)].m, base.m, atol=1e-12)
+        np.testing.assert_allclose(field.frames[(1, 0)].m, base.m, atol=1e-12)
 
     def test_injection_recovery(self):
         # smooth synthetic field + random per-bin signed permutations:
@@ -598,7 +598,7 @@ class TestAlignFrameField:
         rng = np.random.default_rng(3)
         base = canonicalize_frame(self._base_frame(rng))
         field = stacked_align(
-            _grid((5,)), {(0,): base, (4,): base}, {(0,): 10, (4,): 10}
+            _grid((5, 1)), {(0, 0): base, (4, 0): base}, {(0, 0): 10, (4, 0): 10}
         )
         assert len(set(field.component_ids.values())) == 2
 

@@ -461,7 +461,7 @@ def test_bench_probes_name_package_functions():
     t = tracer.Tracer()
     t.install()
     try:
-        res = experiments.run_pipeline(traj, (3, 3))
+        res = experiments.run_pipeline(traj, (3, 3), None)
     finally:
         t.uninstall()
     assert t.missing == set()

@@ -11,6 +11,8 @@ from innerseries.model import (
     BinGrid,
     BinMoments,
     DimensionMismatchError,
+    FrameField,
+    LocalFrame,
     Trajectory,
     best_signed_assignments,
 )
@@ -208,6 +210,48 @@ class TestBinMoments:
         # two rows for one bin would give it two frames
         with pytest.raises(ValueError, match=r"^bin \(0, 1\) has more than one row$"):
             BinMoments([(2, 0), (0, 1), (0, 1)], [6, 7, 8], np.ones((3, 2, 2)), np.ones((3, 2, 2)))
+
+
+GRID_2X2 = BinGrid((np.linspace(0, 1, 3), np.linspace(0, 1, 3)), 1)
+EYE_FRAME = LocalFrame(np.eye(2), np.eye(2), np.ones(2))
+
+
+class TestFrameField:
+    def test_frames_are_read_only_views_of_the_stacks(self):
+        scaled = LocalFrame(2 * np.eye(2), np.eye(2) / 2, np.array([2.0, 1.0]), True)
+        field = FrameField(GRID_2X2, {(1, 0): scaled, (0, 1): EYE_FRAME}, {(1, 0): 0, (0, 1): 1})
+        assert field.keys.tolist() == [[1, 0], [0, 1]]  # the mapping's order
+        for i, frame in enumerate(field.frames.values()):
+            for part, stack in zip(frame[:3], (field.m, field.v, field.d)):
+                assert np.shares_memory(part, stack)
+                np.testing.assert_array_equal(part, stack[i])
+        np.testing.assert_array_equal(field.frames[(1, 0)].m, scaled.m)
+        assert field.frames[(1, 0)].degenerate_flag and not field.frames[(0, 1)].degenerate_flag
+        for a in (field.keys, field.m, field.v, field.d, field.frames[(1, 0)].m):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    @pytest.mark.parametrize(
+        "key, frame, message",
+        [
+            # a negative index would name another bin of the grid
+            ((-1, 0), EYE_FRAME, r"\(-1, 0\): outside the grid of shape \(2, 2\)"),
+            ((0, 2), EYE_FRAME, r"\(0, 2\): outside the grid of shape \(2, 2\)"),
+            ((1,), EYE_FRAME, r"\(1,\): key length 1, grid dimension 2"),
+            ((1, 1), EYE_FRAME._replace(m=np.eye(3)), r"\(1, 1\): m has shape \(3, 3\), expected"),
+            ((1, 1), EYE_FRAME._replace(d=np.ones(3)), r"\(1, 1\): d has shape \(3,\), expected"),
+            ((1, 1), EYE_FRAME._replace(v=np.full((2, 2), np.inf)), r"\(1, 1\): v contains non-"),
+        ],
+    )
+    def test_bad_bin_rejected_by_name(self, key, frame, message):
+        with pytest.raises(ValueError, match=f"^frame bin {message}"):
+            FrameField(GRID_2X2, {(0, 0): EYE_FRAME, key: frame})
+
+    def test_one_bad_shape_for_every_bin_rejected(self):
+        # every m 3 x 3 stacks without error, so the shape of the stack is checked too
+        frame = LocalFrame(np.eye(3), np.eye(3), np.ones(2))
+        with pytest.raises(ValueError, match=r"^frame bin \(0, 0\): m has shape \(3, 3\)"):
+            FrameField(GRID_2X2, {(0, 0): frame, (1, 1): frame})
 
 
 @st.composite

@@ -20,8 +20,8 @@ def integrate_weights_reference(w, field, x0, steps):
     bounds test, the clip and the bin lookup through grid.flat_index."""
     grid = field.grid
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _, flat_to_slot, _ = _bin_lookup(field)
-    v_stack = np.stack([field.frames[k].v for k in sorted(field.frames)])
+    flat_to_slot, _ = _bin_lookup(field)
+    v_stack = np.stack([f.v for f in field.frames.values()])
     lo = np.array([e[0] for e in grid.edges])
     hi = np.array([e[-1] for e in grid.edges])
     slack = grid.step_sizes()
@@ -148,7 +148,7 @@ class TestIntegrateWeights:
     def test_sine_roundtrip_rmse(self):
         # full pipeline round trip: weights of a sine re-integrate to the sine
         traj = gen_sine(1.0, 0.01, 100_000)
-        res = run_pipeline(traj, (128,))
+        res = run_pipeline(traj, (128,), None)
         start = int(np.flatnonzero(res.weights.valid_mask)[0])
         steps = 1000
         shifted = WeightSeries(
@@ -173,7 +173,7 @@ class TestAgainstReference:
     @pytest.fixture(scope="class")
     def walk(self):
         traj = gen_bounded_walk(40_000, seed=3, dim=2, noise=("laplace", "uniform"))
-        return traj, run_pipeline(traj, (8, 8))
+        return traj, run_pipeline(traj, (8, 8), None)
 
     @pytest.mark.parametrize("gain", [1.0, 1.5, 4.0])
     def test_same_path_bits(self, walk, gain):

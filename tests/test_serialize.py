@@ -14,7 +14,7 @@ from innerseries.weights import compute_weights
 
 def make_pipeline():
     traj = gen_bounded_walk(20_000, seed=0, dim=2, noise=("laplace", "uniform"))
-    return traj, run_pipeline(traj, (3, 3))
+    return traj, run_pipeline(traj, (3, 3), None)
 
 
 class TestGridRoundtrip:
@@ -167,13 +167,25 @@ class TestBinKeys:
             ("moments", "count", 0, "count must be an integer >= 1, got 0"),
             ("moments", "count", 2.7, "count must be an integer >= 1, got 2.7"),
             ("moments", "count", True, "count must be an integer >= 1, got True"),
+            ("moments", "min_count", 2.7, "min_count must be an integer >= 1, got 2.7"),
+            ("moments", "min_count", 0, "min_count must be an integer >= 1, got 0"),
+            ("field", "min_count", True, "min_count must be an integer >= 1, got True"),
+            ("field", "component id", 1.7, "component id must be an integer >= 0, got 1.7"),
+            ("field", "component id", "x", "component id must be an integer >= 0, got 'x'"),
+            ("field", "component id", -1, "component id must be an integer >= 0, got -1"),
         ],
     )
     def test_loaders_reject_bad_values(self, loaded_dicts, kind, name, value, message):
         d = copy.deepcopy(loaded_dicts[kind])
-        d["frames" if kind == "field" else "bins"]["0,1"][name] = value
+        where = f"{kind} bin '0,1':"
+        if name == "min_count":  # of the grid the file holds, which has no bin
+            d["grid"][name], where = value, f"{kind} grid:"
+        elif name == "component id":
+            d["component_ids"]["0,1"] = value
+        else:
+            d["frames" if kind == "field" else "bins"]["0,1"][name] = value
         load = serialize.field_from_dict if kind == "field" else serialize.moments_from_dict
-        with pytest.raises(ValueError, match=f"^{kind} bin '0,1': {re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{where} {re.escape(message)}$"):
             load(d)
 
 
