@@ -7,8 +7,11 @@ For each seed, runs `python3 bench/run.py --workload W --seed S` once in each
 checkout, the parent first at even positions in the seed list and the change
 first at odd ones.  Each checkout runs its own bench/ on its own src/.  For
 every end-to-end metric of BENCHMARK.json it then prints each pair, the
-number of pairs in which the change is better, and the median and quartiles
-of each side.  Seeds are integers or inclusive ranges such as 3000-3009.
+number of pairs in which the change is better, the median and quartiles of
+each side, and whether a gain may be claimed: the change must be better in
+at least nine tenths of all pairs (a tie is no win), and its median better
+than the parent's by more than the distance between the parent's
+quartiles.  Seeds are integers or inclusive ranges such as 3000-3009.
 Exits 1 if any run fails or reports an incorrect result or a failed
 operation.
 """
@@ -54,6 +57,23 @@ def summary(values: list[float]) -> str:
     return f"median {med:.6g}, quartiles [{q1:.6g}, {q3:.6g}]"
 
 
+def claim(parent: list[float], change: list[float], lower: bool) -> tuple[bool, str]:
+    """Whether the change may claim a gain on one metric, and why: it must
+    be better in at least nine tenths of the pairs, ties counting for
+    neither side, and its median better than the parent's by more than the
+    parent's interquartile spread."""
+    wins = sum(c < p if lower else c > p for p, c in zip(parent, change))
+    q1, q3 = np.percentile(parent, [25, 75])
+    gap = np.median(parent) - np.median(change)
+    gap = float(gap if lower else -gap)
+    holds = wins >= 0.9 * len(parent) and gap > q3 - q1
+    why = (
+        f"better in {wins} of {len(parent)} pairs (needs {np.ceil(0.9 * len(parent)):.0f}), "
+        f"median gap {gap:.6g} against a parent spread of {q3 - q1:.6g}"
+    )
+    return holds, why
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -83,15 +103,13 @@ def main(argv=None) -> int:
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
         print(f"{args.workload} {name} ({metric['unit']}, {metric['better']} is better)")
-        wins = 0
         for seed, p, c in zip(seeds, parent, change):
-            better = c < p if lower else c > p
-            wins += better
-            mark = "better" if better else ""
+            mark = "better" if (c < p if lower else c > p) else ""
             print(f"  seed {seed:>6}  parent {p:<12.6g} change {c:<12.6g} {mark}")
-        print(f"  change better in {wins} of {len(seeds)} pairs")
+        holds, why = claim(parent, change, lower)
         print(f"  parent {summary(parent)}")
         print(f"  change {summary(change)}")
+        print(f"  claim {'holds' if holds else 'does not hold'}: {why}")
     return 0 if ok else 1
 
 

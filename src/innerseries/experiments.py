@@ -93,7 +93,6 @@ class ExperimentReport:
 
 @dataclass
 class PipelineResult:
-    traj: Trajectory
     field: FrameField
     weights: WeightSeries
     moments: BinMoments
@@ -114,7 +113,7 @@ def run_pipeline(
     field, skipped = fit_field(grid, moments)
     r1, r2 = frame_residuals(field, moments)
     w = compute_weights(traj, vel, field, binning)
-    return PipelineResult(traj, field, w, moments, r1, r2, len(skipped))
+    return PipelineResult(field, w, moments, r1, r2, len(skipped))
 
 
 def analytic_sine_weights(a: float, times: np.ndarray) -> WeightSeries:
@@ -267,8 +266,11 @@ def _lifted_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     return metrics, criteria, extras
 
 
-def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
-    n = cfg.samples or 500_000
+def _fit_and_mix_sources(
+    cfg: ExperimentConfig, n: int
+) -> tuple[PipelineResult, PipelineResult, Trajectory]:
+    """Fit both sources of mixture-2d, then mix them; the source walks are
+    freed on return, before the mixture is embedded and fitted."""
     dt = 1.0 / 16000
     box = 2.0e4  # keeps both sources inside the +-2^15 mixing domain
     s1 = ingest.gen_bounded_walk(
@@ -279,10 +281,14 @@ def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     )
     res1 = run_pipeline(s1, (16,), None)
     res2 = run_pipeline(s2, (16,), None)
-    # nested, so the stacked and mixed arrays are freed once pca_embed returns
-    xprime, _ = ingest.pca_embed(
-        ingest.mix_two_sources(Trajectory(np.hstack([s1.samples, s2.samples]), dt)), 2
-    )
+    return res1, res2, ingest.mix_two_sources(Trajectory(np.hstack([s1.samples, s2.samples]), dt))
+
+
+def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
+    n = cfg.samples or 500_000
+    res1, res2, mixed = _fit_and_mix_sources(cfg, n)
+    xprime, _ = ingest.pca_embed(mixed, 2)
+    del mixed  # not held through the mixture fit, where a run peaks
     res_mix = run_pipeline(xprime, (16, 16), None)
     rep = separability_report(res_mix.weights, [res1.weights, res2.weights])
     metrics = {

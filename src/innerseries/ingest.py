@@ -9,10 +9,11 @@ them inside the +-2^15 box the two-source mixing functions require.
 Trajectory and weight CSVs are formatted in contiguous parts, one per
 usable CPU: forked processes format every part after the first while this
 process writes the first.  A large CSV body is read the same way: cut at
-line starts, each part parsed by a forked process into a temporary file,
-and the parts' rows gathered into one table.  The bytes written and the
-arrays read do not depend on the number of parts, and there is no option to
-set it; where os.fork is missing one process does all.
+line starts, this process parses the first part while forked processes
+parse the others into temporary files, and the rows are copied block by
+block straight into the arrays the reader returns.  The bytes written and
+the arrays read do not depend on the number of parts, and there is no
+option to set it; where os.fork is missing one process does all.
 """
 
 from __future__ import annotations
@@ -166,36 +167,34 @@ def _parse_part(path, lo: int, hi: int, width: int, out) -> None:
     out.flush()
 
 
-def _parse_in_parts(path, cuts: list[int], width: int) -> np.ndarray:
-    """The rows of a CSV body cut at line starts: a forked child parses each
-    part into an unlinked temporary file, and the parts' rows are read into
-    one table in order."""
-    with contextlib.ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in cuts[1:]]
-
-        def job(part, lo, hi):
-            return f"reading bytes {lo}-{hi - 1}", lambda: _parse_part(path, lo, hi, width, part)
-
-        with _forked(path, [job(*p) for p in zip(parts, cuts, cuts[1:])]):
-            pass
-        counts = [os.fstat(part.fileno()).st_size // (8 * width) for part in parts]
-        table = np.empty((sum(counts), width))
-        at = 0
-        for part, count in zip(parts, counts):
-            part.seek(0)
-            part.readinto(table[at : at + count])
-            at += count
-    return table
+def _blocks(first: np.ndarray, parts, counts: list[int]):
+    """(lo, rows) for the rows of a CSV body in order, at most _CHUNK at a
+    time: views of first, the rows this process parsed, then the (count,
+    width) float64 rows of each part file, read into one reused buffer; a
+    block is valid only until the next is drawn."""
+    for lo in range(0, len(first), _CHUNK):
+        yield lo, first[lo : lo + _CHUNK]
+    at, buf = len(first), np.empty((_CHUNK, first.shape[1]))
+    for part, count in zip(parts, counts):
+        part.seek(0)
+        for lo in range(0, count, _CHUNK):
+            rows = buf[: min(_CHUNK, count - lo)]
+            part.readinto(rows)
+            yield at + lo, rows
+        at += count
 
 
-def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
-    """Header and body of a CSV whose cells are all finite numbers (quoted or
-    not; blank lines skipped); errors name the row and column at fault.
+@contextlib.contextmanager
+def _read_csv_body(path):
+    """Yield (header, n, blocks) for a CSV whose cells are all finite numbers
+    (quoted or not; blank lines skipped): blocks yields (lo, rows) for the n
+    body rows in order (see _blocks), for the caller to copy into the
+    arrays it returns.  Errors name the row and column at fault.
 
     A body of at least 2 * _PART_BYTES is cut at line starts into one part
-    per usable CPU, each parsed by a forked child; a body in one part is
-    parsed by this process the same way (_parse_range).  If any part
-    fails, the per-cell parse finds the fault.
+    per usable CPU: this process parses the first part (_parse_range) while
+    a forked child parses each other part into an unlinked temporary file.
+    If any part fails, the per-cell parse finds the fault.
     """
     with open(path, newline="") as fh:
         head = []  # the lines the header row is read from
@@ -210,41 +209,63 @@ def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
             raise ValueError(f"{path}: empty file, no header row")
         start = len("".join(head).encode(fh.encoding))
         size = os.fstat(fh.fileno()).st_size
-        k = max(1, min(_usable_cpus(), (size - start) // _PART_BYTES))
-        cuts = [start, size]
-        if k > 1:
-            with open(path, "rb") as fb:
-                inner = {_line_start(fb, start + (size - start) * i // k) for i in range(1, k)}
-            cuts = sorted({*cuts, *inner})
-        if len(cuts) == 2:
-            data = _parse_range(path, start, size, len(header))
-        else:
-            try:
-                data = _parse_in_parts(path, cuts, len(header))
-            except RuntimeError:
-                data = None
-    if data is None:
-        # only the per-cell parse can say where the problem is
-        data = _parse_cells(path, header)
-    if len(data) == 0:
-        raise ValueError(f"{path}: no data rows")
-    return header, data
+    width = len(header)
+    k = max(1, min(_usable_cpus(), (size - start) // _PART_BYTES))
+    cuts = [start, size]
+    if k > 1:
+        with open(path, "rb") as fb:
+            inner = {_line_start(fb, start + (size - start) * i // k) for i in range(1, k)}
+        cuts = sorted({*cuts, *inner})
+    with contextlib.ExitStack() as stack:
+        parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in cuts[2:]]
+
+        def job(part, lo, hi):
+            return f"reading bytes {lo}-{hi - 1}", lambda: _parse_part(path, lo, hi, width, part)
+
+        try:
+            with _forked(path, [job(*p) for p in zip(parts, cuts[1:], cuts[2:])]):
+                first = _parse_range(path, cuts[0], cuts[1], width)
+        except RuntimeError:
+            first = None
+        if first is None:
+            # only the per-cell parse can say where the problem is
+            first, parts = _parse_cells(path, header), []
+        counts = [os.fstat(part.fileno()).st_size // (8 * width) for part in parts]
+        n = len(first) + sum(counts)
+        if n == 0:
+            raise ValueError(f"{path}: no data rows")
+        yield header, n, _blocks(first, parts, counts)
 
 
-def _time_step(path, times: np.ndarray) -> float:
-    """The step of a time column of at least two rows, which must be
-    uniform to 1e-9 relative."""
-    if len(times) == 1:
-        raise ValueError(f"{path}: one data row, cannot infer dt from column '{TIME_COLUMN}'")
-    steps = np.diff(times)
-    step = float(steps[0])
-    if step <= 0:
-        raise ValueError(f"{path}: time column must be strictly increasing")
-    # the deviations from the first step, in place: no further n-long copy
-    steps -= step
-    if np.max(np.abs(steps, out=steps)) > 1e-9 * step:
-        raise ValueError(f"{path}: non-uniform timestamps in column '{TIME_COLUMN}'")
-    return step
+class _TimeSteps:
+    """The step of a time column fed block by block, which must be uniform
+    to 1e-9 relative.  Only the first, least and greatest step are kept: a
+    step's deviation from the first grows with the step, so the least and
+    the greatest bound every deviation."""
+
+    def __init__(self):
+        self.rows, self.last, self.first = 0, None, None
+        self.least, self.greatest = np.inf, -np.inf
+
+    def add(self, times: np.ndarray) -> None:
+        steps = np.diff(times, prepend=self.last) if self.rows else np.diff(times)
+        if len(steps):
+            if self.first is None:
+                self.first = float(steps[0])
+            self.least = min(self.least, float(steps.min()))
+            self.greatest = max(self.greatest, float(steps.max()))
+        self.rows += len(times)
+        self.last = times[-1]
+
+    def step(self, path) -> float:
+        if self.rows == 1:
+            raise ValueError(f"{path}: one data row, cannot infer dt from column '{TIME_COLUMN}'")
+        step = self.first
+        if step <= 0:
+            raise ValueError(f"{path}: time column must be strictly increasing")
+        if np.max(np.abs(np.subtract([self.least, self.greatest], step))) > 1e-9 * step:
+            raise ValueError(f"{path}: non-uniform timestamps in column '{TIME_COLUMN}'")
+        return step
 
 
 def _write_rows(fh, dt: float, columns, lo: int, hi: int) -> None:
@@ -296,19 +317,27 @@ def read_csv_trajectory(path, dt: float | None = None) -> Trajectory:
     dt is taken from the time column, which must be uniform to 1e-9 relative.
     A file without one needs a fixed dt, and a file with one rejects it.
     """
-    header, data = _read_csv_table(path)
-    if TIME_COLUMN in header:
-        if dt is not None:
+    with _read_csv_body(path) as (header, n, blocks):
+        timed = TIME_COLUMN in header
+        if timed and dt is not None:
             raise ValueError(
                 f"{path}: column '{TIME_COLUMN}' sets dt; a fixed dt cannot also be given"
             )
-        tcol = header.index(TIME_COLUMN)
-        dt = _time_step(path, data[:, tcol])
-        data = np.delete(data, tcol, axis=1)
+        if not timed and dt is None:
+            raise ValueError("no time column found and no fixed dt given")
+        tcol = header.index(TIME_COLUMN) if timed else len(header)
+        samples = np.empty((n, len(header) - timed))
+        times = _TimeSteps()
+        for lo, rows in blocks:
+            samples[lo : lo + len(rows), :tcol] = rows[:, :tcol]
+            samples[lo : lo + len(rows), tcol:] = rows[:, tcol + 1 :]
+            if timed:
+                times.add(rows[:, tcol])
+        del rows  # it may view the part this process parsed; free that part first
+    if timed:
+        dt = times.step(path)
         del header[tcol]
-    elif dt is None:
-        raise ValueError("no time column found and no fixed dt given")
-    return Trajectory(data, float(dt), tuple(header))
+    return Trajectory(samples, float(dt), tuple(header))
 
 
 def write_csv_trajectory(traj: Trajectory, path) -> None:

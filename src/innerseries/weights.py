@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import _CHUNK, TIME_COLUMN, _read_csv_table, _time_step, _write_csv_columns
+from .ingest import _CHUNK, TIME_COLUMN, _read_csv_body, _TimeSteps, _write_csv_columns
 from .model import (
     Binning,
     DimensionMismatchError,
@@ -214,14 +214,22 @@ def write_csv_weights(w: WeightSeries, path) -> None:
 def read_csv_weights(path) -> WeightSeries:
     """Read a weight CSV; the time column must be uniform to 1e-9 relative
     and every valid flag 0 or 1."""
-    header, data = _read_csv_table(path)
-    if header[0] != TIME_COLUMN or header[-1] != "valid":
-        raise ValueError(f"{path}: expected columns t, <channels...>, valid")
-    flags = data[:, -1]
-    bad = np.flatnonzero((flags != 0) & (flags != 1))
-    if bad.size:
-        raise ValueError(
-            f"{path}: row {bad[0] + 2}, column 'valid': expected 0 or 1, got {flags[bad[0]]:g}"
-        )
-    dt = _time_step(path, data[:, 0])
-    return WeightSeries(np.ascontiguousarray(data[:, 1:-1]), flags == 1, dt=dt)
+    with _read_csv_body(path) as (header, n, blocks):
+        if header[0] != TIME_COLUMN or header[-1] != "valid":
+            raise ValueError(f"{path}: expected columns t, <channels...>, valid")
+        values = np.empty((n, len(header) - 2))
+        valid = np.empty(n, dtype=bool)
+        times = _TimeSteps()
+        for lo, rows in blocks:
+            flags = rows[:, -1]
+            bad = np.flatnonzero((flags != 0) & (flags != 1))
+            if bad.size:
+                raise ValueError(
+                    f"{path}: row {lo + bad[0] + 2}, column 'valid': "
+                    f"expected 0 or 1, got {flags[bad[0]]:g}"
+                )
+            np.equal(flags, 1, out=valid[lo : lo + len(rows)])
+            values[lo : lo + len(rows)] = rows[:, 1:-1]
+            times.add(rows[:, 0])
+        del rows, flags  # they may view the part this process parsed; free it first
+    return WeightSeries(values, valid, dt=times.step(path))

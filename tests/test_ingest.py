@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import os
 import re
@@ -66,18 +67,58 @@ class TestCsv:
         ):
             read_csv_trajectory(p, dt=0.5)
 
-    def test_time_step_holds_one_step_array(self):
-        # np.diff's array is the only n-long temporary: the deviations from
-        # the first step are taken in place
+    def test_time_steps_hold_no_column(self):
+        # a column fed in _CHUNK blocks holds no n-long temporary: the peak
+        # is a few blocks, where the column's steps alone take n * 8 bytes
         n = 100_000
         times = np.arange(n) * 0.25
         tracemalloc.start()
         try:
-            assert ingest._time_step("a.csv", times) == 0.25
+            steps = ingest._TimeSteps()
+            for lo in range(0, n, ingest._CHUNK):
+                steps.add(times[lo : lo + ingest._CHUNK])
+            assert steps.step("a.csv") == 0.25
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * 8
+        assert peak < 4 * ingest._CHUNK * 8
+
+    def test_time_steps_in_blocks_match_one_column(self):
+        # the least and greatest step bound every deviation from the first,
+        # so the block-wise check gives the step and the error that the
+        # whole column's steps give, wherever the blocks are cut
+        def one_column(times):
+            if len(times) == 1:
+                return "one data row"
+            steps = np.diff(times)
+            step = float(steps[0])
+            if step <= 0:
+                return "strictly increasing"
+            if np.max(np.abs(steps - step)) > 1e-9 * step:
+                return "non-uniform"
+            return step
+
+        def in_blocks(times, cuts):
+            steps = ingest._TimeSteps()
+            for lo, hi in zip(cuts, cuts[1:]):
+                steps.add(times[lo:hi])
+            try:
+                return steps.step("a.csv")
+            except ValueError as err:
+                return next(m for m in ("one data row", "strictly increasing", "non-uniform") if m in str(err))
+
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 12))
+            times = rng.uniform(-5, 5) + np.arange(n) * rng.choice([0.1, 1 / 3.0, 2.0, -0.5])
+            for at in rng.integers(0, n, rng.integers(0, 3)):
+                times[at] += rng.choice([1e-12, 1e-9, 1e-7, -1e-7, 0.3]) * (1 + abs(times[at]))
+            cuts = [0, *sorted(set(rng.integers(1, n + 1, rng.integers(0, 4)).tolist()) - {n}), n]
+            want = one_column(times)
+            assert in_blocks(times, cuts) == want, (times, cuts)
+            seen.add(want if isinstance(want, str) else "ok")
+        assert seen == {"one data row", "strictly increasing", "non-uniform", "ok"}
 
     def test_one_row_with_fixed_dt(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -260,17 +301,20 @@ def _write_lines(path, lines, end="\r\n", final=True) -> None:
 
 
 class TestForkedReader:
-    """A body is cut at line starts into one part per usable CPU, each part
-    parsed by a forked child: the arrays must be bit-identical to a one-part
-    read, a fault must be reported as the one-part read reports it, and no
-    child may be left."""
+    """A body is cut at line starts into one part per usable CPU: this
+    process parses the first part while a forked child parses each other
+    one, and the rows go straight into the returned arrays.  The arrays
+    must be bit-identical to a one-part read, a fault must be reported as
+    the one-part read reports it, and no child may be left."""
 
     @pytest.fixture
     def small_parts(self, monkeypatch):
-        # parts of at least 64 bytes and reads of 5 bytes, so that a small
-        # file is cut in several places and line ends fall between reads
+        # parts of at least 64 bytes, reads of 5 bytes and blocks of 3 rows,
+        # so that a small file is cut in several places, line ends fall
+        # between reads and each part is copied out in several blocks
         monkeypatch.setattr(ingest, "_PART_BYTES", 64)
         monkeypatch.setattr(ingest, "_BLOCK", 5)
+        monkeypatch.setattr(ingest, "_CHUNK", 3)
 
     @pytest.fixture
     def no_cell_parse(self, monkeypatch):
@@ -300,6 +344,13 @@ class TestForkedReader:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 
+    @staticmethod
+    def assert_holds(traj, table, names=("x", "y")):
+        """traj is the table's columns after the time column, with dt 0.25."""
+        assert traj.channel_names == names and traj.dt == 0.25
+        assert traj.samples.shape == table[:, 1:].shape
+        assert traj.samples.tobytes() == table[:, 1:].tobytes()
+
     @pytest.mark.parametrize("final", [True, False], ids=["final-end", "no-final-end"])
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -309,10 +360,9 @@ class TestForkedReader:
         lines, table = _reader_body(40, 0)
         p = tmp_path / "a.csv"
         _write_lines(p, ['t,"a,b",y', *lines], end, final)
-        header, data = self.read(monkeypatch, ingest._read_csv_table, p, cpus)
-        assert header == ["t", "a,b", "y"]
-        assert len(forks) == (cpus if cpus > 1 else 0)
-        assert data.shape == table.shape and data.tobytes() == table.tobytes()
+        traj = self.read(monkeypatch, read_csv_trajectory, p, cpus)
+        assert len(forks) == cpus - 1
+        self.assert_holds(traj, table, ("a,b", "y"))
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -327,8 +377,9 @@ class TestForkedReader:
             for blanks in ([""], ["", ""]):
                 _write_lines(p, ["t,x,y", *lines[:at], *blanks, *lines[at:]], end)
                 forks.clear()
-                _, data = self.read(monkeypatch, ingest._read_csv_table, p, cpus)
-                assert len(forks) == cpus and data.tobytes() == table.tobytes()
+                traj = self.read(monkeypatch, read_csv_trajectory, p, cpus)
+                assert len(forks) == cpus - 1
+                self.assert_holds(traj, table)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_quoted_line_end_across_a_cut(self, tmp_path, monkeypatch, small_parts, forks, cpus):
@@ -342,8 +393,9 @@ class TestForkedReader:
             held = [*lines[:at], f'{t},{x},"{y}\r\n"', *lines[at + 1 :]]
             _write_lines(p, ["t,x,y", *held])
             forks.clear()
-            _, data = self.read(monkeypatch, ingest._read_csv_table, p, cpus)
-            assert len(forks) == cpus and data.tobytes() == table.tobytes()
+            traj = self.read(monkeypatch, read_csv_trajectory, p, cpus)
+            assert len(forks) == cpus - 1
+            self.assert_holds(traj, table)
 
     def test_part_ending_in_a_quoted_cell_fails(self, tmp_path):
         # np.loadtxt reads '0,"1\n' as the row 0, 1, but its quote is closed
@@ -376,8 +428,47 @@ class TestForkedReader:
         assert forks == []
         with pytest.raises(ValueError) as parts:
             self.read(monkeypatch, read_csv_trajectory, p, cpus)
-        assert len(forks) == cpus
+        assert len(forks) == cpus - 1
         assert str(parts.value) == str(one.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.25,0.5", "row 3 has 2 cells, expected 3"),
+            ("0.25,#,1", "row 3, column 'x': not a number: '#'"),
+            ("0.26,1,2", "non-uniform timestamps in column 't'"),
+            ("0.0,1,2", "time column must be strictly increasing"),
+        ],
+    )
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_fault_in_the_first_part(
+        self, tmp_path, monkeypatch, small_parts, forks, cpus, row, message
+    ):
+        # this process parses the first part; its children still finish
+        lines, _ = _reader_body(16, 3)
+        lines[1] = row  # file row 3
+        p = tmp_path / "a.csv"
+        _write_lines(p, ["t,x,y", *lines])
+        with pytest.raises(ValueError) as one:
+            self.read(monkeypatch, read_csv_trajectory, p, 1)
+        with pytest.raises(ValueError) as parts:
+            self.read(monkeypatch, read_csv_trajectory, p, cpus)
+        assert len(forks) == cpus - 1
+        assert str(parts.value) == str(one.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bad_cell_outranks_an_earlier_time_fault(
+        self, tmp_path, monkeypatch, small_parts, cpus
+    ):
+        # every part is parsed before the time column is checked, so a bad
+        # cell in the last part is the error, not the uneven step before it
+        lines, _ = _reader_body(16, 3)
+        lines[1] = "0.26,1,2"
+        lines[12] = "3.0,#,1"
+        p = tmp_path / "a.csv"
+        _write_lines(p, ["t,x,y", *lines])
+        with pytest.raises(ValueError, match=r"row 14, column 'x': not a number: '#'"):
+            self.read(monkeypatch, read_csv_trajectory, p, cpus)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_rows_narrower_than_the_header(self, tmp_path, monkeypatch, small_parts, cpus):
@@ -400,22 +491,44 @@ class TestForkedReader:
         for cpus in 1, 2, 3:
             forks.clear()
             back = self.read(monkeypatch, read_csv_weights, p, cpus)
-            assert len(forks) == (cpus if cpus > 1 else 0)
+            assert len(forks) == cpus - 1
             assert back.values.tobytes() == w.values.tobytes()
             assert np.array_equal(back.valid_mask, w.valid_mask) and back.dt == w.dt
 
+    def test_weight_faults_match_one_part(self, tmp_path, monkeypatch, small_parts):
+        # the first bad flag is named wherever it lies, also after an uneven
+        # step, as a one-part read names it
+        rng = np.random.default_rng(5)
+        n = 30
+        w = WeightSeries(rng.standard_normal((n, 2)), rng.random(n) > 0.2, dt=0.25)
+        p = tmp_path / "w.csv"
+        write_csv_weights(w, p)
+        lines = p.read_text().splitlines()
+        for at in range(1, n + 1, 4):
+            bad = list(lines)
+            bad[at] = bad[at].rsplit(",", 1)[0] + ",2"
+            uneven = max(1, at - 2)  # its time is 0.3: at or before the bad flag
+            bad[uneven] = "0.3," + bad[uneven].split(",", 1)[1]
+            _write_lines(p, bad)
+            expect = f"{p}: row {at + 1}, column 'valid': expected 0 or 1, got 2"
+            for cpus in 1, 2, 3:
+                with pytest.raises(ValueError) as err:
+                    self.read(monkeypatch, read_csv_weights, p, cpus)
+                assert str(err.value) == expect
+
     def test_one_part_starts_no_process(self, tmp_path, monkeypatch, small_parts, forks):
+        untimed = functools.partial(read_csv_trajectory, dt=0.25)
         lines, _ = _reader_body(40, 5)
         p = tmp_path / "a.csv"
-        _write_lines(p, ["t,x,y", *lines])
-        self.read(monkeypatch, ingest._read_csv_table, p, 1)
+        _write_lines(p, ["a,x,y", *lines])
+        self.read(monkeypatch, untimed, p, 1)
         # one line longer than the parts: no line start to cut at
-        _write_lines(p, ["t,x,y", lines[0] + "0" * 300])
-        self.read(monkeypatch, ingest._read_csv_table, p, 3)
+        _write_lines(p, ["a,x,y", lines[0] + "0" * 300])
+        self.read(monkeypatch, untimed, p, 3)
         # a body shorter than two parts
-        _write_lines(p, ["t,x,y", *lines])
+        _write_lines(p, ["a,x,y", *lines])
         monkeypatch.setattr(ingest, "_PART_BYTES", p.stat().st_size // 2 + 1)
-        self.read(monkeypatch, ingest._read_csv_table, p, 4)
+        self.read(monkeypatch, untimed, p, 4)
         assert forks == []
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
@@ -440,10 +553,10 @@ class TestForkedReader:
             return loadtxt(body, width)
 
         monkeypatch.setattr(ingest, "_loadtxt", spy)
-        header, data = self.read(monkeypatch, ingest._read_csv_table, p, cpus)
-        assert header == ["t", "x", "y"] and forks == []
+        traj = self.read(monkeypatch, read_csv_trajectory, p, cpus)
+        assert forks == []
         assert len(bodies) == 1 and isinstance(bodies[0], str) and bodies[0] != str(p)
-        assert data.shape == table.shape and data.tobytes() == table.tobytes()
+        self.assert_holds(traj, table)
 
     @pytest.mark.parametrize("block", [2, 3, 5, 1 << 16])
     def test_line_starts(self, tmp_path, monkeypatch, block):
@@ -462,25 +575,33 @@ class TestForkedReader:
         monkeypatch.delattr(os, "fork")
         assert ingest._usable_cpus() == 1
 
-    def test_parent_holds_no_file_text(self, tmp_path, monkeypatch):
-        # at the real part size, a 100 000-row file (4.8 MB) is cut in two
-        # and both parts are parsed by children: beside the table, this
-        # process holds one _BLOCK of the file, about 26 kB.  A one-part
-        # read holds loadtxt's text as well, about 0.3 MB
+    def test_read_peaks_below_table_plus_copy(self, tmp_path, monkeypatch):
+        # at the real part size, a 100 000-row file (4.8 MB) is cut in two:
+        # this process parses the first part and copies every row straight
+        # into the returned arrays.  So a read peaks below the whole table
+        # plus a copy of its values, which a read that parses the table and
+        # then copies the values out must hold at once
         n = 100_000
         rng = np.random.default_rng(6)
-        traj = Trajectory(rng.standard_normal((n, 2)), 0.25)
-        p = tmp_path / "a.csv"
-        write_csv_trajectory(traj, p)
+        w = WeightSeries(rng.standard_normal((n, 2)), rng.random(n) > 0.1, dt=0.25)
         monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
-        tracemalloc.start()
-        try:
-            _, data = ingest._read_csv_table(p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert data[:, 1:].tobytes() == traj.samples.tobytes()
-        assert peak - data.nbytes < 0.02 * p.stat().st_size
+
+        def traced(read, path):
+            tracemalloc.start()
+            try:
+                return read(path), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        write_csv_trajectory(Trajectory(w.values, 0.25), tmp_path / "a.csv")
+        traj, peak = traced(read_csv_trajectory, tmp_path / "a.csv")
+        assert traj.samples.tobytes() == w.values.tobytes() and traj.samples.base is None
+        assert peak < n * 3 * 8 + traj.samples.nbytes
+        del traj
+        write_csv_weights(w, tmp_path / "w.csv")
+        back, peak = traced(read_csv_weights, tmp_path / "w.csv")
+        assert back.values.tobytes() == w.values.tobytes() and back.values.base is None
+        assert peak < n * 4 * 8 + back.values.nbytes
 
 
 def _reference_walk(n, seed, dim, box, noise, smooth, step_scale):

@@ -1,12 +1,14 @@
 import csv
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from innerseries import experiments, ingest
 from innerseries.estimate import bin_samples, estimate_velocity
 from innerseries.ingest import _CHUNK, gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline, sine_sign_match
@@ -41,17 +43,18 @@ ONLY_50_JOINT = rf"only 50 jointly valid samples \(need {MIN_OVERLAP}\)"
 
 @pytest.fixture(scope="module")
 def walk_pipeline():
+    """A 2-D walk and its fit on 3 x 3 bins."""
     traj = gen_bounded_walk(40_000, seed=0, dim=2, noise=("laplace", "uniform"))
-    return run_pipeline(traj, (3, 3), None)
+    return traj, run_pipeline(traj, (3, 3), None)
 
 
 class TestComputeWeights:
     def test_resubstitution_per_sample(self, walk_pipeline):
         # every valid weight sample equals M_bin(x) . xdot recomputed by hand
-        res = walk_pipeline
+        traj, res = walk_pipeline
         grid = res.field.grid
-        flat = grid.flat_index(res.traj.samples)
-        vel = estimate_velocity(res.traj)
+        flat = grid.flat_index(traj.samples)
+        vel = estimate_velocity(traj)
         scale = max(np.max(np.abs(res.weights.values)), 1.0)
         checked = 0
         for t in np.flatnonzero(res.weights.valid_mask & ~res.weights.fallback_mask):
@@ -62,17 +65,17 @@ class TestComputeWeights:
         assert checked > 10_000
 
     def test_invalid_velocity_samples_excluded(self, walk_pipeline):
-        res = walk_pipeline
+        _, res = walk_pipeline
         assert not res.weights.valid_mask[0]
         assert not res.weights.valid_mask[-1]
         assert np.all(res.weights.values[~res.weights.valid_mask] == 0.0)
 
     def test_zero_velocity_gives_zero_weight(self, walk_pipeline):
-        res = walk_pipeline
-        vel = estimate_velocity(res.traj)
+        traj, res = walk_pipeline
+        vel = estimate_velocity(traj)
         vel0 = VelocitySeries(np.zeros_like(vel.values), vel.valid_mask.copy())
-        binning = bin_samples(res.traj, vel0, res.field.grid)
-        w0 = compute_weights(res.traj, vel0, res.field, binning)
+        binning = bin_samples(traj, vel0, res.field.grid)
+        w0 = compute_weights(traj, vel0, res.field, binning)
         assert np.all(w0.values == 0.0)
 
     def test_sine_sign_match_small(self):
@@ -83,9 +86,9 @@ class TestComputeWeights:
     def test_scale_covariance(self, walk_pipeline):
         # scaling the measurement axes by powers of two leaves the weight
         # series unchanged up to a signed permutation
-        res = walk_pipeline
+        traj, res = walk_pipeline
         scale = np.array([4.0, 0.5])
-        traj_s = Trajectory(res.traj.samples * scale, res.traj.dt)
+        traj_s = Trajectory(traj.samples * scale, traj.dt)
         res_s = run_pipeline(traj_s, (3, 3), None)
         perm, signs, corrs = align_weight_series(res.weights, res_s.weights)
         aligned = apply_to_array((perm, signs), res_s.weights.values)
@@ -515,6 +518,30 @@ class TestSeparability:
             tracemalloc.stop()
         assert peak < n * dim * 8
 
+
+    def test_mixture_experiment_frees_source_walks_before_mixture_fit(self, monkeypatch):
+        # mixture-2d needs its two source walks only until they are mixed:
+        # when the 2-D mixture fit starts, neither walk nor its samples may
+        # be reachable, as each is as large as a mixture channel
+        refs = []
+
+        def tracked_walk(*args, **kwargs):
+            walk = gen_bounded_walk(*args, **kwargs)
+            refs.extend((weakref.ref(walk), weakref.ref(walk.samples)))
+            return walk
+
+        fit = experiments.run_pipeline
+        alive = []
+
+        def tracked_fit(traj, bins, min_count):
+            if traj.dim == 2:
+                alive.extend(ref() is not None for ref in refs)
+            return fit(traj, bins, min_count)
+
+        monkeypatch.setattr(ingest, "gen_bounded_walk", tracked_walk)
+        monkeypatch.setattr(experiments, "run_pipeline", tracked_fit)
+        experiments.run_experiment("mixture-2d", experiments.ExperimentConfig(samples=20_000))
+        assert len(refs) == 4 and alive == [False] * 4
 
 class TestWeightsCsv:
     def test_roundtrip_bit_for_bit(self, tmp_path):
