@@ -152,7 +152,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = ExperimentConfig(seed=args.seed, samples=args.samples, transform=args.transform)
+    cfg = ExperimentConfig(seed=args.seed, samples=args.samples)
     report = run_experiment(args.name, cfg, out_dir=args.out_dir)
     for c in report.criteria:
         status = "PASS" if c.passed else "FAIL"
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=EXPERIMENT_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--transform", choices=("cubic", "identity"), help="monotone-1d only; default cubic")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_experiment)
 

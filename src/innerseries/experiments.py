@@ -13,7 +13,7 @@ Experiments:
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ REPORT_SCHEMA = 1
 class ExperimentConfig:
     seed: int = 0
     samples: int | None = None
-    transform: str | None = None  # monotone-1d only: "cubic" (when None) or "identity"
 
 
 @dataclass(frozen=True)
@@ -203,10 +202,7 @@ def _sine(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
 def _monotone_1d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
     n = cfg.samples or 500_000
     traj = ingest.gen_broadband(n, seed=cfg.seed, amplitude=1.0)
-    if cfg.transform == "identity":
-        traj_p = traj
-    else:
-        traj_p = ingest.apply_transform(traj, [0.0, 1.0, 0.0, 0.5], (-1.2, 1.2))
+    traj_p = ingest.apply_transform(traj, [0.0, 1.0, 0.0, 0.5], (-1.2, 1.2))
     res = run_pipeline(traj, (128,), None)
     res_p = run_pipeline(traj_p, (128,), None)
     *_, corrs = align_weight_series(res.weights, res_p.weights)
@@ -338,10 +334,6 @@ def run_experiment(
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
     cfg = cfg or ExperimentConfig()
-    if name == "monotone-1d":
-        cfg = replace(cfg, transform=cfg.transform or "cubic")
-    elif cfg.transform is not None:
-        raise ValueError(f"experiment {name!r} applies no transform; only monotone-1d takes one")
     t_start = time.perf_counter()
     try:
         metrics, criteria, extras = _RUNNERS[name](cfg)
@@ -358,12 +350,9 @@ def run_experiment(
     metrics["runtime_seconds"] = elapsed
     criteria.append(Criterion("runtime_seconds", elapsed, _RUNTIME_LIMITS[name], "<"))
 
-    config = asdict(cfg)
-    if cfg.transform is None:  # record only a transform that was applied
-        del config["transform"]
     report = ExperimentReport(
         experiment=name,
-        config=config,
+        config=asdict(cfg),
         metrics=metrics,
         criteria=criteria,
     )

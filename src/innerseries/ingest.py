@@ -9,11 +9,12 @@ them inside the +-2^15 box the two-source mixing functions require.
 Trajectory and weight CSVs are formatted in contiguous parts, one per
 usable CPU: forked processes format every part after the first while this
 process writes the first.  A large CSV body is read the same way: cut at
-line starts, this process parses the first part while forked processes
-parse the others into temporary files, and the rows are copied block by
-block straight into the arrays the reader returns.  The bytes written and
-the arrays read do not depend on the number of parts, and there is no
-option to set it; where os.fork is missing one process does all.
+line starts, every part is parsed into a temporary file, the first by this
+process and the others by forked processes, and the rows are copied block
+by block from those files straight into the arrays the reader returns.
+The bytes written and the arrays read do not depend on the number of
+parts, and there is no option to set it; where os.fork is missing one
+process does all.
 """
 
 from __future__ import annotations
@@ -58,14 +59,15 @@ def _usable_cpus() -> int:
     return 1
 
 
-@contextlib.contextmanager
-def _forked(path, jobs):
-    """Run each (what, job) of jobs in a forked child while the with-block
-    runs in this process; then wait for every child, and raise a
-    RuntimeError naming path and what a failed child was doing."""
+def _forked(path, jobs) -> None:
+    """Run the first (what, job) of jobs in this process and each other one
+    in a forked child; then wait for every child, and raise this process's
+    own error, or a RuntimeError naming path and what a failed child was
+    doing."""
+    (_, own), *others = jobs
     pids = []
     try:
-        for _, job in jobs:
+        for _, job in others:
             pid = os.fork()
             if pid == 0:  # the child: run its job, never return
                 code = 1
@@ -75,10 +77,10 @@ def _forked(path, jobs):
                 finally:
                     os._exit(code)
             pids.append(pid)
-        yield
+        own()
     finally:
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for code, (what, _) in zip(codes, jobs):
+    for code, (what, _) in zip(codes, others):
         if code != 0:
             raise RuntimeError(f"{path}: the process {what} exited with code {code}")
 
@@ -137,13 +139,14 @@ def _line_start(fb, pos: int) -> int:
             return at + m.end()
 
 
-def _parse_range(path, lo: int, hi: int, width: int) -> np.ndarray | None:
-    """The rows of bytes lo..hi-1 of a CSV body, cut at line starts, or None
-    unless they are rows of width finite numbers.
+def _parse_part(path, lo: int, hi: int, width: int, out) -> None:
+    """Parse bytes lo..hi-1 of a CSV body, cut at line starts, and write the
+    rows' float64 bytes to the binary file out; raise ValueError unless
+    they are rows of width finite numbers.
 
     The bytes are parsed from a named copy, written one _BLOCK at a time:
     np.loadtxt reads a named file in large blocks, but iterates an open one
-    line by line in Python.  An odd number of quotes fails the range, as a
+    line by line in Python.  An odd number of quotes fails the part, as a
     quoted cell then spans a cut.
     """
     quotes = 0
@@ -154,27 +157,18 @@ def _parse_range(path, lo: int, hi: int, width: int) -> np.ndarray | None:
             quotes += block.count(b'"')
             text.write(block)
         text.flush()
-        return None if quotes % 2 else _loadtxt(text.name, width)
-
-
-def _parse_part(path, lo: int, hi: int, width: int, out) -> None:
-    """Parse bytes lo..hi-1 of a CSV body (see _parse_range) and write the
-    rows' float64 bytes to the binary file out."""
-    data = _parse_range(path, lo, hi, width)
+        data = None if quotes % 2 else _loadtxt(text.name, width)
     if data is None:
         raise ValueError(f"{path}: bytes {lo}-{hi - 1} are not a table of finite numbers")
-    out.write(data.tobytes())
+    out.write(data.data)
     out.flush()
 
 
-def _blocks(first: np.ndarray, parts, counts: list[int]):
+def _blocks(parts, counts: list[int], width: int):
     """(lo, rows) for the rows of a CSV body in order, at most _CHUNK at a
-    time: views of first, the rows this process parsed, then the (count,
-    width) float64 rows of each part file, read into one reused buffer; a
-    block is valid only until the next is drawn."""
-    for lo in range(0, len(first), _CHUNK):
-        yield lo, first[lo : lo + _CHUNK]
-    at, buf = len(first), np.empty((_CHUNK, first.shape[1]))
+    time: the (count, width) float64 rows of each part file, read into one
+    reused buffer; a block is valid only until the next is drawn."""
+    at, buf = 0, np.empty((_CHUNK, width))
     for part, count in zip(parts, counts):
         part.seek(0)
         for lo in range(0, count, _CHUNK):
@@ -192,9 +186,10 @@ def _read_csv_body(path):
     arrays it returns.  Errors name the row and column at fault.
 
     A body of at least 2 * _PART_BYTES is cut at line starts into one part
-    per usable CPU: this process parses the first part (_parse_range) while
-    a forked child parses each other part into an unlinked temporary file.
-    If any part fails, the per-cell parse finds the fault.
+    per usable CPU.  Each part is parsed (_parse_part) into an unlinked
+    temporary file, the first by this process and each other one by a
+    forked child.  If any part fails, the per-cell parse finds the fault,
+    and its table goes through a part file too.
     """
     with open(path, newline="") as fh:
         head = []  # the lines the header row is read from
@@ -217,24 +212,23 @@ def _read_csv_body(path):
             inner = {_line_start(fb, start + (size - start) * i // k) for i in range(1, k)}
         cuts = sorted({*cuts, *inner})
     with contextlib.ExitStack() as stack:
-        parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in cuts[2:]]
+        parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in cuts[1:]]
 
         def job(part, lo, hi):
             return f"reading bytes {lo}-{hi - 1}", lambda: _parse_part(path, lo, hi, width, part)
 
         try:
-            with _forked(path, [job(*p) for p in zip(parts, cuts[1:], cuts[2:])]):
-                first = _parse_range(path, cuts[0], cuts[1], width)
-        except RuntimeError:
-            first = None
-        if first is None:
+            _forked(path, [job(*p) for p in zip(parts, cuts, cuts[1:])])
+        except (ValueError, RuntimeError):
             # only the per-cell parse can say where the problem is
-            first, parts = _parse_cells(path, header), []
+            parts = [stack.enter_context(tempfile.TemporaryFile())]
+            parts[0].write(_parse_cells(path, header).data)
+            parts[0].flush()
         counts = [os.fstat(part.fileno()).st_size // (8 * width) for part in parts]
-        n = len(first) + sum(counts)
+        n = sum(counts)
         if n == 0:
             raise ValueError(f"{path}: no data rows")
-        yield header, n, _blocks(first, parts, counts)
+        yield header, n, _blocks(parts, counts, width)
 
 
 class _TimeSteps:
@@ -282,9 +276,9 @@ def _write_csv_columns(path, header, dt: float, columns) -> None:
     time k * dt and the 1-D columns' k-th values, each cell as its repr.
 
     The rows are cut into one contiguous part per usable CPU (at most one
-    per _CHUNK block).  A forked child formats each part after the first
-    into an unlinked temporary file while this process writes the header
-    and the first part; the parts are then appended in order.
+    per _CHUNK block).  After the header, this process writes the first
+    part while a forked child formats each other part into an unlinked
+    temporary file; the parts are then appended in order.
     """
     dt, n = float(dt), len(columns[0])
     blocks = -(-n // _CHUNK)
@@ -294,17 +288,15 @@ def _write_csv_columns(path, header, dt: float, columns) -> None:
         fh = stack.enter_context(Path(path).open("w", newline=""))
         parts = [stack.enter_context(tempfile.TemporaryFile("w+", newline="")) for _ in cuts[2:]]
 
-        def job(part, lo, hi):
+        def job(out, lo, hi):
             def write():
-                _write_rows(part, dt, columns, lo, hi)
-                part.flush()
+                _write_rows(out, dt, columns, lo, hi)
+                out.flush()
 
             return f"writing rows {lo + 2}-{hi + 1}", write
 
-        with _forked(path, [job(*p) for p in zip(parts, cuts[1:], cuts[2:])]):
-            csv.writer(fh).writerow(header)
-            _write_rows(fh, dt, columns, cuts[0], cuts[1])
-        fh.flush()
+        csv.writer(fh).writerow(header)
+        _forked(path, [job(*p) for p in zip([fh, *parts], cuts, cuts[1:])])
         for part in parts:
             part.seek(0)
             shutil.copyfileobj(part.buffer, fh.buffer)
@@ -333,7 +325,6 @@ def read_csv_trajectory(path, dt: float | None = None) -> Trajectory:
             samples[lo : lo + len(rows), tcol:] = rows[:, tcol + 1 :]
             if timed:
                 times.add(rows[:, tcol])
-        del rows  # it may view the part this process parsed; free that part first
     if timed:
         dt = times.step(path)
         del header[tcol]
@@ -371,7 +362,7 @@ def write_wav_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as PCM 16-bit WAV; samples must already be integers
     in the 16-bit range, and 1/dt an integer sample rate to 1e-9 relative."""
     data = traj.samples
-    if np.any(np.abs(data) > 2**15 - 1) or np.any(data != np.round(data)):
+    if np.any(data < -(2**15)) or np.any(data > 2**15 - 1) or np.any(data != np.round(data)):
         raise ValueError("samples must be integers within the 16-bit range")
     rate = round(1.0 / traj.dt)
     if abs(1.0 / traj.dt - rate) > 1e-9 / traj.dt:

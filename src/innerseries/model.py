@@ -2,7 +2,7 @@
 the exact assignment that fixes their residual gauge, a signed permutation
 held as a (perm, signs) pair of arrays.
 
-All types are immutable after construction and safe to share across workers.
+All types are immutable after construction.
 Weights are dimensionless: rows of a local frame matrix carry inverse-velocity
 scale, so multiplying them into a velocity cancels the units.
 """

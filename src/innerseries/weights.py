@@ -231,5 +231,4 @@ def read_csv_weights(path) -> WeightSeries:
             np.equal(flags, 1, out=valid[lo : lo + len(rows)])
             values[lo : lo + len(rows)] = rows[:, 1:-1]
             times.add(rows[:, 0])
-        del rows, flags  # they may view the part this process parsed; free it first
     return WeightSeries(values, valid, dt=times.step(path))

@@ -45,6 +45,13 @@ class TestSynth:
                     "--out", moments]) == 0
         assert serialize.load_json(moments)["bins"]
 
+    def test_walk_reaching_the_int16_minimum_saved_as_wav(self, tmp_path):
+        # the CLI clips to [-2^15, 2^15 - 1], and the WAV writer takes both ends
+        out = tmp_path / "y.wav"
+        argv = ["synth", "--kind", "walk", "--samples", "20000", "--amplitude", "40000"]
+        assert run([*argv, "--out", out]) == 0
+        assert read_wav_trajectory(out).samples.min() == -(2**15)
+
     def test_format_option_gone(self, tmp_path):
         with pytest.raises(SystemExit):
             run(["synth", "--kind", "sine", "--samples", "50", "--format", "wav",
@@ -207,37 +214,17 @@ class TestExperimentCommand:
         assert lines and all(l.startswith("[PASS]") for l in lines)
         report = json.loads((out_dir / "sine.report.json").read_text())
         assert report["passed"] is True
-        assert "transform" not in report["config"]  # sine applies none
         assert (out_dir / "sine.weights.svg").exists()
 
-    def test_monotone_identity_arm_is_the_signal(self, tmp_path):
-        d = tmp_path / "id"
-        argv = ["experiment", "monotone-1d", "--transform", "identity", "--samples", "20000"]
-        assert run([*argv, "--out-dir", d]) == 0
-        w = (d / "monotone-1d.x.weights.csv").read_bytes()
-        assert (d / "monotone-1d.xprime.weights.csv").read_bytes() == w
-        report = json.loads((d / "monotone-1d.report.json").read_text())
-        assert report["config"]["transform"] == "identity"
-
-    @pytest.mark.parametrize("option", [[], ["--transform", "cubic"]])
-    def test_monotone_cubic_is_the_default(self, tmp_path, option):
+    def test_monotone_cubic_is_the_default(self, tmp_path):
         d = tmp_path / "m"
-        assert run(["experiment", "monotone-1d", *option, "--samples", "20000", "--out-dir", d]) == 0
-        report = json.loads((d / "monotone-1d.report.json").read_text())
-        assert report["config"]["transform"] == "cubic"
+        assert run(["experiment", "monotone-1d", "--samples", "20000", "--out-dir", d]) == 0
         w = (d / "monotone-1d.x.weights.csv").read_bytes()
         assert (d / "monotone-1d.xprime.weights.csv").read_bytes() != w
 
-    @pytest.mark.parametrize("transform", ["cubic", "identity"])
-    @pytest.mark.parametrize("name", ["sine", "lifted-2d", "mixture-2d"])
-    def test_transform_rejected_where_not_applied(self, tmp_path, capsys, name, transform):
-        d = tmp_path / "out"
-        assert run(["experiment", name, "--transform", transform, "--out-dir", d]) == 2
-        assert capsys.readouterr().err == (
-            f"error [experiment]: experiment '{name}' applies no transform; "
-            "only monotone-1d takes one\n"
-        )
-        assert not d.exists()
+    def test_transform_option_gone(self):
+        with pytest.raises(SystemExit):
+            run(["experiment", "monotone-1d", "--samples", "20000", "--transform", "cubic"])
 
     def test_report_bytes_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

@@ -238,10 +238,13 @@ class TestForkedWriter:
         write_csv_trajectory(Trajectory(np.zeros((ingest._CHUNK, 1)), 1.0), tmp_path / "b.csv")
 
     def test_failed_child_names_file_and_leaves_nothing(self, tmp_path, monkeypatch):
+        # the children fail, and then this process's own part too: its own
+        # error is raised then, but only once every child has ended
         write_rows = ingest._write_rows
+        first_fails = False
 
         def failing(fh, dt, columns, lo, hi):
-            if lo > 0:
+            if lo > 0 or first_fails:
                 raise OSError("disk full")
             write_rows(fh, dt, columns, lo, hi)
 
@@ -251,11 +254,14 @@ class TestForkedWriter:
         w = WeightSeries(np.zeros((3 * ingest._CHUNK, 1)), np.ones(3 * ingest._CHUNK, bool))
         # the first child formats the second block: file rows _CHUNK + 2 on
         rows = f"rows {ingest._CHUNK + 2}-{2 * ingest._CHUNK + 1} "
-        with pytest.raises(RuntimeError, match=rf"{re.escape(str(out))}: .*{rows}"):
-            write_csv_weights(w, out)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert list(tmp_path.iterdir()) == [out]
+        failed_child = pytest.raises(RuntimeError, match=rf"{re.escape(str(out))}: .*{rows}")
+        own = pytest.raises(OSError, match="^disk full$")
+        for first_fails, raised in (False, failed_child), (True, own):
+            with raised:
+                write_csv_weights(w, out)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert list(tmp_path.iterdir()) == [out]
 
     def test_writer_peak_memory_holds_no_column(self, monkeypatch):
         # no n-long time or flag array: the peak is one block's strings,
@@ -303,9 +309,10 @@ def _write_lines(path, lines, end="\r\n", final=True) -> None:
 class TestForkedReader:
     """A body is cut at line starts into one part per usable CPU: this
     process parses the first part while a forked child parses each other
-    one, and the rows go straight into the returned arrays.  The arrays
-    must be bit-identical to a one-part read, a fault must be reported as
-    the one-part read reports it, and no child may be left."""
+    one, each into a part file, and the rows go from there straight into
+    the returned arrays.  The arrays must be bit-identical to a one-part
+    read, a fault must be reported as the one-part read reports it, and no
+    child may be left."""
 
     @pytest.fixture
     def small_parts(self, monkeypatch):
@@ -576,15 +583,17 @@ class TestForkedReader:
         assert ingest._usable_cpus() == 1
 
     def test_read_peaks_below_table_plus_copy(self, tmp_path, monkeypatch):
-        # at the real part size, a 100 000-row file (4.8 MB) is cut in two:
-        # this process parses the first part and copies every row straight
-        # into the returned arrays.  So a read peaks below the whole table
-        # plus a copy of its values, which a read that parses the table and
-        # then copies the values out must hold at once
+        # at the real part size, a 100 000-row file (4.8 MB) is one part at
+        # one usable CPU and cut in two at two.  Every part is parsed into a
+        # part file, and the rows are copied from there straight into the
+        # returned arrays.  So a read peaks below the whole table plus a
+        # copy of its values, which a read that holds the parsed table while
+        # it copies the values out must hold at once
         n = 100_000
         rng = np.random.default_rng(6)
         w = WeightSeries(rng.standard_normal((n, 2)), rng.random(n) > 0.1, dt=0.25)
-        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 2)
+        write_csv_trajectory(Trajectory(w.values, 0.25), tmp_path / "a.csv")
+        write_csv_weights(w, tmp_path / "w.csv")
 
         def traced(read, path):
             tracemalloc.start()
@@ -593,15 +602,16 @@ class TestForkedReader:
             finally:
                 tracemalloc.stop()
 
-        write_csv_trajectory(Trajectory(w.values, 0.25), tmp_path / "a.csv")
-        traj, peak = traced(read_csv_trajectory, tmp_path / "a.csv")
-        assert traj.samples.tobytes() == w.values.tobytes() and traj.samples.base is None
-        assert peak < n * 3 * 8 + traj.samples.nbytes
-        del traj
-        write_csv_weights(w, tmp_path / "w.csv")
-        back, peak = traced(read_csv_weights, tmp_path / "w.csv")
-        assert back.values.tobytes() == w.values.tobytes() and back.values.base is None
-        assert peak < n * 4 * 8 + back.values.nbytes
+        for cpus in 1, 2:
+            monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+            traj, peak = traced(read_csv_trajectory, tmp_path / "a.csv")
+            assert traj.samples.tobytes() == w.values.tobytes() and traj.samples.base is None
+            assert peak < n * 3 * 8 + traj.samples.nbytes, cpus
+            del traj
+            back, peak = traced(read_csv_weights, tmp_path / "w.csv")
+            assert back.values.tobytes() == w.values.tobytes() and back.values.base is None
+            assert peak < n * 4 * 8 + back.values.nbytes, cpus
+            del back
 
 
 def _reference_walk(n, seed, dim, box, noise, smooth, step_scale):
@@ -657,6 +667,7 @@ class TestWav:
     def test_roundtrip_exact_integers(self, tmp_path):
         rng = np.random.default_rng(1)
         data = rng.integers(-(2**15) + 1, 2**15 - 1, size=(1000, 1)).astype(float)
+        data[:2, 0] = -(2**15), 2**15 - 1  # both ends of the 16-bit range
         traj = Trajectory(data, 1.0 / 16000)
         p = tmp_path / "a.wav"
         write_wav_trajectory(traj, p)
@@ -664,6 +675,13 @@ class TestWav:
         assert back.dt == 1.0 / 16000
         assert back.n_samples == 1000
         np.testing.assert_array_equal(back.samples, data)
+
+    @pytest.mark.parametrize("value", [-(2.0**15) - 1, 2.0**15, 0.5])
+    def test_sample_outside_16_bit_integers_rejected(self, tmp_path, value):
+        p = tmp_path / "a.wav"
+        with pytest.raises(ValueError, match="samples must be integers within the 16-bit range"):
+            write_wav_trajectory(Trajectory(np.array([[0.0], [value]]), 1.0 / 16000), p)
+        assert not p.exists()
 
     @pytest.mark.parametrize("dt", [0.003, 1 / 16000.5, 3.0])
     def test_dt_without_integer_rate_rejected(self, tmp_path, dt):
