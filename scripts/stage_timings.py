@@ -3,15 +3,16 @@
 
     python3 scripts/stage_timings.py
 
-For each input it prints the median of 5 runs, in ms, of the binning
-(`bin_samples`), the moments (`accumulate_moments`), `fit_field` and the
-weights (`compute_weights`), each stage run on the output of the one before.
-It also prints the input's occupied bins and aligned components, the
-breadth-first levels below the components' roots, summed over the
-components, and the largest depth of a bin below its root.  A search level
-by level per component solves one assignment per level; the alignment
-solves one per depth, across all components.  Velocities and the grid are
-built once per input and not timed.
+For each input it prints the median of 5 runs, in ms, of the velocity
+(`estimate_velocity`), the binning (`bin_samples`), the moments
+(`accumulate_moments`), `fit_field`, the weights (`compute_weights`) and the
+save of the field (`field_to_dict` and `dump_json`, to a temporary file),
+each stage run on the output of the one before.  It also prints the input's
+occupied bins and aligned components, the breadth-first levels below the
+components' roots, summed over the components, and the largest depth of a
+bin below its root.  A search level by level per component solves one
+assignment per level; the alignment solves one per depth, across all
+components.  The grid is built once per input and not timed.
 
 The inputs: the six-channel `highdim-6d` benchmark input at seed 0 (3^6
 bins, min_count 100); the 200 000-sample 2-D walk of the `cli-files`
@@ -21,10 +22,13 @@ walk at seed 0 on 10 000 bins with min_count 5.
 """
 
 import statistics
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
+from innerseries import serialize
 from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from innerseries.frames import fit_field
 from innerseries.ingest import gen_bounded_walk
@@ -96,20 +100,23 @@ def levels(field) -> tuple[int, int]:
 def main() -> None:
     print(f"median of {REPEATS} runs, ms")
     header = ("input", "bins", "components", "levels", "depth")
-    header += ("binning", "moments", "fit_field", "weights")
-    print("{:<27}{:>7}{:>11}{:>8}{:>7}{:>9}{:>9}{:>10}{:>9}".format(*header))
+    header += ("velocity", "binning", "moments", "fit_field", "weights", "save")
+    print("{:<27}{:>7}{:>11}{:>8}{:>7}{:>10}{:>9}{:>9}{:>10}{:>9}{:>7}".format(*header))
     for name, traj, bins, min_count in inputs():
-        vel = estimate_velocity(traj)
+        vel, t_vel = timed(lambda: estimate_velocity(traj))
         grid = build_grid(traj, bins, min_count)
         binning, t_bin = timed(lambda: bin_samples(traj, vel, grid))
         moments, t_moments = timed(lambda: accumulate_moments(vel, binning))
         (field, _), t_fit = timed(lambda: fit_field(grid, moments))
         _, t_weights = timed(lambda: compute_weights(traj, vel, field, binning))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "field.json"
+            _, t_save = timed(lambda: serialize.dump_json(serialize.field_to_dict(field), path))
         components = len(set(field.component_ids.values()))
         n_levels, depth = levels(field)
         print(
-            f"{name:<27}{len(moments):>7}{components:>11}{n_levels:>8}{depth:>7}"
-            f"{t_bin:>9.1f}{t_moments:>9.1f}{t_fit:>10.1f}{t_weights:>9.1f}"
+            f"{name:<27}{len(moments):>7}{components:>11}{n_levels:>8}{depth:>7}{t_vel:>10.1f}"
+            f"{t_bin:>9.1f}{t_moments:>9.1f}{t_fit:>10.1f}{t_weights:>9.1f}{t_save:>7.1f}"
         )
 
 

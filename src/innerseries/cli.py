@@ -92,7 +92,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_frames(args) -> int:
-    grid, moments = serialize.moments_from_dict(serialize.load_json(args.moments))
+    grid, moments = serialize.load(args.moments, serialize.moments_from_dict)
     field, skipped = fit_field(grid, moments)
     for key, reason in skipped.items():
         print(f"skipping bin {key}: {reason}", file=sys.stderr)
@@ -102,7 +102,7 @@ def cmd_frames(args) -> int:
 
 def cmd_weights(args) -> int:
     traj = _read_traj(args.input, args.dt)
-    field = serialize.field_from_dict(serialize.load_json(args.field))
+    field = serialize.load(args.field, serialize.field_from_dict)
     vel = estimate_velocity(traj)
     w = compute_weights(traj, vel, field, bin_samples(traj, vel, field.grid))
     write_csv_weights(w, args.out)
@@ -141,7 +141,7 @@ def cmd_separability(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     w = read_csv_weights(args.weights)
-    field = serialize.field_from_dict(serialize.load_json(args.field))
+    field = serialize.load(args.field, serialize.field_from_dict)
     x0 = np.array([float(p) for p in args.x0.split(",")])
     steps = len(w) if args.steps is None else args.steps
     traj, truncated = integrate_weights(w, field, x0, steps)

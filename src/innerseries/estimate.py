@@ -22,8 +22,10 @@ def estimate_velocity(traj: Trajectory) -> VelocitySeries:
     n = traj.n_samples
     if n < 3:
         raise ValueError("need at least 3 samples")
-    v = np.zeros_like(x)
-    v[1:-1] = (x[2:] - x[:-2]) / (2.0 * traj.dt)
+    v = np.empty_like(x)
+    v[0] = v[-1] = 0.0
+    np.subtract(x[2:], x[:-2], out=v[1:-1])
+    v[1:-1] /= 2.0 * traj.dt
     mask = np.ones(n, dtype=bool)
     mask[0] = mask[-1] = False
     return VelocitySeries(v, mask)
@@ -98,24 +100,31 @@ def accumulate_moments(vel: VelocitySeries, binning: Binning) -> BinMoments:
     if not occupied:
         raise ValueError("no occupied bins (min_count too high or data too sparse)")
     flat, groups = zip(*occupied)
+    counts = np.array([len(g) for g in groups])
     # two passes over each bin's rows, gathered afresh each time, so no
     # centred copy of all rows is held: c2 first, then t through one
-    # stacked pinv
+    # stacked pinv; each stack is divided by the counts and symmetrised once
     means, c2 = [], []
     for group in groups:
-        v = vel.values[group]
-        means.append(v.mean(axis=0))
+        v = vel.values.take(group, axis=0)
+        means.append(np.add.reduce(v) / len(group))  # v.mean(axis=0), less its call overhead
         dvl = v - means[-1]
-        c = dvl.T @ dvl / len(group)
-        c2.append(0.5 * (c + c.T))
+        c2.append(dvl.T @ dvl)
+    c2 = _symmetric_mean(c2, counts)
     # pinv, not inv: a bin of equal velocities (c2 = 0) is still stored,
     # and the frame solve rejects it
-    c2_pinv = np.linalg.pinv(np.stack(c2), hermitian=True)
+    c2_pinv = np.linalg.pinv(c2, hermitian=True)
     t = []
     for group, mean, p in zip(groups, means, c2_pinv):
-        dvl = vel.values[group] - mean
+        dvl = vel.values.take(group, axis=0) - mean
         q = ((dvl @ p) * dvl).sum(axis=1)
-        tb = (dvl * q[:, None]).T @ dvl / len(group)
-        t.append(0.5 * (tb + tb.T))
+        t.append((dvl * q[:, None]).T @ dvl)
     keys = np.stack(np.unravel_index(flat, grid.shape), axis=1)
-    return BinMoments(keys, [len(g) for g in groups], np.stack(c2), np.stack(t))
+    return BinMoments(keys, counts, c2, _symmetric_mean(t, counts))
+
+
+def _symmetric_mean(sums: list[np.ndarray], counts: np.ndarray) -> np.ndarray:
+    """The (B, N, N) stack of per-bin sums divided by counts, then
+    symmetrised."""
+    a = np.stack(sums) / counts[:, None, None]
+    return 0.5 * (a + a.transpose(0, 2, 1))

@@ -181,9 +181,10 @@ def _blocks(parts, counts: list[int], width: int):
 @contextlib.contextmanager
 def _read_csv_body(path):
     """Yield (header, n, blocks) for a CSV whose cells are all finite numbers
-    (quoted or not; blank lines skipped): blocks yields (lo, rows) for the n
-    body rows in order (see _blocks), for the caller to copy into the
-    arrays it returns.  Errors name the row and column at fault.
+    (quoted or not; blank lines skipped) under a header of distinct names:
+    blocks yields (lo, rows) for the n body rows in order (see _blocks), for
+    the caller to copy into the arrays it returns.  Errors name the row and
+    column at fault.
 
     A body of at least 2 * _PART_BYTES is cut at line starts into one part
     per usable CPU.  Each part is parsed (_parse_part) into an unlinked
@@ -202,6 +203,9 @@ def _read_csv_body(path):
         header = next(csv.reader(header_lines()), None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header row")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ValueError(f"{path}: column {repeated[0]!r} appears more than once in the header")
         start = len("".join(head).encode(fh.encoding))
         size = os.fstat(fh.fileno()).st_size
     width = len(header)
@@ -557,9 +561,25 @@ def mix_two_sources(traj2: Trajectory) -> Trajectory:
     x2 = traj2.channel(1)
     if np.any(np.abs(x1) > MIX_BOX) or np.any(np.abs(x2) > MIX_BOX):
         raise TransformError("input outside the +-2^15 mixing domain")
-    mu1 = 0.763 * x1 + (958.0 - 0.0225 * x2) ** 1.5
-    mu2 = 0.153 * x2 + (3.75e7 - 763.0 * x1 - 229.0 * x2) ** 0.5
-    return Trajectory(np.stack([mu1, mu2], axis=1), traj2.dt, ("m1", "m2"))
+    # mu1 = 0.763 x1 + (958 - 0.0225 x2)^1.5 and
+    # mu2 = 0.153 x2 + (3.75e7 - 763 x1 - 229 x2)^0.5, written into one
+    # (n, 2) array with one temporary, in the operation order of those
+    # expressions, so every bit is theirs
+    out, tmp = np.empty((len(x1), 2)), np.empty(len(x1))
+    mu1, mu2 = out.T
+    np.multiply(0.0225, x2, out=tmp)
+    np.subtract(958.0, tmp, out=tmp)
+    np.power(tmp, 1.5, out=tmp)
+    np.multiply(0.763, x1, out=mu1)
+    mu1 += tmp
+    np.multiply(763.0, x1, out=tmp)
+    np.subtract(3.75e7, tmp, out=tmp)
+    np.multiply(229.0, x2, out=mu2)
+    tmp -= mu2
+    np.sqrt(tmp, out=tmp)
+    np.multiply(0.153, x2, out=mu2)
+    mu2 += tmp
+    return Trajectory(out, traj2.dt, ("m1", "m2"))
 
 
 def pca_embed(series: Trajectory, k: int) -> tuple[Trajectory, np.ndarray]:

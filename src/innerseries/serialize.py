@@ -5,13 +5,14 @@ reproduces every value bit-exactly.  Every artifact carries "schema"; the
 loaders reject any version but SCHEMA_VERSION, one version for all three
 kinds.  Grids hold edges and min_count only, no sample indices; moments
 bins hold count, c2 and the contracted fourth moment t, both N x N.  The
-loaders check each bin against its grid: a key of N indices inside the
-grid's shape, spelled as the dumpers write it ("0,1", not "00,1"), finite
-arrays of the grid's dimension, a count that is an integer >= 1, a
-degenerate flag that is true or false and an invertible m; a field's
-component ids are integers >= 0 and name only bins that hold a frame, and
-the grid's min_count is an integer >= 1.  Each error names the file kind,
-and the bin where there is one.
+loaders check that each artifact is a JSON object holding its kind's
+entries before they read any, then each bin against its grid: a key of N
+indices inside the grid's shape, spelled as the dumpers write it ("0,1",
+not "00,1"), finite arrays of the grid's dimension, a count that is an
+integer >= 1, a degenerate flag that is true or false and an invertible m;
+a field's component ids are integers >= 0 and name only bins that hold a
+frame, and the grid's min_count is an integer >= 1.  Each error names the
+file kind, and the bin where there is one; load adds the file's path.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ SCHEMA_VERSION = 4
 
 
 def _key(idx: tuple[int, ...]) -> str:
-    return ",".join(str(i) for i in idx)
+    return ",".join(map(str, idx))
 
 
 def _unkey(s: str, grid: BinGrid, what: str) -> tuple[int, ...]:
@@ -61,10 +62,31 @@ def _int(value, low: int, where: str, name: str) -> int:
     return value
 
 
-def _check_schema(d: dict, what: str) -> None:
+# how the errors name each type json.loads returns
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "a number", float: "a number",
+    bool: "true or false", type(None): "null",
+}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _check_object(d, what: str, **entries: type) -> None:
+    """Raise unless d is a JSON object of schema SCHEMA_VERSION that holds
+    each of entries, a value of its type; what names the kind."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} JSON: expected an object, got {_json_type(d)}")
     found = d.get("schema")
     if found != SCHEMA_VERSION:
         raise ValueError(f"{what} JSON schema is {found}, expected {SCHEMA_VERSION}")
+    for name, kind in entries.items():
+        if name not in d:
+            raise ValueError(f"{what} JSON: no {name!r} entry (it holds {', '.join(sorted(d))})")
+        if not isinstance(d[name], kind):
+            got = _json_type(d[name])
+            raise ValueError(f"{what} JSON: {name!r} must be {_JSON_TYPES[kind]}, got {got}")
 
 
 def grid_to_dict(grid: BinGrid) -> dict:
@@ -77,7 +99,7 @@ def grid_to_dict(grid: BinGrid) -> dict:
 
 def grid_from_dict(d: dict, what: str = "grid") -> BinGrid:
     """The grid of d; what names it in a bad min_count's error."""
-    _check_schema(d, "grid")
+    _check_object(d, "grid", edges=list, min_count=object)  # _int checks min_count
     min_count = _int(d["min_count"], 1, what, "min_count")
     return BinGrid(tuple(np.asarray(e) for e in d["edges"]), min_count)
 
@@ -96,7 +118,7 @@ def moments_to_dict(grid: BinGrid, moments: BinMoments) -> dict:
 
 
 def moments_from_dict(d: dict) -> tuple[BinGrid, BinMoments]:
-    _check_schema(d, "moments")
+    _check_object(d, "moments", grid=dict, bins=dict)
     grid = grid_from_dict(d["grid"], "moments grid")
     n, bins = grid.dim, d["bins"]
     keys = [_unkey(s, grid, "moments") for s in bins]
@@ -125,9 +147,9 @@ def field_to_dict(field: FrameField) -> dict:
 
 
 def field_from_dict(d: dict) -> FrameField:
-    _check_schema(d, "field")
+    _check_object(d, "field", grid=dict, frames=dict, component_ids=dict)
     grid = grid_from_dict(d["grid"], "field grid")
-    n, ids = grid.dim, d.get("component_ids", {})
+    n, ids = grid.dim, d["component_ids"]
     frames = {}
     for s, f in d["frames"].items():
         key = _unkey(s, grid, "field")
@@ -173,3 +195,18 @@ def dump_json(obj: dict, path) -> None:
 
 def load_json(path) -> dict:
     return json.loads(Path(path).read_text())
+
+
+def load(path, from_dict):
+    """from_dict (grid_from_dict, moments_from_dict or field_from_dict) of
+    the JSON file at path.  A file that is not JSON, and every ValueError
+    from_dict raises for it, down to a bad bin, fail with a ValueError that
+    begins with path."""
+    try:
+        d = load_json(path)
+    except ValueError as err:  # not JSON, or not text
+        raise ValueError(f"{path}: not a JSON file: {err}") from None
+    try:
+        return from_dict(d)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

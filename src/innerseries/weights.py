@@ -98,9 +98,12 @@ def compute_weights(
     fallback[order] = np.repeat(fallback_bins[binning.flat], counts)
     large = (slot >= 0) & (counts >= _PRODUCT_ROWS)
     bounds = zip(starts[:-1][large].tolist(), starts[1:][large].tolist())
+    # each row of values as one item, so a bin's rows go in by a 1-D put
+    row = np.dtype((np.void, values.itemsize * traj.dim))
+    value_rows = values.view(row).reshape(-1)
     for s, (lo, hi) in zip(slot[large].tolist(), bounds):
         rows = order[lo:hi]
-        values[rows] = vel.values[rows] @ field.m[s].T
+        value_rows.put(rows, (vel.values.take(rows, axis=0) @ field.m[s].T).view(row))
     small = np.where(large, -1, slot)  # the slot of each small bin
     if np.any(small >= 0):
         for lo in range(0, len(order), _CHUNK):

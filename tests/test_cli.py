@@ -368,7 +368,83 @@ def test_bins_must_agree_with_their_grid(case, staged, tmp_path, capsys):
         command, argv = "weights", ["--in", staged / "walk.csv", "--field", bad]
     capsys.readouterr()
     assert run([command, *argv, "--out", out]) == 2
-    assert capsys.readouterr().err == f"error [{command}]: {message}\n"
+    assert capsys.readouterr().err == f"error [{command}]: {bad}: {message}\n"
+    assert not out.exists()
+
+
+# each option that reads a JSON artifact: its kind, its command and the
+# argv that gives it the file at path
+JSON_READERS = {
+    "frames-moments": ("moments", "frames", lambda staged, path: ["--moments", path]),
+    "weights-field": (
+        "field", "weights", lambda staged, path: ["--in", staged / "walk.csv", "--field", path]
+    ),
+    "reconstruct-field": (
+        "field",
+        "reconstruct",
+        lambda staged, path: ["--weights", staged / "weights.csv", "--field", path, "--x0", "0,0"],
+    ),
+}
+
+
+def _copy(name: str, size: int | None = None):
+    """A writer of the first size bytes of the staged file name."""
+    return lambda staged, p: p.write_bytes((staged / name).read_bytes()[:size])
+
+
+def _write_wav(staged, p):
+    wav = p.with_suffix(".wav")
+    argv = ["synth", "--kind", "walk", "--samples", "500", "--amplitude", "20000", "--out", wav]
+    assert run(argv) == 0
+    wav.rename(p)
+
+
+# each wrong or broken file: how to write it from the staged files, and the
+# message a reader of kind gives for it
+WRONG_FILES = {
+    "moments": (
+        _copy("moments.json"),
+        lambda kind: f"{kind} JSON: no 'frames' entry (it holds bins, grid, schema)",
+    ),
+    "field": (
+        _copy("field.json"),
+        lambda kind: f"{kind} JSON: no 'bins' entry (it holds component_ids, frames, grid, schema)",
+    ),
+    "json-array": (
+        lambda staged, p: p.write_text("[1, 2]\n"),
+        lambda kind: f"{kind} JSON: expected an object, got an array",
+    ),
+    "report": (
+        lambda staged, p: p.write_text('{"name": "sine", "passed": true}\n'),
+        lambda kind: f"{kind} JSON schema is None, expected 4",
+    ),
+    "grid-a-list": (
+        lambda staged, p: p.write_text('{"schema": 4, "grid": [], "bins": {}, "frames": {}}\n'),
+        lambda kind: f"{kind} JSON: 'grid' must be an object, got an array",
+    ),
+    "trajectory-csv": (_copy("walk.csv"), lambda kind: "not a JSON file: "),
+    "weights-csv": (_copy("weights.csv"), lambda kind: "not a JSON file: "),
+    "wav": (_write_wav, lambda kind: "not a JSON file: "),
+    "empty": (lambda staged, p: p.write_text(""), lambda kind: "not a JSON file: "),
+    "truncated": (_copy("field.json", 200), lambda kind: "not a JSON file: "),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, wrong",
+    [(r, w) for r in JSON_READERS for w in WRONG_FILES if w != JSON_READERS[r][0]],
+)
+def test_wrong_json_file_named(reader, wrong, staged, tmp_path, capsys):
+    kind, command, argv = JSON_READERS[reader]
+    write, message = WRONG_FILES[wrong]
+    bad = tmp_path / "artifact.json"
+    write(staged, bad)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, *argv(staged, bad), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]: {bad}: {message(kind)}")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

@@ -169,6 +169,8 @@ class TestCsv:
             ("t,x\n", "no data rows"),
             ("t,x\n0,1\n", r"one data row, cannot infer dt from column 't'"),
             ("", "empty file, no header row"),
+            ("t,a,a\n0,1,2\n1,1,2\n", "column 'a' appears more than once in the header"),
+            ("t,a,t\n0,1,0\n1,1,1\n", "column 't' appears more than once in the header"),
         ],
     )
     def test_rejected_file(self, tmp_path, text, message):

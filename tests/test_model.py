@@ -14,6 +14,9 @@ from innerseries.model import (
     FrameField,
     LocalFrame,
     Trajectory,
+    VelocitySeries,
+    WeightSeries,
+    _COMPARE_EDGES,
     best_signed_assignments,
 )
 from signed_gauge import (
@@ -52,6 +55,28 @@ class TestTrajectory:
     def test_1d_promoted(self):
         t = Trajectory(np.arange(4.0), 1.0)
         assert t.samples.shape == (4, 1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (VelocitySeries, "valid velocity samples must be finite"),
+        (WeightSeries, "valid weights must be finite"),
+    ],
+    ids=["velocity", "weights"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_valid_rows_must_be_finite(make, message, bad):
+    """A non-finite value is rejected in a valid row and kept in an invalid one."""
+    values = np.zeros((6, 3))
+    values[4, 2] = bad
+    mask = np.ones(6, dtype=bool)
+    with pytest.raises(ValueError, match=message):
+        make(values, mask)
+    mask[4] = False
+    kept = make(values, mask)
+    np.testing.assert_array_equal(kept.values, values)
+    np.testing.assert_array_equal(kept.valid_mask, mask)
 
 
 class TestSignedPermutation:
@@ -134,13 +159,16 @@ def _reference_flat_index(edges, pts):
 
 @st.composite
 def grid_and_points(draw):
-    """Up to 4 axes of 1-4 bins; each point coordinate is an edge (interior,
-    bottom or inclusive top), just below an edge, or inside, and a point may
-    be moved outside the grid on one axis."""
+    """Up to 4 axes, each of 1-4 bins or of a bin count about the limit
+    between binning by comparisons and by search (_COMPARE_EDGES + 1 bins
+    are counted by comparisons, one more by search); each point coordinate
+    is an edge (interior, bottom or inclusive top), just below an edge, or
+    inside, and a point may be moved outside the grid on one axis."""
     edges = []
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.floats(-10, 10))
-        steps = draw(st.lists(st.floats(0.01, 4.0), min_size=1, max_size=4))
+        bins = draw(st.integers(1, 4) | st.integers(_COMPARE_EDGES, _COMPARE_EDGES + 3))
+        steps = draw(st.lists(st.floats(0.01, 4.0), min_size=bins, max_size=bins))
         edges.append(start + np.cumsum([0.0, *steps]))
     points = []
     for _ in range(draw(st.integers(1, 12))):
