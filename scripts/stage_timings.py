@@ -19,8 +19,16 @@ bins, min_count 100); the 200 000-sample 2-D walk of the `cli-files`
 benchmark at seed 0, on 8x8 bins (default min_count), on 100x100 bins with
 min_count 20 and on 300x300 bins with min_count 5; and a 500 000-sample 1-D
 walk at seed 0 on 10 000 bins with min_count 5.
+
+Last it writes the `cli-files` walk and its weights from the 8x8 fit as CSV
+files and prints the median of 5 reads of each (`read_csv_trajectory`,
+`read_csv_weights`), in ms, at one usable CPU and at all of them.  The
+reader cuts a large file into one part per usable CPU, so this shows what
+the forked parts buy.  One CPU is set by `os.sched_setaffinity` on this
+process alone, and the CPU mask is restored after the reads.
 """
 
+import os
 import statistics
 import tempfile
 import time
@@ -31,9 +39,9 @@ import numpy as np
 from innerseries import serialize
 from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from innerseries.frames import fit_field
-from innerseries.ingest import gen_bounded_walk
+from innerseries.ingest import gen_bounded_walk, read_csv_trajectory, write_csv_trajectory
 from innerseries.model import Trajectory
-from innerseries.weights import compute_weights
+from innerseries.weights import compute_weights, read_csv_weights, write_csv_weights
 
 REPEATS = 5
 # the highdim-6d input: one 1-D walk per channel, with its own noise kind and
@@ -97,6 +105,26 @@ def levels(field) -> tuple[int, int]:
     return sum(deepest.values()), max(deepest.values())
 
 
+def csv_reads(traj, w) -> None:
+    """Print the median read times of traj and w as CSV files, at one
+    usable CPU and at all of this process's CPUs."""
+    cpus = os.sched_getaffinity(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        walk, weights = Path(tmp) / "walk.csv", Path(tmp) / "walk.weights.csv"
+        write_csv_trajectory(traj, walk)
+        write_csv_weights(w, weights)
+        print(f"\nCSV reads of the cli-files walk, median of {REPEATS} runs, ms")
+        print("{:>5}{:>12}{:>10}".format("cpus", "trajectory", "weights"))
+        for mask in ({min(cpus)}, cpus):
+            os.sched_setaffinity(0, mask)
+            try:
+                _, t_traj = timed(lambda: read_csv_trajectory(walk))
+                _, t_weights = timed(lambda: read_csv_weights(weights))
+            finally:
+                os.sched_setaffinity(0, cpus)
+            print(f"{len(mask):>5}{t_traj:>12.1f}{t_weights:>10.1f}")
+
+
 def main() -> None:
     print(f"median of {REPEATS} runs, ms")
     header = ("input", "bins", "components", "levels", "depth")
@@ -108,7 +136,9 @@ def main() -> None:
         binning, t_bin = timed(lambda: bin_samples(traj, vel, grid))
         moments, t_moments = timed(lambda: accumulate_moments(vel, binning))
         (field, _), t_fit = timed(lambda: fit_field(grid, moments))
-        _, t_weights = timed(lambda: compute_weights(traj, vel, field, binning))
+        w, t_weights = timed(lambda: compute_weights(traj, vel, field, binning))
+        if name == "cli-files 8x8":
+            csv_input = traj, w
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "field.json"
             _, t_save = timed(lambda: serialize.dump_json(serialize.field_to_dict(field), path))
@@ -118,6 +148,7 @@ def main() -> None:
             f"{name:<27}{len(moments):>7}{components:>11}{n_levels:>8}{depth:>7}{t_vel:>10.1f}"
             f"{t_bin:>9.1f}{t_moments:>9.1f}{t_fit:>10.1f}{t_weights:>9.1f}{t_save:>7.1f}"
         )
+    csv_reads(*csv_input)
 
 
 if __name__ == "__main__":

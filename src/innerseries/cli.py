@@ -103,6 +103,11 @@ def cmd_frames(args) -> int:
 def cmd_weights(args) -> int:
     traj = _read_traj(args.input, args.dt)
     field = serialize.load(args.field, serialize.field_from_dict)
+    if traj.dim != field.grid.dim:
+        raise ValueError(
+            f"{args.input}: trajectory dimension {traj.dim} does not match "
+            f"the dimension {field.grid.dim} of the field {args.field}"
+        )
     vel = estimate_velocity(traj)
     w = compute_weights(traj, vel, field, bin_samples(traj, vel, field.grid))
     write_csv_weights(w, args.out)

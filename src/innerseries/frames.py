@@ -76,9 +76,14 @@ def solve_frame(c2: np.ndarray, t: np.ndarray) -> LocalFrame:
 def frame_residuals(field: FrameField, moments: BinMoments) -> tuple[float, float]:
     """Largest over the field's bins of max |M c2 M^T - I| and of the max
     off-diagonal of the transformed fourth-order contraction, relative to
-    the bin's max |d|; each frame against its own bin's moments."""
-    row = {k: i for i, k in enumerate(map(tuple, moments.keys.tolist()))}
-    rows = [row[k] for k in map(tuple, field.keys.tolist())]
+    the bin's max |d|; each frame against its own bin's moments, found by
+    flat index.  A field bin without a moments row is a ValueError."""
+    flat, want = (np.ravel_multi_index(k.T, field.grid.shape) for k in (moments.keys, field.keys))
+    missing = np.flatnonzero(~np.isin(want, flat))
+    if len(missing):
+        raise ValueError(f"field bin {tuple(field.keys[missing[0]].tolist())}: no moments row")
+    order = np.argsort(flat)
+    rows = order[np.searchsorted(flat, want, sorter=order)]
     m = field.m
     mt = np.swapaxes(m, 1, 2)
     white = m @ moments.c2[rows] @ mt - np.eye(m.shape[1])

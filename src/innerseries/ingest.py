@@ -8,10 +8,10 @@ them inside the +-2^15 box the two-source mixing functions require.
 
 Trajectory and weight CSVs are formatted in contiguous parts, one per
 usable CPU: forked processes format every part after the first while this
-process writes the first.  A large CSV body is read the same way: cut at
-line starts, every part is parsed into a temporary file, the first by this
-process and the others by forked processes, and the rows are copied block
-by block from those files straight into the arrays the reader returns.
+process writes the first.  A large CSV body is read the same way: cut
+after line feeds, every part is parsed into a temporary file, the first by
+this process and the others by forked processes, and the rows are copied
+block by block from those files straight into the arrays the reader returns.
 The bytes written and the arrays read do not depend on the number of
 parts, and there is no option to set it; where os.fork is missing one
 process does all.
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
-import re
 import shutil
 import tempfile
 import warnings
@@ -48,7 +48,6 @@ class TransformError(ValueError):
 _CHUNK = 8192  # rows per Python-level batch; bounds the per-row lists held at once
 _PART_BYTES = 1 << 20  # a CSV body is parsed in parts of at least this many bytes
 _BLOCK = 1 << 16  # bytes per read while the reader looks for a line start
-_LINE_END = re.compile(rb"\r\n|\r|\n")
 
 
 def _usable_cpus() -> int:
@@ -85,64 +84,52 @@ def _forked(path, jobs) -> None:
             raise RuntimeError(f"{path}: the process {what} exited with code {code}")
 
 
-def _parse_cells(path, header: list[str]) -> np.ndarray:
-    """Cell-by-cell parse of a CSV body, raising on the first ragged row, bad
-    cell or non-finite value with its row (header = row 1) and column."""
+def _parse_cells(path, header: list[str], out) -> None:
+    """Parse a CSV body cell by cell, as csv.reader yields its rows (blank
+    ones skipped), and write the rows' float64 bytes to the binary file out,
+    _CHUNK rows at a time; stop at the first ragged row, bad cell or
+    non-finite value with a ValueError naming its row (header = row 1) and
+    column."""
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r][1:]
-    for i, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
-        for name, cell in zip(header, row):
-            try:
-                val = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {i}, column '{name}': not a number: {cell!r}"
-                ) from None
-            if not np.isfinite(val):
-                raise ValueError(f"{path}: row {i}, column '{name}': non-finite value")
-    return np.array([[float(c) for c in row] for row in rows])
-
-
-def _loadtxt(body, width: int) -> np.ndarray | None:
-    """The rows of a CSV body (quoted or plain cells, blank lines skipped)
-    in the named file body, or None unless each row is width finite
-    numbers."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows
-            data = np.loadtxt(body, delimiter=",", ndmin=2, comments=None, quotechar='"')
-    except ValueError:
-        return None
-    if len(data) == 0:  # every line was blank: no cell to check
-        return np.empty((0, width))
-    return data if data.shape[1] == width and np.isfinite(data).all() else None
+        rows = (r for r in csv.reader(fh) if r)
+        next(rows, None)  # the header
+        chunk = []
+        for i, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
+            for name, cell in zip(header, row):
+                try:
+                    val = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {i}, column '{name}': not a number: {cell!r}"
+                    ) from None
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}: row {i}, column '{name}': non-finite value")
+                chunk.append(val)
+            if len(chunk) == _CHUNK * len(header):
+                out.write(np.array(chunk).data)
+                chunk.clear()
+    out.write(np.array(chunk).data)
+    out.flush()
 
 
 def _line_start(fb, pos: int) -> int:
     """The first line start at or after byte pos > 0 of a binary file, or
-    the file's size: a line starts after a \n or after a \r that no \n
-    follows."""
-    at = pos - 1
-    while True:
-        fb.seek(at)
-        block = fb.read(_BLOCK)
-        m = _LINE_END.search(block)
-        if m is None:
-            if len(block) < _BLOCK:
-                return at + len(block)
-            at += len(block)
-        elif m.group() == b"\r" and m.end() == _BLOCK:
-            at += m.start()  # read on from this \r to see whether a \n follows
-        else:
-            return at + m.end()
+    the file's size: a line starts after a \n, found by reads of at most
+    _BLOCK bytes."""
+    fb.seek(pos - 1)
+    line = fb.readline(_BLOCK)
+    while line and not line.endswith(b"\n"):  # a line longer than _BLOCK, or the last
+        line = fb.readline(_BLOCK)
+    return fb.tell()
 
 
 def _parse_part(path, lo: int, hi: int, width: int, out) -> None:
-    """Parse bytes lo..hi-1 of a CSV body, cut at line starts, and write the
-    rows' float64 bytes to the binary file out; raise ValueError unless
-    they are rows of width finite numbers.
+    """Parse bytes lo..hi-1 of a CSV body, cut after line feeds, and write
+    the rows' float64 bytes to the binary file out; raise ValueError unless
+    they are rows of width finite numbers (quoted or plain cells, blank
+    lines skipped).
 
     The bytes are parsed from a named copy, written one _BLOCK at a time:
     np.loadtxt reads a named file in large blocks, but iterates an open one
@@ -157,8 +144,10 @@ def _parse_part(path, lo: int, hi: int, width: int, out) -> None:
             quotes += block.count(b'"')
             text.write(block)
         text.flush()
-        data = None if quotes % 2 else _loadtxt(text.name, width)
-    if data is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows
+            data = np.loadtxt(text.name, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    if quotes % 2 or len(data) and (data.shape[1] != width or not np.isfinite(data).all()):
         raise ValueError(f"{path}: bytes {lo}-{hi - 1} are not a table of finite numbers")
     out.write(data.data)
     out.flush()
@@ -186,21 +175,15 @@ def _read_csv_body(path):
     the caller to copy into the arrays it returns.  Errors name the row and
     column at fault.
 
-    A body of at least 2 * _PART_BYTES is cut at line starts into one part
-    per usable CPU.  Each part is parsed (_parse_part) into an unlinked
+    A body of at least 2 * _PART_BYTES is cut after line feeds into one
+    part per usable CPU.  Each part is parsed (_parse_part) into an unlinked
     temporary file, the first by this process and each other one by a
-    forked child.  If any part fails, the per-cell parse finds the fault,
-    and its table goes through a part file too.
+    forked child.  If any part fails, _parse_cells parses the body into one
+    part file instead, up to the first fault.
     """
     with open(path, newline="") as fh:
         head = []  # the lines the header row is read from
-
-        def header_lines():
-            for line in fh:
-                head.append(line)
-                yield line
-
-        header = next(csv.reader(header_lines()), None)
+        header = next(csv.reader(head.append(line) or line for line in fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header row")
         repeated = [name for i, name in enumerate(header) if name in header[:i]]
@@ -208,13 +191,10 @@ def _read_csv_body(path):
             raise ValueError(f"{path}: column {repeated[0]!r} appears more than once in the header")
         start = len("".join(head).encode(fh.encoding))
         size = os.fstat(fh.fileno()).st_size
+        k = max(1, min(_usable_cpus(), (size - start) // _PART_BYTES))
+        inner = [_line_start(fh.buffer, start + (size - start) * i // k) for i in range(1, k)]
     width = len(header)
-    k = max(1, min(_usable_cpus(), (size - start) // _PART_BYTES))
-    cuts = [start, size]
-    if k > 1:
-        with open(path, "rb") as fb:
-            inner = {_line_start(fb, start + (size - start) * i // k) for i in range(1, k)}
-        cuts = sorted({*cuts, *inner})
+    cuts = sorted({start, size, *inner})
     with contextlib.ExitStack() as stack:
         parts = [stack.enter_context(tempfile.TemporaryFile()) for _ in cuts[1:]]
 
@@ -226,8 +206,7 @@ def _read_csv_body(path):
         except (ValueError, RuntimeError):
             # only the per-cell parse can say where the problem is
             parts = [stack.enter_context(tempfile.TemporaryFile())]
-            parts[0].write(_parse_cells(path, header).data)
-            parts[0].flush()
+            _parse_cells(path, header, parts[0])
         counts = [os.fstat(part.fileno()).st_size // (8 * width) for part in parts]
         n = sum(counts)
         if n == 0:
@@ -242,21 +221,20 @@ class _TimeSteps:
     the greatest bound every deviation."""
 
     def __init__(self):
-        self.rows, self.last, self.first = 0, None, None
+        self.last = self.first = None  # the last time fed; the first step
         self.least, self.greatest = np.inf, -np.inf
 
     def add(self, times: np.ndarray) -> None:
-        steps = np.diff(times, prepend=self.last) if self.rows else np.diff(times)
+        steps = np.diff(times) if self.last is None else np.diff(times, prepend=self.last)
         if len(steps):
             if self.first is None:
                 self.first = float(steps[0])
             self.least = min(self.least, float(steps.min()))
             self.greatest = max(self.greatest, float(steps.max()))
-        self.rows += len(times)
         self.last = times[-1]
 
     def step(self, path) -> float:
-        if self.rows == 1:
+        if self.first is None:  # one row, as a body without rows is rejected first
             raise ValueError(f"{path}: one data row, cannot infer dt from column '{TIME_COLUMN}'")
         step = self.first
         if step <= 0:

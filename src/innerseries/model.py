@@ -165,8 +165,8 @@ class BinGrid:
         inner edges counts them by comparisons, a longer one by a search.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise DimensionMismatchError("point dimension does not match grid")
+        if (dim := pts.shape[1]) != self.dim:
+            raise DimensionMismatchError(f"point dimension {dim}, grid dimension {self.dim}")
         flat = np.zeros(len(pts), dtype=np.int64)
         inside = np.ones(len(pts), dtype=bool)
         for e, x in zip(self.edges, pts.T):
@@ -279,7 +279,8 @@ def _stack(keys: list, parts: tuple, shape: tuple[int, ...], name: str) -> np.nd
 class FrameField:
     """Globally sign/permutation-consistent frames over the occupied bins of a
     grid.  Disconnected occupancy components are aligned independently;
-    component_ids records which component each bin belongs to.
+    component_ids records which component each bin belongs to, and names
+    exactly the bins of frames.
 
     The frames are checked once and stacked in the mapping's order: row i of
     keys (B, N), m, v (B, N, N) and d (B, N) is the i-th bin of frames, and
@@ -289,7 +290,7 @@ class FrameField:
 
     grid: BinGrid
     frames: Mapping[tuple[int, ...], LocalFrame]
-    component_ids: Mapping[tuple[int, ...], int] = field(default_factory=dict)
+    component_ids: Mapping[tuple[int, ...], int]
     keys: np.ndarray = field(init=False)
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
@@ -303,11 +304,16 @@ class FrameField:
         for key in keys:
             if len(key) != n:
                 raise ValueError(f"frame bin {key}: key length {len(key)}, grid dimension {n}")
+            if key not in self.component_ids:
+                raise ValueError(f"frame bin {key}: no component id")
         idx = np.array(keys, dtype=np.int64)
         idx.setflags(write=False)
         outside = np.flatnonzero(np.any((idx < 0) | (idx >= shape), axis=1))
         if len(outside):
             raise ValueError(f"frame bin {keys[outside[0]]}: outside the grid of shape {shape}")
+        for key in self.component_ids:
+            if key not in self.frames:
+                raise ValueError(f"frame bin {key}: component id but no frame")
         m, v, d = (
             _stack(keys, m, (n, n), "m"), _stack(keys, v, (n, n), "v"), _stack(keys, d, (n,), "d")
         )

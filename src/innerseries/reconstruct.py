@@ -33,7 +33,7 @@ def integrate_weights(
             f"weight series has {w.dim} channels, field dimension {grid.dim}"
         )
     if x0.shape[0] != grid.dim:
-        raise ValueError("x0 dimension does not match grid")
+        raise ValueError(f"x0 dimension {x0.shape[0]}, grid dimension {grid.dim}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if steps > len(w):

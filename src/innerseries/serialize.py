@@ -5,14 +5,14 @@ reproduces every value bit-exactly.  Every artifact carries "schema"; the
 loaders reject any version but SCHEMA_VERSION, one version for all three
 kinds.  Grids hold edges and min_count only, no sample indices; moments
 bins hold count, c2 and the contracted fourth moment t, both N x N.  The
-loaders check that each artifact is a JSON object holding its kind's
+loaders check that each artifact and bin is a JSON object holding its
 entries before they read any, then each bin against its grid: a key of N
 indices inside the grid's shape, spelled as the dumpers write it ("0,1",
 not "00,1"), finite arrays of the grid's dimension, a count that is an
 integer >= 1, a degenerate flag that is true or false and an invertible m;
-a field's component ids are integers >= 0 and name only bins that hold a
-frame, and the grid's min_count is an integer >= 1.  Each error names the
-file kind, and the bin where there is one; load adds the file's path.
+a field's component ids are integers >= 0 (FrameField checks that they name
+exactly its bins), and the grid's min_count is an integer >= 1.  Each error
+names the file kind, and the bin where there is one; load adds the path.
 """
 
 from __future__ import annotations
@@ -73,20 +73,27 @@ def _json_type(value) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
+def _check_entries(obj, what: str, /, **entries: type) -> None:
+    """Raise unless obj is a JSON object that holds each of entries, a
+    value of its type; what begins the error."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what}: expected an object, got {_json_type(obj)}")
+    for name, kind in entries.items():
+        if name not in obj:
+            raise ValueError(f"{what}: no {name!r} entry (it holds {', '.join(sorted(obj))})")
+        if not isinstance(obj[name], kind):
+            got = _json_type(obj[name])
+            raise ValueError(f"{what}: {name!r} must be {_JSON_TYPES[kind]}, got {got}")
+
+
 def _check_object(d, what: str, **entries: type) -> None:
     """Raise unless d is a JSON object of schema SCHEMA_VERSION that holds
     each of entries, a value of its type; what names the kind."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} JSON: expected an object, got {_json_type(d)}")
+    _check_entries(d, f"{what} JSON")
     found = d.get("schema")
     if found != SCHEMA_VERSION:
         raise ValueError(f"{what} JSON schema is {found}, expected {SCHEMA_VERSION}")
-    for name, kind in entries.items():
-        if name not in d:
-            raise ValueError(f"{what} JSON: no {name!r} entry (it holds {', '.join(sorted(d))})")
-        if not isinstance(d[name], kind):
-            got = _json_type(d[name])
-            raise ValueError(f"{what} JSON: {name!r} must be {_JSON_TYPES[kind]}, got {got}")
+    _check_entries(d, f"{what} JSON", **entries)
 
 
 def grid_to_dict(grid: BinGrid) -> dict:
@@ -122,6 +129,8 @@ def moments_from_dict(d: dict) -> tuple[BinGrid, BinMoments]:
     grid = grid_from_dict(d["grid"], "moments grid")
     n, bins = grid.dim, d["bins"]
     keys = [_unkey(s, grid, "moments") for s in bins]
+    for s, b in bins.items():  # _int checks count
+        _check_entries(b, f"moments bin {s!r}", count=object, c2=list, t=list)
     c2 = [_array(b, "c2", (n, n), "moments", s) for s, b in bins.items()]
     t = [_array(b, "t", (n, n), "moments", s) for s, b in bins.items()]
     counts = [_int(b["count"], 1, f"moments bin {s!r}", "count") for s, b in bins.items()]
@@ -149,13 +158,11 @@ def field_to_dict(field: FrameField) -> dict:
 def field_from_dict(d: dict) -> FrameField:
     _check_object(d, "field", grid=dict, frames=dict, component_ids=dict)
     grid = grid_from_dict(d["grid"], "field grid")
-    n, ids = grid.dim, d["component_ids"]
-    frames = {}
+    n, frames = grid.dim, {}
     for s, f in d["frames"].items():
         key = _unkey(s, grid, "field")
+        _check_entries(f, f"field bin {s!r}", m=list, d=list, degenerate=object)
         m, dd = _array(f, "m", (n, n), "field", s), _array(f, "d", (n,), "field", s)
-        if s not in ids:
-            raise ValueError(f"field bin {s!r}: no component_ids entry")
         flag = f["degenerate"]
         if type(flag) is not bool:
             raise ValueError(f"field bin {s!r}: degenerate must be true or false, got {flag!r}")
@@ -164,12 +171,10 @@ def field_from_dict(d: dict) -> FrameField:
         except np.linalg.LinAlgError:
             raise ValueError(f"field bin {s!r}: m is singular") from None
         frames[key] = LocalFrame(m, v, dd, flag)
-    comp = {}
-    for s, c in ids.items():
-        key = _unkey(s, grid, "field")
-        if key not in frames:
-            raise ValueError(f"field bin {s!r}: component_ids entry but no frame")
-        comp[key] = _int(c, 0, f"field bin {s!r}", "component id")
+    comp = {
+        _unkey(s, grid, "field"): _int(c, 0, f"field bin {s!r}", "component id")
+        for s, c in d["component_ids"].items()
+    }
     return FrameField(grid, frames, comp)
 
 

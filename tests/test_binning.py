@@ -47,7 +47,7 @@ def binned_fits(draw):
     for k in keys:
         m = rng.standard_normal((dim, dim)) + 3 * np.eye(dim)
         frames[k] = LocalFrame(m, np.linalg.inv(m), np.arange(dim, 0, -1.0))
-    return traj, vel, FrameField(grid, frames)
+    return traj, vel, FrameField(grid, frames, dict.fromkeys(frames, 0))
 
 
 def reference_order(traj, vel, grid):

@@ -165,6 +165,31 @@ class TestStagedPipeline:
         assert rc == 2
         assert "weight series has 3 channels, field dimension 2" in capsys.readouterr().err
 
+    def test_reconstruct_x0_dimension_named(self, staged, tmp_path, capsys):
+        out = tmp_path / "recon.csv"
+        rc = run(
+            ["reconstruct", "--weights", staged / "weights.csv", "--field", staged / "field.json",
+             "--x0=0,0,0", "--out", out]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error [reconstruct]: x0 dimension 3, grid dimension 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_weights_dimension_names_both_files(self, staged, tmp_path, capsys, dim):
+        # a trajectory of another dimension than the field's is named with
+        # both numbers and both files before any binning
+        traj = tmp_path / "walk.csv"
+        write_csv_trajectory(gen_bounded_walk(500, seed=1, dim=dim, dt=0.01), traj)
+        field, out = staged / "field.json", tmp_path / "w.csv"
+        capsys.readouterr()
+        assert run(["weights", "--in", traj, "--field", field, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error [weights]: {traj}: trajectory dimension {dim} does not match "
+            f"the dimension 2 of the field {field}\n"
+        )
+        assert not out.exists()
+
     def test_reconstruct_negative_x0_as_separate_argument(self, staged, tmp_path):
         # "--x0 -0.5,0.2" must work as "--x0=-0.5,0.2" does
         w = read_csv_weights(staged / "weights.csv")
@@ -287,9 +312,10 @@ def _rename_first(bins: dict, key: str) -> str:
     return first
 
 
-# (file, edit of its JSON, message): each bin must lie in its grid, have one
-# key spelling and hold arrays of the grid's dimension, and each frame needs a
-# component id and each component id a frame
+# (file, edit of its JSON, message): each bin must be an object holding its
+# entries, lie in its grid, have one key spelling and hold arrays of the
+# grid's dimension, and each frame needs a component id and each component
+# id a frame
 BAD_BINS = {
     "moments-key-outside": (
         "moments.json",
@@ -344,12 +370,27 @@ BAD_BINS = {
     "field-component-id-without-frame": (
         "field.json",
         lambda d: d["frames"].pop("0,0"),
-        "field bin '0,0': component_ids entry but no frame",
+        "frame bin (0, 0): component id but no frame",
     ),
     "field-no-component-id": (
         "field.json",
         lambda d: d["component_ids"].pop("0,0"),
-        "field bin '0,0': no component_ids entry",
+        "frame bin (0, 0): no component id",
+    ),
+    "moments-bin-without-t": (
+        "moments.json",
+        lambda d: d["bins"]["0,0"].pop("t"),
+        "moments bin '0,0': no 't' entry (it holds c2, count)",
+    ),
+    "moments-bin-array": (
+        "moments.json",
+        lambda d: d["bins"].update({"0,0": [1, 2]}),
+        "moments bin '0,0': expected an object, got an array",
+    ),
+    "field-bin-without-degenerate": (
+        "field.json",
+        lambda d: d["frames"]["0,0"].pop("degenerate"),
+        "field bin '0,0': no 'degenerate' entry (it holds d, m)",
     ),
 }
 

@@ -156,7 +156,8 @@ def rows_of(moments):
 def one_bin(frame, c2, t):
     """A one-bin field of frame, and the BinMoments it was solved from."""
     key = (0,) * len(frame.d)
-    return FrameField(_grid((1,) * len(frame.d)), {key: frame}), BinMoments([key], [1], [c2], [t])
+    field = FrameField(_grid((1,) * len(frame.d)), {key: frame}, {key: 0})
+    return field, BinMoments([key], [1], [c2], [t])
 
 
 class TestFitField:
@@ -258,7 +259,8 @@ class TestStackedSolve:
                 assert f.degenerate_flag == g.degenerate_flag
                 for a, b in ((f.m, g.m), (f.v, g.v), (f.d, g.d)):
                     assert a.tobytes() == b.tobytes()
-        assert frame_residuals(FrameField(grid, frames), moments) == residuals_reference(
+        field = FrameField(grid, frames, dict.fromkeys(frames, 0))
+        assert frame_residuals(field, moments) == residuals_reference(
             frames.values(), moments.c2, moments.t
         )
 
@@ -292,6 +294,26 @@ class TestStackedSolve:
         assert not frames[(1, 0)].degenerate_flag
         assert frames[(3, 0)].degenerate_flag
         np.testing.assert_array_equal(frames[(1, 0)].m @ frames[(1, 0)].v, np.eye(2))
+
+    @settings(max_examples=30, deadline=None)
+    @given(moment_stacks())
+    def test_residuals_pair_each_frame_with_its_bin(self, case):
+        # the aligned field holds its bins in visiting order, the moments
+        # in their own: each frame is checked against its own bin's row
+        grid, moments = case
+        field, _ = fit_field(grid, moments)
+        row = rows_of(moments)
+        rows = [row[k] for k in field.frames]
+        assert frame_residuals(field, moments) == residuals_reference(
+            field.frames.values(), moments.c2[rows], moments.t[rows]
+        )
+
+    def test_residuals_name_a_bin_without_moments(self):
+        c2, t = np.eye(2), np.diag([3.0, 1.0])
+        moments = BinMoments([(0, 0), (2, 0)], [50, 50], [c2] * 2, [t] * 2)
+        field, _ = fit_field(_grid((3, 1)), moments)
+        with pytest.raises(ValueError, match=r"^field bin \(2, 0\): no moments row$"):
+            frame_residuals(field, BinMoments([(0, 0)], [50], [c2], [t]))
 
     def test_no_moments(self):
         with pytest.raises(ValueError, match="^no frames to align$"):

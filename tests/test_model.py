@@ -205,7 +205,9 @@ class TestBinGridFlatIndex:
 
     def test_dimension_checked(self):
         grid = BinGrid((np.array([0.0, 1.0]),), 1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(
+            DimensionMismatchError, match="^point dimension 2, grid dimension 1$"
+        ):
             grid.flat_index(np.zeros((3, 2)))
 
 
@@ -273,13 +275,27 @@ class TestFrameField:
     )
     def test_bad_bin_rejected_by_name(self, key, frame, message):
         with pytest.raises(ValueError, match=f"^frame bin {message}"):
-            FrameField(GRID_2X2, {(0, 0): EYE_FRAME, key: frame})
+            FrameField(GRID_2X2, {(0, 0): EYE_FRAME, key: frame}, {(0, 0): 0, key: 0})
 
     def test_one_bad_shape_for_every_bin_rejected(self):
         # every m 3 x 3 stacks without error, so the shape of the stack is checked too
         frame = LocalFrame(np.eye(3), np.eye(3), np.ones(2))
         with pytest.raises(ValueError, match=r"^frame bin \(0, 0\): m has shape \(3, 3\)"):
-            FrameField(GRID_2X2, {(0, 0): frame, (1, 1): frame})
+            FrameField(GRID_2X2, {(0, 0): frame, (1, 1): frame}, {(0, 0): 0, (1, 1): 0})
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ({(0, 0): 0}, r"\(1, 1\): no component id"),
+            ({}, r"\(0, 0\): no component id"),
+            ({(0, 0): 0, (1, 1): 0, (0, 1): 1}, r"\(0, 1\): component id but no frame"),
+        ],
+    )
+    def test_component_ids_name_exactly_the_bins(self, ids, message):
+        # a field that holds a bin without an id, or an id without a frame,
+        # would dump a file its loader rejects
+        with pytest.raises(ValueError, match=f"^frame bin {message}$"):
+            FrameField(GRID_2X2, dict.fromkeys([(0, 0), (1, 1)], EYE_FRAME), ids)
 
 
 @st.composite

@@ -133,6 +133,12 @@ class TestIntegrateWeights:
         with pytest.raises(DimensionMismatchError, match="3 channels, field dimension 2"):
             integrate_weights(w, field, np.zeros(2), 5)
 
+    def test_x0_dimension_checked(self):
+        field = single_bin_field(np.eye(2))
+        w = WeightSeries(np.zeros((5, 2)), np.ones(5, dtype=bool))
+        with pytest.raises(ValueError, match="^x0 dimension 3, grid dimension 2$"):
+            integrate_weights(w, field, np.zeros(3), 5)
+
     def test_negative_steps_rejected(self):
         field = single_bin_field(np.eye(1))
         w = WeightSeries(np.zeros((5, 1)), np.ones(5, dtype=bool))

@@ -151,7 +151,7 @@ class TestBinKeys:
         traj, res = make_pipeline()
         d = serialize.field_to_dict(res.field)
         del d["frames"]["0,1"]
-        with pytest.raises(ValueError, match="^field bin '0,1': component_ids entry but no frame$"):
+        with pytest.raises(ValueError, match=r"^frame bin \(0, 1\): component id but no frame$"):
             serialize.field_from_dict(d)
 
     @pytest.mark.parametrize(

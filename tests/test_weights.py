@@ -130,7 +130,7 @@ def _random_field_inputs(n, dim, seed=0, margin=0.1):
     mask = np.ones(n, dtype=bool)
     mask[::20] = False
     vel = VelocitySeries(rng.standard_normal((n, dim)), mask)
-    return traj, vel, FrameField(grid, frames)
+    return traj, vel, FrameField(grid, frames, dict.fromkeys(frames, 0))
 
 
 def full_sweep_lookup(field):
@@ -153,7 +153,8 @@ def full_sweep_lookup(field):
 def identity_field(shape, occupied):
     eye = np.eye(len(shape))
     frames = {k: LocalFrame(eye, eye, np.ones(len(shape))) for k in occupied}
-    return FrameField(BinGrid(tuple(np.linspace(0, 1, s + 1) for s in shape), 1), frames)
+    grid = BinGrid(tuple(np.linspace(0, 1, s + 1) for s in shape), 1)
+    return FrameField(grid, frames, dict.fromkeys(frames, 0))
 
 
 @st.composite
@@ -224,7 +225,7 @@ class TestBlockwiseWeights:
         for key in [(0, 0), (1, 0), (2, 0)]:
             m = rng.standard_normal((2, 2)) + 3 * np.eye(2)
             frames[key] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
-        field = FrameField(grid, frames)
+        field = FrameField(grid, frames, dict.fromkeys(frames, 0))
         w = compute_weights(traj, vel, field, bin_samples(traj, vel, grid))
         values, valid, fallback = per_bin_weights(traj, vel, field)
         assert valid.all() and np.count_nonzero(fallback) == 5
@@ -244,7 +245,8 @@ class TestBlockwiseWeights:
         grid = BinGrid(tuple(np.linspace(0.0, 1.0, s + 1) for s in shape), 1)
         m = np.array([[2.0, 1.0], [-1.0, 3.0]])
         frame = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
-        field = FrameField(grid, {k: frame for i, k in enumerate(np.ndindex(shape)) if i % 7 == 0})
+        keys = [k for i, k in enumerate(np.ndindex(shape)) if i % 7 == 0]
+        field = FrameField(grid, dict.fromkeys(keys, frame), dict.fromkeys(keys, 0))
         w = compute_weights(traj, vel, field, bin_samples(traj, vel, grid))
         values, valid, fallback = per_bin_weights(traj, vel, field)
         assert fallback.any() and (mask & ~valid).any()
