@@ -5,9 +5,10 @@
 
 For each input it prints the median of 5 runs, in ms, of the velocity
 (`estimate_velocity`), the binning (`bin_samples`), the moments
-(`accumulate_moments`), `fit_field`, the weights (`compute_weights`) and the
-save of the field (`field_to_dict` and `dump_json`, to a temporary file),
-each stage run on the output of the one before.  It also prints the input's
+(`accumulate_moments`), `fit_field`, the weights (`compute_weights`), the
+save of the field (`field_to_dict` and `dump_json`, to a temporary file) and
+its load (`serialize.load` with `field_from_dict`), each stage run on the
+output of the one before.  It also prints the input's
 occupied bins and aligned components, the breadth-first levels below the
 components' roots, summed over the components, and the largest depth of a
 bin below its root.  A search level by level per component solves one
@@ -128,8 +129,8 @@ def csv_reads(traj, w) -> None:
 def main() -> None:
     print(f"median of {REPEATS} runs, ms")
     header = ("input", "bins", "components", "levels", "depth")
-    header += ("velocity", "binning", "moments", "fit_field", "weights", "save")
-    print("{:<27}{:>7}{:>11}{:>8}{:>7}{:>10}{:>9}{:>9}{:>10}{:>9}{:>7}".format(*header))
+    header += ("velocity", "binning", "moments", "fit_field", "weights", "save", "load")
+    print("{:<27}{:>7}{:>11}{:>8}{:>7}{:>10}{:>9}{:>9}{:>10}{:>9}{:>7}{:>7}".format(*header))
     for name, traj, bins, min_count in inputs():
         vel, t_vel = timed(lambda: estimate_velocity(traj))
         grid = build_grid(traj, bins, min_count)
@@ -142,11 +143,12 @@ def main() -> None:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "field.json"
             _, t_save = timed(lambda: serialize.dump_json(serialize.field_to_dict(field), path))
+            _, t_load = timed(lambda: serialize.load(path, serialize.field_from_dict))
         components = len(set(field.component_ids.values()))
         n_levels, depth = levels(field)
         print(
             f"{name:<27}{len(moments):>7}{components:>11}{n_levels:>8}{depth:>7}{t_vel:>10.1f}"
-            f"{t_bin:>9.1f}{t_moments:>9.1f}{t_fit:>10.1f}{t_weights:>9.1f}{t_save:>7.1f}"
+            f"{t_bin:>9.1f}{t_moments:>9.1f}{t_fit:>10.1f}{t_weights:>9.1f}{t_save:>7.1f}{t_load:>7.1f}"
         )
     csv_reads(*csv_input)
 

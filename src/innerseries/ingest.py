@@ -170,10 +170,10 @@ def _blocks(parts, counts: list[int], width: int):
 @contextlib.contextmanager
 def _read_csv_body(path):
     """Yield (header, n, blocks) for a CSV whose cells are all finite numbers
-    (quoted or not; blank lines skipped) under a header of distinct names:
-    blocks yields (lo, rows) for the n body rows in order (see _blocks), for
-    the caller to copy into the arrays it returns.  Errors name the row and
-    column at fault.
+    (quoted or not; blank body lines skipped) under a header of distinct
+    names on line 1: blocks yields (lo, rows) for the n body rows in order
+    (see _blocks), for the caller to copy into the arrays it returns.
+    Errors name the row and column at fault.
 
     A body of at least 2 * _PART_BYTES is cut after line feeds into one
     part per usable CPU.  Each part is parsed (_parse_part) into an unlinked
@@ -186,6 +186,8 @@ def _read_csv_body(path):
         header = next(csv.reader(head.append(line) or line for line in fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file, no header row")
+        if not header:  # csv.reader gives a blank line no cells
+            raise ValueError(f"{path}: line 1 is blank; the header row must come first")
         repeated = [name for i, name in enumerate(header) if name in header[:i]]
         if repeated:
             raise ValueError(f"{path}: column {repeated[0]!r} appears more than once in the header")

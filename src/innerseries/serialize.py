@@ -1,64 +1,45 @@
 """JSON serialization for grids, moments, and frame fields.
 
-Floats go through Python's shortest round-trip repr, so a load after a dump
-reproduces every value bit-exactly.  Every artifact carries "schema"; the
-loaders reject any version but SCHEMA_VERSION, one version for all three
-kinds.  Grids hold edges and min_count only, no sample indices; moments
-bins hold count, c2 and the contracted fourth moment t, both N x N.  The
-loaders check that each artifact and bin is a JSON object holding its
-entries before they read any, then each bin against its grid: a key of N
-indices inside the grid's shape, spelled as the dumpers write it ("0,1",
-not "00,1"), finite arrays of the grid's dimension, a count that is an
-integer >= 1, a degenerate flag that is true or false and an invertible m;
-a field's component ids are integers >= 0 (FrameField checks that they name
-exactly its bins), and the grid's min_count is an integer >= 1.  Each error
-names the file kind, and the bin where there is one; load adds the path.
+Every artifact is a JSON object with "schema"; the loaders reject any
+version but SCHEMA_VERSION, one for all three kinds.  Grids hold edges and
+min_count only.  A moments file's "bins" and a field's "frames" hold one row
+per bin, in one order: keys, counts, degenerate flags and component ids as
+JSON lists, and each float stack (c2 and t, N x N; m, N x N, and d, N) as one
+base64 string of its little-endian float64 bytes.  So a load is bit-exact,
+one decode per stack, and each artifact stays one JSON file.  The loaders
+check every entry's JSON type, keys inside the grid and none twice, every
+stack's byte length and finiteness, and that m inverts; each error names the
+file kind, and the bin where there is one, and load adds the path.
 """
 
 from __future__ import annotations
 
+import base64
+import collections
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .model import BinGrid, BinMoments, FrameField, LocalFrame
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
+
+# each integer or flag entry's test (a JSON integer is no float or boolean), in words
+_RULES = {
+    "min_count": (lambda v: type(v) is int and v >= 1, "min_count must be an integer >= 1"),
+    "count": (lambda v: type(v) is int and v >= 1, "count must be an integer >= 1"),
+    "degenerate": (lambda v: type(v) is bool, "degenerate must be true or false"),
+    "component_ids": (lambda v: type(v) is int and v >= 0, "component id must be an integer >= 0"),
+}
 
 
-def _key(idx: tuple[int, ...]) -> str:
-    return ",".join(map(str, idx))
-
-
-def _unkey(s: str, grid: BinGrid, what: str) -> tuple[int, ...]:
-    """The bin index of key s, which must be spelled as _key writes it, so
-    that one bin has one key."""
-    try:
-        idx = tuple(int(p) for p in s.split(","))
-    except ValueError:
-        idx = None
-    if idx is None or _key(idx) != s:
-        raise ValueError(f"{what} bin {s!r}: not a key of comma-separated integers in plain form")
-    if len(idx) != grid.dim:
-        raise ValueError(f"{what} bin {s!r}: key length {len(idx)}, grid dimension {grid.dim}")
-    if not all(0 <= i < n for i, n in zip(idx, grid.shape)):
-        raise ValueError(f"{what} bin {s!r}: outside the grid of shape {grid.shape}")
-    return idx
-
-
-def _array(b: dict, name: str, shape: tuple[int, ...], what: str, s: str) -> np.ndarray:
-    a = np.asarray(b[name], dtype=float)
-    if a.shape != shape:
-        raise ValueError(f"{what} bin {s!r}: {name} has shape {a.shape}, expected {shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} bin {s!r}: {name} contains non-finite values")
-    return a
-
-
-def _int(value, low: int, where: str, name: str) -> int:
-    if type(value) is not int or value < low:  # a JSON integer, not a float or a boolean
-        raise ValueError(f"{where}: {name} must be an integer >= {low}, got {value!r}")
+def _check(value, name: str, where: str):
+    """value, if it is what the entry name must be; where begins the error."""
+    ok, rule = _RULES[name]
+    if not ok(value):
+        raise ValueError(f"{where}: {rule}, got {value!r}")
     return value
 
 
@@ -97,96 +78,115 @@ def _check_object(d, what: str, **entries: type) -> None:
 
 
 def grid_to_dict(grid: BinGrid) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "edges": [e.tolist() for e in grid.edges],
-        "min_count": grid.min_count,
-    }
+    edges = [e.tolist() for e in grid.edges]
+    return {"schema": SCHEMA_VERSION, "edges": edges, "min_count": grid.min_count}
 
 
 def grid_from_dict(d: dict, what: str = "grid") -> BinGrid:
-    """The grid of d; what names it in a bad min_count's error."""
-    _check_object(d, "grid", edges=list, min_count=object)  # _int checks min_count
-    min_count = _int(d["min_count"], 1, what, "min_count")
-    return BinGrid(tuple(np.asarray(e) for e in d["edges"]), min_count)
+    """The grid of d; what names it in the error of a bad axis or min_count."""
+    _check_object(d, "grid", edges=list, min_count=object)
+    min_count = _check(d["min_count"], "min_count", what)
+    for axis, e in enumerate(d["edges"]):
+        wrong = [x for x in e if type(x) not in (int, float)] if type(e) is list else [e]
+        if wrong:
+            got = _json_type(wrong[0])
+            raise ValueError(f"{what}: edges[{axis}] must be an array of numbers, found {got}")
+    return BinGrid(tuple(np.array(e, dtype=float) for e in d["edges"]), min_count)
+
+
+def _encode(stack: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(stack, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _keys(keys: list, grid: BinGrid, what: str) -> list[tuple[int, ...]]:
+    """keys, one array of grid.dim integers per bin, each inside the grid
+    and none twice, as tuples; what begins the error."""
+    n, shape = grid.dim, grid.shape
+    for k in keys:
+        if type(k) is not list or len(k) != n or not all(
+            type(i) is int and 0 <= i < size for i, size in zip(k, shape)
+        ):
+            raise ValueError(f"{what} keys: {k!r} is not {n} integers inside the grid {shape}")
+    bins = list(map(tuple, keys))
+    if twice := [k for k, count in collections.Counter(bins).items() if count > 1]:
+        raise ValueError(f"{what} bin {twice[0]}: listed more than once")
+    return bins
+
+
+def _decode(rows: dict, name: str, bins: list, shape: tuple, what: str) -> np.ndarray:
+    """The stack rows[name], one finite row of shape per bin, as a read-only
+    float64 array; what begins the error."""
+    try:
+        raw = base64.b64decode(rows[name], validate=True)
+    except ValueError as err:  # binascii.Error, or text that is not ASCII
+        raise ValueError(f"{what} {name}: not base64 text: {err}") from None
+    if len(raw) != (size := 8 * len(bins) * math.prod(shape)):
+        raise ValueError(f"{what} {name}: {len(raw)} bytes, expected {size} for {len(bins)} bins")
+    stack = np.frombuffer(raw, dtype="<f8")
+    if len(bad := np.flatnonzero(~np.isfinite(stack))):
+        key = bins[bad[0] // math.prod(shape)]
+        raise ValueError(f"{what} bin {key}: {name} contains non-finite values")
+    return stack.reshape(len(bins), *shape)
+
+
+def _column(rows: dict, name: str, bins: list, what: str) -> list:
+    """The list rows[name], one entry per bin, each what _RULES says it must
+    be; the error for another entry names its bin."""
+    entries, (ok, _) = rows[name], _RULES[name]
+    if len(entries) != len(bins):
+        raise ValueError(f"{what} {name}: {len(entries)} entries for {len(bins)} keys")
+    for key, entry in zip(bins, entries):
+        if not ok(entry):
+            _check(entry, name, f"{what} bin {key}")
+    return entries
 
 
 def moments_to_dict(grid: BinGrid, moments: BinMoments) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "grid": grid_to_dict(grid),
-        "bins": {
-            _key(k): {"count": count, "c2": c2.tolist(), "t": t.tolist()}
-            for k, count, c2, t in zip(
-                moments.keys.tolist(), moments.count.tolist(), moments.c2, moments.t
-            )
-        },
-    }
+    bins = {"keys": moments.keys.tolist(), "count": moments.count.tolist()}
+    bins.update(c2=_encode(moments.c2), t=_encode(moments.t))
+    return {"schema": SCHEMA_VERSION, "grid": grid_to_dict(grid), "bins": bins}
 
 
 def moments_from_dict(d: dict) -> tuple[BinGrid, BinMoments]:
     _check_object(d, "moments", grid=dict, bins=dict)
     grid = grid_from_dict(d["grid"], "moments grid")
     n, bins = grid.dim, d["bins"]
-    keys = [_unkey(s, grid, "moments") for s in bins]
-    for s, b in bins.items():  # _int checks count
-        _check_entries(b, f"moments bin {s!r}", count=object, c2=list, t=list)
-    c2 = [_array(b, "c2", (n, n), "moments", s) for s, b in bins.items()]
-    t = [_array(b, "t", (n, n), "moments", s) for s, b in bins.items()]
-    counts = [_int(b["count"], 1, f"moments bin {s!r}", "count") for s, b in bins.items()]
-    return grid, BinMoments(
-        np.reshape(keys, (-1, n)), counts, np.reshape(c2, (-1, n, n)), np.reshape(t, (-1, n, n))
-    )
+    _check_entries(bins, "moments bins", keys=list, count=list, c2=str, t=str)
+    keys = _keys(bins["keys"], grid, "moments")
+    count = _column(bins, "count", keys, "moments")
+    c2, t = (_decode(bins, name, keys, (n, n), "moments") for name in ("c2", "t"))
+    return grid, BinMoments(np.reshape(keys, (-1, n)), count, c2, t)
 
 
 def field_to_dict(field: FrameField) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "grid": grid_to_dict(field.grid),
-        "frames": {
-            _key(k): {
-                "m": f.m.tolist(),
-                "d": f.d.tolist(),
-                "degenerate": bool(f.degenerate_flag),
-            }
-            for k, f in field.frames.items()
-        },
-        "component_ids": {_key(k): c for k, c in field.component_ids.items()},
-    }
+    frames = {"keys": field.keys.tolist(), "m": _encode(field.m), "d": _encode(field.d)}
+    frames["degenerate"] = [bool(f.degenerate_flag) for f in field.frames.values()]
+    frames["component_ids"] = [field.component_ids[k] for k in field.frames]
+    return {"schema": SCHEMA_VERSION, "grid": grid_to_dict(field.grid), "frames": frames}
 
 
 def field_from_dict(d: dict) -> FrameField:
-    _check_object(d, "field", grid=dict, frames=dict, component_ids=dict)
+    _check_object(d, "field", grid=dict, frames=dict)
     grid = grid_from_dict(d["grid"], "field grid")
-    n, frames = grid.dim, {}
-    for s, f in d["frames"].items():
-        key = _unkey(s, grid, "field")
-        _check_entries(f, f"field bin {s!r}", m=list, d=list, degenerate=object)
-        m, dd = _array(f, "m", (n, n), "field", s), _array(f, "d", (n,), "field", s)
-        flag = f["degenerate"]
-        if type(flag) is not bool:
-            raise ValueError(f"field bin {s!r}: degenerate must be true or false, got {flag!r}")
-        try:
-            v = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            raise ValueError(f"field bin {s!r}: m is singular") from None
-        frames[key] = LocalFrame(m, v, dd, flag)
-    comp = {
-        _unkey(s, grid, "field"): _int(c, 0, f"field bin {s!r}", "component id")
-        for s, c in d["component_ids"].items()
-    }
-    return FrameField(grid, frames, comp)
+    n, rows = grid.dim, d["frames"]
+    entries = dict(keys=list, m=str, d=str, degenerate=list, component_ids=list)
+    _check_entries(rows, "field frames", **entries)
+    keys = _keys(rows["keys"], grid, "field")
+    m, dd = _decode(rows, "m", keys, (n, n), "field"), _decode(rows, "d", keys, (n,), "field")
+    flags, comp = (_column(rows, name, keys, "field") for name in ("degenerate", "component_ids"))
+    try:
+        v = np.linalg.inv(m)
+    except np.linalg.LinAlgError:  # inv and slogdet share the LU that meets a zero pivot
+        with np.errstate(divide="ignore"):
+            key = keys[np.flatnonzero(np.linalg.slogdet(m)[0] == 0)[0]]
+        raise ValueError(f"field bin {key}: m is singular") from None
+    frames = dict(zip(keys, map(LocalFrame, m, v, dd, flags)))
+    return FrameField(grid, frames, dict(zip(keys, comp)))
 
 
 def json_default(o):
     """Coerce numpy scalars/arrays so reports serialize cleanly."""
-    if isinstance(o, np.bool_):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
+    if isinstance(o, (np.bool_, np.integer, np.floating, np.ndarray)):
         return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o)}")
 
@@ -203,10 +203,8 @@ def load_json(path) -> dict:
 
 
 def load(path, from_dict):
-    """from_dict (grid_from_dict, moments_from_dict or field_from_dict) of
-    the JSON file at path.  A file that is not JSON, and every ValueError
-    from_dict raises for it, down to a bad bin, fail with a ValueError that
-    begins with path."""
+    """from_dict (grid_, moments_ or field_from_dict) of the JSON file at path;
+    every ValueError, down to a bad bin, begins with path."""
     try:
         d = load_json(path)
     except ValueError as err:  # not JSON, or not text

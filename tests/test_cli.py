@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -279,7 +280,7 @@ class TestFramesSkip:
         )
         moments, field = tmp_path / "moments.json", tmp_path / "field.json"
         assert run(["moments", "--in", traj, "--bins", "8", "--out", moments]) == 0
-        assert {"5", "6", "7"} <= set(serialize.load_json(moments)["bins"])
+        assert [[5], [6], [7]] == serialize.load_json(moments)["bins"]["keys"][-3:]
         capsys.readouterr()
         assert run(["frames", "--moments", moments, "--out", field]) == 0
         lines = capsys.readouterr().err.splitlines()
@@ -306,91 +307,210 @@ class TestFramesSkip:
         assert not field.exists()
 
 
-def _rename_first(bins: dict, key: str) -> str:
-    first = next(iter(bins))
-    bins[key] = bins.pop(first)
-    return first
+def _rows(d: dict) -> dict:
+    """The rows of a moments or field dict: its bins or its frames."""
+    return d["bins"] if "bins" in d else d["frames"]
 
 
-# (file, edit of its JSON, message): each bin must be an object holding its
-# entries, lie in its grid, have one key spelling and hold arrays of the
-# grid's dimension, and each frame needs a component id and each component
-# id a frame
+def _set(name: str, value, key=(1, 1)):
+    """An edit that sets the entry name of bin key to value; a stack's row
+    is set to value's floats."""
+
+    def edit(d):
+        rows = _rows(d)
+        at = rows["keys"].index(list(key))
+        if isinstance(rows[name], str):
+            stack = np.frombuffer(base64.b64decode(rows[name]), dtype="<f8").copy()
+            stack.reshape(len(rows["keys"]), -1)[at] = np.ravel(value)
+            rows[name] = base64.b64encode(stack.tobytes()).decode("ascii")
+        else:
+            rows[name][at] = value
+
+    return edit
+
+
+def _stack(name: str, shape=None, cut=0):
+    """An edit that gives stack name rows of shape, or cuts cut bytes off it."""
+
+    def edit(d):
+        rows = _rows(d)
+        raw = base64.b64decode(rows[name])
+        if shape is not None:
+            raw = np.ones((len(rows["keys"]), *shape)).tobytes()
+        rows[name] = base64.b64encode(raw[: len(raw) - cut]).decode("ascii")
+
+    return edit
+
+
+def _as_schema_4(d: dict) -> None:
+    """Rewrite d in the schema 4 layout: one object per bin under its "i,j"
+    key, of nested lists, and the field's component ids in an object of
+    their own."""
+    kind = "bins" if "bins" in d else "frames"
+    rows, n = d.pop(kind), len(d["grid"]["edges"])
+    keys = [",".join(map(str, k)) for k in rows.pop("keys")]
+    if kind == "frames":
+        d["component_ids"] = dict(zip(keys, rows.pop("component_ids")))
+    for name, value in rows.items():
+        if isinstance(value, str):
+            stack = np.frombuffer(base64.b64decode(value), dtype="<f8")
+            rows[name] = stack.reshape(len(keys), *((n,) if name == "d" else (n, n))).tolist()
+    d[kind] = {k: {name: column[i] for name, column in rows.items()} for i, k in enumerate(keys)}
+    d["schema"] = d["grid"]["schema"] = 4
+
+
+# (file, edit of its JSON, message): the bins and frames entries hold their
+# lists and base64 float64 stacks, one row per key; each key is an array of
+# N integers inside the grid, listed once; each stack has its byte length
+# and finite values; each list entry has its JSON type; and the grid's axes
+# are arrays of numbers
 BAD_BINS = {
     "moments-key-outside": (
         "moments.json",
-        lambda d: _rename_first(d["bins"], "7,7"),
-        "moments bin '7,7': outside the grid of shape (3, 3)",
+        lambda d: d["bins"]["keys"].__setitem__(0, [7, 7]),
+        "moments keys: [7, 7] is not 2 integers inside the grid (3, 3)",
     ),
     "moments-key-length": (
         "moments.json",
-        lambda d: _rename_first(d["bins"], "1"),
-        "moments bin '1': key length 1, grid dimension 2",
+        lambda d: d["bins"]["keys"].__setitem__(0, [1]),
+        "moments keys: [1] is not 2 integers inside the grid (3, 3)",
     ),
     "moments-c2-shape": (
         "moments.json",
-        lambda d: d["bins"]["0,0"].update(c2=np.eye(3).tolist(), t=np.eye(3).tolist()),
-        "moments bin '0,0': c2 has shape (3, 3), expected (2, 2)",
+        _stack("c2", (3, 3)),
+        "moments c2: 648 bytes, expected 288 for 9 bins",
     ),
     "moments-t-shape": (
         "moments.json",
-        lambda d: d["bins"]["0,0"].update(t=np.eye(3).tolist()),
-        "moments bin '0,0': t has shape (3, 3), expected (2, 2)",
+        _stack("t", (3, 3)),
+        "moments t: 648 bytes, expected 288 for 9 bins",
+    ),
+    "moments-t-short": (
+        "moments.json",
+        _stack("t", cut=1),
+        "moments t: 287 bytes, expected 288 for 9 bins",
     ),
     "field-key-negative": (
         "field.json",
-        lambda d: _rename_first(d["frames"], "-1,0"),
-        "field bin '-1,0': outside the grid of shape (3, 3)",
+        lambda d: d["frames"]["keys"].__setitem__(0, [-1, 0]),
+        "field keys: [-1, 0] is not 2 integers inside the grid (3, 3)",
     ),
     "field-key-length": (
         "field.json",
-        lambda d: _rename_first(d["frames"], "0,0,0"),
-        "field bin '0,0,0': key length 3, grid dimension 2",
+        lambda d: d["frames"]["keys"].__setitem__(0, [0, 0, 0]),
+        "field keys: [0, 0, 0] is not 2 integers inside the grid (3, 3)",
     ),
     "field-m-shape": (
         "field.json",
-        lambda d: d["frames"]["0,0"].update(m=np.eye(3).tolist()),
-        "field bin '0,0': m has shape (3, 3), expected (2, 2)",
+        _stack("m", (3, 3)),
+        "field m: 648 bytes, expected 288 for 9 bins",
     ),
     "field-d-shape": (
         "field.json",
-        lambda d: d["frames"]["0,0"].update(d=[1.0]),
-        "field bin '0,0': d has shape (1,), expected (2,)",
+        _stack("d", (1,)),
+        "field d: 72 bytes, expected 144 for 9 bins",
+    ),
+    "field-m-not-base64": (
+        "field.json",
+        lambda d: d["frames"].update(m="not base64!"),
+        "field m: not base64 text: Only base64 data is allowed",
+    ),
+    "field-d-not-ascii": (
+        "field.json",
+        lambda d: d["frames"].update(d="\u00e9t\u00e9"),
+        "field d: not base64 text: string argument should contain only ASCII characters",
+    ),
+    "field-d-nan": (
+        "field.json",
+        _set("d", [float("nan"), 1.0]),
+        "field bin (1, 1): d contains non-finite values",
+    ),
+    "moments-c2-inf": (
+        "moments.json",
+        _set("c2", [[1.0, 0.0], [0.0, float("-inf")]]),
+        "moments bin (1, 1): c2 contains non-finite values",
+    ),
+    "moments-key-twice": (
+        "moments.json",
+        _set("keys", [0, 0]),
+        "moments bin (0, 0): listed more than once",
+    ),
+    "field-key-twice": (
+        "field.json",
+        _set("keys", [2, 2]),
+        "field bin (2, 2): listed more than once",
     ),
     "moments-key-spelling": (
         "moments.json",
-        lambda d: d["bins"].update({"00,1": d["bins"]["0,1"]}),
-        "moments bin '00,1': not a key of comma-separated integers in plain form",
+        _set("keys", [0, 1.0], key=(0, 1)),
+        "moments keys: [0, 1.0] is not 2 integers inside the grid (3, 3)",
     ),
     "field-key-spelling": (
         "field.json",
-        lambda d: _rename_first(d["frames"], "0,00"),
-        "field bin '0,00': not a key of comma-separated integers in plain form",
+        _set("keys", "0,01", key=(0, 1)),
+        "field keys: '0,01' is not 2 integers inside the grid (3, 3)",
+    ),
+    "moments-count-zero": (
+        "moments.json",
+        _set("count", 0),
+        "moments bin (1, 1): count must be an integer >= 1, got 0",
+    ),
+    "moments-count-short": (
+        "moments.json",
+        lambda d: d["bins"]["count"].pop(),
+        "moments count: 8 entries for 9 keys",
+    ),
+    "field-degenerate-not-boolean": (
+        "field.json",
+        _set("degenerate", 0),
+        "field bin (1, 1): degenerate must be true or false, got 0",
+    ),
+    "field-component-id-negative": (
+        "field.json",
+        _set("component_ids", -1),
+        "field bin (1, 1): component id must be an integer >= 0, got -1",
+    ),
+    "field-m-singular": (
+        "field.json",
+        _set("m", [[1.0, 2.0], [2.0, 4.0]]),
+        "field bin (1, 1): m is singular",
     ),
     "field-component-id-without-frame": (
         "field.json",
-        lambda d: d["frames"].pop("0,0"),
-        "frame bin (0, 0): component id but no frame",
+        lambda d: d["frames"]["component_ids"].append(0),
+        "field component_ids: 10 entries for 9 keys",
     ),
     "field-no-component-id": (
         "field.json",
-        lambda d: d["component_ids"].pop("0,0"),
-        "frame bin (0, 0): no component id",
+        lambda d: d["frames"]["component_ids"].pop(),
+        "field component_ids: 8 entries for 9 keys",
     ),
     "moments-bin-without-t": (
         "moments.json",
-        lambda d: d["bins"]["0,0"].pop("t"),
-        "moments bin '0,0': no 't' entry (it holds c2, count)",
+        lambda d: d["bins"].pop("t"),
+        "moments bins: no 't' entry (it holds c2, count, keys)",
     ),
     "moments-bin-array": (
         "moments.json",
-        lambda d: d["bins"].update({"0,0": [1, 2]}),
-        "moments bin '0,0': expected an object, got an array",
+        lambda d: d["bins"].update(c2=np.eye(2).tolist()),
+        "moments bins: 'c2' must be a string, got an array",
     ),
     "field-bin-without-degenerate": (
         "field.json",
-        lambda d: d["frames"]["0,0"].pop("degenerate"),
-        "field bin '0,0': no 'degenerate' entry (it holds d, m)",
+        lambda d: d["frames"].pop("degenerate"),
+        "field frames: no 'degenerate' entry (it holds component_ids, d, keys, m)",
+    ),
+    "moments-schema-4": ("moments.json", _as_schema_4, "moments JSON schema is 4, expected 5"),
+    "field-schema-4": ("field.json", _as_schema_4, "field JSON schema is 4, expected 5"),
+    "moments-edges-string": (
+        "moments.json",
+        lambda d: d["grid"]["edges"][0].__setitem__(1, "x"),
+        "moments grid: edges[0] must be an array of numbers, found a string",
+    ),
+    "field-edges-nested": (
+        "field.json",
+        lambda d: d["grid"]["edges"].__setitem__(1, [[0.0, 1.0], [1.0, 2.0]]),
+        "field grid: edges[1] must be an array of numbers, found an array",
     ),
 }
 
@@ -449,7 +569,7 @@ WRONG_FILES = {
     ),
     "field": (
         _copy("field.json"),
-        lambda kind: f"{kind} JSON: no 'bins' entry (it holds component_ids, frames, grid, schema)",
+        lambda kind: f"{kind} JSON: no 'bins' entry (it holds frames, grid, schema)",
     ),
     "json-array": (
         lambda staged, p: p.write_text("[1, 2]\n"),
@@ -457,10 +577,10 @@ WRONG_FILES = {
     ),
     "report": (
         lambda staged, p: p.write_text('{"name": "sine", "passed": true}\n'),
-        lambda kind: f"{kind} JSON schema is None, expected 4",
+        lambda kind: f"{kind} JSON schema is None, expected 5",
     ),
     "grid-a-list": (
-        lambda staged, p: p.write_text('{"schema": 4, "grid": [], "bins": {}, "frames": {}}\n'),
+        lambda staged, p: p.write_text('{"schema": 5, "grid": [], "bins": {}, "frames": {}}\n'),
         lambda kind: f"{kind} JSON: 'grid' must be an object, got an array",
     ),
     "trajectory-csv": (_copy("walk.csv"), lambda kind: "not a JSON file: "),

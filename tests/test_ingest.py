@@ -169,6 +169,8 @@ class TestCsv:
             ("t,x\n", "no data rows"),
             ("t,x\n0,1\n", r"one data row, cannot infer dt from column 't'"),
             ("", "empty file, no header row"),
+            ("\nt,x\n0,1\n1,2\n", "line 1 is blank; the header row must come first"),
+            ("\n\n\n", "line 1 is blank; the header row must come first"),
             ("t,a,a\n0,1,2\n1,1,2\n", "column 'a' appears more than once in the header"),
             ("t,a,t\n0,1,0\n1,1,1\n", "column 't' appears more than once in the header"),
         ],
@@ -176,7 +178,7 @@ class TestCsv:
     def test_rejected_file(self, tmp_path, text, message):
         p = tmp_path / "a.csv"
         p.write_text(text)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{message}"):
             read_csv_trajectory(p)
 
 
