@@ -108,8 +108,10 @@ def cmd_weights(args) -> int:
             f"{args.input}: trajectory dimension {traj.dim} does not match "
             f"the dimension {field.grid.dim} of the field {args.field}"
         )
-    vel = estimate_velocity(traj)
-    w = compute_weights(traj, vel, field, bin_samples(traj, vel, field.grid))
+    # the velocity series only decides which samples are binned; the
+    # weights take their velocities from the trajectory
+    binning = bin_samples(traj, estimate_velocity(traj), field.grid)
+    w = compute_weights(traj, field, binning)
     write_csv_weights(w, args.out)
     return 0
 

@@ -15,6 +15,27 @@ def default_min_count(dim: int) -> int:
     return 50 * dim * dim
 
 
+def central_difference(
+    ahead: np.ndarray, behind: np.ndarray, dt: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(ahead - behind) / (2 dt), into out if given: the velocity at the
+    samples between the rows ahead and the rows behind.  Every velocity of
+    the package is formed here, so each one is the same to the bit.
+
+    When 2 dt is a power of two whose reciprocal is finite, the quotient
+    is formed as the product with that exact reciprocal: both round the
+    same real number, so the bits are the same, and a product costs a
+    fraction of a division.
+    """
+    out = np.subtract(ahead, behind, out=out)
+    step = 2.0 * dt
+    if math.frexp(step)[0] == 0.5 and math.isfinite(1.0 / step):
+        out *= 1.0 / step
+    else:
+        out /= step
+    return out
+
+
 def estimate_velocity(traj: Trajectory) -> VelocitySeries:
     """Central-difference velocity aligned with the trajectory:
     v[k] = (x[k+1]-x[k-1])/(2 dt), endpoints invalid."""
@@ -24,8 +45,7 @@ def estimate_velocity(traj: Trajectory) -> VelocitySeries:
         raise ValueError("need at least 3 samples")
     v = np.empty_like(x)
     v[0] = v[-1] = 0.0
-    np.subtract(x[2:], x[:-2], out=v[1:-1])
-    v[1:-1] /= 2.0 * traj.dt
+    central_difference(x[2:], x[:-2], traj.dt, out=v[1:-1])
     mask = np.ones(n, dtype=bool)
     mask[0] = mask[-1] = False
     return VelocitySeries(v, mask)
@@ -60,6 +80,10 @@ def bin_samples(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> Binning
     """Group the samples with a valid velocity inside grid by bin (see
     Binning), from one pass of grid.flat_index.
 
+    The first and last samples are left out whatever vel's mask says: they
+    have no central difference, and compute_weights forms each binned
+    sample's velocity from the samples either side of it.
+
     The samples are stable-sorted on the narrowest unsigned key that holds
     every flat index of the grid: numpy radix-sorts 8- and 16-bit keys, and
     a stable order is unique, so it is the order an int64 key gives.  Only
@@ -70,6 +94,7 @@ def bin_samples(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> Binning
         raise ValueError("velocity series not aligned with trajectory")
     flat = grid.flat_index(traj.samples)
     keep = vel.valid_mask & (flat >= 0)
+    keep[0] = keep[-1] = False
     key = flat[keep].astype(np.min_scalar_type(math.prod(grid.shape) - 1))
     del flat  # the n-long int64 index is not held through the sort
     index_type = np.int32 if traj.n_samples < 2**31 else np.int64

@@ -104,14 +104,20 @@ def run_pipeline(
     traj: Trajectory, bins: tuple[int, ...], min_count: int | None
 ) -> PipelineResult:
     """trajectory -> velocity -> grid -> moments -> aligned frames -> weights,
-    on the grid build_grid(traj, bins, min_count) makes."""
+    on the grid build_grid(traj, bins, min_count) makes.  The weights take
+    their velocities from the trajectory, so the velocity series is released
+    before them and never held beside them."""
     vel = estimate_velocity(traj)
     grid = build_grid(traj, bins, min_count)
     binning = bin_samples(traj, vel, grid)
     moments = accumulate_moments(vel, binning)
     field, skipped = fit_field(grid, moments)
     r1, r2 = frame_residuals(field, moments)
-    w = compute_weights(traj, vel, field, binning)
+    # released just before the weights, whose first allocation is an array
+    # of the same size, so that array takes the freed memory back before
+    # smaller arrays can split it
+    del vel
+    w = compute_weights(traj, field, binning)
     return PipelineResult(field, w, moments, r1, r2, len(skipped))
 
 

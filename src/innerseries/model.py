@@ -191,7 +191,8 @@ class BinGrid:
 @dataclass(frozen=True)
 class Binning:
     """The samples of an n_samples-long trajectory that have a valid
-    velocity and lie inside grid, grouped by bin: the bin of flat index
+    velocity and lie inside grid, less the first and last sample, grouped
+    by bin: the bin of flat index
     flat[b] (row-major, ascending in b) holds the samples
     order[starts[b]:starts[b + 1]], ascending.  Every listed bin holds at
     least one sample, whether or not it reaches the grid's min_count.

@@ -7,9 +7,10 @@ per bin, in one order: keys, counts, degenerate flags and component ids as
 JSON lists, and each float stack (c2 and t, N x N; m, N x N, and d, N) as one
 base64 string of its little-endian float64 bytes.  So a load is bit-exact,
 one decode per stack, and each artifact stays one JSON file.  The loaders
-check every entry's JSON type, keys inside the grid and none twice, every
-stack's byte length and finiteness, and that m inverts; each error names the
-file kind, and the bin where there is one, and load adds the path.
+check every entry's JSON type, integers that fit int64, grid edges finite as
+float64, keys inside the grid and none twice, every stack's byte length and
+finiteness, and that m inverts; each error names the file kind, and the bin
+or axis where there is one, and load adds the path.
 """
 
 from __future__ import annotations
@@ -26,12 +27,18 @@ from .model import BinGrid, BinMoments, FrameField, LocalFrame
 
 SCHEMA_VERSION = 5
 
+_INT64_MAX = 2**63 - 1  # every integer entry is held in an int64 array
+
 # each integer or flag entry's test (a JSON integer is no float or boolean), in words
 _RULES = {
-    "min_count": (lambda v: type(v) is int and v >= 1, "min_count must be an integer >= 1"),
-    "count": (lambda v: type(v) is int and v >= 1, "count must be an integer >= 1"),
+    "min_count": (
+        lambda v: type(v) is int and 1 <= v <= _INT64_MAX, "min_count must be an integer >= 1"
+    ),
+    "count": (lambda v: type(v) is int and 1 <= v <= _INT64_MAX, "count must be an integer >= 1"),
     "degenerate": (lambda v: type(v) is bool, "degenerate must be true or false"),
-    "component_ids": (lambda v: type(v) is int and v >= 0, "component id must be an integer >= 0"),
+    "component_ids": (
+        lambda v: type(v) is int and 0 <= v <= _INT64_MAX, "component id must be an integer >= 0"
+    ),
 }
 
 
@@ -39,8 +46,18 @@ def _check(value, name: str, where: str):
     """value, if it is what the entry name must be; where begins the error."""
     ok, rule = _RULES[name]
     if not ok(value):
+        if type(value) is int and value > _INT64_MAX:
+            rule += " and at most 2^63 - 1"
         raise ValueError(f"{where}: {rule}, got {value!r}")
     return value
+
+
+def _finite(x) -> bool:
+    """Whether the JSON number x is a finite float64."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float64 range
+        return False
 
 
 # how the errors name each type json.loads returns
@@ -83,7 +100,8 @@ def grid_to_dict(grid: BinGrid) -> dict:
 
 
 def grid_from_dict(d: dict, what: str = "grid") -> BinGrid:
-    """The grid of d; what names it in the error of a bad axis or min_count."""
+    """The grid of d, each edge a finite float64; what names it in the error
+    of a bad axis or min_count."""
     _check_object(d, "grid", edges=list, min_count=object)
     min_count = _check(d["min_count"], "min_count", what)
     for axis, e in enumerate(d["edges"]):
@@ -91,6 +109,8 @@ def grid_from_dict(d: dict, what: str = "grid") -> BinGrid:
         if wrong:
             got = _json_type(wrong[0])
             raise ValueError(f"{what}: edges[{axis}] must be an array of numbers, found {got}")
+        if (i := next((i for i, x in enumerate(e) if not _finite(x)), None)) is not None:
+            raise ValueError(f"{what}: edges[{axis}][{i}] is not a finite float64 number")
     return BinGrid(tuple(np.array(e, dtype=float) for e in d["edges"]), min_count)
 
 

@@ -8,13 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimate import central_difference
 from .ingest import _CHUNK, TIME_COLUMN, _read_csv_body, _TimeSteps, _write_csv_columns
 from .model import (
     Binning,
     DimensionMismatchError,
     FrameField,
     Trajectory,
-    VelocitySeries,
     WeightSeries,
     best_signed_assignments,
 )
@@ -59,61 +59,92 @@ def _bin_lookup(field: FrameField) -> tuple[np.ndarray, np.ndarray]:
 
 
 # A bin of at least this many samples takes one product with its frame;
-# the samples of smaller bins take a per-sample product, _CHUNK sorted rows
-# at a time, so the loop over bins runs at most n / _PRODUCT_ROWS times on
+# the samples of smaller bins take a per-sample product, one block of whole
+# bins at a time, so the loop over bins runs at most n / _PRODUCT_ROWS times on
 # any grid.  Below about this size a product costs more per sample than the
 # per-sample gather.
 _PRODUCT_ROWS = 128
 
 
-def compute_weights(
-    traj: Trajectory, vel: VelocitySeries, field: FrameField, binning: Binning
-) -> WeightSeries:
-    """w(t) = M_bin(x(t)) . xdot(t) per valid sample, from
-    binning = bin_samples(traj, vel, field.grid) of this same vel: the
-    binning holds the samples with a valid velocity, and only those can be
-    valid weights.
+def _velocities(traj: Trajectory, rows: np.ndarray) -> np.ndarray:
+    """The central-difference velocity at rows, none of them the first or
+    last sample, bit for bit as estimate_velocity gives it.  Differenced
+    _CHUNK rows at a time, in place in the gathered rows ahead, so the rows
+    behind take at most one _CHUNK-row block beside them."""
+    x = traj.samples
+    pieces = []
+    for lo in range(0, len(rows), _CHUNK):
+        k = np.subtract(rows[lo : lo + _CHUNK], 1, dtype=np.intp)  # row k of x[2:] - x[:-2]
+        ahead = x[2:].take(k, axis=0)
+        pieces.append(central_difference(ahead, x[:-2].take(k, axis=0), traj.dt, out=ahead))
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> WeightSeries:
+    """w(t) = M_bin(x(t)) . xdot(t) per binned sample, from binning =
+    bin_samples(traj, vel, field.grid): only the samples it lists can be
+    valid weights.  xdot(t) = (x(t+1) - x(t-1)) / (2 dt) is formed here from
+    the trajectory, as estimate_velocity forms it, so no velocity series
+    needs to be held beside the weights; bin_samples never lists the first
+    or last sample, which have no such difference.
 
     Samples in unoccupied bins fall back to the nearest occupied bin within
     one grid step (flagged); samples with no such bin, or landing outside the
-    grid, are invalid.  Each bin of at least _PRODUCT_ROWS samples gets its
-    frame applied as one product; the samples of smaller bins each get
-    their frame gathered.
+    grid, are invalid.  The sorted samples go in blocks of whole bins of at
+    most _CHUNK rows, or one larger bin, each block's velocities formed by
+    one pair of gathers per _CHUNK rows and its weights written by one put.
+    Each bin of at
+    least _PRODUCT_ROWS samples gets its frame applied as one product; the
+    samples of smaller bins each get their frame gathered.
     """
-    if not len(vel) == binning.n_samples == traj.n_samples:
-        raise ValueError("velocity or binning not aligned with trajectory")
+    if binning.n_samples != traj.n_samples:
+        raise ValueError("binning not aligned with trajectory")
     if not (
         binning.grid.dim == field.grid.dim
         and all(map(np.array_equal, binning.grid.edges, field.grid.edges))
     ):
         raise ValueError("samples binned on another grid than the field's")
+    # first, so it can take back the memory of a velocity series of the same
+    # size that the caller has just released
+    values = np.zeros((traj.n_samples, traj.dim))
     flat_to_slot, fallback_bins = _bin_lookup(field)
     order, starts = binning.order, binning.starts
     slot = flat_to_slot[binning.flat]  # per listed bin; -1: no occupied bin within one step
     counts = np.diff(starts)
-    values = np.zeros((traj.n_samples, traj.dim))
     valid = np.zeros(traj.n_samples, dtype=bool)
     fallback = np.zeros(traj.n_samples, dtype=bool)
     valid[order] = np.repeat(slot >= 0, counts)
-    fallback[order] = np.repeat(fallback_bins[binning.flat], counts)
+    # only the rows of fallback bins, which are few if any, are scattered
+    fallback[order[np.repeat(fallback_bins[binning.flat], counts)]] = True
     large = (slot >= 0) & (counts >= _PRODUCT_ROWS)
-    bounds = zip(starts[:-1][large].tolist(), starts[1:][large].tolist())
-    # each row of values as one item, so a bin's rows go in by a 1-D put
+    small = np.where(large, -1, slot)  # the slot of each small bin
+    # block b holds bins cuts[b]:cuts[b + 1]: whole bins of at most _CHUNK
+    # rows in all, or one larger bin
+    cuts = [0]
+    while cuts[-1] < len(counts):
+        end = int(np.searchsorted(starts, starts[cuts[-1]] + _CHUNK, side="right")) - 1
+        cuts.append(max(end, cuts[-1] + 1))
+    big = np.flatnonzero(large)
+    big_bins = zip(slot[big].tolist(), starts[big].tolist(), starts[big + 1].tolist())
+    big_per_block = np.diff(np.searchsorted(big, cuts)).tolist()
+    # each row of values as one item, so a block's rows go in by a 1-D put
     row = np.dtype((np.void, values.itemsize * traj.dim))
     value_rows = values.view(row).reshape(-1)
-    for s, (lo, hi) in zip(slot[large].tolist(), bounds):
-        rows = order[lo:hi]
-        value_rows.put(rows, (vel.values.take(rows, axis=0) @ field.m[s].T).view(row))
-    small = np.where(large, -1, slot)  # the slot of each small bin
-    if np.any(small >= 0):
-        for lo in range(0, len(order), _CHUNK):
-            hi = min(lo + _CHUNK, len(order))
-            # the bins that overlap sorted rows lo:hi, and the rows of each
-            first, stop = np.searchsorted(starts, lo, side="right") - 1, np.searchsorted(starts, hi)
-            block = np.repeat(small[first:stop], np.diff(np.clip(starts[first : stop + 1], lo, hi)))
-            pick = np.flatnonzero(block >= 0)
-            rows = order[lo + pick]
-            values[rows] = np.einsum("nij,nj->ni", field.m[block[pick]], vel.values[rows])
+    for b0, b1, n_big in zip(cuts, cuts[1:], big_per_block):
+        lo, hi = int(starts[b0]), int(starts[b1])
+        w = _velocities(traj, order[lo:hi])  # then, in place, the weights
+        for s, a, b in itertools.islice(big_bins, n_big):
+            w[a - lo : b - lo] = w[a - lo : b - lo] @ field.m[s].T
+        in_small = small[b0:b1] >= 0
+        if in_small.any():  # a flag per row, not a slot: a block may hold a large bin
+            pick = np.flatnonzero(np.repeat(in_small, counts[b0:b1]))
+            slots = np.repeat(small[b0:b1][in_small], counts[b0:b1][in_small])
+            w[pick] = np.einsum("nij,nj->ni", field.m[slots], w[pick])
+        unresolved = slot[b0:b1] < 0
+        if unresolved.any():  # rows with no frame within one step stay 0
+            w[np.repeat(unresolved, counts[b0:b1])] = 0.0
+        value_rows.put(order[lo:hi], w.view(row))
+        del w  # not held while the next block's velocities are formed
     return WeightSeries(values, valid, dt=traj.dt, fallback_mask=fallback)
 
 

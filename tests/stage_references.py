@@ -2,7 +2,11 @@
 bin with its own pinv, and the weights both as compute_weights forms them
 (a product per large bin, a per-sample einsum for the rest) and as the one
 einsum over all samples that defines them.  Each finds a bin's
-samples through its own flat index, not through the package's binning."""
+samples through its own flat index, not through the package's binning,
+and leaves out the first and last sample, as bin_samples does.  The
+weights references read vel.values, so a weights test passes a vel whose
+values are estimate_velocity(traj)'s, the velocities compute_weights
+forms from the trajectory."""
 
 import numpy as np
 
@@ -14,11 +18,19 @@ def keys_of(moments):
     return [tuple(k) for k in moments.keys.tolist()]
 
 
+def binned_mask(vel, flat):
+    """The samples bin_samples lists: a valid velocity, inside the grid,
+    and neither the first nor the last sample."""
+    mask = vel.valid_mask & (flat >= 0)
+    mask[0] = mask[-1] = False
+    return mask
+
+
 def per_bin_moments(traj, vel, grid):
     """Reference: one bin at a time, each with its own pinv, as
     {key: (count, c2, t)}."""
     flat = grid.flat_index(traj.samples)
-    sel = np.flatnonzero(vel.valid_mask & (flat >= 0))
+    sel = np.flatnonzero(binned_mask(vel, flat))
     order = np.argsort(flat[sel], kind="stable")
     boundaries = np.flatnonzero(np.diff(flat[sel[order]])) + 1
     out = {}
@@ -49,7 +61,7 @@ def einsum_weights(traj, vel, field):
     flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([f.m for f in field.frames.values()])
     slots = np.where(flat >= 0, flat_to_slot[flat], -1)
-    valid = vel.valid_mask & (slots >= 0)
+    valid = binned_mask(vel, flat) & (slots >= 0)
     values = np.zeros((traj.n_samples, traj.dim))
     values[valid] = np.einsum("nij,nj->ni", m_stack[slots[valid]], vel.values[valid])
     return values, valid, valid & fallback_bins[flat]
@@ -63,7 +75,7 @@ def per_bin_weights(traj, vel, field):
     flat = field.grid.flat_index(traj.samples)
     flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([f.m for f in field.frames.values()])
-    valid = vel.valid_mask & (flat >= 0) & (flat_to_slot[flat] >= 0)
+    valid = binned_mask(vel, flat) & (flat_to_slot[flat] >= 0)
     values = np.zeros((traj.n_samples, traj.dim))
     for f in np.unique(flat[valid]):
         rows = np.flatnonzero(valid & (flat == f))

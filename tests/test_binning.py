@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerseries.estimate import accumulate_moments, bin_samples, build_grid
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from innerseries.experiments import run_pipeline
 from innerseries.ingest import gen_bounded_walk
 from innerseries.model import BinGrid, FrameField, LocalFrame, Trajectory, VelocitySeries
@@ -19,6 +19,7 @@ from innerseries.weights import compute_weights
 from stage_references import (
     assert_near_per_channel,
     assert_same_moments,
+    binned_mask,
     einsum_weights,
     per_bin_moments,
     per_bin_weights,
@@ -30,17 +31,19 @@ def binned_fits(draw):
     """(traj, vel, field): N = 1..4 channels on a grid over [0, 1]^N of
     1..4 bins per axis.  Positions in [-0.1, 1.1]^N, skewed low, so some
     samples lie outside the grid, upper bins are sparse or empty and some
-    fall under min_count; every k-th velocity invalid; frames on a random
-    share of the bins, so others fall back one step or stay unresolved."""
+    fall under min_count; vel is estimate_velocity(traj) with every k-th
+    velocity also invalid; frames on a random share of the bins, so others
+    fall back one step or stay unresolved."""
     dim = draw(st.integers(1, 4))
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim)))
     n = draw(st.integers(200, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grid = BinGrid(tuple(np.linspace(0.0, 1.0, s + 1) for s in shape), draw(st.integers(1, 40)))
     traj = Trajectory(1.2 * rng.random((n, dim)) ** 3 - 0.1, 1.0)
-    mask = np.ones(n, dtype=bool)
+    vel = estimate_velocity(traj)
+    mask = vel.valid_mask.copy()
     mask[:: draw(st.integers(2, 9))] = False
-    vel = VelocitySeries(rng.laplace(size=(n, dim)) @ rng.standard_normal((dim, dim)), mask)
+    vel = VelocitySeries(vel.values, mask)
     share = draw(st.floats(0.05, 1.0))
     keys = [k for k in np.ndindex(shape) if rng.random() < share] or [(0,) * dim]
     frames = {}
@@ -51,9 +54,10 @@ def binned_fits(draw):
 
 
 def reference_order(traj, vel, grid):
-    """The valid in-grid samples stable-sorted on their int64 flat index."""
+    """The valid in-grid samples, less the first and last, stable-sorted
+    on their int64 flat index."""
     flat = grid.flat_index(traj.samples)
-    sel = np.flatnonzero(vel.valid_mask & (flat >= 0))
+    sel = np.flatnonzero(binned_mask(vel, flat))
     return sel[np.argsort(flat[sel], kind="stable")], flat
 
 
@@ -69,7 +73,7 @@ class TestBinSamples:
         else:
             with pytest.raises(ValueError, match="no occupied bins"):
                 accumulate_moments(vel, binning)
-        w = compute_weights(traj, vel, field, binning)
+        w = compute_weights(traj, field, binning)
         ein_values, ein_valid, ein_fallback = einsum_weights(traj, vel, field)
         np.testing.assert_array_equal(w.valid_mask, ein_valid)
         np.testing.assert_array_equal(w.fallback_mask, ein_fallback)
@@ -131,7 +135,7 @@ class TestBinSamples:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(binning.order) == n
+        assert len(binning.order) == n - 2  # all but the first and last sample
         assert kept < 4 * n + 16 * (bins[0] + 1) + 8192
         assert peak < n * (4 + 2 * 8 + 4)
 
@@ -153,11 +157,11 @@ class TestOneBinningPerFit:
     def test_weights_reject_a_binning_on_another_grid(self):
         traj = gen_bounded_walk(5_000, seed=1, dim=2, noise=("laplace", "uniform"))
         res = run_pipeline(traj, (3, 3), None)
-        vel = VelocitySeries(np.ones((5_000, 2)), np.ones(5_000, dtype=bool))
+        vel = estimate_velocity(traj)
         other = build_grid(Trajectory(traj.samples * 2.0, 1.0), (3, 3))
         with pytest.raises(ValueError, match="another grid"):
-            compute_weights(traj, vel, res.field, bin_samples(traj, vel, other))
+            compute_weights(traj, res.field, bin_samples(traj, vel, other))
         short = Trajectory(traj.samples[:-1], 1.0)
-        vel_short = VelocitySeries(np.ones((4_999, 2)), np.ones(4_999, dtype=bool))
+        binning = bin_samples(short, estimate_velocity(short), res.field.grid)
         with pytest.raises(ValueError, match="not aligned"):
-            compute_weights(traj, vel, res.field, bin_samples(short, vel_short, res.field.grid))
+            compute_weights(traj, res.field, binning)

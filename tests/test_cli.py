@@ -362,8 +362,8 @@ def _as_schema_4(d: dict) -> None:
 # (file, edit of its JSON, message): the bins and frames entries hold their
 # lists and base64 float64 stacks, one row per key; each key is an array of
 # N integers inside the grid, listed once; each stack has its byte length
-# and finite values; each list entry has its JSON type; and the grid's axes
-# are arrays of numbers
+# and finite values; each list entry has its JSON type, and each integer
+# fits int64; and the grid's axes are arrays of finite float64 numbers
 BAD_BINS = {
     "moments-key-outside": (
         "moments.json",
@@ -511,6 +511,32 @@ BAD_BINS = {
         "field.json",
         lambda d: d["grid"]["edges"].__setitem__(1, [[0.0, 1.0], [1.0, 2.0]]),
         "field grid: edges[1] must be an array of numbers, found an array",
+    ),
+    "moments-count-beyond-int64": (
+        "moments.json",
+        _set("count", 10**30),
+        f"moments bin (1, 1): count must be an integer >= 1 and at most 2^63 - 1, got {10**30}",
+    ),
+    "moments-min-count-beyond-int64": (
+        "moments.json",
+        lambda d: d["grid"].update(min_count=2**63),
+        f"moments grid: min_count must be an integer >= 1 and at most 2^63 - 1, got {2**63}",
+    ),
+    "moments-edge-beyond-float64": (
+        "moments.json",
+        lambda d: d["grid"]["edges"][0].__setitem__(0, -(10**400)),
+        "moments grid: edges[0][0] is not a finite float64 number",
+    ),
+    "field-edge-infinite": (
+        "field.json",
+        lambda d: d["grid"]["edges"][1].__setitem__(3, float("inf")),
+        "field grid: edges[1][3] is not a finite float64 number",
+    ),
+    "field-component-id-beyond-int64": (
+        "field.json",
+        _set("component_ids", 10**30),
+        "field bin (1, 1): component id must be an integer >= 0 and at most 2^63 - 1, "
+        f"got {10**30}",
     ),
 }
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
+from innerseries.estimate import (
+    accumulate_moments,
+    bin_samples,
+    build_grid,
+    central_difference,
+    estimate_velocity,
+)
 from innerseries.ingest import gen_sine
 from innerseries.model import BinGrid, Trajectory, VelocitySeries
 from stage_references import assert_same_moments, keys_of, per_bin_moments
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestEstimateVelocity:
@@ -23,6 +33,24 @@ class TestEstimateVelocity:
         traj = Trajectory(np.full((10, 2), 3.0), 0.5)
         vel = estimate_velocity(traj)
         assert np.all(vel.values[vel.valid_mask] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dt=st.one_of(
+            st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+            st.floats(min_value=5e-324, max_value=1e308),
+        ),
+        pairs=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40),
+    )
+    def test_central_difference_same_bits_as_the_quotient(self, dt, pairs):
+        # a power-of-two 2 dt is taken by its exact reciprocal: the same
+        # bits as the division, subnormal, overflowing and signed-zero
+        # results included
+        ahead, behind = np.array(pairs).T
+        with np.errstate(over="ignore"):
+            expect = np.subtract(ahead, behind) / (2.0 * dt)
+            got = central_difference(ahead, behind, dt)
+        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
 
     def test_sine_derivative_taylor_remainder(self):
         # central difference of sin(k*0.01) at k=100 is cos(1) + O(dt^2)
@@ -52,14 +80,15 @@ class TestBuildGrid:
         grid = build_grid(traj, [7, 5], min_count=1)
         flat = grid.flat_index(traj.samples)
         assert np.all(flat >= 0) and np.all(flat < 35)
+        # every sample but the first and last, which bin_samples leaves out
         expect = {
             tuple(int(i) for i in np.unravel_index(f, grid.shape)): int(c)
-            for f, c in enumerate(np.bincount(flat, minlength=35))
+            for f, c in enumerate(np.bincount(flat[1:-1], minlength=35))
             if c
         }
         moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert dict(zip(keys_of(moments), moments.count.tolist())) == expect
-        assert moments.count.sum() == n
+        assert moments.count.sum() == n - 2
 
     def test_uniform_occupancy_binomial(self):
         # every bin count within 4 sigma of n/bins for uniform data
@@ -130,7 +159,7 @@ class TestAccumulateMoments:
         vel = VelocitySeries(rng.standard_normal((3000, 1)), mask)
         grid = build_grid(traj, [8], min_count=1)
         moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
-        assert moments.count.sum() == mask.sum()
+        assert moments.count.sum() == mask[1:-1].sum()  # the last sample is never binned
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(3)
@@ -150,7 +179,8 @@ class TestAccumulateMoments:
         n = 5000
         pos = rng.random((n, 1))
         v = rng.standard_normal((n, 1))
-        order = rng.permutation(n)
+        # the first and last sample, never binned, stay in place
+        order = np.concatenate([[0], 1 + rng.permutation(n - 2), [n - 1]])
         traj_a = Trajectory(pos, 1.0)
         traj_b = Trajectory(pos[order], 1.0)
         vel_a = VelocitySeries(v, np.ones(n, dtype=bool))
@@ -201,7 +231,7 @@ class TestAccumulateMoments:
         vel = VelocitySeries(v, np.ones(2000, dtype=bool))
         moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         assert len(moments) == 1
-        d = v - v.mean(axis=0)
+        d = v[1:-1] - v[1:-1].mean(axis=0)  # the binned samples
         c2 = d.T @ d / len(d)
         c4 = np.einsum("ti,tj,tk,tl->ijkl", d, d, d, d) / len(d)
         t_ref = np.einsum("mn,klmn->kl", np.linalg.inv(c2), c4)
@@ -214,7 +244,7 @@ class TestAccumulateMoments:
         vel = VelocitySeries(rng.laplace(size=(3000, 7)), np.ones(3000, dtype=bool))
         grid = build_grid(traj, [1] * 7, min_count=1)
         moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
-        assert moments.count.tolist() == [3000]
+        assert moments.count.tolist() == [2998]  # all but the first and last
         assert moments.c2.shape == moments.t.shape == (1, 7, 7)
 
     def test_sine_c2_matches_analytic(self):
@@ -304,6 +334,7 @@ class TestQuadraticForm:
         traj, grid, v = data
         vel = VelocitySeries(v, np.ones(len(v), dtype=bool))
         flat = grid.flat_index(traj.samples)
+        flat[[0, -1]] = -1  # bin_samples leaves out the first and last sample
         moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
         for key, c2, m_t in zip(keys_of(moments), moments.c2, moments.t):
             dvl = v[flat == np.ravel_multi_index(key, grid.shape)]

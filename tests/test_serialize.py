@@ -103,8 +103,8 @@ class TestFieldRoundtrip:
         serialize.dump_json(serialize.field_to_dict(res.field), p)
         back = serialize.field_from_dict(serialize.load_json(p))
         vel = estimate_velocity(traj)
-        w1 = compute_weights(traj, vel, res.field, bin_samples(traj, vel, res.field.grid))
-        w2 = compute_weights(traj, vel, back, bin_samples(traj, vel, back.grid))
+        w1 = compute_weights(traj, res.field, bin_samples(traj, vel, res.field.grid))
+        w2 = compute_weights(traj, back, bin_samples(traj, vel, back.grid))
         np.testing.assert_array_equal(w1.values, w2.values)
         np.testing.assert_array_equal(w1.valid_mask, w2.valid_mask)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerseries import experiments, ingest
-from innerseries.estimate import bin_samples, estimate_velocity
+from innerseries.estimate import bin_samples, build_grid, estimate_velocity
 from innerseries.ingest import _CHUNK, gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline, sine_sign_match
 from innerseries.model import (
@@ -71,11 +71,13 @@ class TestComputeWeights:
         assert np.all(res.weights.values[~res.weights.valid_mask] == 0.0)
 
     def test_zero_velocity_gives_zero_weight(self, walk_pipeline):
+        # a trajectory that alternates between two points of the walk has
+        # a central difference of zero at every inner sample
         traj, res = walk_pipeline
-        vel = estimate_velocity(traj)
-        vel0 = VelocitySeries(np.zeros_like(vel.values), vel.valid_mask.copy())
-        binning = bin_samples(traj, vel0, res.field.grid)
-        w0 = compute_weights(traj, vel0, res.field, binning)
+        traj0 = Trajectory(traj.samples[np.arange(traj.n_samples) % 2 + 1000], traj.dt)
+        binning = bin_samples(traj0, estimate_velocity(traj0), res.field.grid)
+        w0 = compute_weights(traj0, res.field, binning)
+        assert np.count_nonzero(w0.valid_mask) == traj.n_samples - 2
         assert np.all(w0.values == 0.0)
 
     def test_sine_sign_match_small(self):
@@ -113,12 +115,67 @@ class TestComputeWeights:
         np.testing.assert_allclose(corrs, 1.0, rtol=0, atol=1e-12)
 
 
+class TestVelocityFromTrajectory:
+    """compute_weights forms each binned sample's velocity from the
+    trajectory, so the run_pipeline fit holds no velocity series beside the
+    weights."""
+
+    def test_endpoints_never_binned_whatever_the_mask(self, walk_pipeline):
+        traj, res = walk_pipeline
+        n = traj.n_samples
+        vel = VelocitySeries(estimate_velocity(traj).values, np.ones(n, dtype=bool))
+        binning = bin_samples(traj, vel, res.field.grid)
+        assert len(binning.order) == n - 2
+        assert not np.isin([0, n - 1], binning.order).any()
+        w = compute_weights(traj, res.field, binning)
+        assert not w.valid_mask[[0, -1]].any() and w.valid_mask[1:-1].all()
+        assert np.all(w.values[[0, -1]] == 0.0)
+
+    @pytest.mark.parametrize("bins", [(3, 3), (40, 40)])
+    def test_weights_are_frames_times_estimated_velocity(self, walk_pipeline, bins):
+        # bit for bit, sample by sample, against the frames applied to
+        # estimate_velocity(traj): on 3 x 3 bins every bin takes one
+        # product, on 40 x 40 most samples take the small-bin einsum
+        traj, _ = walk_pipeline
+        vel = estimate_velocity(traj)
+        grid = build_grid(traj, bins, min_count=1)
+        rng = np.random.default_rng(len(bins) * bins[0])
+        frames = {}
+        for key in np.ndindex(grid.shape):
+            m = rng.standard_normal((2, 2)) + 3 * np.eye(2)
+            frames[key] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
+        field = FrameField(grid, frames, dict.fromkeys(frames, 0))
+        binning = bin_samples(traj, vel, grid)
+        in_large = np.repeat(np.diff(binning.starts) >= _PRODUCT_ROWS, np.diff(binning.starts))
+        assert in_large.mean() == 1.0 if bins == (3, 3) else in_large.mean() < 0.5
+        w = compute_weights(traj, field, binning)
+        values, valid, _ = per_bin_weights(traj, vel, field)
+        np.testing.assert_array_equal(w.valid_mask, valid)
+        assert np.count_nonzero(valid) == traj.n_samples - 2
+        assert w.values.tobytes() == values.tobytes()
+
+    def test_pipeline_peak_memory_below_two_series(self):
+        # the weights take n N 8 bytes; the n x N velocity series is
+        # released before them, so the two are never held together
+        n, dim = 50_000, 6
+        noise = ("laplace", "uniform", "laplace", "uniform", "laplace", "gauss")
+        traj = gen_bounded_walk(n, seed=0, dim=dim, noise=noise)
+        tracemalloc.start()
+        try:
+            res = run_pipeline(traj, (2,) * dim, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.weights.valid_mask.sum() > n // 2
+        assert peak < 2 * n * dim * 8
+
+
 def _random_field_inputs(n, dim, seed=0, margin=0.1):
     """A 3^dim grid on [0, 1]^dim whose occupied bins are those with every
     index below 2, random well-conditioned frames, and samples drawn from
-    [-margin, 1 + margin]^dim with every 20th velocity invalid.  So samples
-    in the top layer of bins fall back one step, and samples outside the
-    grid are invalid."""
+    [-margin, 1 + margin]^dim, with vel estimate_velocity's and every 20th
+    velocity also invalid.  So samples in the top layer of bins fall back
+    one step, and samples outside the grid are invalid."""
     rng = np.random.default_rng(seed)
     grid = BinGrid(tuple(np.linspace(0.0, 1.0, 4) for _ in range(dim)), 1)
     frames = {}
@@ -127,10 +184,11 @@ def _random_field_inputs(n, dim, seed=0, margin=0.1):
             m = rng.standard_normal((dim, dim)) + 3 * np.eye(dim)
             frames[key] = LocalFrame(m, np.linalg.inv(m), np.arange(dim, 0, -1.0))
     traj = Trajectory(rng.uniform(-margin, 1 + margin, (n, dim)), 0.5)
-    mask = np.ones(n, dtype=bool)
+    vel = estimate_velocity(traj)
+    mask = vel.valid_mask.copy()
     mask[::20] = False
-    vel = VelocitySeries(rng.standard_normal((n, dim)), mask)
-    return traj, vel, FrameField(grid, frames, dict.fromkeys(frames, 0))
+    field = FrameField(grid, frames, dict.fromkeys(frames, 0))
+    return traj, VelocitySeries(vel.values, mask), field
 
 
 def full_sweep_lookup(field):
@@ -200,7 +258,7 @@ class TestBlockwiseWeights:
         # is matched to 1e-15 of max|w| per channel
         traj, vel, field = _random_field_inputs(n, dim, seed=dim)
         values, valid, fallback = per_bin_weights(traj, vel, field)
-        w = compute_weights(traj, vel, field, bin_samples(traj, vel, field.grid))
+        w = compute_weights(traj, field, bin_samples(traj, vel, field.grid))
         assert fallback.any() and (vel.valid_mask & ~valid).any()
         np.testing.assert_array_equal(w.valid_mask, valid)
         np.testing.assert_array_equal(w.fallback_mask, fallback)
@@ -212,23 +270,24 @@ class TestBlockwiseWeights:
 
     def test_bins_either_side_of_the_product_size(self):
         # bins of _PRODUCT_ROWS - 1, _PRODUCT_ROWS and _PRODUCT_ROWS + 1
-        # samples, and a fourth bin without a frame that borrows the third's
+        # samples, and a fourth bin without a frame that borrows the third's;
+        # the first and last sample, never binned, lie outside the grid
         k = _PRODUCT_ROWS
         counts = [k - 1, k, k + 1, 5]
         rng = np.random.default_rng(7)
         x = np.repeat((np.arange(4) + 0.5) / 4, counts)
-        samples = np.column_stack([x, np.full(len(x), 0.5)])[rng.permutation(len(x))]
-        traj = Trajectory(samples, 1.0)
-        vel = VelocitySeries(rng.standard_normal((len(x), 2)), np.ones(len(x), dtype=bool))
+        samples = np.column_stack([x, rng.random(len(x))])[rng.permutation(len(x))]
+        traj = Trajectory(np.vstack([[2.0, 0.5], samples, [2.0, 0.5]]), 1.0)
+        vel = estimate_velocity(traj)
         grid = BinGrid((np.linspace(0.0, 1.0, 5), np.array([0.0, 1.0])), 1)
         frames = {}
         for key in [(0, 0), (1, 0), (2, 0)]:
             m = rng.standard_normal((2, 2)) + 3 * np.eye(2)
             frames[key] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
         field = FrameField(grid, frames, dict.fromkeys(frames, 0))
-        w = compute_weights(traj, vel, field, bin_samples(traj, vel, grid))
+        w = compute_weights(traj, field, bin_samples(traj, vel, grid))
         values, valid, fallback = per_bin_weights(traj, vel, field)
-        assert valid.all() and np.count_nonzero(fallback) == 5
+        assert valid[1:-1].all() and np.count_nonzero(fallback) == 5
         np.testing.assert_array_equal(w.valid_mask, valid)
         np.testing.assert_array_equal(w.fallback_mask, fallback)
         assert w.values.tobytes() == values.tobytes()
@@ -240,14 +299,15 @@ class TestBlockwiseWeights:
         rng = np.random.default_rng(11)
         n, shape = 40_000, (200, 200)
         traj = Trajectory(rng.random((n, 2)), 1.0)
-        mask = rng.random(n) > 0.05
-        vel = VelocitySeries(rng.standard_normal((n, 2)), mask)
+        vel = estimate_velocity(traj)
+        mask = vel.valid_mask & (rng.random(n) > 0.05)
+        vel = VelocitySeries(vel.values, mask)
         grid = BinGrid(tuple(np.linspace(0.0, 1.0, s + 1) for s in shape), 1)
         m = np.array([[2.0, 1.0], [-1.0, 3.0]])
         frame = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
         keys = [k for i, k in enumerate(np.ndindex(shape)) if i % 7 == 0]
         field = FrameField(grid, dict.fromkeys(keys, frame), dict.fromkeys(keys, 0))
-        w = compute_weights(traj, vel, field, bin_samples(traj, vel, grid))
+        w = compute_weights(traj, field, bin_samples(traj, vel, grid))
         values, valid, fallback = per_bin_weights(traj, vel, field)
         assert fallback.any() and (mask & ~valid).any()
         np.testing.assert_array_equal(w.valid_mask, valid)
@@ -263,7 +323,7 @@ class TestBlockwiseWeights:
         binning = bin_samples(traj, vel, field.grid)
         tracemalloc.start()
         try:
-            compute_weights(traj, vel, field, binning)
+            compute_weights(traj, field, binning)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -277,7 +337,7 @@ class TestBlockwiseWeights:
         binning = bin_samples(traj, vel, field.grid)
         tracemalloc.start()
         try:
-            compute_weights(traj, vel, field, binning)
+            compute_weights(traj, field, binning)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
