@@ -21,18 +21,9 @@ def central_difference(
     """(ahead - behind) / (2 dt), into out if given: the velocity at the
     samples between the rows ahead and the rows behind.  Every velocity of
     the package is formed here, so each one is the same to the bit.
-
-    When 2 dt is a power of two whose reciprocal is finite, the quotient
-    is formed as the product with that exact reciprocal: both round the
-    same real number, so the bits are the same, and a product costs a
-    fraction of a division.
     """
     out = np.subtract(ahead, behind, out=out)
-    step = 2.0 * dt
-    if math.frexp(step)[0] == 0.5 and math.isfinite(1.0 / step):
-        out *= 1.0 / step
-    else:
-        out /= step
+    out /= 2.0 * dt
     return out
 
 

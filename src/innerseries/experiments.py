@@ -111,12 +111,9 @@ def run_pipeline(
     grid = build_grid(traj, bins, min_count)
     binning = bin_samples(traj, vel, grid)
     moments = accumulate_moments(vel, binning)
+    del vel
     field, skipped = fit_field(grid, moments)
     r1, r2 = frame_residuals(field, moments)
-    # released just before the weights, whose first allocation is an array
-    # of the same size, so that array takes the freed memory back before
-    # smaller arrays can split it
-    del vel
     w = compute_weights(traj, field, binning)
     return PipelineResult(field, w, moments, r1, r2, len(skipped))
 

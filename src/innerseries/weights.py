@@ -68,16 +68,18 @@ _PRODUCT_ROWS = 128
 
 def _velocities(traj: Trajectory, rows: np.ndarray) -> np.ndarray:
     """The central-difference velocity at rows, none of them the first or
-    last sample, bit for bit as estimate_velocity gives it.  Differenced
-    _CHUNK rows at a time, in place in the gathered rows ahead, so the rows
-    behind take at most one _CHUNK-row block beside them."""
+    last sample, bit for bit as estimate_velocity gives it.  Gathered
+    _CHUNK rows at a time straight into the result, beside one _CHUNK-row
+    block of the rows behind."""
     x = traj.samples
-    pieces = []
+    out = np.empty((len(rows), traj.dim))
     for lo in range(0, len(rows), _CHUNK):
         k = np.subtract(rows[lo : lo + _CHUNK], 1, dtype=np.intp)  # row k of x[2:] - x[:-2]
-        ahead = x[2:].take(k, axis=0)
-        pieces.append(central_difference(ahead, x[:-2].take(k, axis=0), traj.dt, out=ahead))
-    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        # compute_weights has checked that every k is in range, so "clip"
+        # changes nothing; it spares take a buffered copy of out
+        ahead = x[2:].take(k, axis=0, out=out[lo : lo + _CHUNK], mode="clip")
+        central_difference(ahead, x[:-2].take(k, axis=0, mode="clip"), traj.dt, out=ahead)
+    return out
 
 
 def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> WeightSeries:
@@ -85,17 +87,17 @@ def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> We
     bin_samples(traj, vel, field.grid): only the samples it lists can be
     valid weights.  xdot(t) = (x(t+1) - x(t-1)) / (2 dt) is formed here from
     the trajectory, as estimate_velocity forms it, so no velocity series
-    needs to be held beside the weights; bin_samples never lists the first
-    or last sample, which have no such difference.
+    needs to be held beside the weights.  The first and last sample have no
+    such difference: bin_samples never lists them, and a binning that does
+    is refused with a ValueError.
 
     Samples in unoccupied bins fall back to the nearest occupied bin within
     one grid step (flagged); samples with no such bin, or landing outside the
     grid, are invalid.  The sorted samples go in blocks of whole bins of at
     most _CHUNK rows, or one larger bin, each block's velocities formed by
     one pair of gathers per _CHUNK rows and its weights written by one put.
-    Each bin of at
-    least _PRODUCT_ROWS samples gets its frame applied as one product; the
-    samples of smaller bins each get their frame gathered.
+    Each bin of at least _PRODUCT_ROWS samples gets its frame applied as
+    one product; the samples of smaller bins each get their frame gathered.
     """
     if binning.n_samples != traj.n_samples:
         raise ValueError("binning not aligned with trajectory")
@@ -104,13 +106,17 @@ def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> We
         and all(map(np.array_equal, binning.grid.edges, field.grid.edges))
     ):
         raise ValueError("samples binned on another grid than the field's")
-    # first, so it can take back the memory of a velocity series of the same
-    # size that the caller has just released
-    values = np.zeros((traj.n_samples, traj.dim))
+    order = binning.order
+    if len(order) and not (0 < order.min() and order.max() < traj.n_samples - 1):
+        raise ValueError(
+            "binning lists the first or last sample, which have no central"
+            " difference; bin_samples never lists them"
+        )
     flat_to_slot, fallback_bins = _bin_lookup(field)
-    order, starts = binning.order, binning.starts
+    starts = binning.starts
     slot = flat_to_slot[binning.flat]  # per listed bin; -1: no occupied bin within one step
     counts = np.diff(starts)
+    values = np.zeros((traj.n_samples, traj.dim))
     valid = np.zeros(traj.n_samples, dtype=bool)
     fallback = np.zeros(traj.n_samples, dtype=bool)
     valid[order] = np.repeat(slot >= 0, counts)

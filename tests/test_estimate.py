@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -6,19 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerseries.estimate import (
-    accumulate_moments,
-    bin_samples,
-    build_grid,
-    central_difference,
-    estimate_velocity,
-)
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
 from innerseries.ingest import gen_sine
 from innerseries.model import BinGrid, Trajectory, VelocitySeries
 from stage_references import assert_same_moments, keys_of, per_bin_moments
-
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestEstimateVelocity:
@@ -33,24 +23,6 @@ class TestEstimateVelocity:
         traj = Trajectory(np.full((10, 2), 3.0), 0.5)
         vel = estimate_velocity(traj)
         assert np.all(vel.values[vel.valid_mask] == 0.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        dt=st.one_of(
-            st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
-            st.floats(min_value=5e-324, max_value=1e308),
-        ),
-        pairs=st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=40),
-    )
-    def test_central_difference_same_bits_as_the_quotient(self, dt, pairs):
-        # a power-of-two 2 dt is taken by its exact reciprocal: the same
-        # bits as the division, subnormal, overflowing and signed-zero
-        # results included
-        ahead, behind = np.array(pairs).T
-        with np.errstate(over="ignore"):
-            expect = np.subtract(ahead, behind) / (2.0 * dt)
-            got = central_difference(ahead, behind, dt)
-        assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
 
     def test_sine_derivative_taylor_remainder(self):
         # central difference of sin(k*0.01) at k=100 is cos(1) + O(dt^2)

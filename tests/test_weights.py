@@ -14,6 +14,7 @@ from innerseries.ingest import _CHUNK, gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline, sine_sign_match
 from innerseries.model import (
     BinGrid,
+    Binning,
     DimensionMismatchError,
     FrameField,
     LocalFrame,
@@ -130,6 +131,21 @@ class TestVelocityFromTrajectory:
         w = compute_weights(traj, res.field, binning)
         assert not w.valid_mask[[0, -1]].any() and w.valid_mask[1:-1].all()
         assert np.all(w.values[[0, -1]] == 0.0)
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_binning_that_lists_an_endpoint_refused(self, walk_pipeline, end):
+        # a hand-built Binning may list row 0 or n - 1; neither has a
+        # central difference, and row 0's would wrap to x[n - 1] - x[n - 3]
+        traj, res = walk_pipeline
+        binning = bin_samples(traj, estimate_velocity(traj), res.field.grid)
+        order = binning.order.copy()
+        if end == "first":
+            order[0] = 0
+        else:
+            order[-1] = traj.n_samples - 1
+        listed = Binning(binning.grid, binning.n_samples, order, binning.flat, binning.starts)
+        with pytest.raises(ValueError, match="first or last sample"):
+            compute_weights(traj, res.field, listed)
 
     @pytest.mark.parametrize("bins", [(3, 3), (40, 40)])
     def test_weights_are_frames_times_estimated_velocity(self, walk_pipeline, bins):
