@@ -3,14 +3,15 @@
 
     python3 scripts/stage_timings.py
 
-For each input it prints the median of 5 runs, in ms, of the velocity
-(`estimate_velocity`), the binning (`bin_samples`), the moments
-(`accumulate_moments`), `fit_field`, the weights (`compute_weights`), the
-save of the field (`field_to_dict` and `dump_json`, to a temporary file) and
-its load (`serialize.load` with `field_from_dict`), each stage run on the
-output of the one before.  The `peak` column is the `tracemalloc` peak, in
-MB, of one more `run_pipeline` fit of the input, untimed and traced alone:
-what the fit allocates above its input trajectory.  It also prints the input's
+For each input it prints the median of 5 runs, in ms, of the binning
+(`bin_samples`), the moments (`accumulate_moments`, which form the
+velocities from the trajectory), `fit_field`, the weights
+(`compute_weights`), the save of the field (`field_to_dict` and
+`dump_json`, to a temporary file) and its load (`serialize.load` with
+`field_from_dict`), each stage run on the output of the one before.  The
+`peak` column is the `tracemalloc` peak, in MB, of one more `run_pipeline`
+fit of the input, untimed and traced alone: what the fit allocates above
+its input trajectory.  It also prints the input's
 occupied bins and aligned components, the breadth-first levels below the
 components' roots, summed over the components, and the largest depth of a
 bin below its root.  A search level by level per component solves one
@@ -41,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from innerseries import serialize
-from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid
 from innerseries.experiments import run_pipeline
 from innerseries.frames import fit_field
 from innerseries.ingest import gen_bounded_walk, read_csv_trajectory, write_csv_trajectory
@@ -144,13 +145,12 @@ def csv_reads(traj, w) -> None:
 def main() -> None:
     print(f"median of {REPEATS} runs, ms")
     header = ("input", "bins", "components", "levels", "depth")
-    header += ("velocity", "binning", "moments", "fit_field", "weights", "save", "load", "peak")
-    print("{:<27}{:>7}{:>11}{:>8}{:>7}{:>10}{:>9}{:>9}{:>10}{:>9}{:>7}{:>7}{:>7}".format(*header))
+    header += ("binning", "moments", "fit_field", "weights", "save", "load", "peak")
+    print("{:<27}{:>7}{:>11}{:>8}{:>7}{:>9}{:>9}{:>10}{:>9}{:>7}{:>7}{:>7}".format(*header))
     for name, traj, bins, min_count in inputs():
-        vel, t_vel = timed(lambda: estimate_velocity(traj))
         grid = build_grid(traj, bins, min_count)
-        binning, t_bin = timed(lambda: bin_samples(traj, vel, grid))
-        moments, t_moments = timed(lambda: accumulate_moments(vel, binning))
+        binning, t_bin = timed(lambda: bin_samples(traj, grid))
+        moments, t_moments = timed(lambda: accumulate_moments(traj, binning))
         (field, _), t_fit = timed(lambda: fit_field(grid, moments))
         w, t_weights = timed(lambda: compute_weights(traj, field, binning))
         if name == "cli-files 8x8":
@@ -163,7 +163,7 @@ def main() -> None:
         n_levels, depth = levels(field)
         peak = fit_peak_mb(traj, bins, min_count)
         print(
-            f"{name:<27}{len(moments):>7}{components:>11}{n_levels:>8}{depth:>7}{t_vel:>10.1f}"
+            f"{name:<27}{len(moments):>7}{components:>11}{n_levels:>8}{depth:>7}"
             f"{t_bin:>9.1f}{t_moments:>9.1f}{t_fit:>10.1f}{t_weights:>9.1f}{t_save:>7.1f}{t_load:>7.1f}"
             f"{peak:>7.1f}"
         )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, serialize, svgplot
-from .estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
+from .estimate import accumulate_moments, bin_samples, build_grid
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, run_experiment
 from .frames import fit_field
 from .model import Trajectory
@@ -84,9 +84,8 @@ def cmd_synth(args) -> int:
 
 def cmd_moments(args) -> int:
     traj = _read_traj(args.input, args.dt)
-    vel = estimate_velocity(traj)
     grid = build_grid(traj, args.bins, args.min_count)
-    moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
+    moments = accumulate_moments(traj, bin_samples(traj, grid))
     serialize.dump_json(serialize.moments_to_dict(grid, moments), args.out)
     return 0
 
@@ -108,10 +107,7 @@ def cmd_weights(args) -> int:
             f"{args.input}: trajectory dimension {traj.dim} does not match "
             f"the dimension {field.grid.dim} of the field {args.field}"
         )
-    # the velocity series only decides which samples are binned; the
-    # weights take their velocities from the trajectory
-    binning = bin_samples(traj, estimate_velocity(traj), field.grid)
-    w = compute_weights(traj, field, binning)
+    w = compute_weights(traj, field, bin_samples(traj, field.grid))
     write_csv_weights(w, args.out)
     return 0
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .ingest import _CHUNK
 from .model import BinGrid, BinMoments, Binning, Trajectory, VelocitySeries
 
 
@@ -29,7 +30,9 @@ def central_difference(
 
 def estimate_velocity(traj: Trajectory) -> VelocitySeries:
     """Central-difference velocity aligned with the trajectory:
-    v[k] = (x[k+1]-x[k-1])/(2 dt), endpoints invalid."""
+    v[k] = (x[k+1]-x[k-1])/(2 dt), endpoints invalid.  The fit holds no
+    such series: the moments and the weights form the same velocities, to
+    the bit, at the binned rows only, one block at a time."""
     x = traj.samples
     n = traj.n_samples
     if n < 3:
@@ -67,13 +70,13 @@ def build_grid(
     return BinGrid(tuple(edges), int(min_count))
 
 
-def bin_samples(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> Binning:
-    """Group the samples with a valid velocity inside grid by bin (see
-    Binning), from one pass of grid.flat_index.
+def bin_samples(traj: Trajectory, grid: BinGrid) -> Binning:
+    """Group the samples inside grid by bin (see Binning), from one pass of
+    grid.flat_index.
 
-    The first and last samples are left out whatever vel's mask says: they
-    have no central difference, and compute_weights forms each binned
-    sample's velocity from the samples either side of it.
+    The first and last samples are left out: they have no central
+    difference, and the moments and the weights form each binned sample's
+    velocity from the samples either side of it.
 
     The samples are stable-sorted on the narrowest unsigned key that holds
     every flat index of the grid: numpy radix-sorts 8- and 16-bit keys, and
@@ -81,11 +84,9 @@ def bin_samples(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> Binning
     that order (int32 below 2^31 samples) and each listed bin's flat index
     and row range are kept, not the n-long flat index.
     """
-    if len(vel) != traj.n_samples:
-        raise ValueError("velocity series not aligned with trajectory")
     flat = grid.flat_index(traj.samples)
-    keep = vel.valid_mask & (flat >= 0)
-    keep[0] = keep[-1] = False
+    keep = flat >= 0
+    keep[[0, -1]] = False
     key = flat[keep].astype(np.min_scalar_type(math.prod(grid.shape) - 1))
     del flat  # the n-long int64 index is not held through the sort
     index_type = np.int32 if traj.n_samples < 2**31 else np.int64
@@ -100,47 +101,152 @@ def bin_samples(traj: Trajectory, vel: VelocitySeries, grid: BinGrid) -> Binning
     )
 
 
-def accumulate_moments(vel: VelocitySeries, binning: Binning) -> BinMoments:
-    """Centered second moment c2 and contracted fourth moment t of each
-    occupied bin (see BinMoments), the bins in ascending flat-index order.
+def _check_binned(traj: Trajectory, binning: Binning) -> None:
+    """Raise a ValueError unless binning groups samples of traj that each
+    have a central difference: a hand-built Binning may list row 0 or
+    n - 1, and row 0's would wrap to x[n - 1] - x[n - 3]."""
+    if binning.n_samples != traj.n_samples:
+        raise ValueError("binning not aligned with trajectory")
+    order = binning.order
+    if len(order) and not (0 < order.min() and order.max() < traj.n_samples - 1):
+        raise ValueError(
+            "binning lists the first or last sample, which have no central"
+            " difference; bin_samples never lists them"
+        )
 
-    Samples with invalid velocity or outside the grid are skipped; bins
-    whose valid count is below the grid's min_count are left out.  Each
-    bin's samples are accumulated in ascending sample order, so the result
-    is independent of how the samples were originally ordered.
+
+def _velocities(traj: Trajectory, rows: np.ndarray) -> np.ndarray:
+    """The central-difference velocity at rows, none of them the first or
+    last sample, bit for bit as estimate_velocity gives it.  Gathered
+    _CHUNK rows at a time straight into the result, beside one _CHUNK-row
+    block of the rows behind."""
+    x = traj.samples
+    out = np.empty((len(rows), traj.dim))
+    for lo in range(0, len(rows), _CHUNK):
+        k = np.subtract(rows[lo : lo + _CHUNK], 1, dtype=np.intp)  # row k of x[2:] - x[:-2]
+        # _check_binned has checked that every k is in range, so "clip"
+        # changes nothing; it spares take a buffered copy of out
+        ahead = x[2:].take(k, axis=0, out=out[lo : lo + _CHUNK], mode="clip")
+        central_difference(ahead, x[:-2].take(k, axis=0, mode="clip"), traj.dt, out=ahead)
+    return out
+
+
+def _block_cuts(starts: np.ndarray) -> list[int]:
+    """Cut the bins whose rows starts bounds into blocks: block b holds bins
+    cuts[b]:cuts[b + 1], whole bins of at most _CHUNK rows in all, or one
+    larger bin."""
+    cuts = [0]
+    while cuts[-1] < len(starts) - 1:
+        end = int(np.searchsorted(starts, starts[cuts[-1]] + _CHUNK, side="right")) - 1
+        cuts.append(max(end, cuts[-1] + 1))
+    return cuts
+
+
+def accumulate_moments(traj: Trajectory, binning: Binning) -> BinMoments:
+    """Centered second moment c2 and contracted fourth moment t of the
+    central-difference velocities of each occupied bin of binning (see
+    BinMoments), the bins in ascending flat-index order.
+
+    A bin is occupied when binning lists at least the grid's min_count of
+    its samples; the others are left out.  The occupied bins go in blocks
+    of whole bins of at most _CHUNK rows, or one larger bin, and each sum
+    runs over a bin's samples in ascending sample order, by np.add.reduceat
+    or np.add.reduce, never by a BLAS product: so the result does not
+    depend on how the samples were ordered, nor on the BLAS thread count.
     """
-    if len(vel) != binning.n_samples:
-        raise ValueError("velocity series not aligned with the binned trajectory")
+    _check_binned(traj, binning)
     grid = binning.grid
-    occupied = [(f, rows) for f, rows in binning.groups() if len(rows) >= grid.min_count]
-    if not occupied:
+    counts = np.diff(binning.starts)
+    occupied = counts >= grid.min_count
+    if not occupied.any():
         raise ValueError("no occupied bins (min_count too high or data too sparse)")
-    flat, groups = zip(*occupied)
-    counts = np.array([len(g) for g in groups])
-    # two passes over each bin's rows, gathered afresh each time, so no
-    # centred copy of all rows is held: c2 first, then t through one
-    # stacked pinv; each stack is divided by the counts and symmetrised once
-    means, c2 = [], []
-    for group in groups:
-        v = vel.values.take(group, axis=0)
-        means.append(np.add.reduce(v) / len(group))  # v.mean(axis=0), less its call overhead
-        dvl = v - means[-1]
-        c2.append(dvl.T @ dvl)
-    c2 = _symmetric_mean(c2, counts)
-    # pinv, not inv: a bin of equal velocities (c2 = 0) is still stored,
-    # and the frame solve rejects it
-    c2_pinv = np.linalg.pinv(c2, hermitian=True)
-    t = []
-    for group, mean, p in zip(groups, means, c2_pinv):
-        dvl = vel.values.take(group, axis=0) - mean
-        q = ((dvl @ p) * dvl).sum(axis=1)
-        t.append((dvl * q[:, None]).T @ dvl)
-    keys = np.stack(np.unravel_index(flat, grid.shape), axis=1)
-    return BinMoments(keys, counts, c2, _symmetric_mean(t, counts))
+    pairs = np.triu_indices(traj.dim)
+    c2, t = [], []
+    cuts = _block_cuts(binning.starts)
+    for b0, b1 in zip(cuts, cuts[1:]):
+        keep = occupied[b0:b1]
+        if not keep.any():
+            continue
+        rows = binning.order[binning.starts[b0] : binning.starts[b1]]
+        if not keep.all():
+            rows = rows[np.repeat(keep, counts[b0:b1])]
+        moments = _block_moments if len(rows) <= _CHUNK else _large_bin_moments
+        block_c2, block_t = moments(traj, rows, counts[b0:b1][keep], pairs)
+        c2.append(block_c2)
+        t.append(block_t)
+    keys = np.stack(np.unravel_index(binning.flat[occupied], grid.shape), axis=1)
+    return BinMoments(keys, counts[occupied], np.concatenate(c2), np.concatenate(t))
 
 
-def _symmetric_mean(sums: list[np.ndarray], counts: np.ndarray) -> np.ndarray:
-    """The (B, N, N) stack of per-bin sums divided by counts, then
-    symmetrised."""
-    a = np.stack(sums) / counts[:, None, None]
-    return 0.5 * (a + a.transpose(0, 2, 1))
+def _block_moments(traj, rows, counts, pairs):
+    """The (c2, t) stacks of a block of whole bins, rows listing their
+    samples bin after bin, counts[b] of them in bin b.  One gather of the
+    velocities; then per-bin sums by np.add.reduceat of the velocities, of
+    the pair products dv_i dv_j (i <= j) for c2, and of the same products
+    times q = dv^T c2^+ dv for t."""
+    at = np.cumsum(counts) - counts  # each bin's first row in the block
+    dv = _velocities(traj, rows)
+    dv -= np.repeat(np.add.reduceat(dv, at) / counts[:, None], counts, axis=0)
+    prod = _pair_products(dv, pairs)
+    del dv
+    c2 = _unpack(np.add.reduceat(prod, at) / counts[:, None], pairs)
+    coefficients = np.repeat(_q_coefficients(c2, pairs), counts, axis=0)
+    prod *= np.einsum("nk,nk->n", prod, coefficients)[:, None]  # times q
+    return c2, _unpack(np.add.reduceat(prod, at) / counts[:, None], pairs)
+
+
+def _large_bin_moments(traj, rows, counts, pairs):
+    """The (c2, t) stacks, of one matrix each, of one bin of more than
+    _CHUNK samples: each sum is taken over _CHUNK-row pieces in turn (the
+    mean, then c2, then t), each piece's velocities gathered afresh, so no
+    temporary holds more than _CHUNK rows."""
+    pieces = [rows[lo : lo + _CHUNK] for lo in range(0, len(rows), _CHUNK)]
+    mean = sum(np.add.reduce(_velocities(traj, p)) for p in pieces) / counts[0]
+
+    def products():
+        for p in pieces:
+            yield _pair_products(_velocities(traj, p) - mean, pairs)
+
+    c2 = _unpack(sum(np.add.reduce(prod) for prod in products())[None] / counts[0], pairs)
+    coefficients = _q_coefficients(c2, pairs)[0]
+    t = sum(
+        np.add.reduce(prod * np.einsum("nk,k->n", prod, coefficients)[:, None])
+        for prod in products()
+    )
+    return c2, _unpack(t[None] / counts[0], pairs)
+
+
+def _pair_products(dv: np.ndarray, pairs) -> np.ndarray:
+    """dv_i dv_j for each pair (i, j) of pairs, one column per pair."""
+    i, j = pairs
+    prod = dv[:, i]
+    prod *= dv[:, j]
+    return prod
+
+
+def _unpack(sums: np.ndarray, pairs) -> np.ndarray:
+    """The (B, N, N) symmetric stack whose (i, j) and (j, i) entries are
+    column k of sums, (i, j) the k-th pair of pairs."""
+    n = pairs[0][-1] + 1
+    out = np.empty((len(sums), n, n))
+    out[:, pairs[0], pairs[1]] = sums
+    out[:, pairs[1], pairs[0]] = sums
+    return out
+
+
+def _q_coefficients(c2: np.ndarray, pairs) -> np.ndarray:
+    """The (B, K) coefficients of q = dv^T c2^+ dv on the K pair products
+    of pairs: p_ii for a pair (i, i), p_ij + p_ji for i < j, p = pinv(c2).
+
+    pinv, not inv: a bin of equal velocities (c2 = 0) is still stored,
+    and the frame solve rejects it.  The pinv is np.linalg.pinv's with
+    hermitian=True, eigenvalues at most 1e-15 of the largest magnitude
+    dropped, but from one stacked eigh without its sorting steps, which
+    cost more than the solve on stacks of small matrices."""
+    i, j = pairs
+    w, u = np.linalg.eigh(c2)
+    kept = np.abs(w) > 1e-15 * np.abs(w).max(axis=1, keepdims=True)
+    p = (u * np.divide(1.0, w, out=np.zeros_like(w), where=kept)[:, None, :]) @ u.transpose(0, 2, 1)
+    coefficients = p[:, i, j] + p[:, j, i]
+    coefficients[:, i == j] /= 2  # p_ii + p_ii halved: exact
+    return coefficients

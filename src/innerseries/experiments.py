@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, serialize, svgplot
-from .estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
+from .estimate import accumulate_moments, bin_samples, build_grid
 from .frames import fit_field, frame_residuals
 from .model import BinMoments, FrameField, Trajectory, WeightSeries
 from .reconstruct import integrate_weights
@@ -103,15 +103,13 @@ class PipelineResult:
 def run_pipeline(
     traj: Trajectory, bins: tuple[int, ...], min_count: int | None
 ) -> PipelineResult:
-    """trajectory -> velocity -> grid -> moments -> aligned frames -> weights,
-    on the grid build_grid(traj, bins, min_count) makes.  The weights take
-    their velocities from the trajectory, so the velocity series is released
-    before them and never held beside them."""
-    vel = estimate_velocity(traj)
+    """trajectory -> grid -> moments -> aligned frames -> weights, on the
+    grid build_grid(traj, bins, min_count) makes.  The moments and the
+    weights form their velocities from the trajectory, a block of bins at a
+    time, so no velocity series is held."""
     grid = build_grid(traj, bins, min_count)
-    binning = bin_samples(traj, vel, grid)
-    moments = accumulate_moments(vel, binning)
-    del vel
+    binning = bin_samples(traj, grid)
+    moments = accumulate_moments(traj, binning)
     field, skipped = fit_field(grid, moments)
     r1, r2 = frame_residuals(field, moments)
     w = compute_weights(traj, field, binning)

@@ -390,6 +390,14 @@ def gen_broadband(
     return Trajectory(x, dt, ("x",))
 
 
+# each noise kind's draw of m samples, of unit variance
+_NOISE = {
+    "laplace": lambda rng, m: rng.laplace(0.0, 1.0 / np.sqrt(2.0), m),
+    "uniform": lambda rng, m: rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), m),
+    "gauss": lambda rng, m: rng.standard_normal(m),
+}
+
+
 def gen_bounded_walk(
     n: int,
     seed: int = 0,
@@ -406,31 +414,40 @@ def gen_bounded_walk(
     noise picks the per-channel driving distribution ('laplace', 'uniform',
     or 'gauss'); mixing distributions across channels gives the channels
     distinct velocity kurtosis, which downstream frame solving relies on.
+    The noise is drawn _CHUNK samples at a time while stepping, so no n-long
+    noise array is held.
     """
-    rng = np.random.default_rng(seed)
     kinds = (noise,) * dim if isinstance(noise, str) else tuple(noise)
     if len(kinds) != dim:
         raise ValueError("need one noise kind per channel")
-    eps = np.empty((n, dim))
-    for j, kind in enumerate(kinds):
-        if kind == "laplace":
-            eps[:, j] = rng.laplace(0.0, 1.0 / np.sqrt(2.0), n)
-        elif kind == "uniform":
-            eps[:, j] = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), n)
-        elif kind == "gauss":
-            eps[:, j] = rng.standard_normal(n)
-        else:
+    for kind in kinds:
+        if kind not in _NOISE:
             raise ValueError(f"unknown noise kind {kind!r}")
-    pos = np.empty((n, dim))
+    rng = np.random.default_rng(seed)
+
+    def noise_blocks(kind):
+        """The channel's n draws, _CHUNK at a time: numpy's generators draw
+        a block's samples in turn, so the blocks equal one n-long draw."""
+        for lo in range(0, n, _CHUNK):
+            yield _NOISE[kind](rng, min(_CHUNK, n - lo))
+
+    # the start point is drawn after every channel's noise: skip through
+    # the noise, draw it, then go back and draw the noise while stepping
+    state = rng.bit_generator.state
+    for kind in kinds:
+        for _ in noise_blocks(kind):
+            pass
     start = rng.uniform(-0.5 * box, 0.5 * box, dim).tolist()
+    rng.bit_generator.state = state
+    pos = np.empty((n, dim))
     step = step_scale * box
     gain = 1.0 - smooth
     # the channels are independent: step each one on Python floats
-    for j in range(dim):
+    for j, kind in enumerate(kinds):
         p, v = start[j], 0.0
-        for lo in range(0, n, _CHUNK):
+        for lo, eps in zip(range(0, n, _CHUNK), noise_blocks(kind)):
             col = []
-            for e in eps[lo : lo + _CHUNK, j].tolist():
+            for e in eps.tolist():
                 col.append(p)
                 v = smooth * v + gain * e
                 p = p + step * v

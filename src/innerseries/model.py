@@ -129,7 +129,7 @@ class BinGrid:
 
     edges: one strictly increasing edge array per axis, spanning the data
     range; the last bin includes its upper edge.  A bin is occupied when it
-    holds at least min_count samples with a valid velocity.  The grid holds
+    holds at least min_count binned samples (see Binning).  The grid holds
     no samples: bin counts live with the moments estimated from them.
     """
 
@@ -190,12 +190,13 @@ class BinGrid:
 
 @dataclass(frozen=True)
 class Binning:
-    """The samples of an n_samples-long trajectory that have a valid
-    velocity and lie inside grid, less the first and last sample, grouped
-    by bin: the bin of flat index
-    flat[b] (row-major, ascending in b) holds the samples
-    order[starts[b]:starts[b + 1]], ascending.  Every listed bin holds at
-    least one sample, whether or not it reaches the grid's min_count.
+    """The samples of an n_samples-long trajectory that lie inside grid,
+    less the first and last sample, which have no central difference,
+    grouped by bin: the bin of flat index flat[b] (row-major, ascending in
+    b) holds the samples order[starts[b]:starts[b + 1]], ascending.  Every
+    listed bin holds at least one sample, whether or not it reaches the
+    grid's min_count.  A hand-built Binning may list fewer samples, say to
+    leave some out of the moments and the weights.
     """
 
     grid: BinGrid
@@ -208,17 +209,11 @@ class Binning:
         for a in (self.order, self.flat, self.starts):
             a.setflags(write=False)
 
-    def groups(self):
-        """(flat index, sample rows) of each listed bin, in ascending bin
-        order; the rows are views of order."""
-        bounds = self.starts.tolist()
-        return ((f, self.order[lo:hi]) for f, lo, hi in zip(self.flat.tolist(), bounds, bounds[1:]))
-
 
 @dataclass(frozen=True)
 class BinMoments:
     """Velocity statistics of B occupied bins, one row per bin: its grid
-    index keys (B, N), valid-sample count (B,), centered second moment c2
+    index keys (B, N), binned-sample count (B,), centered second moment c2
     (B, N, N) and contracted fourth moment t = E[(dv^T c2^-1 dv) dv dv^T]
     (B, N, N), dv = v - the bin's mean, which is not kept.
     """

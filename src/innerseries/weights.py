@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import central_difference
+from .estimate import _block_cuts, _check_binned, _velocities
 from .ingest import _CHUNK, TIME_COLUMN, _read_csv_body, _TimeSteps, _write_csv_columns
 from .model import (
     Binning,
@@ -66,30 +66,14 @@ def _bin_lookup(field: FrameField) -> tuple[np.ndarray, np.ndarray]:
 _PRODUCT_ROWS = 128
 
 
-def _velocities(traj: Trajectory, rows: np.ndarray) -> np.ndarray:
-    """The central-difference velocity at rows, none of them the first or
-    last sample, bit for bit as estimate_velocity gives it.  Gathered
-    _CHUNK rows at a time straight into the result, beside one _CHUNK-row
-    block of the rows behind."""
-    x = traj.samples
-    out = np.empty((len(rows), traj.dim))
-    for lo in range(0, len(rows), _CHUNK):
-        k = np.subtract(rows[lo : lo + _CHUNK], 1, dtype=np.intp)  # row k of x[2:] - x[:-2]
-        # compute_weights has checked that every k is in range, so "clip"
-        # changes nothing; it spares take a buffered copy of out
-        ahead = x[2:].take(k, axis=0, out=out[lo : lo + _CHUNK], mode="clip")
-        central_difference(ahead, x[:-2].take(k, axis=0, mode="clip"), traj.dt, out=ahead)
-    return out
-
-
 def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> WeightSeries:
     """w(t) = M_bin(x(t)) . xdot(t) per binned sample, from binning =
-    bin_samples(traj, vel, field.grid): only the samples it lists can be
-    valid weights.  xdot(t) = (x(t+1) - x(t-1)) / (2 dt) is formed here from
-    the trajectory, as estimate_velocity forms it, so no velocity series
-    needs to be held beside the weights.  The first and last sample have no
-    such difference: bin_samples never lists them, and a binning that does
-    is refused with a ValueError.
+    bin_samples(traj, field.grid): only the samples it lists can be valid
+    weights.  xdot(t) = (x(t+1) - x(t-1)) / (2 dt) is formed here from the
+    trajectory, as accumulate_moments forms it, so no velocity series is
+    held.  The first and last sample have no such difference: bin_samples
+    never lists them, and a binning that does is refused with a
+    ValueError.
 
     Samples in unoccupied bins fall back to the nearest occupied bin within
     one grid step (flagged); samples with no such bin, or landing outside the
@@ -99,19 +83,13 @@ def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> We
     Each bin of at least _PRODUCT_ROWS samples gets its frame applied as
     one product; the samples of smaller bins each get their frame gathered.
     """
-    if binning.n_samples != traj.n_samples:
-        raise ValueError("binning not aligned with trajectory")
+    _check_binned(traj, binning)
     if not (
         binning.grid.dim == field.grid.dim
         and all(map(np.array_equal, binning.grid.edges, field.grid.edges))
     ):
         raise ValueError("samples binned on another grid than the field's")
     order = binning.order
-    if len(order) and not (0 < order.min() and order.max() < traj.n_samples - 1):
-        raise ValueError(
-            "binning lists the first or last sample, which have no central"
-            " difference; bin_samples never lists them"
-        )
     flat_to_slot, fallback_bins = _bin_lookup(field)
     starts = binning.starts
     slot = flat_to_slot[binning.flat]  # per listed bin; -1: no occupied bin within one step
@@ -124,12 +102,7 @@ def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> We
     fallback[order[np.repeat(fallback_bins[binning.flat], counts)]] = True
     large = (slot >= 0) & (counts >= _PRODUCT_ROWS)
     small = np.where(large, -1, slot)  # the slot of each small bin
-    # block b holds bins cuts[b]:cuts[b + 1]: whole bins of at most _CHUNK
-    # rows in all, or one larger bin
-    cuts = [0]
-    while cuts[-1] < len(counts):
-        end = int(np.searchsorted(starts, starts[cuts[-1]] + _CHUNK, side="right")) - 1
-        cuts.append(max(end, cuts[-1] + 1))
+    cuts = _block_cuts(starts)
     big = np.flatnonzero(large)
     big_bins = zip(slot[big].tolist(), starts[big].tolist(), starts[big + 1].tolist())
     big_per_block = np.diff(np.searchsorted(big, cuts)).tolist()

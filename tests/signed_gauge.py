@@ -12,10 +12,10 @@ from collections import deque
 
 import numpy as np
 
-from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid
 from innerseries.frames import align_frame_field, solve_frame
 from innerseries.ingest import gen_bounded_walk
-from innerseries.model import FrameField, LocalFrame, VelocitySeries, best_signed_assignments
+from innerseries.model import FrameField, LocalFrame, Trajectory, best_signed_assignments
 
 FIXED_MAP = np.array([[1.2, 0.4], [-0.3, 0.9]])
 
@@ -108,11 +108,11 @@ def linear_map_law_check(
     Returns (max residual over checked bins, number of bins checked).
     """
     traj = gen_bounded_walk(n, seed=seed, dim=2, box=1.0, dt=1.0, noise=("laplace", "uniform"))
-    vel = estimate_velocity(traj)
     grid = build_grid(traj, bins)
-    binning = bin_samples(traj, vel, grid)
-    moments = accumulate_moments(vel, binning)
-    moments_p = accumulate_moments(VelocitySeries(vel.values @ lin.T, vel.valid_mask), binning)
+    binning = bin_samples(traj, grid)
+    moments = accumulate_moments(traj, binning)
+    # the mapped trajectory's central differences are the velocities under lin
+    moments_p = accumulate_moments(Trajectory(traj.samples @ lin.T, traj.dt), binning)
     assert np.array_equal(moments.keys, moments_p.keys)
     jac = np.linalg.inv(lin)  # dx/dx'
     residuals = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from innerseries.estimate import accumulate_moments, bin_samples, build_grid, estimate_velocity
+from innerseries.estimate import accumulate_moments, bin_samples, build_grid
 from innerseries.experiments import run_pipeline
 from innerseries.frames import (
     FrameSolveError,
@@ -164,8 +164,7 @@ class TestFitField:
     def test_skips_bin_of_equal_velocities(self):
         traj = walk_then_ramp()
         grid = build_grid(traj, (8,))
-        vel = estimate_velocity(traj)
-        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
+        moments = accumulate_moments(traj, bin_samples(traj, grid))
         row = rows_of(moments)
         assert [moments.count[row[k]] for k in RAMP_BINS] == [80, 80, 79]
         for k in RAMP_BINS:
@@ -652,8 +651,7 @@ class TestPerDepthAssignment:
         # of differing depths, each depth solved across all of them at once
         traj = gen_bounded_walk(30_000, seed=4, dim=2, noise=("laplace", "uniform"))
         grid = build_grid(traj, (70, 70), 6)
-        vel = estimate_velocity(traj)
-        moments = accumulate_moments(vel, bin_samples(traj, vel, grid))
+        moments = accumulate_moments(traj, bin_samples(traj, grid))
         with pytest.MonkeyPatch.context() as mp:
             frames, _ = frames_before_alignment(mp, grid, moments)
         calls = []

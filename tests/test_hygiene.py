@@ -307,7 +307,10 @@ def unread_public_names(sources: dict[str, str]) -> list[str]:
 
 
 def test_every_public_name_is_read():
-    assert unread_public_names({p.stem: p.read_text() for p in MODULES}) == []
+    # the benchmark's tracer reads the functions it probes by name
+    probed = {f"{p.module}:{p.name}" for p in load_bench_tracer().PROBES}
+    unread = unread_public_names({p.stem: p.read_text() for p in MODULES})
+    assert [name for name in unread if name not in probed] == []
 
 
 def test_scan_flags_unread_public_names():

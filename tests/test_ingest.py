@@ -10,6 +10,7 @@ import pytest
 
 from innerseries import ingest
 from innerseries.ingest import (
+    _CHUNK,
     TransformError,
     apply_transform,
     gen_bounded_walk,
@@ -24,6 +25,7 @@ from innerseries.ingest import (
 )
 from innerseries.model import Trajectory, WeightSeries
 from innerseries.weights import read_csv_weights, write_csv_weights
+from stage_references import bounded_walk_reference
 
 
 class TestCsv:
@@ -688,6 +690,31 @@ class TestBoundedWalk:
         walk = gen_bounded_walk(*args[:3], box=box, noise=noise, smooth=0.3, step_scale=0.1)
         assert hits > 10
         np.testing.assert_array_equal(walk.samples, ref)
+
+    @pytest.mark.parametrize("n", [3, _CHUNK, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize(
+        "noise", ["laplace", ("gauss", "uniform"), ("uniform", "gauss", "laplace")]
+    )
+    def test_noise_blocks_equal_one_draw(self, n, noise):
+        # the noise drawn _CHUNK samples at a time, the start point after
+        # all of it, bit for bit as one n-long draw per channel gives them
+        dim = 1 if isinstance(noise, str) else len(noise)
+        walk = gen_bounded_walk(n, seed=n + dim, dim=dim, noise=noise)
+        ref = bounded_walk_reference(n, n + dim, dim, noise)
+        assert walk.samples.tobytes() == ref.samples.tobytes()
+        assert walk.channel_names == ref.channel_names
+
+    def test_peak_memory_output_plus_one_block(self):
+        # an n x dim noise array, or one channel's n-long draw, would add
+        # 8 n bytes or more to the n x dim output
+        n, dim = 200_000, 2
+        tracemalloc.start()
+        try:
+            gen_bounded_walk(n, dim=dim, noise=("laplace", "gauss"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * dim + 200 * _CHUNK
 
 
 class TestWav:

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from innerseries import serialize
-from innerseries.estimate import bin_samples, estimate_velocity
+from innerseries.estimate import bin_samples
 from innerseries.experiments import run_pipeline
 from innerseries.ingest import gen_bounded_walk
 from innerseries.model import BinGrid, BinMoments, FrameField, LocalFrame
@@ -102,9 +102,8 @@ class TestFieldRoundtrip:
         p = tmp_path / "field.json"
         serialize.dump_json(serialize.field_to_dict(res.field), p)
         back = serialize.field_from_dict(serialize.load_json(p))
-        vel = estimate_velocity(traj)
-        w1 = compute_weights(traj, res.field, bin_samples(traj, vel, res.field.grid))
-        w2 = compute_weights(traj, back, bin_samples(traj, vel, back.grid))
+        w1 = compute_weights(traj, res.field, bin_samples(traj, res.field.grid))
+        w2 = compute_weights(traj, back, bin_samples(traj, back.grid))
         np.testing.assert_array_equal(w1.values, w2.values)
         np.testing.assert_array_equal(w1.valid_mask, w2.valid_mask)
 

@@ -19,7 +19,6 @@ from innerseries.model import (
     FrameField,
     LocalFrame,
     Trajectory,
-    VelocitySeries,
     WeightSeries,
 )
 from innerseries.weights import (
@@ -36,7 +35,7 @@ from innerseries.weights import (
     write_csv_weights,
 )
 from signed_gauge import apply_to_array, inverse
-from stage_references import assert_near_per_channel, einsum_weights, per_bin_weights
+from stage_references import assert_near_per_channel, einsum_weights, per_bin_weights, thin
 
 
 ONLY_50_JOINT = rf"only 50 jointly valid samples \(need {MIN_OVERLAP}\)"
@@ -76,8 +75,7 @@ class TestComputeWeights:
         # a central difference of zero at every inner sample
         traj, res = walk_pipeline
         traj0 = Trajectory(traj.samples[np.arange(traj.n_samples) % 2 + 1000], traj.dt)
-        binning = bin_samples(traj0, estimate_velocity(traj0), res.field.grid)
-        w0 = compute_weights(traj0, res.field, binning)
+        w0 = compute_weights(traj0, res.field, bin_samples(traj0, res.field.grid))
         assert np.count_nonzero(w0.valid_mask) == traj.n_samples - 2
         assert np.all(w0.values == 0.0)
 
@@ -118,14 +116,14 @@ class TestComputeWeights:
 
 class TestVelocityFromTrajectory:
     """compute_weights forms each binned sample's velocity from the
-    trajectory, so the run_pipeline fit holds no velocity series beside the
-    weights."""
+    trajectory, so the run_pipeline fit holds no velocity series."""
 
     def test_endpoints_never_binned_whatever_the_mask(self, walk_pipeline):
+        # every sample lies in the grid, yet the two endpoints are left out
         traj, res = walk_pipeline
         n = traj.n_samples
-        vel = VelocitySeries(estimate_velocity(traj).values, np.ones(n, dtype=bool))
-        binning = bin_samples(traj, vel, res.field.grid)
+        assert np.all(res.field.grid.flat_index(traj.samples) >= 0)
+        binning = bin_samples(traj, res.field.grid)
         assert len(binning.order) == n - 2
         assert not np.isin([0, n - 1], binning.order).any()
         w = compute_weights(traj, res.field, binning)
@@ -137,7 +135,7 @@ class TestVelocityFromTrajectory:
         # a hand-built Binning may list row 0 or n - 1; neither has a
         # central difference, and row 0's would wrap to x[n - 1] - x[n - 3]
         traj, res = walk_pipeline
-        binning = bin_samples(traj, estimate_velocity(traj), res.field.grid)
+        binning = bin_samples(traj, res.field.grid)
         order = binning.order.copy()
         if end == "first":
             order[0] = 0
@@ -153,7 +151,6 @@ class TestVelocityFromTrajectory:
         # estimate_velocity(traj): on 3 x 3 bins every bin takes one
         # product, on 40 x 40 most samples take the small-bin einsum
         traj, _ = walk_pipeline
-        vel = estimate_velocity(traj)
         grid = build_grid(traj, bins, min_count=1)
         rng = np.random.default_rng(len(bins) * bins[0])
         frames = {}
@@ -161,18 +158,17 @@ class TestVelocityFromTrajectory:
             m = rng.standard_normal((2, 2)) + 3 * np.eye(2)
             frames[key] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
         field = FrameField(grid, frames, dict.fromkeys(frames, 0))
-        binning = bin_samples(traj, vel, grid)
+        binning = bin_samples(traj, grid)
         in_large = np.repeat(np.diff(binning.starts) >= _PRODUCT_ROWS, np.diff(binning.starts))
         assert in_large.mean() == 1.0 if bins == (3, 3) else in_large.mean() < 0.5
         w = compute_weights(traj, field, binning)
-        values, valid, _ = per_bin_weights(traj, vel, field)
+        values, valid, _ = per_bin_weights(traj, field)
         np.testing.assert_array_equal(w.valid_mask, valid)
         assert np.count_nonzero(valid) == traj.n_samples - 2
         assert w.values.tobytes() == values.tobytes()
 
     def test_pipeline_peak_memory_below_two_series(self):
-        # the weights take n N 8 bytes; the n x N velocity series is
-        # released before them, so the two are never held together
+        # the weights take n N 8 bytes; no n x N velocity series is formed
         n, dim = 50_000, 6
         noise = ("laplace", "uniform", "laplace", "uniform", "laplace", "gauss")
         traj = gen_bounded_walk(n, seed=0, dim=dim, noise=noise)
@@ -189,9 +185,9 @@ class TestVelocityFromTrajectory:
 def _random_field_inputs(n, dim, seed=0, margin=0.1):
     """A 3^dim grid on [0, 1]^dim whose occupied bins are those with every
     index below 2, random well-conditioned frames, and samples drawn from
-    [-margin, 1 + margin]^dim, with vel estimate_velocity's and every 20th
-    velocity also invalid.  So samples in the top layer of bins fall back
-    one step, and samples outside the grid are invalid."""
+    [-margin, 1 + margin]^dim, and a keep mask that leaves every 20th
+    sample out of the binning.  So samples in the top layer of bins fall
+    back one step, and samples outside the grid are invalid."""
     rng = np.random.default_rng(seed)
     grid = BinGrid(tuple(np.linspace(0.0, 1.0, 4) for _ in range(dim)), 1)
     frames = {}
@@ -200,11 +196,10 @@ def _random_field_inputs(n, dim, seed=0, margin=0.1):
             m = rng.standard_normal((dim, dim)) + 3 * np.eye(dim)
             frames[key] = LocalFrame(m, np.linalg.inv(m), np.arange(dim, 0, -1.0))
     traj = Trajectory(rng.uniform(-margin, 1 + margin, (n, dim)), 0.5)
-    vel = estimate_velocity(traj)
-    mask = vel.valid_mask.copy()
-    mask[::20] = False
+    keep = np.ones(n, dtype=bool)
+    keep[::20] = False
     field = FrameField(grid, frames, dict.fromkeys(frames, 0))
-    return traj, VelocitySeries(vel.values, mask), field
+    return traj, keep, field
 
 
 def full_sweep_lookup(field):
@@ -272,14 +267,14 @@ class TestBlockwiseWeights:
         # bin, the einsum per sample in the others); the one einsum over all
         # samples that defines w sums the large bins in another order, so it
         # is matched to 1e-15 of max|w| per channel
-        traj, vel, field = _random_field_inputs(n, dim, seed=dim)
-        values, valid, fallback = per_bin_weights(traj, vel, field)
-        w = compute_weights(traj, field, bin_samples(traj, vel, field.grid))
-        assert fallback.any() and (vel.valid_mask & ~valid).any()
+        traj, keep, field = _random_field_inputs(n, dim, seed=dim)
+        values, valid, fallback = per_bin_weights(traj, field, keep)
+        w = compute_weights(traj, field, thin(bin_samples(traj, field.grid), keep))
+        assert fallback.any() and (keep & ~valid)[1:-1].any()
         np.testing.assert_array_equal(w.valid_mask, valid)
         np.testing.assert_array_equal(w.fallback_mask, fallback)
         assert w.values.tobytes() == values.tobytes()
-        ein_values, ein_valid, ein_fallback = einsum_weights(traj, vel, field)
+        ein_values, ein_valid, ein_fallback = einsum_weights(traj, field, keep)
         np.testing.assert_array_equal(ein_valid, valid)
         np.testing.assert_array_equal(ein_fallback, fallback)
         assert_near_per_channel(w.values, ein_values)
@@ -294,20 +289,19 @@ class TestBlockwiseWeights:
         x = np.repeat((np.arange(4) + 0.5) / 4, counts)
         samples = np.column_stack([x, rng.random(len(x))])[rng.permutation(len(x))]
         traj = Trajectory(np.vstack([[2.0, 0.5], samples, [2.0, 0.5]]), 1.0)
-        vel = estimate_velocity(traj)
         grid = BinGrid((np.linspace(0.0, 1.0, 5), np.array([0.0, 1.0])), 1)
         frames = {}
         for key in [(0, 0), (1, 0), (2, 0)]:
             m = rng.standard_normal((2, 2)) + 3 * np.eye(2)
             frames[key] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
         field = FrameField(grid, frames, dict.fromkeys(frames, 0))
-        w = compute_weights(traj, field, bin_samples(traj, vel, grid))
-        values, valid, fallback = per_bin_weights(traj, vel, field)
+        w = compute_weights(traj, field, bin_samples(traj, grid))
+        values, valid, fallback = per_bin_weights(traj, field)
         assert valid[1:-1].all() and np.count_nonzero(fallback) == 5
         np.testing.assert_array_equal(w.valid_mask, valid)
         np.testing.assert_array_equal(w.fallback_mask, fallback)
         assert w.values.tobytes() == values.tobytes()
-        assert_near_per_channel(w.values, einsum_weights(traj, vel, field)[0])
+        assert_near_per_channel(w.values, einsum_weights(traj, field)[0])
 
     def test_fine_grid_of_sparse_bins(self):
         # 40 000 samples over 200 x 200 bins, about one per bin, a frame on
@@ -315,28 +309,26 @@ class TestBlockwiseWeights:
         rng = np.random.default_rng(11)
         n, shape = 40_000, (200, 200)
         traj = Trajectory(rng.random((n, 2)), 1.0)
-        vel = estimate_velocity(traj)
-        mask = vel.valid_mask & (rng.random(n) > 0.05)
-        vel = VelocitySeries(vel.values, mask)
+        keep = rng.random(n) > 0.05
         grid = BinGrid(tuple(np.linspace(0.0, 1.0, s + 1) for s in shape), 1)
         m = np.array([[2.0, 1.0], [-1.0, 3.0]])
         frame = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
         keys = [k for i, k in enumerate(np.ndindex(shape)) if i % 7 == 0]
         field = FrameField(grid, dict.fromkeys(keys, frame), dict.fromkeys(keys, 0))
-        w = compute_weights(traj, field, bin_samples(traj, vel, grid))
-        values, valid, fallback = per_bin_weights(traj, vel, field)
-        assert fallback.any() and (mask & ~valid).any()
+        w = compute_weights(traj, field, thin(bin_samples(traj, grid), keep))
+        values, valid, fallback = per_bin_weights(traj, field, keep)
+        assert fallback.any() and (keep & ~valid)[1:-1].any()
         np.testing.assert_array_equal(w.valid_mask, valid)
         np.testing.assert_array_equal(w.fallback_mask, fallback)
         assert w.values.tobytes() == values.tobytes()
-        assert_near_per_channel(w.values, einsum_weights(traj, vel, field)[0])
+        assert_near_per_channel(w.values, einsum_weights(traj, field, keep)[0])
 
     def test_peak_memory_below_one_frame_per_sample(self):
         # every sample in the grid: a frame gathered for each would alone
         # take n N^2 8 bytes
         n, dim = 50_000, 6
-        traj, vel, field = _random_field_inputs(n, dim, margin=0.0)
-        binning = bin_samples(traj, vel, field.grid)
+        traj, keep, field = _random_field_inputs(n, dim, margin=0.0)
+        binning = thin(bin_samples(traj, field.grid), keep)
         tracemalloc.start()
         try:
             compute_weights(traj, field, binning)
@@ -349,8 +341,8 @@ class TestBlockwiseWeights:
         # the weights, valid and fallback masks take n (8 N + 2) bytes; an
         # n-long bin or slot index would take 8 n more on its own
         n, dim = 200_000, 1
-        traj, vel, field = _random_field_inputs(n, dim, margin=0.0)
-        binning = bin_samples(traj, vel, field.grid)
+        traj, keep, field = _random_field_inputs(n, dim, margin=0.0)
+        binning = thin(bin_samples(traj, field.grid), keep)
         tracemalloc.start()
         try:
             compute_weights(traj, field, binning)
