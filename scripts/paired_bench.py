@@ -14,6 +14,11 @@ than the parent's by more than the distance between the parent's
 quartiles.  Seeds are integers or inclusive ranges such as 3000-3009.
 Exits 1 if any run fails or reports an incorrect result or a failed
 operation.
+
+With --out PATH it also writes the run as JSON to PATH, under the
+workload's name beside any other workloads PATH already holds: the seeds,
+each side's result objects in seed order, and per metric each side's
+median and quartiles and the claim verdict with its reason.
 """
 
 from __future__ import annotations
@@ -52,9 +57,14 @@ def run_bench(root: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def summary(values: list[float]) -> str:
+def quartiles(values: list[float]) -> dict:
     q1, med, q3 = np.percentile(values, [25, 50, 75])
-    return f"median {med:.6g}, quartiles [{q1:.6g}, {q3:.6g}]"
+    return {"median": float(med), "q1": float(q1), "q3": float(q3)}
+
+
+def summary(values: list[float]) -> str:
+    q = quartiles(values)
+    return f"median {q['median']:.6g}, quartiles [{q['q1']:.6g}, {q['q3']:.6g}]"
 
 
 def claim(parent: list[float], change: list[float], lower: bool) -> tuple[bool, str]:
@@ -80,6 +90,7 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", nargs="+", required=True, help="integers or ranges a-b")
+    ap.add_argument("--out", type=Path, default=None, help="JSON file to record the run in")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     seeds = parse_seeds(args.seeds)
@@ -98,6 +109,7 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
 
+    verdicts = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [r["metrics"][name]["value"] for r in results["parent"]]
@@ -110,6 +122,15 @@ def main(argv=None) -> int:
         print(f"  parent {summary(parent)}")
         print(f"  change {summary(change)}")
         print(f"  claim {'holds' if holds else 'does not hold'}: {why}")
+        verdicts[name] = {
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "claim": {"holds": bool(holds), "why": why},
+        }
+    if args.out:
+        trail = json.loads(args.out.read_text()) if args.out.exists() else {}
+        trail[args.workload] = {"seeds": seeds, "results": results, "metrics": verdicts}
+        args.out.write_text(json.dumps(trail, indent=1) + "\n")
     return 0 if ok else 1
 
 

@@ -32,7 +32,6 @@ from .model import (
     FrameField,
     LocalFrame,
     Trajectory,
-    VelocitySeries,
     WeightSeries,
 )
 from .reconstruct import integrate_weights

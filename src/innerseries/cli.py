@@ -84,7 +84,10 @@ def cmd_synth(args) -> int:
 
 def cmd_moments(args) -> int:
     traj = _read_traj(args.input, args.dt)
-    grid = build_grid(traj, args.bins, args.min_count)
+    try:
+        grid = build_grid(traj, args.bins, args.min_count)
+    except ValueError as err:
+        raise ValueError(f"{args.input}: {err}") from None
     moments = accumulate_moments(traj, bin_samples(traj, grid))
     serialize.dump_json(serialize.moments_to_dict(grid, moments), args.out)
     return 0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .ingest import _CHUNK
-from .model import BinGrid, BinMoments, Binning, Trajectory, VelocitySeries
+from .model import BinGrid, BinMoments, Binning, Trajectory
 
 
 def default_min_count(dim: int) -> int:
@@ -16,33 +16,14 @@ def default_min_count(dim: int) -> int:
     return 50 * dim * dim
 
 
-def central_difference(
-    ahead: np.ndarray, behind: np.ndarray, dt: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(ahead - behind) / (2 dt), into out if given: the velocity at the
-    samples between the rows ahead and the rows behind.  Every velocity of
-    the package is formed here, so each one is the same to the bit.
-    """
-    out = np.subtract(ahead, behind, out=out)
-    out /= 2.0 * dt
-    return out
-
-
-def estimate_velocity(traj: Trajectory) -> VelocitySeries:
-    """Central-difference velocity aligned with the trajectory:
-    v[k] = (x[k+1]-x[k-1])/(2 dt), endpoints invalid.  The fit holds no
-    such series: the moments and the weights form the same velocities, to
-    the bit, at the binned rows only, one block at a time."""
-    x = traj.samples
-    n = traj.n_samples
-    if n < 3:
+def estimate_velocity(traj: Trajectory) -> np.ndarray:
+    """The (n, N) central-difference velocity of traj: rows 1..n-2 as
+    _velocities forms them, and rows 0 and n - 1, which have no central
+    difference, zero.  No fit calls it: the moments and the weights call
+    _velocities at the binned rows only, one block at a time."""
+    if traj.n_samples < 3:
         raise ValueError("need at least 3 samples")
-    v = np.empty_like(x)
-    v[0] = v[-1] = 0.0
-    central_difference(x[2:], x[:-2], traj.dt, out=v[1:-1])
-    mask = np.ones(n, dtype=bool)
-    mask[0] = mask[-1] = False
-    return VelocitySeries(v, mask)
+    return np.pad(_velocities(traj, np.arange(1, traj.n_samples - 1)), ((1, 1), (0, 0)))
 
 
 def build_grid(
@@ -55,7 +36,7 @@ def build_grid(
     """
     counts = tuple(int(b) for b in bins_per_axis)
     if len(counts) != traj.dim:
-        raise ValueError("need one bin count per axis")
+        raise ValueError(f"need one bin count per axis, got {len(counts)} for dimension {traj.dim}")
     if any(c < 1 for c in counts):
         raise ValueError("bin counts must be >= 1")
     x = traj.samples
@@ -116,18 +97,20 @@ def _check_binned(traj: Trajectory, binning: Binning) -> None:
 
 
 def _velocities(traj: Trajectory, rows: np.ndarray) -> np.ndarray:
-    """The central-difference velocity at rows, none of them the first or
-    last sample, bit for bit as estimate_velocity gives it.  Gathered
-    _CHUNK rows at a time straight into the result, beside one _CHUNK-row
-    block of the rows behind."""
+    """The central-difference velocity (x[r + 1] - x[r - 1]) / (2 dt) at
+    each of rows, none of them the first or last sample.  Every velocity of
+    the package is formed here, so each one is the same to the bit.
+    Gathered _CHUNK rows at a time straight into the result, beside one
+    _CHUNK-row block of the rows behind."""
     x = traj.samples
     out = np.empty((len(rows), traj.dim))
     for lo in range(0, len(rows), _CHUNK):
         k = np.subtract(rows[lo : lo + _CHUNK], 1, dtype=np.intp)  # row k of x[2:] - x[:-2]
-        # _check_binned has checked that every k is in range, so "clip"
-        # changes nothing; it spares take a buffered copy of out
+        # every k is in range (see _check_binned), so "clip" changes
+        # nothing; it spares take a buffered copy of out
         ahead = x[2:].take(k, axis=0, out=out[lo : lo + _CHUNK], mode="clip")
-        central_difference(ahead, x[:-2].take(k, axis=0, mode="clip"), traj.dt, out=ahead)
+        ahead -= x[:-2].take(k, axis=0, mode="clip")
+        ahead /= 2.0 * traj.dt
     return out
 
 

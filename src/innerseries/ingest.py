@@ -84,17 +84,36 @@ def _forked(path, jobs) -> None:
             raise RuntimeError(f"{path}: the process {what} exited with code {code}")
 
 
+def _open_text(path):
+    """path opened as UTF-8 CSV text, each byte that is not UTF-8 read as a
+    lone surrogate (see _not_utf8) rather than raised at whatever line the
+    decoder's block reached."""
+    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+
+
+def _not_utf8(text: str) -> bool:
+    """Whether text read by _open_text holds a byte that is not UTF-8: a
+    lone surrogate, which no UTF-8 text decodes to, does not encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _parse_cells(path, header: list[str], out) -> None:
     """Parse a CSV body cell by cell, as csv.reader yields its rows (blank
     ones skipped), and write the rows' float64 bytes to the binary file out,
-    _CHUNK rows at a time; stop at the first ragged row, bad cell or
-    non-finite value with a ValueError naming its row (header = row 1) and
-    column."""
-    with open(path, newline="") as fh:
+    _CHUNK rows at a time; stop at the first row that is not UTF-8 text,
+    ragged row, bad cell or non-finite value with a ValueError naming its
+    row (header = row 1) and column."""
+    with _open_text(path) as fh:
         rows = (r for r in csv.reader(fh) if r)
         next(rows, None)  # the header
         chunk = []
         for i, row in enumerate(rows, start=2):
+            if _not_utf8("".join(row)):
+                raise ValueError(f"{path}: row {i} is not UTF-8 text")
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
             for name, cell in zip(header, row):
@@ -181,9 +200,11 @@ def _read_csv_body(path):
     forked child.  If any part fails, _parse_cells parses the body into one
     part file instead, up to the first fault.
     """
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         head = []  # the lines the header row is read from
         header = next(csv.reader(head.append(line) or line for line in fh), None)
+        if _not_utf8("".join(head)):
+            raise ValueError(f"{path}: not UTF-8 text")
         if header is None:
             raise ValueError(f"{path}: empty file, no header row")
         if not header:  # csv.reader gives a blank line no cells

@@ -27,14 +27,6 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _check_valid_rows_finite(values: np.ndarray, mask: np.ndarray, what: str) -> None:
-    """Raise unless every row of values that mask marks valid is finite; an
-    invalid row need not be.  The whole array is checked at once, and the
-    per-row reduction runs only when some value is not finite."""
-    if not np.isfinite(values).all() and np.any(mask & ~np.isfinite(values).all(axis=1)):
-        raise ValueError(f"valid {what} must be finite")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled multichannel measurement time series.
@@ -81,38 +73,6 @@ class Trajectory:
 
     def channel(self, i: int) -> np.ndarray:
         return self.samples[:, i]
-
-
-@dataclass(frozen=True)
-class VelocitySeries:
-    """Per-sample velocity estimates aligned index-for-index with a Trajectory.
-
-    Boundary samples that the difference scheme cannot cover are masked invalid
-    and excluded from every downstream statistic.
-    """
-
-    values: np.ndarray
-    valid_mask: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.valid_mask, dtype=bool)
-        if values.ndim != 2:
-            raise ValueError("values must be (n_samples, n_channels)")
-        if mask.shape != (values.shape[0],):
-            raise ValueError("valid_mask must be one flag per sample")
-        _check_valid_rows_finite(values, mask, "velocity samples")
-        values.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid_mask", mask)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 # An axis of at most this many inner edges is binned by comparisons, one
@@ -228,13 +188,14 @@ class BinMoments:
         count = np.asarray(self.count, dtype=np.int64)
         c2 = _as_float_array(self.c2, "c2")
         t = _as_float_array(self.t, "t")
-        if keys.ndim != 2 or count.shape != keys.shape[:1] or not (
+        if keys.ndim != 2 or not keys.shape[1] or count.shape != keys.shape[:1] or not (
             c2.shape == t.shape == keys.shape + keys.shape[1:]
         ):
             raise ValueError("moment shapes inconsistent with dimension")
-        uniq, seen = np.unique(keys, axis=0, return_counts=True)
-        if np.any(seen > 1):
-            raise ValueError(f"bin {tuple(uniq[seen > 1][0].tolist())} has more than one row")
+        ranked = keys[np.lexsort(keys.T[::-1])]  # ascending, the first column leading
+        twice = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
+        if len(twice):
+            raise ValueError(f"bin {tuple(ranked[twice[0]].tolist())} has more than one row")
         for name, a in zip(("keys", "count", "c2", "t"), (keys, count, c2, t)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -343,7 +304,10 @@ class WeightSeries:
             raise ValueError("valid_mask must be one flag per sample")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        _check_valid_rows_finite(values, mask, "weights")
+        # a row marked invalid need not be finite; the per-row reduction
+        # runs only when some value is not
+        if not np.isfinite(values).all() and np.any(mask & ~np.isfinite(values).all(axis=1)):
+            raise ValueError("valid weights must be finite")
         values.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "values", values)

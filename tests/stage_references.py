@@ -53,7 +53,7 @@ def thin(binning, keep):
 def per_bin_moments(traj, grid, keep=None):
     """Reference: one bin at a time, each with its own pinv, as
     {key: (count, c2, t)}."""
-    vel = estimate_velocity(traj).values
+    vel = estimate_velocity(traj)
     flat = grid.flat_index(traj.samples)
     sel = np.flatnonzero(binned_mask(flat, keep))
     order = np.argsort(flat[sel], kind="stable")
@@ -86,7 +86,7 @@ def assert_near_moments(moments, ref, tol=1e-14):
 
 def einsum_weights(traj, field, keep=None):
     """Reference: one gather of every valid sample's frame, one einsum."""
-    vel = estimate_velocity(traj).values
+    vel = estimate_velocity(traj)
     flat = field.grid.flat_index(traj.samples)
     flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([f.m for f in field.frames.values()])
@@ -102,7 +102,7 @@ def per_bin_weights(traj, field, keep=None):
     bin's valid samples, ascending, as one product when the bin holds at
     least _PRODUCT_ROWS of them and sample by sample through the einsum
     otherwise, each bin found by its own scan of the flat index."""
-    vel = estimate_velocity(traj).values
+    vel = estimate_velocity(traj)
     flat = field.grid.flat_index(traj.samples)
     flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([f.m for f in field.frames.values()])

@@ -149,7 +149,7 @@ def test_criterion_8_exact_invariances():
     sel = res.weights.valid_mask & ~res.weights.fallback_mask
     for t in np.flatnonzero(sel):
         key = tuple(int(i) for i in np.unravel_index(flat[t], grid.shape))
-        expect = res.field.frames[key].m @ vel.values[t]
+        expect = res.field.frames[key].m @ vel[t]
         resub_err = max(resub_err, float(np.max(np.abs(res.weights.values[t] - expect))))
     resub_err /= wscale
 

@@ -670,6 +670,19 @@ class TestErrors:
         )
         assert not moments.exists()
 
+    @pytest.mark.parametrize("name, dim, bins", [("walk.csv", 2, "3"), ("walk.wav", 1, "3,3")])
+    def test_bin_count_names_file_and_both_counts(self, tmp_path, capsys, name, dim, bins):
+        traj = tmp_path / name
+        assert run(["synth", "--kind", "walk", "--samples", "500", "--dim", dim,
+                    "--amplitude", "20000", "--out", traj]) == 0
+        moments = tmp_path / "moments.json"
+        assert run(["moments", "--in", traj, "--bins", bins, "--out", moments]) == 2
+        given = len(bins.split(","))
+        assert capsys.readouterr().err == (
+            f"error [moments]: {traj}: need one bin count per axis, got {given} for dimension {dim}\n"
+        )
+        assert not moments.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -183,6 +183,22 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{message}"):
             read_csv_trajectory(p)
 
+    @pytest.mark.parametrize("reader", [read_csv_trajectory, read_csv_weights])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"RIFF\x24\xf4\x01\x00WAVEfmt \x10\x00", "not UTF-8 text"),  # a WAV's first bytes
+            (b"t,x,valid\n0,1,1\n1,\xf4,1\n", "row 3 is not UTF-8 text"),
+            (b"t,x,valid\n0,1,1\n\n1,2,1\n\xff\xfe\n", "row 4 is not UTF-8 text"),  # after a blank
+        ],
+        ids=["header", "cell", "row"],
+    )
+    def test_bytes_not_utf8_named(self, tmp_path, reader, data, message):
+        p = tmp_path / "a.csv"
+        p.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}$"):
+            reader(p)
+
 
 # row counts about the _CHUNK block boundaries at which the writer cuts parts
 WRITER_ROWS = [1, ingest._CHUNK - 1, ingest._CHUNK, 2 * ingest._CHUNK + 1, 5 * ingest._CHUNK + 7]
@@ -309,7 +325,9 @@ def _reader_body(n, seed) -> tuple[list[str], np.ndarray]:
 
 
 def _write_lines(path, lines, end="\r\n", final=True) -> None:
-    path.write_bytes((end.join(lines) + (end if final else "")).encode())
+    """The lines as UTF-8, but each lone surrogate U+DC80..U+DCFF as the
+    byte 0x80..0xFF it stands for, which is not UTF-8 there."""
+    path.write_bytes((end.join(lines) + (end if final else "")).encode(errors="surrogateescape"))
 
 
 class TestForkedReader:
@@ -426,6 +444,7 @@ class TestForkedReader:
             ("3.0,0.5", "row 14 has 2 cells, expected 3"),
             ("3.0,#,1", "row 14, column 'x': not a number: '#'"),
             ("3.0,1,inf", "row 14, column 'y': non-finite value"),
+            ("3.0,\udcf4\udc80,1", "row 14 is not UTF-8 text"),
             ("3.01,1,2", "non-uniform timestamps in column 't'"),
         ],
     )
@@ -450,6 +469,7 @@ class TestForkedReader:
         [
             ("0.25,0.5", "row 3 has 2 cells, expected 3"),
             ("0.25,#,1", "row 3, column 'x': not a number: '#'"),
+            ("0.25,1,\udcff", "row 3 is not UTF-8 text"),
             ("0.26,1,2", "non-uniform timestamps in column 't'"),
             ("0.0,1,2", "time column must be strictly increasing"),
         ],

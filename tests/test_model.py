@@ -14,7 +14,6 @@ from innerseries.model import (
     FrameField,
     LocalFrame,
     Trajectory,
-    VelocitySeries,
     WeightSeries,
     _COMPARE_EDGES,
     best_signed_assignments,
@@ -60,10 +59,9 @@ class TestTrajectory:
 @pytest.mark.parametrize(
     "make, message",
     [
-        (VelocitySeries, "valid velocity samples must be finite"),
         (WeightSeries, "valid weights must be finite"),
     ],
-    ids=["velocity", "weights"],
+    ids=["weights"],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_valid_rows_must_be_finite(make, message, bad):
@@ -226,6 +224,7 @@ class TestBinMoments:
             ([(0, 1)], [60], np.ones((1, 3, 3)), np.ones((1, 3, 3))),  # N x N for N-index keys
             ([(0, 1)], [60], np.ones((1, 2, 2)), np.ones((1, 2, 1))),  # t like c2
             ([0, 1], [60, 70], np.ones((2, 1, 1)), np.ones((2, 1, 1))),  # keys (B, N)
+            (np.zeros((2, 0)), [60, 70], np.ones((2, 0, 0)), np.ones((2, 0, 0))),  # N >= 1
         ],
     )
     def test_inconsistent_shapes_rejected(self, keys, count, c2, t):
@@ -240,6 +239,13 @@ class TestBinMoments:
         # two rows for one bin would give it two frames
         with pytest.raises(ValueError, match=r"^bin \(0, 1\) has more than one row$"):
             BinMoments([(2, 0), (0, 1), (0, 1)], [6, 7, 8], np.ones((3, 2, 2)), np.ones((3, 2, 2)))
+
+    def test_duplicates_apart_named_by_the_least_key(self):
+        # neither bin's two rows are next to each other; (1, 2) sorts first
+        keys = [(3, 0), (1, 2), (0, 5), (3, 0), (2, 2), (1, 2)]
+        with pytest.raises(ValueError, match=r"^bin \(1, 2\) has more than one row$"):
+            BinMoments(keys, [9] * 6, np.ones((6, 2, 2)), np.ones((6, 2, 2)))
+
 
 
 GRID_2X2 = BinGrid((np.linspace(0, 1, 3), np.linspace(0, 1, 3)), 1)

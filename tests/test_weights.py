@@ -59,7 +59,7 @@ class TestComputeWeights:
         checked = 0
         for t in np.flatnonzero(res.weights.valid_mask & ~res.weights.fallback_mask):
             key = tuple(int(i) for i in np.unravel_index(flat[t], grid.shape))
-            expect = res.field.frames[key].m @ vel.values[t]
+            expect = res.field.frames[key].m @ vel[t]
             assert np.max(np.abs(res.weights.values[t] - expect)) < 1e-12 * scale
             checked += 1
         assert checked > 10_000
