@@ -42,17 +42,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the highdim-6d input: one 1-D walk per channel, with its own noise kind and
-# smoothing, as bench/workloads.py builds it
-HIGHDIM_CHANNELS = (
-    ("laplace", 0.2),
-    ("uniform", 0.2),
-    ("laplace", 0.5),
-    ("uniform", 0.5),
-    ("laplace", 0.8),
-    ("gauss", 0.5),
-)
-
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -107,6 +96,9 @@ def highdim_digests() -> list[tuple[str, str]]:
     from innerseries.experiments import run_pipeline
     from innerseries.ingest import gen_bounded_walk
     from innerseries.model import Trajectory
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import HIGHDIM_CHANNELS  # the benchmark's own input table
 
     lines = []
     for seed in range(3):

@@ -34,6 +34,7 @@ process alone, and the CPU mask is restored after the reads.
 
 import os
 import statistics
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -50,20 +51,13 @@ from innerseries.model import Trajectory
 from innerseries.weights import compute_weights, read_csv_weights, write_csv_weights
 
 REPEATS = 5
-# the highdim-6d input: one 1-D walk per channel, with its own noise kind and
-# smoothing, as bench/workloads.py builds it
-HIGHDIM_CHANNELS = (
-    ("laplace", 0.2),
-    ("uniform", 0.2),
-    ("laplace", 0.5),
-    ("uniform", 0.5),
-    ("laplace", 0.8),
-    ("gauss", 0.5),
-)
 
 
 def inputs():
     """(name, trajectory, bins, min_count) of each input."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import HIGHDIM_CHANNELS  # the benchmark's own input table
+
     cols = [
         gen_bounded_walk(200_000, seed=j, noise=kind, smooth=smooth).samples[:, 0]
         for j, (kind, smooth) in enumerate(HIGHDIM_CHANNELS)

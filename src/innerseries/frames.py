@@ -58,6 +58,11 @@ def _solve_stack(c2: np.ndarray, t: np.ndarray):
     return m, np.linalg.inv(m), d, degenerate, ok, evals
 
 
+def _ill_conditioned(evals: np.ndarray) -> str:
+    """Why a bin whose c2 has the ascending eigenvalues evals is skipped."""
+    return f"c2 ill-conditioned: eigenvalues {evals[0]:.3e} .. {evals[-1]:.3e}"
+
+
 def solve_frame(c2: np.ndarray, t: np.ndarray) -> LocalFrame:
     """Closed-form local frame from one bin's N x N moments c2 and t.
 
@@ -67,9 +72,7 @@ def solve_frame(c2: np.ndarray, t: np.ndarray) -> LocalFrame:
     """
     m, v, d, degenerate, ok, evals = _solve_stack(np.array([c2]), np.array([t]))
     if not ok[0]:
-        raise FrameSolveError(
-            f"c2 ill-conditioned: eigenvalues {evals[0, 0]:.3e} .. {evals[0, -1]:.3e}"
-        )
+        raise FrameSolveError(_ill_conditioned(evals[0]))
     return LocalFrame(m[0], v[0], d[0], bool(degenerate[0]))
 
 
@@ -210,17 +213,15 @@ def fit_field(grid: BinGrid, moments: BinMoments) -> tuple[FrameField, dict[tupl
     """Solve every bin's frame, all as one stack, and align them into a field.
 
     A bin with an ill-conditioned c2 is left out of the field; the second
-    value maps each such bin to the reason solve_frame gives.  When every
+    value maps each such bin to the reason, worded from the stack's c2
+    eigenvalues as solve_frame words its error.  When every
     bin is left out, the ValueError names their number and the first bin's
     reason.
     """
-    m, v, d, degenerate, ok, _ = _solve_stack(moments.c2, moments.t)
-    skipped = {}
-    for key, c2, t in zip(moments.keys[~ok].tolist(), moments.c2[~ok], moments.t[~ok]):
-        try:
-            solve_frame(c2, t)  # raises, worded as for one bin
-        except FrameSolveError as err:
-            skipped[tuple(key)] = str(err)
+    m, v, d, degenerate, ok, evals = _solve_stack(moments.c2, moments.t)
+    skipped = {
+        tuple(key): _ill_conditioned(e) for key, e in zip(moments.keys[~ok].tolist(), evals[~ok])
+    }
     if skipped and not ok.any():
         key, reason = next(iter(skipped.items()))
         raise ValueError(

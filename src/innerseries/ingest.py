@@ -321,7 +321,7 @@ def read_csv_trajectory(path, dt: float | None = None) -> Trajectory:
                 f"{path}: column '{TIME_COLUMN}' sets dt; a fixed dt cannot also be given"
             )
         if not timed and dt is None:
-            raise ValueError("no time column found and no fixed dt given")
+            raise ValueError(f"{path}: no time column found and no fixed dt given")
         tcol = header.index(TIME_COLUMN) if timed else len(header)
         samples = np.empty((n, len(header) - timed))
         times = _TimeSteps()

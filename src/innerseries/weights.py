@@ -58,11 +58,11 @@ def _bin_lookup(field: FrameField) -> tuple[np.ndarray, np.ndarray]:
     return flat_to_slot, (flat_to_slot >= 0) & (slots.ravel() < 0)
 
 
-# A bin of at least this many samples takes one product with its frame;
-# the samples of smaller bins take a per-sample product, one block of whole
-# bins at a time, so the loop over bins runs at most n / _PRODUCT_ROWS times on
-# any grid.  Below about this size a product costs more per sample than the
-# per-sample gather.
+# A block of whole bins (see compute_weights) whose bins hold at least this
+# many samples on average takes one product per bin with its frame; any
+# other block takes one per-sample product of gathered frames.  So the loop
+# over bins runs at most n / _PRODUCT_ROWS times on any grid.  Below about
+# this size a product costs more per sample than the per-sample gather.
 _PRODUCT_ROWS = 128
 
 
@@ -77,11 +77,12 @@ def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> We
 
     Samples in unoccupied bins fall back to the nearest occupied bin within
     one grid step (flagged); samples with no such bin, or landing outside the
-    grid, are invalid.  The sorted samples go in blocks of whole bins of at
-    most _CHUNK rows, or one larger bin, each block's velocities formed by
-    one pair of gathers per _CHUNK rows and its weights written by one put.
-    Each bin of at least _PRODUCT_ROWS samples gets its frame applied as
-    one product; the samples of smaller bins each get their frame gathered.
+    grid, are invalid and +0.0.  The sorted samples go in blocks of whole
+    bins of at most _CHUNK rows, or one larger bin, each block's velocities
+    formed by one pair of gathers per _CHUNK rows and its weights written by
+    one put.  A block whose bins average at least _PRODUCT_ROWS samples
+    applies each bin's frame to the bin's rows as one product; any other
+    block applies one einsum over its rows, each with its frame gathered.
     """
     _check_binned(traj, binning)
     if not (
@@ -100,27 +101,22 @@ def compute_weights(traj: Trajectory, field: FrameField, binning: Binning) -> We
     valid[order] = np.repeat(slot >= 0, counts)
     # only the rows of fallback bins, which are few if any, are scattered
     fallback[order[np.repeat(fallback_bins[binning.flat], counts)]] = True
-    large = (slot >= 0) & (counts >= _PRODUCT_ROWS)
-    small = np.where(large, -1, slot)  # the slot of each small bin
     cuts = _block_cuts(starts)
-    big = np.flatnonzero(large)
-    big_bins = zip(slot[big].tolist(), starts[big].tolist(), starts[big + 1].tolist())
-    big_per_block = np.diff(np.searchsorted(big, cuts)).tolist()
     # each row of values as one item, so a block's rows go in by a 1-D put
     row = np.dtype((np.void, values.itemsize * traj.dim))
     value_rows = values.view(row).reshape(-1)
-    for b0, b1, n_big in zip(cuts, cuts[1:], big_per_block):
+    for b0, b1 in zip(cuts, cuts[1:]):
         lo, hi = int(starts[b0]), int(starts[b1])
-        w = _velocities(traj, order[lo:hi])  # then, in place, the weights
-        for s, a, b in itertools.islice(big_bins, n_big):
-            w[a - lo : b - lo] = w[a - lo : b - lo] @ field.m[s].T
-        in_small = small[b0:b1] >= 0
-        if in_small.any():  # a flag per row, not a slot: a block may hold a large bin
-            pick = np.flatnonzero(np.repeat(in_small, counts[b0:b1]))
-            slots = np.repeat(small[b0:b1][in_small], counts[b0:b1][in_small])
-            w[pick] = np.einsum("nij,nj->ni", field.m[slots], w[pick])
+        w = _velocities(traj, order[lo:hi])  # then the block's weights
+        if hi - lo >= _PRODUCT_ROWS * (b1 - b0):
+            bounds = (starts[b0 : b1 + 1] - lo).tolist()
+            for s, a, b in zip(slot[b0:b1].tolist(), bounds, bounds[1:]):
+                if s >= 0:
+                    w[a:b] = w[a:b] @ field.m[s].T
+        else:  # slot -1 gathers the last frame; its rows are zeroed below
+            w = np.einsum("nij,nj->ni", field.m[np.repeat(slot[b0:b1], counts[b0:b1])], w)
         unresolved = slot[b0:b1] < 0
-        if unresolved.any():  # rows with no frame within one step stay 0
+        if unresolved.any():  # rows with no frame within one step are +0.0
             w[np.repeat(unresolved, counts[b0:b1])] = 0.0
         value_rows.put(order[lo:hi], w.view(row))
         del w  # not held while the next block's velocities are formed

@@ -1,13 +1,14 @@
 """Test-side references for the binned stages and the walk generator: the
 moments bin by bin, each bin with its own BLAS products and pinv; the
-weights both as compute_weights forms them (a product per large bin, a
-per-sample einsum for the rest) and as the one einsum over all samples that
-defines them; and gen_bounded_walk as it was written before it drew its
-noise in blocks.  Each binned reference finds a bin's samples through its
-own flat index, not through the package's binning, leaves out the first
-and last sample, as bin_samples does, and reads the velocities of
-estimate_velocity(traj), which the package forms at the binned rows alone.
-A keep mask leaves more samples out, as a Binning thinned by thin() does."""
+weights both as compute_weights forms them (a product per bin in blocks of
+large bins on average, a per-sample einsum in the other blocks) and as the
+one einsum over all samples that defines them; and gen_bounded_walk as it
+was written before it drew its noise in blocks.  Each binned reference
+finds a bin's samples through its own flat index, not through the
+package's binning, leaves out the first and last sample, as bin_samples
+does, and reads the velocities of estimate_velocity(traj), which the
+package forms at the binned rows alone.  A keep mask leaves more samples
+out, as a Binning thinned by thin() does."""
 
 import numpy as np
 
@@ -97,24 +98,34 @@ def einsum_weights(traj, field, keep=None):
     return values, valid, valid & fallback_bins[flat]
 
 
-def per_bin_weights(traj, field, keep=None):
-    """Reference: each bin's frame, or its fallback bin's, applied to the
-    bin's valid samples, ascending, as one product when the bin holds at
-    least _PRODUCT_ROWS of them and sample by sample through the einsum
-    otherwise, each bin found by its own scan of the flat index."""
+def per_block_weights(traj, field, keep=None):
+    """Reference: the binned samples stable-sorted on their own flat index
+    and split into bins, the bins cut into blocks of whole bins of at most
+    _CHUNK samples, or one larger bin.  A block whose bins average at least
+    _PRODUCT_ROWS samples applies each bin's frame, or its fallback bin's,
+    to the bin's samples as one product; any other block applies it sample
+    by sample through the einsum.  A bin with no frame within one step is
+    left +0.0."""
     vel = estimate_velocity(traj)
     flat = field.grid.flat_index(traj.samples)
     flat_to_slot, fallback_bins = _bin_lookup(field)
     m_stack = np.stack([f.m for f in field.frames.values()])
-    valid = binned_mask(flat, keep) & (flat_to_slot[flat] >= 0)
+    sel = np.flatnonzero(binned_mask(flat, keep))
+    sel = sel[np.argsort(flat[sel], kind="stable")]
+    blocks = [[]]
+    for rows in np.split(sel, np.flatnonzero(np.diff(flat[sel])) + 1):
+        if blocks[-1] and sum(map(len, blocks[-1])) + len(rows) > _CHUNK:
+            blocks.append([])
+        blocks[-1].append(rows)
     values = np.zeros((traj.n_samples, traj.dim))
-    for f in np.unique(flat[valid]):
-        rows = np.flatnonzero(valid & (flat == f))
-        m = m_stack[flat_to_slot[f]]
-        if len(rows) >= _PRODUCT_ROWS:
-            values[rows] = vel[rows] @ m.T
-        else:
-            values[rows] = np.einsum("ij,nj->ni", m, vel[rows])
+    for block in blocks:
+        product = sum(map(len, block)) >= _PRODUCT_ROWS * len(block)
+        for rows in block:
+            s = flat_to_slot[flat[rows[0]]] if len(rows) else -1
+            if s >= 0:
+                m = m_stack[s]
+                values[rows] = vel[rows] @ m.T if product else np.einsum("ij,nj->ni", m, vel[rows])
+    valid = binned_mask(flat, keep) & (flat_to_slot[flat] >= 0)
     return values, valid, valid & fallback_bins[flat]
 
 

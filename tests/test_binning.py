@@ -1,8 +1,8 @@
 """One binning per fit: bin_samples groups the samples once, and both the
 moments and the weights read that grouping.  The moments must equal the
 bin-by-bin reference to 1e-14 of each bin's largest entry (see
-assert_near_moments), the weights the per-bin product bit for bit and the
-einsum that defines them to 1e-15 of max|w| per channel."""
+assert_near_moments), the weights the per-block reference bit for bit and
+the einsum that defines them to 1e-15 of max|w| per channel."""
 
 import math
 import tracemalloc
@@ -24,7 +24,7 @@ from stage_references import (
     einsum_weights,
     groups,
     per_bin_moments,
-    per_bin_weights,
+    per_block_weights,
     thin,
 )
 
@@ -78,9 +78,10 @@ class TestBinSamples:
         ein_values, ein_valid, ein_fallback = einsum_weights(traj, field, keep)
         np.testing.assert_array_equal(w.valid_mask, ein_valid)
         np.testing.assert_array_equal(w.fallback_mask, ein_fallback)
-        values, _, _ = per_bin_weights(traj, field, keep)
+        values, _, _ = per_block_weights(traj, field, keep)
         assert w.values.tobytes() == values.tobytes()
         assert_near_per_channel(w.values, ein_values)
+        assert not np.signbit(w.values[~w.valid_mask]).any()
 
     @pytest.mark.parametrize(
         "shape, key_bytes",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from innerseries import experiments, ingest
-from innerseries.estimate import bin_samples, build_grid, estimate_velocity
+from innerseries.estimate import _block_cuts, bin_samples, build_grid, estimate_velocity
 from innerseries.ingest import _CHUNK, gen_bounded_walk, gen_sine
 from innerseries.experiments import run_pipeline, sine_sign_match
 from innerseries.model import (
@@ -35,7 +35,7 @@ from innerseries.weights import (
     write_csv_weights,
 )
 from signed_gauge import apply_to_array, inverse
-from stage_references import assert_near_per_channel, einsum_weights, per_bin_weights, thin
+from stage_references import assert_near_per_channel, einsum_weights, per_block_weights, thin
 
 
 ONLY_50_JOINT = rf"only 50 jointly valid samples \(need {MIN_OVERLAP}\)"
@@ -148,8 +148,8 @@ class TestVelocityFromTrajectory:
     @pytest.mark.parametrize("bins", [(3, 3), (40, 40)])
     def test_weights_are_frames_times_estimated_velocity(self, walk_pipeline, bins):
         # bit for bit, sample by sample, against the frames applied to
-        # estimate_velocity(traj): on 3 x 3 bins every bin takes one
-        # product, on 40 x 40 most samples take the small-bin einsum
+        # estimate_velocity(traj): on 3 x 3 bins every block takes a
+        # product per bin, on 40 x 40 most samples take a block's einsum
         traj, _ = walk_pipeline
         grid = build_grid(traj, bins, min_count=1)
         rng = np.random.default_rng(len(bins) * bins[0])
@@ -159,10 +159,12 @@ class TestVelocityFromTrajectory:
             frames[key] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
         field = FrameField(grid, frames, dict.fromkeys(frames, 0))
         binning = bin_samples(traj, grid)
-        in_large = np.repeat(np.diff(binning.starts) >= _PRODUCT_ROWS, np.diff(binning.starts))
-        assert in_large.mean() == 1.0 if bins == (3, 3) else in_large.mean() < 0.5
+        cuts = _block_cuts(binning.starts)
+        rows, n_bins = np.diff(binning.starts[cuts]), np.diff(cuts)
+        in_product = rows[rows >= _PRODUCT_ROWS * n_bins].sum() / rows.sum()
+        assert in_product == 1.0 if bins == (3, 3) else in_product < 0.5
         w = compute_weights(traj, field, binning)
-        values, valid, _ = per_bin_weights(traj, field)
+        values, valid, _ = per_block_weights(traj, field)
         np.testing.assert_array_equal(w.valid_mask, valid)
         assert np.count_nonzero(valid) == traj.n_samples - 2
         assert w.values.tobytes() == values.tobytes()
@@ -263,12 +265,13 @@ class TestBlockwiseWeights:
     @pytest.mark.parametrize("dim", [1, 2, 6])
     @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, 2 * _CHUNK + 1])
     def test_bit_identical_to_whole_array(self, n, dim):
-        # bit for bit against the per-bin reference (a product per large
-        # bin, the einsum per sample in the others); the one einsum over all
-        # samples that defines w sums the large bins in another order, so it
-        # is matched to 1e-15 of max|w| per channel
+        # bit for bit against the per-block reference (a product per bin
+        # in blocks of large bins on average, the einsum per sample in the
+        # others); the one einsum over all samples that defines w sums the
+        # product blocks in another order, so it is matched to 1e-15 of
+        # max|w| per channel
         traj, keep, field = _random_field_inputs(n, dim, seed=dim)
-        values, valid, fallback = per_bin_weights(traj, field, keep)
+        values, valid, fallback = per_block_weights(traj, field, keep)
         w = compute_weights(traj, field, thin(bin_samples(traj, field.grid), keep))
         assert fallback.any() and (keep & ~valid)[1:-1].any()
         np.testing.assert_array_equal(w.valid_mask, valid)
@@ -279,29 +282,43 @@ class TestBlockwiseWeights:
         np.testing.assert_array_equal(ein_fallback, fallback)
         assert_near_per_channel(w.values, ein_values)
 
-    def test_bins_either_side_of_the_product_size(self):
-        # bins of _PRODUCT_ROWS - 1, _PRODUCT_ROWS and _PRODUCT_ROWS + 1
-        # samples, and a fourth bin without a frame that borrows the third's;
-        # the first and last sample, never binned, lie outside the grid
+    def test_blocks_either_side_of_the_product_size(self):
+        # two blocks of 64 bins on one axis: the first of bins of 200 and 54
+        # samples, _PRODUCT_ROWS - 1 on average, takes the einsum; the
+        # second, _PRODUCT_ROWS on average, takes a product per bin, among
+        # them a 5-sample bin without a frame that borrows its lower
+        # neighbour's and a 3-sample bin with no frame within one step (an
+        # empty bin above it); the first and last sample, never binned,
+        # lie outside the grid
         k = _PRODUCT_ROWS
-        counts = [k - 1, k, k + 1, 5]
+        einsum_block = [k + 72, k - 1 - 73] * 32
+        product_block = [132] * 30 + [5, 3, 0] + [132] * 32
+        counts = einsum_block + product_block
+        assert sum(einsum_block) == 64 * (k - 1) and sum(product_block) == 64 * k == _CHUNK
         rng = np.random.default_rng(7)
-        x = np.repeat((np.arange(4) + 0.5) / 4, counts)
+        x = np.repeat((np.arange(len(counts)) + 0.5) / len(counts), counts)
         samples = np.column_stack([x, rng.random(len(x))])[rng.permutation(len(x))]
         traj = Trajectory(np.vstack([[2.0, 0.5], samples, [2.0, 0.5]]), 1.0)
-        grid = BinGrid((np.linspace(0.0, 1.0, 5), np.array([0.0, 1.0])), 1)
+        grid = BinGrid((np.linspace(0.0, 1.0, len(counts) + 1), np.array([0.0, 1.0])), 1)
         frames = {}
-        for key in [(0, 0), (1, 0), (2, 0)]:
+        for i in np.flatnonzero(np.array(counts) > 5):
             m = rng.standard_normal((2, 2)) + 3 * np.eye(2)
-            frames[key] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
+            frames[(int(i), 0)] = LocalFrame(m, np.linalg.inv(m), np.array([2.0, 1.0]))
         field = FrameField(grid, frames, dict.fromkeys(frames, 0))
-        w = compute_weights(traj, field, bin_samples(traj, grid))
-        values, valid, fallback = per_bin_weights(traj, field)
-        assert valid[1:-1].all() and np.count_nonzero(fallback) == 5
+        binning = bin_samples(traj, grid)
+        assert _block_cuts(binning.starts) == [0, 64, 128]
+        w = compute_weights(traj, field, binning)
+        values, valid, fallback = per_block_weights(traj, field)
+        assert np.count_nonzero(valid) == len(x) - 3 and np.count_nonzero(fallback) == 5
         np.testing.assert_array_equal(w.valid_mask, valid)
         np.testing.assert_array_equal(w.fallback_mask, fallback)
         assert w.values.tobytes() == values.tobytes()
-        assert_near_per_channel(w.values, einsum_weights(traj, field)[0])
+        assert not np.signbit(w.values[~w.valid_mask]).any()
+        ein_values = einsum_weights(traj, field)[0]
+        assert_near_per_channel(w.values, ein_values)
+        # the einsum block: bit for bit the one einsum that defines w
+        in_einsum_block = grid.flat_index(traj.samples) < len(einsum_block)
+        assert w.values[in_einsum_block].tobytes() == ein_values[in_einsum_block].tobytes()
 
     def test_fine_grid_of_sparse_bins(self):
         # 40 000 samples over 200 x 200 bins, about one per bin, a frame on
@@ -316,7 +333,7 @@ class TestBlockwiseWeights:
         keys = [k for i, k in enumerate(np.ndindex(shape)) if i % 7 == 0]
         field = FrameField(grid, dict.fromkeys(keys, frame), dict.fromkeys(keys, 0))
         w = compute_weights(traj, field, thin(bin_samples(traj, grid), keep))
-        values, valid, fallback = per_bin_weights(traj, field, keep)
+        values, valid, fallback = per_block_weights(traj, field, keep)
         assert fallback.any() and (keep & ~valid)[1:-1].any()
         np.testing.assert_array_equal(w.valid_mask, valid)
         np.testing.assert_array_equal(w.fallback_mask, fallback)

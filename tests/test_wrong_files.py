@@ -35,6 +35,8 @@ def files(tmp_path_factory):
     (d / "truncated.json").write_bytes((d / "field.json").read_bytes()[:200])
     (d / "empty.csv").write_bytes(b"")
     (d / "binary.csv").write_bytes(wav.read_bytes())
+    # another program's table: numeric columns, none of them a time column
+    (d / "notime.csv").write_text("x,y\n" + "".join(f"{k % 7},{k % 5}\n" for k in range(50)))
     return d
 
 
@@ -50,6 +52,7 @@ KINDS = {
     "truncated-wav": "truncated.wav",
     "truncated-json": "truncated.json",
     "binary-csv": "binary.csv",
+    "untimed-csv": "notime.csv",
 }
 
 # each reading option: its command, the argv that gives it the file at path
