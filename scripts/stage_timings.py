@@ -12,11 +12,8 @@ velocities from the trajectory), `fit_field`, the weights
 `peak` column is the `tracemalloc` peak, in MB, of one more `run_pipeline`
 fit of the input, untimed and traced alone: what the fit allocates above
 its input trajectory.  It also prints the input's
-occupied bins and aligned components, the breadth-first levels below the
-components' roots, summed over the components, and the largest depth of a
-bin below its root.  A search level by level per component solves one
-assignment per level; the alignment solves one per depth, across all
-components.  The grid is built once per input and not timed.
+occupied bins and aligned components.  The grid is built once per input
+and not timed.
 
 The inputs: the six-channel `highdim-6d` benchmark input at seed 0 (3^6
 bins, min_count 100); the 200 000-sample 2-D walk of the `cli-files`
@@ -91,31 +88,6 @@ def fit_peak_mb(traj, bins, min_count) -> float:
     return peak / 1e6
 
 
-def levels(field) -> tuple[int, int]:
-    """The breadth-first levels below the roots, summed over the components,
-    and the largest depth; a component's root is its first bin in the
-    field's order."""
-    depth = {}
-    for root in field.frames:
-        if root in depth:
-            continue
-        depth[root], frontier = 0, [root]
-        while frontier:
-            found = []
-            for key in frontier:
-                for axis in range(len(key)):
-                    for step in (-1, 1):
-                        nb = key[:axis] + (key[axis] + step,) + key[axis + 1 :]
-                        if nb in field.frames and nb not in depth:
-                            depth[nb] = depth[key] + 1
-                            found.append(nb)
-            frontier = found
-    deepest = {}
-    for key, c in field.component_ids.items():
-        deepest[c] = max(deepest.get(c, 0), depth[key])
-    return sum(deepest.values()), max(deepest.values())
-
-
 def csv_reads(traj, w) -> None:
     """Print the median read times of traj and w as CSV files, at one
     usable CPU and at all of this process's CPUs."""
@@ -138,9 +110,9 @@ def csv_reads(traj, w) -> None:
 
 def main() -> None:
     print(f"median of {REPEATS} runs, ms")
-    header = ("input", "bins", "components", "levels", "depth")
+    header = ("input", "bins", "components")
     header += ("binning", "moments", "fit_field", "weights", "save", "load", "peak")
-    print("{:<27}{:>7}{:>11}{:>8}{:>7}{:>9}{:>9}{:>10}{:>9}{:>7}{:>7}{:>7}".format(*header))
+    print("{:<27}{:>7}{:>11}{:>9}{:>9}{:>10}{:>9}{:>7}{:>7}{:>7}".format(*header))
     for name, traj, bins, min_count in inputs():
         grid = build_grid(traj, bins, min_count)
         binning, t_bin = timed(lambda: bin_samples(traj, grid))
@@ -154,10 +126,9 @@ def main() -> None:
             _, t_save = timed(lambda: serialize.dump_json(serialize.field_to_dict(field), path))
             _, t_load = timed(lambda: serialize.load(path, serialize.field_from_dict))
         components = len(set(field.component_ids.values()))
-        n_levels, depth = levels(field)
         peak = fit_peak_mb(traj, bins, min_count)
         print(
-            f"{name:<27}{len(moments):>7}{components:>11}{n_levels:>8}{depth:>7}"
+            f"{name:<27}{len(moments):>7}{components:>11}"
             f"{t_bin:>9.1f}{t_moments:>9.1f}{t_fit:>10.1f}{t_weights:>9.1f}{t_save:>7.1f}{t_load:>7.1f}"
             f"{peak:>7.1f}"
         )

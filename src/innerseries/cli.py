@@ -35,6 +35,10 @@ def _parse_bins(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(","))
+
+
 def _read_traj(path: str, dt: float | None):
     path = Path(path)
     if path.suffix.lower() == ".wav":
@@ -68,7 +72,7 @@ def cmd_synth(args) -> int:
             dim=args.dim,
             box=args.amplitude,
             dt=args.dt,
-            noise=args.noise,
+            noise=args.noise.split(",") if "," in args.noise else args.noise,
         )
     elif args.kind == "lifted-latent":
         latent, lifted = ingest.gen_lifted_latent(args.samples, args.seed, dt=args.dt)
@@ -148,9 +152,8 @@ def cmd_separability(args) -> int:
 def cmd_reconstruct(args) -> int:
     w = read_csv_weights(args.weights)
     field = serialize.load(args.field, serialize.field_from_dict)
-    x0 = np.array([float(p) for p in args.x0.split(",")])
     steps = len(w) if args.steps is None else args.steps
-    traj, truncated = integrate_weights(w, field, x0, steps)
+    traj, truncated = integrate_weights(w, field, args.x0, steps)
     ingest.write_csv_trajectory(traj, args.out)
     if truncated:
         print("warning: integration left the occupied region early", file=sys.stderr)
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--noise", default="laplace")
+    p.add_argument("--noise", default="laplace", help="laplace, uniform or gauss; a,b: per channel")
     p.add_argument("--out", required=True)
     p.add_argument("--latent-out", default=None)
     p.set_defaults(func=cmd_synth)
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="integrate weights back into measurement space")
     p.add_argument("--weights", required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--x0", required=True, help="comma-separated start point")
+    p.add_argument("--x0", type=_parse_floats, required=True, help="comma-separated start point")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)

@@ -12,11 +12,10 @@ inside degenerate eigenspaces of D).
 
 fit_field keeps the bins stacked from their moments (BinMoments) to the
 aligned field: it solves every bin at once (solve_frame is the same code on
-one bin) and aligns them on arrays; the returned FrameField keeps them as
-stacks, in visiting order, and each bin's LocalFrame is a view of its row.
-A signed permutation (perm, signs) acts on a stack of frames by gathers
-alone: row j of M becomes signs[j] * row perm[j], d follows its row, and
-V = M^-1 becomes V[:, perm] * signs, its exact inverse.
+one bin) and aligns them with one assignment over every search-tree edge;
+the returned FrameField keeps them as stacks, in visiting order, and each
+bin's LocalFrame is a view of its row.  A signed permutation (perm, signs)
+acts on a stack of frames by gathers alone (_gauge).
 """
 
 from __future__ import annotations
@@ -122,6 +121,36 @@ def _gauge(perm: np.ndarray, signs: np.ndarray, m: np.ndarray, v: np.ndarray, d:
     )
 
 
+def _forest(grid: BinGrid, keys: np.ndarray, counts: np.ndarray, degenerate: np.ndarray):
+    """The search of align_frame_field, which needs no frame: the visiting
+    order, each bin's depth below its component's root and its reference (B
+    at a root).  Face neighbours differ in the parity of their index sum, so
+    the aligned neighbours of a bin at depth k are its neighbours at depth
+    k - 1, and the reference is the best-ranked of them."""
+    b, n = keys.shape
+    # each bin's row in the grid padded by an empty bin a side: every neighbour has one
+    slot = np.full(tuple(s + 2 for s in grid.shape), -1, dtype=np.int64)
+    slot[tuple(keys.T + 1)] = np.arange(b)
+    # the face offsets axis by axis, the lower neighbour first, plus the padding
+    offsets = (np.eye(n, dtype=np.int64)[:, None] * [[-1], [1]]).reshape(2 * n, n) + 1
+    nbs = slot[tuple((keys[:, None] + offsets).transpose(2, 0, 1))]  # (B, 2N), -1: none
+    flat = np.ravel_multi_index(keys.T, grid.shape)
+    depth, order, neighbours = [-1] * b, [], nbs.tolist()
+    for root in np.lexsort((flat, -counts)).tolist():
+        if depth[root] < 0:
+            depth[root], queue = 0, [root]
+            for i in queue:  # the list grows as it is read: first in, first out
+                for j in neighbours[i]:
+                    if j >= 0 and depth[j] < 0:
+                        depth[j] = depth[i] + 1
+                        queue.append(j)
+            order += queue
+    depth = np.array(depth)
+    by_rank = np.lexsort((flat, -counts, degenerate))
+    up = np.where((nbs >= 0) & (depth[nbs] == depth[:, None] - 1), by_rank.argsort()[nbs], b)
+    return np.array(order), depth, np.append(by_rank, b)[up.min(axis=1)]
+
+
 def align_frame_field(
     grid: BinGrid,
     keys: np.ndarray,
@@ -135,78 +164,45 @@ def align_frame_field(
 
     Row i of the stacks is bin keys[i] (B, N), with counts[i] valid samples
     and frame m[i], v[i] = m[i]^-1, d[i], degenerate[i].  Breadth-first over
-    the occupied-bin face adjacency starting from the most populated bin;
-    each newly visited bin is corrected by the signed permutation minimizing
-    ||P M_new M_ref^-1 - I||_F against an already aligned neighbor
-    (non-degenerate reference preferred, then the most populated, then the
+    the occupied-bin face adjacency from the most populated bin (the smallest
+    key of equal counts), each newly visited bin is corrected by the signed
+    permutation P minimizing ||P M_new M_ref^-1 - I||_F against an aligned
+    neighbour (non-degenerate preferred, then the most populated, then the
     smallest key).  Disconnected components are aligned independently and
     tagged with component ids; the frames are in visiting order.
 
-    The search tree comes first, from the keys, counts and flags alone:
-    face neighbours differ in the parity of their index sum, so the
-    adjacency is bipartite and every aligned neighbour of a bin at depth k
-    lies at depth k - 1.  Each bin's reference is its best-ranked neighbour
-    there.  Then every component's root is put in its canonical gauge, all
-    as one stack, and the bins at each depth k >= 1, of every component,
-    are solved with one assignment against their references, which are
-    aligned by then.  Each bin is corrected against the same reference as
-    in the bin-by-bin search, so the result is that search's.
+    One assignment solves every bin below a root against its unaligned
+    reference (_forest), each pick's inverse being its correction R_b (a
+    root's is the canonical gauge), and Q_b = Q_ref(b) R_b is composed up the
+    tree by pointer doubling.  Aligning the reference only signed-permutes
+    the score's columns, and the assignment sums the same entries in the same
+    order, so the field is the bin-by-bin search's bit for bit unless two
+    assignments tie exactly or an optimal pick is an exact zero.
     """
     b, n = keys.shape
     if not b:
         raise ValueError("no frames to align")
-    # each bin's row in the grid padded by one empty bin on every side, so
-    # every face neighbour has an entry
-    slot = np.full(tuple(s + 2 for s in grid.shape), -1, dtype=np.int64)
-    slot[tuple(keys.T + 1)] = np.arange(b)
-    # the face offsets axis by axis, the lower neighbour first, plus the padding
-    offsets = (np.eye(n, dtype=np.int64)[:, None] * [[-1], [1]]).reshape(2 * n, n) + 1
-    flat = np.ravel_multi_index(keys.T, grid.shape)
-    # the reference rank: non-degenerate first, then the most populated, then by key
-    by_rank = np.lexsort((flat, -counts, degenerate))
-    rank = np.empty(b, dtype=np.int64)
-    rank[by_rank] = np.arange(b)
-    best = np.full(b, b)  # each bin's best reference rank, set at its level
-    component = np.full(b, -1)
-    depth = np.zeros(b, dtype=np.int64)
-    roots, visited = [], []  # visited: the levels' rows, in visiting order
-    for root in np.lexsort((flat, -counts)).tolist():
-        if component[root] >= 0:
-            continue
-        component[root] = len(roots)
-        roots.append(root)
-        level = np.array([root])
-        while len(level):
-            visited.append(level)
-            nbs = slot[tuple((keys[level][:, None] + offsets).transpose(2, 0, 1))]
-            new = (nbs >= 0) & (component[nbs] < 0)
-            src, dst = level[np.nonzero(new)[0]], nbs[new]
-            _, first = np.unique(dst, return_index=True)  # first in, first out
-            next_level = dst[np.sort(first)]
-            component[next_level] = component[root]
-            depth[next_level] = depth[level[0]] + 1
-            np.minimum.at(best, dst, rank[src])
-            level = next_level
-    m, v, d = np.array(m, dtype=float), np.array(v, dtype=float), np.array(d, dtype=float)
-    m[roots], v[roots], d[roots] = _gauge(
-        *_canonical(m[roots], d[roots]), m[roots], v[roots], d[roots]
-    )
-    by_depth = np.argsort(depth, kind="stable")
-    bounds = np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 2)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        rows = by_depth[lo:hi]
-        perms, signs = best_signed_assignments(m[rows] @ v[by_rank[best[rows]]])
-        # undo each pick: row j of the frame becomes row inv[j], with its sign
-        inv = np.argsort(perms, axis=1)
-        m[rows], v[rows], d[rows] = _gauge(
-            inv, np.take_along_axis(signs, inv, axis=1), m[rows], v[rows], d[rows]
-        )
-    order = np.concatenate(visited)
+    order, depth, ref = _forest(grid, keys, counts, degenerate)
+    roots, child = np.flatnonzero(depth == 0), np.flatnonzero(depth)
+    # each bin's correction, and a last row b, the identity, above every root
+    perm, signs = np.tile(np.arange(n), (b + 1, 1)), np.ones((b + 1, n), dtype=np.int64)
+    perm[roots], signs[roots] = _canonical(m[roots], d[roots])
+    perm[child], signs[child] = best_signed_assignments(m[child] @ v[ref[child]])
+    perm[child] = np.argsort(perm[child], axis=1)  # R_b, the pick's inverse
+    signs[child] = np.take_along_axis(signs[child], perm[child], axis=1)
+    above = np.append(ref, b)
+    # after k passes, row i holds the product of the corrections of bin i and
+    # its 2^k - 1 nearest ancestors, and above[i] is the row 2^k links up
+    for _ in range(int(depth.max()).bit_length()):
+        outer = perm[above]
+        perm = np.take_along_axis(perm, outer, axis=1)
+        signs = signs[above] * np.take_along_axis(signs, outer, axis=1)
+        above = above[above]
+    m, v, d = _gauge(perm[order], signs[order], m[order], v[order], d[order])
     key_list = list(map(tuple, keys[order].tolist()))
-    frames = map(LocalFrame, m[order], v[order], d[order], degenerate[order].tolist())
-    return FrameField(
-        grid, dict(zip(key_list, frames)), dict(zip(key_list, component[order].tolist()))
-    )
+    frames = map(LocalFrame, m, v, d, degenerate[order].tolist())
+    component = np.cumsum(depth[order] == 0) - 1  # one component per root, in visiting order
+    return FrameField(grid, dict(zip(key_list, frames)), dict(zip(key_list, component.tolist())))
 
 
 def fit_field(grid: BinGrid, moments: BinMoments) -> tuple[FrameField, dict[tuple[int, ...], str]]:

@@ -440,7 +440,7 @@ def gen_bounded_walk(
     """
     kinds = (noise,) * dim if isinstance(noise, str) else tuple(noise)
     if len(kinds) != dim:
-        raise ValueError("need one noise kind per channel")
+        raise ValueError(f"need one noise kind per channel, got {len(kinds)} for dimension {dim}")
     for kind in kinds:
         if kind not in _NOISE:
             raise ValueError(f"unknown noise kind {kind!r}")

@@ -58,6 +58,29 @@ class TestSynth:
             run(["synth", "--kind", "sine", "--samples", "50", "--format", "wav",
                  "--out", tmp_path / "x.csv"])
 
+    @pytest.mark.parametrize("noise", ["laplace,uniform", "uniform,gauss,laplace", "uniform"])
+    def test_walk_one_noise_kind_per_channel(self, tmp_path, noise):
+        kinds = noise.split(",")
+        dim = max(len(kinds), 2)
+        out, ref = tmp_path / "walk.csv", tmp_path / "ref.csv"
+        argv = ["synth", "--kind", "walk", "--samples", "3000", "--dim", dim, "--seed", "5"]
+        assert run([*argv, "--noise", noise, "--out", out]) == 0
+        noise_arg = kinds if len(kinds) > 1 else kinds[0]
+        write_csv_trajectory(
+            gen_bounded_walk(3000, seed=5, dim=dim, box=1.0, dt=0.01, noise=noise_arg), ref
+        )
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("noise, dim", [("laplace,uniform", 1), ("laplace,uniform", 3)])
+    def test_walk_noise_kind_count_must_match_dimension(self, tmp_path, capsys, noise, dim):
+        out = tmp_path / "walk.csv"
+        argv = ["synth", "--kind", "walk", "--samples", "100", "--dim", dim, "--noise", noise]
+        assert run([*argv, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error [synth]: need one noise kind per channel, got 2 for dimension {dim}\n"
+        )
+        assert not out.exists()
+
     def test_lifted_latent_pair(self, tmp_path):
         lifted = tmp_path / "lifted.csv"
         latent = tmp_path / "latent.csv"
@@ -165,6 +188,16 @@ class TestStagedPipeline:
         )
         assert rc == 2
         assert "weight series has 3 channels, field dimension 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", [["--x0=0.1,abc"], ["--x0", "0.1,abc"]])
+    def test_reconstruct_x0_not_a_number_names_the_option(self, staged, tmp_path, capsys, form):
+        out = tmp_path / "recon.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["reconstruct", "--weights", staged / "weights.csv", "--field",
+                 staged / "field.json", *form, "--out", out])
+        assert exc.value.code == 2
+        assert "argument --x0: invalid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reconstruct_x0_dimension_named(self, staged, tmp_path, capsys):
         out = tmp_path / "recon.csv"

@@ -624,31 +624,10 @@ class TestAlignFrameField:
         assert len(set(field.component_ids.values())) == 2
 
 
-def bfs_depths(field):
-    """Each bin's breadth-first depth in its component, from the component's
-    first bin in the field's order (its root)."""
-    depth = {}
-    for key in field.frames:
-        if key in depth:
-            continue
-        depth[key], frontier = 0, [key]
-        while frontier:
-            nxt = []
-            for k in frontier:
-                for a in range(len(k)):
-                    for step in (-1, 1):
-                        nb = k[:a] + (k[a] + step,) + k[a + 1 :]
-                        if nb in field.frames and nb not in depth:
-                            depth[nb] = depth[k] + 1
-                            nxt.append(nb)
-            frontier = nxt
-    return depth
-
-
-class TestPerDepthAssignment:
-    def test_fine_grid_one_assignment_per_depth(self, monkeypatch):
+class TestOneAssignment:
+    def test_fine_grid_one_assignment_per_fit(self, monkeypatch):
         # a 2-D walk on a fine grid with a low min_count: many components
-        # of differing depths, each depth solved across all of them at once
+        # of differing depths, every bin below a root solved in one call
         traj = gen_bounded_walk(30_000, seed=4, dim=2, noise=("laplace", "uniform"))
         grid = build_grid(traj, (70, 70), 6)
         moments = accumulate_moments(traj, bin_samples(traj, grid))
@@ -662,15 +641,33 @@ class TestPerDepthAssignment:
 
         monkeypatch.setattr("innerseries.frames.best_signed_assignments", count)
         field, _ = fit_field(grid, moments)
-        depth = bfs_depths(field)
-        per_component = {}
-        for k, c in field.component_ids.items():
-            per_component[c] = max(per_component.get(c, 0), depth[k])
-        assert len(per_component) >= 50 and len(set(per_component.values())) >= 5
-        assert len(calls) == max(depth.values())
-        assert calls == [list(depth.values()).count(k) for k in range(1, len(calls) + 1)]
+        components = len(set(field.component_ids.values()))
+        assert components >= 50
+        assert calls == [len(field.frames) - components]
         counts = dict(zip(map(tuple, moments.keys.tolist()), moments.count.tolist()))
         assert_same_field(field, sequential_align(grid, frames, counts))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_chain_of_1200_bins_from_an_edge(self, dim):
+        # one chain of depth 1199 (no power of two, so the last doubling
+        # pass is a partial one), its frames a slowly turning frame under a
+        # random signed permutation per bin, so the corrections along the
+        # chain do not commute when dim >= 2
+        rng = np.random.default_rng(13)
+        shape = (1200,) + (1,) * (dim - 1)
+        group = list(all_signed_permutations(dim))
+        frames = {}
+        for i in range(shape[0]):
+            m = np.eye(dim)
+            m[:2, :2] = _rotation(0.01 * i)[: min(dim, 2), : min(dim, 2)]
+            m = m @ np.diag(np.arange(1.0, dim + 1))
+            frame = LocalFrame(m, np.linalg.inv(m), np.arange(dim, 0.0, -1.0))
+            frames[(i,) + (0,) * (dim - 1)] = apply_to_frame(group[rng.integers(len(group))], frame)
+        counts = {k: 5000 - k[0] for k in frames}
+        field = stacked_align(_grid(shape), frames, counts)
+        assert next(iter(field.frames)) == (0,) * dim
+        assert set(field.component_ids.values()) == {0}
+        assert_same_field(field, sequential_align(_grid(shape), frames, counts))
 
 
 def _rotation(theta):
