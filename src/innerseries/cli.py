@@ -31,12 +31,14 @@ from .weights import (
 )
 
 
-def _parse_bins(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+def _comma_separated(kind, what: str):
+    """An argparse type: a tuple of comma-separated kind values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p) for p in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: expected {what}") from None
+    return parse
 
 
 def _read_traj(path: str, dt: float | None):
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="per-bin velocity moments")
     _add_common(p)
-    p.add_argument("--bins", type=_parse_bins, required=True)
+    p.add_argument("--bins", type=_comma_separated(int, "comma-separated integers"), required=True)
     p.add_argument("--min-count", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_moments)
@@ -249,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="integrate weights back into measurement space")
     p.add_argument("--weights", required=True)
     p.add_argument("--field", required=True)
-    p.add_argument("--x0", type=_parse_floats, required=True, help="comma-separated start point")
+    p.add_argument("--x0", type=_comma_separated(float, "comma-separated numbers"), required=True,
+                   help="comma-separated start point")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)

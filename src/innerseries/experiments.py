@@ -32,8 +32,6 @@ from .weights import (
     write_csv_weights,
 )
 
-EXPERIMENT_NAMES = ("sine", "monotone-1d", "lifted-2d", "mixture-2d")
-
 REPORT_SCHEMA = 1
 
 
@@ -75,16 +73,7 @@ class ExperimentReport:
             "experiment": self.experiment,
             "config": self.config,
             "metrics": self.metrics,
-            "criteria": [
-                {
-                    "name": c.name,
-                    "value": float(c.value),
-                    "threshold": float(c.threshold),
-                    "op": c.op,
-                    "passed": c.passed,
-                }
-                for c in self.criteria
-            ],
+            "criteria": [{**asdict(c), "passed": c.passed} for c in self.criteria],
             "artifacts": self.artifacts,
             "passed": self.passed,
         }
@@ -146,144 +135,104 @@ def sine_sign_match(traj: Trajectory, w: WeightSeries, a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the experiments
+# the experiments: each runner takes (seed, samples) and returns its metrics,
+# its arms as (name, PipelineResult), its plot series and its plot window
 # ---------------------------------------------------------------------------
 
-def _sine(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
+def _sine(seed: int, n: int):
     a = 1.0
-    n = cfg.samples or 100_000
     traj = ingest.gen_sine(a, 0.01, n)
     res = run_pipeline(traj, (128,), None)
-
-    match = sine_sign_match(traj, res.weights, a)
     edges, k = res.field.grid.edges[0], res.moments.keys[:, 0]
     xc = 0.5 * (edges[k] + edges[k + 1])  # the bin centres
-    c11_err = float(np.abs(res.moments.c2[:, 0, 0] - (a * a - xc * xc)).max())
 
     k0 = int(np.flatnonzero(res.weights.valid_mask)[0])
+    w_tail = WeightSeries(res.weights.values[k0:], res.weights.valid_mask[k0:], dt=res.weights.dt)
     steps = min(1000, len(res.weights) - k0)
-    w_tail = WeightSeries(
-        res.weights.values[k0:],
-        res.weights.valid_mask[k0:],
-        dt=res.weights.dt,
-    )
-    rec, truncated = integrate_weights(
-        w_tail, res.field, traj.samples[k0], steps
-    )
+    rec, truncated = integrate_weights(w_tail, res.field, traj.samples[k0], steps)
     true = traj.samples[k0 : k0 + rec.n_samples, 0]
-    rel_rmse = float(
-        np.sqrt(np.mean((rec.samples[:, 0] - true) ** 2))
-        / np.sqrt(np.mean(true**2))
-    )
+    rmse = np.sqrt(np.mean((rec.samples[:, 0] - true) ** 2))
 
     metrics = {
-        "sign_match_fraction": match,
-        "c11_max_abs_error": c11_err,
-        "reconstruction_rel_rmse": rel_rmse,
+        "sign_match_fraction": sine_sign_match(traj, res.weights, a),
+        "c11_max_abs_error": float(np.abs(res.moments.c2[:, 0, 0] - (a * a - xc * xc)).max()),
+        "reconstruction_rel_rmse": float(rmse / np.sqrt(np.mean(true**2))),
         "reconstruction_truncated": truncated,
         "n_occupied_bins": len(res.field.frames),
     }
-    criteria = [
-        Criterion("sign_match_fraction", match, 0.95, ">="),
-        Criterion("c11_max_abs_error", c11_err, 0.05, "<"),
-        Criterion("reconstruction_rel_rmse", rel_rmse, 0.05, "<"),
-    ]
-    extras = {
-        "arms": [("x", res)],
-        "plot": [
-            ("x", traj.times, traj.samples[:, 0]),
-            ("w", traj.times, res.weights.values[:, 0]),
-            ("w_analytic", traj.times, analytic_sine_weights(a, traj.times).values[:, 0]),
-        ],
-        "window": (1.0, 2.0),
-    }
-    return metrics, criteria, extras
-
-
-def _monotone_1d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
-    n = cfg.samples or 500_000
-    traj = ingest.gen_broadband(n, seed=cfg.seed, amplitude=1.0)
-    traj_p = ingest.apply_transform(traj, [0.0, 1.0, 0.0, 0.5], (-1.2, 1.2))
-    res = run_pipeline(traj, (128,), None)
-    res_p = run_pipeline(traj_p, (128,), None)
-    *_, corrs = align_weight_series(res.weights, res_p.weights)
-    corr = float(np.min(corrs))
-    metrics = {"aligned_weight_correlation": corr}
-    criteria = [Criterion("aligned_weight_correlation", corr, 0.95, ">=")]
     t = traj.times
-    extras = {
-        "arms": [("x", res), ("xprime", res_p)],
-        "plot": [
-            ("x", t, traj.samples[:, 0]),
-            ("xprime", t, traj_p.samples[:, 0]),
-            ("w", t, res.weights.values[:, 0]),
-            ("wprime", t, res_p.weights.values[:, 0]),
-        ],
-        "window": (t[n // 2], t[n // 2 + min(2000, n // 4)]),
-    }
-    return metrics, criteria, extras
-
-
-def _lifted_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
-    n = cfg.samples or 150_000
-    _, lifted = ingest.gen_lifted_latent(n, cfg.seed)
-    x, frac_a = ingest.pca_embed(lifted, 2)
-    distorted = Trajectory(
-        ingest.distort_lift(lifted.samples), lifted.dt, lifted.channel_names
-    )
-    xp, frac_b = ingest.pca_embed(distorted, 2)
-    res = run_pipeline(x, (4, 4), None)
-    res_p = run_pipeline(xp, (4, 4), None)
-    *_, corrs = align_weight_series(res.weights, res_p.weights)
-    corr = float(np.min(corrs))
-    top2_a = float(np.sum(frac_a))
-    top2_b = float(np.sum(frac_b))
-    metrics = {
-        "aligned_weight_correlation_min": corr,
-        "per_channel_correlations": [float(c) for c in corrs],
-        "pca_top2_fraction_arm1": top2_a,
-        "pca_top2_fraction_arm2": top2_b,
-    }
-    criteria = [
-        Criterion("pca_top2_fraction_arm1", top2_a, 0.99, ">="),
-        Criterion("pca_top2_fraction_arm2", top2_b, 0.99, ">="),
-        Criterion("aligned_weight_correlation_min", corr, 0.9, ">="),
+    plot = [
+        ("x", t, traj.samples[:, 0]),
+        ("w", t, res.weights.values[:, 0]),
+        ("w_analytic", t, analytic_sine_weights(a, t).values[:, 0]),
     ]
-    t = x.times
-    extras = {
-        "arms": [("x", res), ("xprime", res_p)],
-        "plot": [
-            ("w1", t, res.weights.values[:, 0]),
-            ("wprime1", t, res_p.weights.values[:, 0]),
-            ("w2", t, res.weights.values[:, 1]),
-            ("wprime2", t, res_p.weights.values[:, 1]),
-        ],
-        "window": (t[n // 2], t[n // 2 + min(1500, n // 4)]),
+    return metrics, [("x", res)], plot, (1.0, 2.0)
+
+
+def _two_arms(traj: Trajectory, traj_p: Trajectory, bins: tuple[int, ...]):
+    """Both arms fitted on bins, and the correlations of their aligned weights."""
+    res, res_p = run_pipeline(traj, bins, None), run_pipeline(traj_p, bins, None)
+    *_, corrs = align_weight_series(res.weights, res_p.weights)
+    return res, res_p, corrs
+
+
+def _middle(t: np.ndarray, span: int) -> tuple[float, float]:
+    """The plot window of span samples (at most a quarter of t) from t's middle."""
+    n = len(t)
+    return t[n // 2], t[n // 2 + min(span, n // 4)]
+
+
+def _monotone_1d(seed: int, n: int):
+    traj = ingest.gen_broadband(n, seed=seed, amplitude=1.0)
+    traj_p = ingest.apply_transform(traj, [0.0, 1.0, 0.0, 0.5], (-1.2, 1.2))
+    res, res_p, corrs = _two_arms(traj, traj_p, (128,))
+    t = traj.times
+    plot = [
+        ("x", t, traj.samples[:, 0]),
+        ("xprime", t, traj_p.samples[:, 0]),
+        ("w", t, res.weights.values[:, 0]),
+        ("wprime", t, res_p.weights.values[:, 0]),
+    ]
+    metrics = {"aligned_weight_correlation": float(np.min(corrs))}
+    return metrics, [("x", res), ("xprime", res_p)], plot, _middle(t, 2000)
+
+
+def _lifted_2d(seed: int, n: int):
+    _, lifted = ingest.gen_lifted_latent(n, seed)
+    x, frac_a = ingest.pca_embed(lifted, 2)
+    distorted = Trajectory(ingest.distort_lift(lifted.samples), lifted.dt, lifted.channel_names)
+    xp, frac_b = ingest.pca_embed(distorted, 2)
+    res, res_p, corrs = _two_arms(x, xp, (4, 4))
+    metrics = {
+        "aligned_weight_correlation_min": float(np.min(corrs)),
+        "per_channel_correlations": [float(c) for c in corrs],
+        "pca_top2_fraction_arm1": float(np.sum(frac_a)),
+        "pca_top2_fraction_arm2": float(np.sum(frac_b)),
     }
-    return metrics, criteria, extras
+    t = x.times
+    plot = [
+        ("w1", t, res.weights.values[:, 0]),
+        ("wprime1", t, res_p.weights.values[:, 0]),
+        ("w2", t, res.weights.values[:, 1]),
+        ("wprime2", t, res_p.weights.values[:, 1]),
+    ]
+    return metrics, [("x", res), ("xprime", res_p)], plot, _middle(t, 1500)
 
 
-def _fit_and_mix_sources(
-    cfg: ExperimentConfig, n: int
-) -> tuple[PipelineResult, PipelineResult, Trajectory]:
+def _fit_and_mix_sources(seed: int, n: int) -> tuple[PipelineResult, PipelineResult, Trajectory]:
     """Fit both sources of mixture-2d, then mix them; the source walks are
     freed on return, before the mixture is embedded and fitted."""
     dt = 1.0 / 16000
     box = 2.0e4  # keeps both sources inside the +-2^15 mixing domain
-    s1 = ingest.gen_bounded_walk(
-        n, seed=cfg.seed, dim=1, box=box, dt=dt, noise="laplace"
-    )
-    s2 = ingest.gen_bounded_walk(
-        n, seed=cfg.seed + 1, dim=1, box=box, dt=dt, noise="uniform"
-    )
+    s1 = ingest.gen_bounded_walk(n, seed=seed, dim=1, box=box, dt=dt, noise="laplace")
+    s2 = ingest.gen_bounded_walk(n, seed=seed + 1, dim=1, box=box, dt=dt, noise="uniform")
     res1 = run_pipeline(s1, (16,), None)
     res2 = run_pipeline(s2, (16,), None)
     return res1, res2, ingest.mix_two_sources(Trajectory(np.hstack([s1.samples, s2.samples]), dt))
 
 
-def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
-    n = cfg.samples or 500_000
-    res1, res2, mixed = _fit_and_mix_sources(cfg, n)
+def _mixture_2d(seed: int, n: int):
+    res1, res2, mixed = _fit_and_mix_sources(seed, n)
     xprime, _ = ingest.pca_embed(mixed, 2)
     del mixed  # not held through the mixture fit, where a run peaks
     res_mix = run_pipeline(xprime, (16, 16), None)
@@ -295,32 +244,40 @@ def _mixture_2d(cfg: ExperimentConfig) -> tuple[dict, list[Criterion], dict]:
         "matched_perm": rep.perm.tolist(),
         "matched_signs": rep.signs.tolist(),
     }
-    criteria = [
-        Criterion("min_channel_corr", rep.min_channel_corr, MIN_MATCH_CORR, ">="),
-        Criterion("max_cross_corr", rep.max_cross_corr, MAX_CROSS_CORR, "<"),
-    ]
     t = xprime.times
-    extras = {
-        "arms": [("s1", res1), ("s2", res2), ("mixture", res_mix)],
-        "plot": [
-            ("w_s1", t, res1.weights.values[:, 0]),
-            ("wprime1", t, res_mix.weights.values[:, 0]),
-            ("w_s2", t, res2.weights.values[:, 0]),
-            ("wprime2", t, res_mix.weights.values[:, 1]),
-        ],
-        "window": (t[n // 2], t[n // 2 + min(2000, n // 4)]),
-    }
-    return metrics, criteria, extras
+    plot = [
+        ("w_s1", t, res1.weights.values[:, 0]),
+        ("wprime1", t, res_mix.weights.values[:, 0]),
+        ("w_s2", t, res2.weights.values[:, 0]),
+        ("wprime2", t, res_mix.weights.values[:, 1]),
+    ]
+    arms = [("s1", res1), ("s2", res2), ("mixture", res_mix)]
+    return metrics, arms, plot, _middle(t, 2000)
 
 
-_RUNNERS = {
-    "sine": _sine,
-    "monotone-1d": _monotone_1d,
-    "lifted-2d": _lifted_2d,
-    "mixture-2d": _mixture_2d,
+# name -> (runner, default samples, runtime limit in seconds, its own criteria
+# as (metric, op, threshold)); every experiment is also held to _FRAME_CRITERIA
+_EXPERIMENTS = {
+    "sine": (_sine, 100_000, 10.0, [
+        ("sign_match_fraction", ">=", 0.95),
+        ("c11_max_abs_error", "<", 0.05),
+        ("reconstruction_rel_rmse", "<", 0.05),
+    ]),
+    "monotone-1d": (_monotone_1d, 500_000, 30.0, [("aligned_weight_correlation", ">=", 0.95)]),
+    "lifted-2d": (_lifted_2d, 150_000, 60.0, [
+        ("pca_top2_fraction_arm1", ">=", 0.99),
+        ("pca_top2_fraction_arm2", ">=", 0.99),
+        ("aligned_weight_correlation_min", ">=", 0.9),
+    ]),
+    "mixture-2d": (_mixture_2d, 500_000, 60.0, [
+        ("min_channel_corr", ">=", MIN_MATCH_CORR),
+        ("max_cross_corr", "<", MAX_CROSS_CORR),
+    ]),
 }
 
-_RUNTIME_LIMITS = {"sine": 10.0, "monotone-1d": 30.0, "lifted-2d": 60.0, "mixture-2d": 60.0}
+_FRAME_CRITERIA = [("max_whiten_residual", "<", 1e-10), ("max_offdiag_residual", "<", 1e-8)]
+
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(
@@ -332,35 +289,34 @@ def run_experiment(
     Every experiment is also held to the frame conditions over all its arms
     (max |M c2 M^T - I| < 1e-10, relative off-diagonal < 1e-8) and to its
     runtime limit, after its own criteria."""
-    if name not in _RUNNERS:
+    if name not in _EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENT_NAMES}")
     cfg = cfg or ExperimentConfig()
+    runner, default_samples, limit, own = _EXPERIMENTS[name]
+    n = default_samples if cfg.samples is None else cfg.samples
+    if n < 1:
+        raise ValueError(f"samples must be at least 1, got {n}")
     t_start = time.perf_counter()
     try:
-        metrics, criteria, extras = _RUNNERS[name](cfg)
+        metrics, arms, plot, window = runner(cfg.seed, n)
     except Exception as err:
         raise RuntimeError(f"experiment {name!r} failed during pipeline: {err}") from err
-    arms = [res for _, res in extras["arms"]]
-    white = metrics["max_whiten_residual"] = max(r.max_whiten_residual for r in arms)
-    off = metrics["max_offdiag_residual"] = max(r.max_offdiag_residual for r in arms)
-    criteria += [
-        Criterion("max_whiten_residual", white, 1e-10, "<"),
-        Criterion("max_offdiag_residual", off, 1e-8, "<"),
-    ]
-    elapsed = time.perf_counter() - t_start
-    metrics["runtime_seconds"] = elapsed
-    criteria.append(Criterion("runtime_seconds", elapsed, _RUNTIME_LIMITS[name], "<"))
-
+    metrics["max_whiten_residual"] = max(res.max_whiten_residual for _, res in arms)
+    metrics["max_offdiag_residual"] = max(res.max_offdiag_residual for _, res in arms)
+    metrics["runtime_seconds"] = time.perf_counter() - t_start
     report = ExperimentReport(
         experiment=name,
         config=asdict(cfg),
         metrics=metrics,
-        criteria=criteria,
+        criteria=[
+            Criterion(m, metrics[m], threshold, op)
+            for m, op, threshold in [*own, *_FRAME_CRITERIA, ("runtime_seconds", "<", limit)]
+        ],
     )
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for arm_name, res in extras["arms"]:
+        for arm_name, res in arms:
             wpath = out / f"{name}.{arm_name}.weights.csv"
             fpath = out / f"{name}.{arm_name}.field.json"
             write_csv_weights(res.weights, wpath)
@@ -368,11 +324,7 @@ def run_experiment(
             report.artifacts[f"{arm_name}.weights"] = str(wpath)
             report.artifacts[f"{arm_name}.field"] = str(fpath)
         svg_path = out / f"{name}.weights.svg"
-        svgplot.plot_svg(
-            [svgplot.PlotSeries(lbl, t, v) for lbl, t, v in extras["plot"]],
-            extras["window"],
-            svg_path,
-        )
+        svgplot.plot_svg([svgplot.PlotSeries(*s) for s in plot], window, svg_path)
         report.artifacts["figure"] = str(svg_path)
         rpath = out / f"{name}.report.json"
         serialize.dump_json(report.to_dict(), rpath)

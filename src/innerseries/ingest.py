@@ -117,8 +117,11 @@ def _parse_cells(path, header: list[str], out) -> None:
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
             for name, cell in zip(header, row):
+                text = cell.strip()  # float() also reads 1_0 and Arabic-Indic digits
                 try:
-                    val = float(cell)
+                    if "_" in text or not text.isascii():  # which np.loadtxt refuses
+                        raise ValueError
+                    val = float(text)
                 except ValueError:
                     raise ValueError(
                         f"{path}: row {i}, column '{name}': not a number: {cell!r}"
@@ -322,6 +325,8 @@ def read_csv_trajectory(path, dt: float | None = None) -> Trajectory:
             )
         if not timed and dt is None:
             raise ValueError(f"{path}: no time column found and no fixed dt given")
+        if header == [TIME_COLUMN]:
+            raise ValueError(f"{path}: no channel column beside '{TIME_COLUMN}'")
         tcol = header.index(TIME_COLUMN) if timed else len(header)
         samples = np.empty((n, len(header) - timed))
         times = _TimeSteps()

@@ -224,7 +224,7 @@ def read_csv_weights(path) -> WeightSeries:
     """Read a weight CSV; the time column must be uniform to 1e-9 relative
     and every valid flag 0 or 1."""
     with _read_csv_body(path) as (header, n, blocks):
-        if header[0] != TIME_COLUMN or header[-1] != "valid":
+        if len(header) < 3 or header[0] != TIME_COLUMN or header[-1] != "valid":
             raise ValueError(f"{path}: expected columns t, <channels...>, valid")
         values = np.empty((n, len(header) - 2))
         valid = np.empty(n, dtype=bool)

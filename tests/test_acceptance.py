@@ -39,6 +39,18 @@ def _crit(report, name):
     return next(c for c in report.criteria if c.name == name)
 
 
+def test_criteria_read_their_metrics(experiments):
+    # each experiment's own criteria come first, then the two frame
+    # conditions and the runtime limit; a criterion's value is its metric's
+    for report, _ in experiments.values():
+        names = [c.name for c in report.criteria]
+        assert names[-3:] == ["max_whiten_residual", "max_offdiag_residual", "runtime_seconds"]
+        written = report.to_dict()
+        assert [c["name"] for c in written["criteria"]] == names
+        for c in written["criteria"]:
+            assert c["value"] == written["metrics"][c["name"]] == report.metrics[c["name"]]
+
+
 def test_criterion_1_sine_oracle(experiments):
     report, elapsed = experiments["sine"]
     match = _crit(report, "sign_match_fraction")

@@ -6,7 +6,7 @@ import pytest
 
 from innerseries import serialize
 from innerseries.cli import main
-from innerseries.experiments import run_pipeline
+from innerseries.experiments import ExperimentConfig, run_experiment, run_pipeline
 from innerseries.ingest import (
     gen_bounded_walk,
     read_csv_trajectory,
@@ -280,6 +280,16 @@ class TestExperimentCommand:
         assert run(["experiment", "monotone-1d", "--samples", "20000", "--out-dir", d]) == 0
         w = (d / "monotone-1d.x.weights.csv").read_bytes()
         assert (d / "monotone-1d.xprime.weights.csv").read_bytes() != w
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_refused(self, samples, tmp_path, capsys):
+        message = f"samples must be at least 1, got {samples}"
+        with pytest.raises(ValueError, match=message):
+            run_experiment("sine", ExperimentConfig(samples=samples))
+        d = tmp_path / "e"
+        assert run(["experiment", "sine", f"--samples={samples}", "--out-dir", d]) == 2
+        assert capsys.readouterr().err == f"error [experiment]: {message}\n"
+        assert not d.exists()
 
     def test_transform_option_gone(self):
         with pytest.raises(SystemExit):
@@ -677,8 +687,12 @@ class TestErrors:
     def test_bad_bins(self, tmp_path, capsys):
         p = tmp_path / "a.csv"
         p.write_text("t,x\n0,0\n1,1\n2,2\n")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run(["moments", "--in", p, "--bins", "zero", "--out", tmp_path / "m"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --bins: invalid value 'zero': expected comma-separated integers" in err
+        assert "_parse_bins" not in err
 
     def test_wav_rejects_dt(self, tmp_path, capsys):
         out = tmp_path / "walk.wav"

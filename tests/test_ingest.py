@@ -445,6 +445,9 @@ class TestForkedReader:
             ("3.0,#,1", "row 14, column 'x': not a number: '#'"),
             ("3.0,1,inf", "row 14, column 'y': non-finite value"),
             ("3.0,\udcf4\udc80,1", "row 14 is not UTF-8 text"),
+            # float() reads both as numbers, np.loadtxt neither
+            ("3.0,1_0,1", "row 14, column 'x': not a number: '1_0'"),
+            ("3.0,1,\u0661", "row 14, column 'y': not a number: '\u0661'"),
             ("3.01,1,2", "non-uniform timestamps in column 't'"),
         ],
     )
@@ -489,6 +492,21 @@ class TestForkedReader:
             self.read(monkeypatch, read_csv_trajectory, p, cpus)
         assert len(forks) == cpus - 1
         assert str(parts.value) == str(one.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_trailing_no_break_space_is_a_number(self, tmp_path, monkeypatch, small_parts, cpus):
+        # np.loadtxt and float() both strip it, so the per-cell parse reads
+        # the table that the parts read
+        lines, table = _reader_body(16, 3)
+        t, x, y = lines[12].split(",")
+        lines[12] = f"{t},{x}\xa0,{y}"
+        p = tmp_path / "a.csv"
+        _write_lines(p, ["t,x,y", *lines])
+        cells = io.BytesIO()
+        ingest._parse_cells(p, ["t", "x", "y"], cells)
+        assert cells.getvalue() == table.tobytes()
+        monkeypatch.setattr(ingest, "_parse_cells", None)  # the parts alone must read it
+        self.assert_holds(self.read(monkeypatch, read_csv_trajectory, p, cpus), table)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_bad_cell_outranks_an_earlier_time_fault(

@@ -37,6 +37,9 @@ def files(tmp_path_factory):
     (d / "binary.csv").write_bytes(wav.read_bytes())
     # another program's table: numeric columns, none of them a time column
     (d / "notime.csv").write_text("x,y\n" + "".join(f"{k % 7},{k % 5}\n" for k in range(50)))
+    # a time column and nothing else; a time column and valid flags, no weights
+    (d / "timeonly.csv").write_text("t\n" + "".join(f"{k / 4}\n" for k in range(50)))
+    (d / "noweights.csv").write_text("t,valid\n" + "".join(f"{k / 4},1\n" for k in range(50)))
     return d
 
 
@@ -53,6 +56,8 @@ KINDS = {
     "truncated-json": "truncated.json",
     "binary-csv": "binary.csv",
     "untimed-csv": "notime.csv",
+    "time-only-csv": "timeonly.csv",
+    "no-weights-csv": "noweights.csv",
 }
 
 # each reading option: its command, the argv that gives it the file at path
@@ -60,6 +65,7 @@ KINDS = {
 # accepts.  A weight CSV is a
 # trajectory CSV of three channels (the weights and the valid flag): plot
 # draws it, and moments and weights reject it for its dimension, naming it.
+# So is a weight CSV without weights, of the one channel 'valid'.
 TRAJECTORY = {"trajectory-csv", "wav"}
 OPTIONS = {
     "moments --in": (
@@ -111,7 +117,7 @@ OPTIONS = {
         {"field-json"},
     ),
     "plot --in": (
-        "plot", lambda d, p: ["--in", p], TRAJECTORY | {"weights-csv"}
+        "plot", lambda d, p: ["--in", p], TRAJECTORY | {"weights-csv", "no-weights-csv"}
     ),
 }
 
