@@ -58,11 +58,10 @@ def array_bytes(*arrays) -> bytes:
 def fit_digests(name: str, res) -> list[tuple[str, str]]:
     """The moments, field and weights of one run_pipeline fit."""
     m, f, w = res.moments, res.field, res.weights
-    components = np.array([f.component_ids[k] for k in f.frames], dtype=np.int64)
     fallback = w.fallback_mask if w.fallback_mask is not None else np.zeros(0, dtype=bool)
     return [
         (sha(array_bytes(m.keys, m.count, m.c2, m.t)), f"{name}.moments"),
-        (sha(array_bytes(f.keys, f.m, f.v, f.d, components)), f"{name}.field"),
+        (sha(array_bytes(f.keys, f.m, np.linalg.inv(f.m), f.d, f.component)), f"{name}.field"),
         (sha(array_bytes(w.values, w.valid_mask, fallback)), f"{name}.weights"),
     ]
 

@@ -125,7 +125,7 @@ def main() -> None:
             path = Path(tmp) / "field.json"
             _, t_save = timed(lambda: serialize.dump_json(serialize.field_to_dict(field), path))
             _, t_load = timed(lambda: serialize.load(path, serialize.field_from_dict))
-        components = len(set(field.component_ids.values()))
+        components = len(np.unique(field.component))
         peak = fit_peak_mb(traj, bins, min_count)
         print(
             f"{name:<27}{len(moments):>7}{components:>11}"

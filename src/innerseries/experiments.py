@@ -158,7 +158,7 @@ def _sine(seed: int, n: int):
         "c11_max_abs_error": float(np.abs(res.moments.c2[:, 0, 0] - (a * a - xc * xc)).max()),
         "reconstruction_rel_rmse": float(rmse / np.sqrt(np.mean(true**2))),
         "reconstruction_truncated": truncated,
-        "n_occupied_bins": len(res.field.frames),
+        "n_occupied_bins": len(res.field.keys),
     }
     t = traj.times
     plot = [

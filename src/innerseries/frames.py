@@ -13,9 +13,9 @@ inside degenerate eigenspaces of D).
 fit_field keeps the bins stacked from their moments (BinMoments) to the
 aligned field: it solves every bin at once (solve_frame is the same code on
 one bin) and aligns them with one assignment over every search-tree edge;
-the returned FrameField keeps them as stacks, in visiting order, and each
-bin's LocalFrame is a view of its row.  A signed permutation (perm, signs)
-acts on a stack of frames by gathers alone (_gauge).
+the returned FrameField is built from the stacks, in visiting order, with
+no m^-1.  A signed permutation (perm, signs) acts on a stack of frames by
+gathers alone (_gauge).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class FrameSolveError(ValueError):
 
 
 def _solve_stack(c2: np.ndarray, t: np.ndarray):
-    """Stacks of m, v, d and the degenerate flags of the frames of the
+    """Stacks of m, d and the degenerate flags of the frames of the
     (B, N, N) moments c2 and t, the mask of bins whose c2 passes the COND_TOL
     test, and c2's eigenvalues.  A bin that fails is whitened by its
     eigenvectors alone, so the stack solves without warnings."""
@@ -54,7 +54,7 @@ def _solve_stack(c2: np.ndarray, t: np.ndarray):
     m = np.swapaxes(np.take_along_axis(o, order[:, None, :], axis=2), 1, 2) @ w
     scale = np.maximum(np.abs(d).max(axis=1), np.finfo(float).tiny)
     degenerate = np.any(np.abs(np.diff(d, axis=1)) < GAP_TOL * scale[:, None], axis=1)
-    return m, np.linalg.inv(m), d, degenerate, ok, evals
+    return m, d, degenerate, ok, evals
 
 
 def _ill_conditioned(evals: np.ndarray) -> str:
@@ -69,10 +69,10 @@ def solve_frame(c2: np.ndarray, t: np.ndarray) -> LocalFrame:
     diagonal (= diag(d), sorted descending).  degenerate_flag is set when two
     adjacent d values are closer than GAP_TOL * max|d|.
     """
-    m, v, d, degenerate, ok, evals = _solve_stack(np.array([c2]), np.array([t]))
+    m, d, degenerate, ok, evals = _solve_stack(np.array([c2]), np.array([t]))
     if not ok[0]:
         raise FrameSolveError(_ill_conditioned(evals[0]))
-    return LocalFrame(m[0], v[0], d[0], bool(degenerate[0]))
+    return LocalFrame(m[0], np.linalg.inv(m[0]), d[0], bool(degenerate[0]))
 
 
 def frame_residuals(field: FrameField, moments: BinMoments) -> tuple[float, float]:
@@ -108,17 +108,11 @@ def _canonical(m: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, np.take_along_axis(flip, perm, axis=1)
 
 
-def _gauge(perm: np.ndarray, signs: np.ndarray, m: np.ndarray, v: np.ndarray, d: np.ndarray):
+def _gauge(perm: np.ndarray, signs: np.ndarray, m: np.ndarray, d: np.ndarray):
     """Stacks of frames with the b-th (perm, signs) applied to frame b: row j
-    of m becomes signs[j] * row perm[j], d follows its row, v = m^-1 its
-    column."""
+    of m becomes signs[j] * row perm[j], and d follows its row."""
     rows = np.arange(len(perm))[:, None]
-    vt = v.swapaxes(1, 2)
-    return (
-        m[rows, perm] * signs[..., None],
-        (vt[rows, perm] * signs[..., None]).swapaxes(1, 2),
-        d[rows, perm],
-    )
+    return m[rows, perm] * signs[..., None], d[rows, perm]
 
 
 def _forest(grid: BinGrid, keys: np.ndarray, counts: np.ndarray, degenerate: np.ndarray):
@@ -156,20 +150,19 @@ def align_frame_field(
     keys: np.ndarray,
     counts: np.ndarray,
     m: np.ndarray,
-    v: np.ndarray,
     d: np.ndarray,
     degenerate: np.ndarray,
 ) -> FrameField:
     """Make the frames of B bins sign/permutation consistent across the grid.
 
     Row i of the stacks is bin keys[i] (B, N), with counts[i] valid samples
-    and frame m[i], v[i] = m[i]^-1, d[i], degenerate[i].  Breadth-first over
-    the occupied-bin face adjacency from the most populated bin (the smallest
-    key of equal counts), each newly visited bin is corrected by the signed
-    permutation P minimizing ||P M_new M_ref^-1 - I||_F against an aligned
-    neighbour (non-degenerate preferred, then the most populated, then the
-    smallest key).  Disconnected components are aligned independently and
-    tagged with component ids; the frames are in visiting order.
+    and frame m[i], d[i], degenerate[i].  Breadth-first over the occupied-bin
+    face adjacency from the most populated bin (the smallest key of equal
+    counts), each newly visited bin is corrected by the signed permutation P
+    minimizing ||P M_new M_ref^-1 - I||_F against an aligned neighbour
+    (non-degenerate preferred, then the most populated, then the smallest
+    key).  Disconnected components are aligned independently and tagged with
+    component ids; the frames are in visiting order.
 
     One assignment solves every bin below a root against its unaligned
     reference (_forest), each pick's inverse being its correction R_b (a
@@ -187,7 +180,7 @@ def align_frame_field(
     # each bin's correction, and a last row b, the identity, above every root
     perm, signs = np.tile(np.arange(n), (b + 1, 1)), np.ones((b + 1, n), dtype=np.int64)
     perm[roots], signs[roots] = _canonical(m[roots], d[roots])
-    perm[child], signs[child] = best_signed_assignments(m[child] @ v[ref[child]])
+    perm[child], signs[child] = best_signed_assignments(m[child] @ np.linalg.inv(m)[ref[child]])
     perm[child] = np.argsort(perm[child], axis=1)  # R_b, the pick's inverse
     signs[child] = np.take_along_axis(signs[child], perm[child], axis=1)
     above = np.append(ref, b)
@@ -198,11 +191,9 @@ def align_frame_field(
         perm = np.take_along_axis(perm, outer, axis=1)
         signs = signs[above] * np.take_along_axis(signs, outer, axis=1)
         above = above[above]
-    m, v, d = _gauge(perm[order], signs[order], m[order], v[order], d[order])
-    key_list = list(map(tuple, keys[order].tolist()))
-    frames = map(LocalFrame, m, v, d, degenerate[order].tolist())
+    m, d = _gauge(perm[order], signs[order], m[order], d[order])
     component = np.cumsum(depth[order] == 0) - 1  # one component per root, in visiting order
-    return FrameField(grid, dict(zip(key_list, frames)), dict(zip(key_list, component.tolist())))
+    return FrameField.from_stacks(grid, keys[order], m, d, degenerate[order], component)
 
 
 def fit_field(grid: BinGrid, moments: BinMoments) -> tuple[FrameField, dict[tuple[int, ...], str]]:
@@ -214,7 +205,7 @@ def fit_field(grid: BinGrid, moments: BinMoments) -> tuple[FrameField, dict[tupl
     bin is left out, the ValueError names their number and the first bin's
     reason.
     """
-    m, v, d, degenerate, ok, evals = _solve_stack(moments.c2, moments.t)
+    m, d, degenerate, ok, evals = _solve_stack(moments.c2, moments.t)
     skipped = {
         tuple(key): _ill_conditioned(e) for key, e in zip(moments.keys[~ok].tolist(), evals[~ok])
     }
@@ -224,6 +215,6 @@ def fit_field(grid: BinGrid, moments: BinMoments) -> tuple[FrameField, dict[tupl
             f"no frames to align: all {len(skipped)} bins skipped; {key}: {reason}"
         )
     field = align_frame_field(
-        grid, moments.keys[ok], moments.count[ok], m[ok], v[ok], d[ok], degenerate[ok]
+        grid, moments.keys[ok], moments.count[ok], m[ok], d[ok], degenerate[ok]
     )
     return field, skipped

@@ -10,7 +10,8 @@ scale, so multiplying them into a velocity cancels the units.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -170,6 +171,13 @@ class Binning:
             a.setflags(write=False)
 
 
+def _repeated(keys: np.ndarray) -> tuple[int, ...] | None:
+    """The least row that the (B, N) keys hold more than once, or None."""
+    ranked = keys[np.lexsort(keys.T[::-1])]  # ascending, the first column leading
+    twice = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
+    return tuple(ranked[twice[0]].tolist()) if len(twice) else None
+
+
 @dataclass(frozen=True)
 class BinMoments:
     """Velocity statistics of B occupied bins, one row per bin: its grid
@@ -192,10 +200,8 @@ class BinMoments:
             c2.shape == t.shape == keys.shape + keys.shape[1:]
         ):
             raise ValueError("moment shapes inconsistent with dimension")
-        ranked = keys[np.lexsort(keys.T[::-1])]  # ascending, the first column leading
-        twice = np.flatnonzero((ranked[1:] == ranked[:-1]).all(axis=1))
-        if len(twice):
-            raise ValueError(f"bin {tuple(ranked[twice[0]].tolist())} has more than one row")
+        if (key := _repeated(keys)) is not None:
+            raise ValueError(f"bin {key} has more than one row")
         for name, a in zip(("keys", "count", "c2", "t"), (keys, count, c2, t)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -205,11 +211,10 @@ class BinMoments:
 
 
 class LocalFrame(NamedTuple):
-    """Per-bin matrix m whitening c2 and diagonalizing the contracted fourth
-    moment; v holds the columns of m^-1 (the local basis vectors); d is the
-    diagnostic diagonal, stored descending.  Holds its arrays as given: the
-    FrameField built from it checks them.
-    """
+    """One bin's frame, as solve_frame returns it and FrameField.frames views
+    it: m whitens c2 and diagonalizes the contracted fourth moment, v = m^-1
+    (its columns the local basis vectors) and d is the diagnostic diagonal,
+    stored descending.  Holds its arrays as given."""
 
     m: np.ndarray
     v: np.ndarray
@@ -217,69 +222,92 @@ class LocalFrame(NamedTuple):
     degenerate_flag: bool = False
 
 
-def _stack(keys: list, parts: tuple, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """The parts, one per bin of keys, as one read-only (B, *shape) array.
-    The ValueError for a part of another shape, or one not finite, names
-    its bin."""
-    for key, p in zip(keys, parts):
-        if np.shape(p) != shape:
-            raise ValueError(f"frame bin {key}: {name} has shape {np.shape(p)}, expected {shape}")
-    a = np.array(parts, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(a.reshape(len(a), -1)).all(axis=1))
-    if len(bad):
-        raise ValueError(f"frame bin {keys[bad[0]]}: {name} contains non-finite values")
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FrameField:
     """Globally sign/permutation-consistent frames over the occupied bins of a
-    grid.  Disconnected occupancy components are aligned independently;
-    component_ids records which component each bin belongs to, and names
-    exactly the bins of frames.
+    grid, as read-only stacks: row i of keys (B, N), m (B, N, N), d (B, N),
+    degenerate (B,) and component (B,) is one bin, its frame and the
+    occupancy component it was aligned in.  No m^-1 is kept.
 
-    The frames are checked once and stacked in the mapping's order: row i of
-    keys (B, N), m, v (B, N, N) and d (B, N) is the i-th bin of frames, and
-    frames maps each bin to a LocalFrame of views of its row.  All of them
-    are read-only.
+    from_stacks takes the stacks, FrameField(grid, frames, component_ids)
+    the mappings bin -> LocalFrame, in its order, and bin -> component id;
+    both check them in _hold.  Those mappings are built on first read.
     """
 
     grid: BinGrid
-    frames: Mapping[tuple[int, ...], LocalFrame]
-    component_ids: Mapping[tuple[int, ...], int]
-    keys: np.ndarray = field(init=False)
-    m: np.ndarray = field(init=False)
-    v: np.ndarray = field(init=False)
-    d: np.ndarray = field(init=False)
+    keys: np.ndarray
+    m: np.ndarray
+    d: np.ndarray
+    degenerate: np.ndarray
+    component: np.ndarray
 
-    def __post_init__(self):
-        if not self.frames:
+    def __init__(self, grid: BinGrid, frames: Mapping, component_ids: Mapping):
+        if stray := frames.keys() ^ component_ids.keys():
+            key = next(k for k in (*frames, *component_ids) if k in stray)
+            why = "no component id" if key in frames else "component id but no frame"
+            raise ValueError(f"frame bin {key}: {why}")
+        m, _, d, flags = [*zip(*frames.values())] or [()] * 4
+        self._hold(grid, list(frames), m, d, flags, list(map(component_ids.__getitem__, frames)))
+
+    @classmethod
+    def from_stacks(cls, grid: BinGrid, keys, m, d, degenerate, component) -> FrameField:
+        """The field of the stacks, held as given where their dtypes allow."""
+        field = cls.__new__(cls)
+        field._hold(grid, keys, m, d, degenerate, component)
+        return field
+
+    def _hold(self, grid: BinGrid, keys, m, d, degenerate, component) -> None:
+        """Check the stacks, arrays or sequences of B rows, each error naming
+        the first bad bin, and hold them read-only: keys (B, N) inside grid and
+        none twice, m (B, N, N) and d (B, N) finite, degenerate and component."""
+        if not (b := len(keys)):
             raise ValueError("frame field has no occupied bins")
-        keys, (m, v, d, flags) = list(self.frames), zip(*self.frames.values())
-        n, shape = self.grid.dim, self.grid.shape
-        for key in keys:
-            if len(key) != n:
-                raise ValueError(f"frame bin {key}: key length {len(key)}, grid dimension {n}")
-            if key not in self.component_ids:
-                raise ValueError(f"frame bin {key}: no component id")
-        idx = np.array(keys, dtype=np.int64)
-        idx.setflags(write=False)
-        outside = np.flatnonzero(np.any((idx < 0) | (idx >= shape), axis=1))
-        if len(outside):
-            raise ValueError(f"frame bin {keys[outside[0]]}: outside the grid of shape {shape}")
-        for key in self.component_ids:
-            if key not in self.frames:
-                raise ValueError(f"frame bin {key}: component id but no frame")
-        m, v, d = (
-            _stack(keys, m, (n, n), "m"), _stack(keys, v, (n, n), "v"), _stack(keys, d, (n,), "d")
-        )
-        frames = dict(zip(keys, map(LocalFrame, m, v, d, flags)))
-        for name, value in zip(
-            ("keys", "m", "v", "d", "frames", "component_ids"),
-            (idx, m, v, d, frames, dict(self.component_ids)),
+        n = grid.dim
+
+        def at(i: int) -> tuple[int, ...]:  # the bin of row i
+            return tuple(np.ravel(keys[i]).tolist())
+
+        specs = dict(keys=(keys, np.int64, (n,)), m=(m, float, (n, n)), d=(d, float, (n,)))
+        specs.update(degenerate=(degenerate, bool, ()), component=(component, np.int64, ()))
+        stacks = {}
+        for name, (rows, dtype, want) in specs.items():
+            if len(rows) != b:
+                raise ValueError(f"frame field: {len(rows)} {name} rows for {b} bins")
+            try:
+                stacks[name] = a = np.asarray(rows, dtype=dtype)
+            except ValueError:  # rows of unequal shapes
+                a = None
+            if a is None or a.shape[1:] != want:
+                i, got = next((i, np.shape(r)) for i, r in enumerate(rows) if np.shape(r) != want)
+                raise ValueError(f"frame bin {at(i)}: {name} has shape {got}, expected {want}")
+        keys, m, d = stacks["keys"], stacks["m"], stacks["d"]
+        outside = ((keys < 0) | (keys >= grid.shape)).any(axis=1)
+        for bad, why in (
+            (outside, f"outside the grid of shape {grid.shape}"),
+            (~np.isfinite(m).all(axis=(1, 2)), "m contains non-finite values"),
+            (~np.isfinite(d).all(axis=1), "d contains non-finite values"),
         ):
-            object.__setattr__(self, name, value)
+            if bad.any():
+                raise ValueError(f"frame bin {at(bad.argmax())}: {why}")
+        if (key := _repeated(keys)) is not None:
+            raise ValueError(f"frame bin {key}: listed more than once")
+        object.__setattr__(self, "grid", grid)
+        for name, a in stacks.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @functools.cached_property
+    def frames(self) -> Mapping[tuple[int, ...], LocalFrame]:
+        """Each bin -> its LocalFrame of views of its rows; v = m^-1, inverted here."""
+        v = np.linalg.inv(self.m)
+        v.setflags(write=False)
+        frames = map(LocalFrame, self.m, v, self.d, self.degenerate.tolist())
+        return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), frames)))
+
+    @functools.cached_property
+    def component_ids(self) -> Mapping[tuple[int, ...], int]:
+        """Each bin -> its component id."""
+        return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.component.tolist())))
 
 
 @dataclass(frozen=True)

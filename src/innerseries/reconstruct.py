@@ -41,6 +41,7 @@ def integrate_weights(
     if grid.flat_index(x0)[0] < 0:
         raise ValueError("x0 outside grid")
     flat_to_slot = _bin_lookup(field)[0].tolist()
+    v = np.linalg.inv(field.m)  # each bin's basis vectors V_(i), the columns of m^-1
     valid = w.valid_mask[:steps].tolist()
     # per axis, as Python floats: the bounds with one grid step of slack, and
     # the clip and inner edges that give the bin (edges at or below the point)
@@ -64,6 +65,6 @@ def integrate_weights(
             truncated = True
             break
         if valid[k]:
-            x = x + w.dt * (field.v[slot] @ w.values[k])
+            x = x + w.dt * (v[slot] @ w.values[k])
         path.append(x)
     return Trajectory(np.stack(path), w.dt), truncated

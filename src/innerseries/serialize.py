@@ -16,14 +16,13 @@ or axis where there is one, and load adds the path.
 from __future__ import annotations
 
 import base64
-import collections
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .model import BinGrid, BinMoments, FrameField, LocalFrame
+from .model import BinGrid, BinMoments, FrameField, _repeated
 
 SCHEMA_VERSION = 5
 
@@ -127,10 +126,9 @@ def _keys(keys: list, grid: BinGrid, what: str) -> list[tuple[int, ...]]:
             type(i) is int and 0 <= i < size for i, size in zip(k, shape)
         ):
             raise ValueError(f"{what} keys: {k!r} is not {n} integers inside the grid {shape}")
-    bins = list(map(tuple, keys))
-    if twice := [k for k, count in collections.Counter(bins).items() if count > 1]:
-        raise ValueError(f"{what} bin {twice[0]}: listed more than once")
-    return bins
+    if (key := _repeated(np.reshape(keys, (-1, n)))) is not None:
+        raise ValueError(f"{what} bin {key}: listed more than once")
+    return list(map(tuple, keys))
 
 
 def _decode(rows: dict, name: str, bins: list, shape: tuple, what: str) -> np.ndarray:
@@ -180,8 +178,7 @@ def moments_from_dict(d: dict) -> tuple[BinGrid, BinMoments]:
 
 def field_to_dict(field: FrameField) -> dict:
     frames = {"keys": field.keys.tolist(), "m": _encode(field.m), "d": _encode(field.d)}
-    frames["degenerate"] = [bool(f.degenerate_flag) for f in field.frames.values()]
-    frames["component_ids"] = [field.component_ids[k] for k in field.frames]
+    frames.update(degenerate=field.degenerate.tolist(), component_ids=field.component.tolist())
     return {"schema": SCHEMA_VERSION, "grid": grid_to_dict(field.grid), "frames": frames}
 
 
@@ -194,14 +191,10 @@ def field_from_dict(d: dict) -> FrameField:
     keys = _keys(rows["keys"], grid, "field")
     m, dd = _decode(rows, "m", keys, (n, n), "field"), _decode(rows, "d", keys, (n,), "field")
     flags, comp = (_column(rows, name, keys, "field") for name in ("degenerate", "component_ids"))
-    try:
-        v = np.linalg.inv(m)
-    except np.linalg.LinAlgError:  # inv and slogdet share the LU that meets a zero pivot
-        with np.errstate(divide="ignore"):
-            key = keys[np.flatnonzero(np.linalg.slogdet(m)[0] == 0)[0]]
-        raise ValueError(f"field bin {key}: m is singular") from None
-    frames = dict(zip(keys, map(LocalFrame, m, v, dd, flags)))
-    return FrameField(grid, frames, dict(zip(keys, comp)))
+    with np.errstate(divide="ignore"):  # a sign of 0: the LU meets a zero pivot, as inv would
+        if len(singular := np.flatnonzero(np.linalg.slogdet(m)[0] == 0)):
+            raise ValueError(f"field bin {keys[singular[0]]}: m is singular")
+    return FrameField.from_stacks(grid, np.reshape(keys, (-1, n)), m, dd, flags, comp)
 
 
 def json_default(o):

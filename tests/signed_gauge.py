@@ -142,7 +142,6 @@ def stacked_align(grid, frames, counts) -> FrameField:
         np.array(keys, dtype=np.int64).reshape(len(keys), grid.dim),
         np.array([counts[k] for k in keys], dtype=np.int64),
         np.array([f.m for f in frames.values()]),
-        np.array([f.v for f in frames.values()]),
         np.array([f.d for f in frames.values()]),
         np.array([f.degenerate_flag for f in frames.values()]),
     )

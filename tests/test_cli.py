@@ -13,7 +13,7 @@ from innerseries.ingest import (
     read_wav_trajectory,
     write_csv_trajectory,
 )
-from innerseries.model import Trajectory, WeightSeries
+from innerseries.model import FrameField, Trajectory, WeightSeries
 from innerseries.weights import read_csv_weights, write_csv_weights
 
 
@@ -255,6 +255,30 @@ class TestStagedPipeline:
         w = read_csv_weights(staged / "weights.csv")
         np.testing.assert_array_equal(w.values, res.weights.values)
         np.testing.assert_array_equal(w.valid_mask, res.weights.valid_mask)
+
+    def test_no_run_builds_the_mapping_views(self, staged, tmp_path, monkeypatch):
+        # the fit, the experiments and every staged command that builds or
+        # loads a field read its stacks alone: no per-bin mapping is built
+        fields, hold = [], FrameField._hold
+
+        def record(field, *stacks):
+            hold(field, *stacks)
+            fields.append(field)
+
+        monkeypatch.setattr(FrameField, "_hold", record)
+        run_pipeline(read_csv_trajectory(staged / "walk.csv"), (3, 3), None)
+        for name in ("sine", "mixture-2d"):
+            run_experiment(name, ExperimentConfig(samples=20_000), tmp_path / name)
+        field, weights = tmp_path / "field.json", tmp_path / "weights.csv"
+        assert run(["frames", "--moments", staged / "moments.json", "--out", field]) == 0
+        traj = staged / "walk.csv"
+        assert run(["weights", "--in", traj, "--field", field, "--out", weights]) == 0
+        x0 = ",".join(map(repr, read_csv_trajectory(traj).samples[1].tolist()))
+        argv = ["--weights", weights, "--field", field, f"--x0={x0}", "--steps", "100"]
+        assert run(["reconstruct", *argv, "--out", tmp_path / "rec.csv"]) == 0
+        assert len(fields) == 1 + 1 + 3 + 3
+        for f in fields:
+            assert "frames" not in vars(f) and "component_ids" not in vars(f)
 
     def test_plot_command(self, staged, tmp_path):
         out = tmp_path / "plot.svg"

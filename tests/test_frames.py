@@ -27,6 +27,7 @@ from innerseries.model import (
 )
 from signed_gauge import (
     all_signed_permutations,
+    apply_to_array,
     apply_to_frame,
     canonicalize_frame,
     check_transform_law,
@@ -232,10 +233,10 @@ def frames_before_alignment(monkeypatch, grid, moments):
     by key in the order of its stacks."""
     seen = {}
 
-    def record(grid, keys, counts, m, v, d, degenerate):
+    def record(grid, keys, counts, m, d, degenerate):
         for i, key in enumerate(keys.tolist()):
-            seen[tuple(key)] = LocalFrame(m[i], v[i], d[i], bool(degenerate[i]))
-        return align_frame_field(grid, keys, counts, m, v, d, degenerate)
+            seen[tuple(key)] = LocalFrame(m[i], np.linalg.inv(m[i]), d[i], bool(degenerate[i]))
+        return align_frame_field(grid, keys, counts, m, d, degenerate)
 
     monkeypatch.setattr("innerseries.frames.align_frame_field", record)
     _, skipped = fit_field(grid, moments)
@@ -266,14 +267,14 @@ class TestStackedSolve:
     @settings(max_examples=30, deadline=None)
     @given(moment_stacks(), st.integers(0, 2**32 - 1))
     def test_permuted_v_is_the_inverse_of_permuted_m(self, case, seed):
-        # v takes the signed permutation on its columns instead of being
-        # inverted again; on solved frames that gives the same bits
+        # the field keeps no m^-1, and inverting a gauged frame gives the
+        # bits of the solved inverse with the signed permutation on its columns
         rng = np.random.default_rng(seed)
         for c2, t in zip(case[1].c2, case[1].t):
             f = solve_frame(c2, t)
-            perm, signs = rng.permutation(len(f.d))[None], rng.choice([-1, 1], (1, len(f.d)))
-            gm, gv, _ = _gauge(perm, signs, f.m[None], f.v[None], f.d[None])
-            assert gv.tobytes() == np.linalg.inv(gm).tobytes()
+            perm, signs = rng.permutation(len(f.d)), rng.choice([-1, 1], len(f.d))
+            gm, _ = _gauge(perm[None], signs[None], f.m[None], f.d[None])
+            assert np.linalg.inv(gm[0]).tobytes() == apply_to_array((perm, signs), f.v).tobytes()
 
     def test_bad_bins_in_one_stack(self, monkeypatch):
         moments = BinMoments(
@@ -353,17 +354,17 @@ def frame_stacks(draw):
 
 
 def assert_same_frames(stacks, frames):
-    """The stacks (m, v, d) hold the frames, bit for bit."""
+    """The stacks (m, d) hold the frames, bit for bit."""
     for i, f in enumerate(frames):
-        for a, b in zip(stacks, (f.m, f.v, f.d)):
+        for a, b in zip(stacks, (f.m, f.d)):
             assert a[i].tobytes() == b.tobytes()
 
 
 def stacked_canonical(frame):
     """The package's stacked canonical gauge on a one-frame stack."""
-    m, v, d = frame.m[None], frame.v[None], frame.d[None]
-    cm, cv, cd = _gauge(*_canonical(m, d), m, v, d)
-    return LocalFrame(cm[0], cv[0], cd[0], frame.degenerate_flag)
+    m, d = frame.m[None], frame.d[None]
+    cm, cd = _gauge(*_canonical(m, d), m, d)
+    return LocalFrame(cm[0], np.linalg.inv(cm[0]), cd[0], frame.degenerate_flag)
 
 
 class TestCanonicalize:
@@ -407,15 +408,15 @@ class TestCanonicalize:
     @given(frame_stacks())
     def test_matches_per_frame_oracle(self, case):
         m, v, d = case
-        out = _gauge(*_canonical(m, d), m, v, d)
+        out = _gauge(*_canonical(m, d), m, d)
         assert_same_frames(out, [canonicalize_frame(LocalFrame(*f)) for f in zip(m, v, d)])
 
     @settings(max_examples=60, deadline=None)
     @given(frame_stacks())
     def test_idempotent_on_stacks(self, case):
-        m, v, d = case
-        once = _gauge(*_canonical(m, d), m, v, d)
-        twice = _gauge(*_canonical(once[0], once[2]), *once)
+        m, _, d = case
+        once = _gauge(*_canonical(m, d), m, d)
+        twice = _gauge(*_canonical(*once), *once)
         for a, b in zip(once, twice):
             assert a.tobytes() == b.tobytes()
 
@@ -425,8 +426,8 @@ class TestCanonicalize:
         m, v, d = case
         frame = LocalFrame(m[0], v[0], d[0])
         orbit = [apply_to_frame(p, frame) for p in all_signed_permutations(len(frame.d))]
-        om, ov, od = (np.array([getattr(g, a) for g in orbit]) for a in "mvd")
-        out = _gauge(*_canonical(om, od), om, ov, od)
+        om, od = (np.array([getattr(g, a) for g in orbit]) for a in "md")
+        out = _gauge(*_canonical(om, od), om, od)
         assert_same_frames(out, [canonicalize_frame(frame)] * len(orbit))
 
 

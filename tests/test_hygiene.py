@@ -1,7 +1,8 @@
 """Every module of the package, script and test file reads each name it
 imports, every CLI subcommand reads each option it accepts, every defaulted
 parameter of the package is passed by some caller, importing a module or
-script runs nothing, and every function the benchmark's tracer probes exists.
+script runs nothing, no program path reads a frame field's per-bin mappings,
+and every function the benchmark's tracer probes exists.
 
 A name that is imported and never read is usually left over from deleted
 code.  The package's __init__.py imports names to re-export them and is
@@ -10,7 +11,9 @@ silently ignored.  A defaulted parameter that no call in the package or its
 scripts passes is a setting nothing uses.  A call at the top level of a
 module, outside an `if __name__ == "__main__":` block, runs whenever the
 module is imported.  The tracer skips a probe whose function is gone and
-reports its metrics as missing, so a rename would go unnoticed there.
+reports its metrics as missing, so a rename would go unnoticed there.  A
+frame field's frames and component_ids build one entry per bin on first
+read, which its stacks make needless outside the benchmark and the tests.
 """
 
 import argparse
@@ -346,6 +349,32 @@ def test_scan_flags_unread_public_names():
         "a:unused",
         "b:spare",
     ]
+
+
+def mapping_view_reads(source: str) -> list[int]:
+    """The line of each .frames or .component_ids attribute in source."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr in ("frames", "component_ids")
+    ]
+
+
+@pytest.mark.parametrize("path", ENTRY_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_program_path_reads_the_mapping_views(path):
+    # a FrameField's data are its stacks; its per-bin mappings are built on
+    # first read for the benchmark and the tests, and no program path builds them
+    assert mapping_view_reads(path.read_text()) == []
+
+
+def test_scan_flags_mapping_view_reads():
+    source = (
+        "from innerseries import frames\n"
+        "def count(field):\n"
+        "    n = len(field.frames)\n"
+        "    return n, set(field.component_ids.values()), field.component\n"
+    )
+    assert mapping_view_reads(source) == [3, 4]
 
 
 # modules that start processes or threads

@@ -257,15 +257,27 @@ class TestFrameField:
         scaled = LocalFrame(2 * np.eye(2), np.eye(2) / 2, np.array([2.0, 1.0]), True)
         field = FrameField(GRID_2X2, {(1, 0): scaled, (0, 1): EYE_FRAME}, {(1, 0): 0, (0, 1): 1})
         assert field.keys.tolist() == [[1, 0], [0, 1]]  # the mapping's order
+        assert field.degenerate.tolist() == [True, False]
+        assert field.component.tolist() == [0, 1]
+        assert not hasattr(field, "v")
+        assert "frames" not in vars(field) and "component_ids" not in vars(field)
+        v = np.linalg.inv(field.m)
         for i, frame in enumerate(field.frames.values()):
-            for part, stack in zip(frame[:3], (field.m, field.v, field.d)):
+            for part, stack in ((frame.m, field.m), (frame.d, field.d)):
                 assert np.shares_memory(part, stack)
                 np.testing.assert_array_equal(part, stack[i])
+            np.testing.assert_array_equal(frame.v.view(np.uint64), v[i].view(np.uint64))
         np.testing.assert_array_equal(field.frames[(1, 0)].m, scaled.m)
         assert field.frames[(1, 0)].degenerate_flag and not field.frames[(0, 1)].degenerate_flag
-        for a in (field.keys, field.m, field.v, field.d, field.frames[(1, 0)].m):
+        assert dict(field.component_ids) == {(1, 0): 0, (0, 1): 1}
+        assert field.frames is field.frames  # built once
+        stacks = (field.keys, field.m, field.d, field.degenerate, field.component)
+        for a in (*stacks, field.frames[(1, 0)].m, field.frames[(1, 0)].v):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+        for view in (field.frames, field.component_ids):
+            with pytest.raises(TypeError):
+                view[(0, 0)] = view[(1, 0)]
 
     @pytest.mark.parametrize(
         "key, frame, message",
@@ -273,10 +285,11 @@ class TestFrameField:
             # a negative index would name another bin of the grid
             ((-1, 0), EYE_FRAME, r"\(-1, 0\): outside the grid of shape \(2, 2\)"),
             ((0, 2), EYE_FRAME, r"\(0, 2\): outside the grid of shape \(2, 2\)"),
-            ((1,), EYE_FRAME, r"\(1,\): key length 1, grid dimension 2"),
+            ((1,), EYE_FRAME, r"\(1,\): keys has shape \(1,\), expected \(2,\)"),
             ((1, 1), EYE_FRAME._replace(m=np.eye(3)), r"\(1, 1\): m has shape \(3, 3\), expected"),
             ((1, 1), EYE_FRAME._replace(d=np.ones(3)), r"\(1, 1\): d has shape \(3,\), expected"),
-            ((1, 1), EYE_FRAME._replace(v=np.full((2, 2), np.inf)), r"\(1, 1\): v contains non-"),
+            ((1, 1), EYE_FRAME._replace(m=np.full((2, 2), np.inf)), r"\(1, 1\): m contains non-"),
+            ((1, 1), EYE_FRAME._replace(d=np.array([1.0, np.nan])), r"\(1, 1\): d contains non-"),
         ],
     )
     def test_bad_bin_rejected_by_name(self, key, frame, message):
@@ -288,6 +301,20 @@ class TestFrameField:
         frame = LocalFrame(np.eye(3), np.eye(3), np.ones(2))
         with pytest.raises(ValueError, match=r"^frame bin \(0, 0\): m has shape \(3, 3\)"):
             FrameField(GRID_2X2, {(0, 0): frame, (1, 1): frame}, {(0, 0): 0, (1, 1): 0})
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ([[0, 0], [1, 1], [0, 1], [1, 1]], r"^frame bin \(1, 1\): listed more than once$"),
+            ([[0, 0], [1, 1], [0, 1], [1, 2]], r"^frame bin \(1, 2\): outside the grid"),
+            ([[0, 0], [1, 1], [0, 1]], r"^frame field: 4 m rows for 3 bins$"),
+            ([], r"^frame field has no occupied bins$"),
+        ],
+    )
+    def test_bad_stacks_rejected(self, keys, message):
+        stacks = np.tile(np.eye(2), (4, 1, 1)), np.ones((len(keys), 2)), [False] * len(keys)
+        with pytest.raises(ValueError, match=message):
+            FrameField.from_stacks(GRID_2X2, keys, *stacks, [0] * len(keys))
 
     @pytest.mark.parametrize(
         "ids, message",

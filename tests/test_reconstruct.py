@@ -21,7 +21,7 @@ def integrate_weights_reference(w, field, x0, steps):
     grid = field.grid
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     flat_to_slot, _ = _bin_lookup(field)
-    v_stack = np.stack([f.v for f in field.frames.values()])
+    v_stack = np.linalg.inv(field.m)
     lo = np.array([e[0] for e in grid.edges])
     hi = np.array([e[-1] for e in grid.edges])
     slack = grid.step_sizes()

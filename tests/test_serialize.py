@@ -117,8 +117,10 @@ class TestFieldRoundtrip:
             np.testing.assert_array_equal(back.frames[k].d, res.field.frames[k].d)
             assert back.frames[k].degenerate_flag == res.field.frames[k].degenerate_flag
         assert back.component_ids == res.field.component_ids
-        # the one inversion per stack gives the fit's m^-1, which reconstruct uses
-        np.testing.assert_array_equal(back.v.view(np.uint64), res.field.v.view(np.uint64))
+        # every stack loads bit for bit, so the m^-1 that reconstruct inverts is the fit's
+        for name in ("keys", "m", "d", "degenerate", "component"):
+            a, b = getattr(back, name), getattr(res.field, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +260,7 @@ def stacks(draw):
         return np.reshape(draw(st.lists(VALUES, min_size=size, max_size=size)), (b,) + (n,) * rank)
 
     m = np.tril(floats(2), -1) + np.eye(n)
-    try:  # m^-1, which the loader computes, may underflow a pivot or overflow
+    try:  # m^-1, which the mapping view computes, may underflow a pivot or overflow
         with np.errstate(all="ignore"):
             v = np.linalg.inv(m)
     except np.linalg.LinAlgError:
@@ -300,6 +302,14 @@ class TestCodec:
             np.testing.assert_array_equal(_bits(getattr(back, name)), _bits(s[name]))
         assert [f.degenerate_flag for f in back.frames.values()] == s["flags"]
         assert list(back.component_ids.values()) == s["ids"]
+        # the mapping constructor, fed the loaded field's own views, gives its stacks back
+        rebuilt = FrameField(back.grid, back.frames, back.component_ids)
+        for name in ("keys", "m", "d", "degenerate", "component"):
+            a, b = getattr(rebuilt, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        v = np.linalg.inv(back.m)
+        for i, f in enumerate(back.frames.values()):
+            np.testing.assert_array_equal(_bits(f.v), _bits(v[i]))
 
 
 class TestDumpJson:
