@@ -198,10 +198,12 @@ def _monotone_1d(seed: int, n: int):
 
 
 def _lifted_2d(seed: int, n: int):
-    _, lifted = ingest.gen_lifted_latent(n, seed)
+    lifted = ingest.gen_lifted_latent(n, seed)[1]  # the latent is not held
     x, frac_a = ingest.pca_embed(lifted, 2)
     distorted = Trajectory(ingest.distort_lift(lifted.samples), lifted.dt, lifted.channel_names)
+    del lifted  # each 6-D input is freed after its last use, before the fits
     xp, frac_b = ingest.pca_embed(distorted, 2)
+    del distorted
     res, res_p, corrs = _two_arms(x, xp, (4, 4))
     metrics = {
         "aligned_weight_correlation_min": float(np.min(corrs)),
@@ -221,14 +223,16 @@ def _lifted_2d(seed: int, n: int):
 
 def _fit_and_mix_sources(seed: int, n: int) -> tuple[PipelineResult, PipelineResult, Trajectory]:
     """Fit both sources of mixture-2d, then mix them; the source walks are
-    freed on return, before the mixture is embedded and fitted."""
+    freed once stacked, so the mixing holds their stacked copy alone."""
     dt = 1.0 / 16000
     box = 2.0e4  # keeps both sources inside the +-2^15 mixing domain
     s1 = ingest.gen_bounded_walk(n, seed=seed, dim=1, box=box, dt=dt, noise="laplace")
     s2 = ingest.gen_bounded_walk(n, seed=seed + 1, dim=1, box=box, dt=dt, noise="uniform")
     res1 = run_pipeline(s1, (16,), None)
     res2 = run_pipeline(s2, (16,), None)
-    return res1, res2, ingest.mix_two_sources(Trajectory(np.hstack([s1.samples, s2.samples]), dt))
+    sources = Trajectory(np.hstack([s1.samples, s2.samples]), dt)
+    del s1, s2
+    return res1, res2, ingest.mix_two_sources(sources)
 
 
 def _mixture_2d(seed: int, n: int):
@@ -236,6 +240,7 @@ def _mixture_2d(seed: int, n: int):
     xprime, _ = ingest.pca_embed(mixed, 2)
     del mixed  # not held through the mixture fit, where a run peaks
     res_mix = run_pipeline(xprime, (16, 16), None)
+    del xprime  # freed before the plot's time axis, xprime.times, is built
     rep = separability_report(res_mix.weights, [res1.weights, res2.weights])
     metrics = {
         "min_channel_corr": rep.min_channel_corr,
@@ -244,7 +249,7 @@ def _mixture_2d(seed: int, n: int):
         "matched_perm": rep.perm.tolist(),
         "matched_signs": rep.signs.tolist(),
     }
-    t = xprime.times
+    t = np.arange(n, dtype=float) * res_mix.weights.dt
     plot = [
         ("w_s1", t, res1.weights.values[:, 0]),
         ("wprime1", t, res_mix.weights.values[:, 0]),

@@ -409,9 +409,13 @@ def gen_broadband(
     freqs = f_hi * 10.0 ** (-2.5 * rng.random(n_tones))
     phases = rng.uniform(0, 2 * np.pi, n_tones)
     amps = rng.uniform(0.3, 1.0, n_tones) / np.sqrt(freqs / freqs.min())
-    x = np.zeros(n)
+    x, s = np.zeros(n), np.empty(n)  # s: each tone in turn, formed in place
     for f, p, amp in zip(freqs, phases, amps):
-        x += amp * np.sin(2 * np.pi * f * t + p)
+        np.multiply(2 * np.pi * f, t, out=s)
+        s += p
+        np.sin(s, out=s)
+        s *= amp
+        x += s
     x *= amplitude / np.max(np.abs(x))
     return Trajectory(x, dt, ("x",))
 
@@ -468,21 +472,23 @@ def gen_bounded_walk(
     pos = np.empty((n, dim))
     step = step_scale * box
     gain = 1.0 - smooth
+    top, bottom, span = float(box), -float(box), 2.0 * box
     # the channels are independent: step each one on Python floats
     for j, kind in enumerate(kinds):
         p, v = start[j], 0.0
         for lo, eps in zip(range(0, n, _CHUNK), noise_blocks(kind)):
             col = []
-            for e in eps.tolist():
-                col.append(p)
-                v = smooth * v + gain * e
-                p = p + step * v
+            keep = col.append
+            for kick in (gain * eps).tolist():
+                keep(p)
+                v = smooth * v + kick
+                p += step * v
                 # reflect at the walls, flipping the velocity
-                if p > box:
-                    p = 2 * box - p
+                if p > top:
+                    p = span - p
                     v = -v
-                elif p < -box:
-                    p = -2 * box - p
+                elif p < bottom:
+                    p = -span - p
                     v = -v
             pos[lo : lo + _CHUNK, j] = col
     names = tuple(f"s{i + 1}" for i in range(dim))
@@ -519,14 +525,17 @@ def lift_map(latent: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
-    return latent @ _LIFT_LINEAR.T + _LIFT_EPS * nonlin
+    nonlin *= _LIFT_EPS
+    return np.add(latent @ _LIFT_LINEAR.T, nonlin, out=nonlin)
 
 
 def distort_lift(lifted: np.ndarray) -> np.ndarray:
     """A fixed invertible distortion of the 6-D lift: per-channel monotone
     cubic followed by a fixed rotation-like mixing.  Composing it with
     lift_map yields a second, distinct lift of the same latent."""
-    y = lifted + 0.03 * lifted**3
+    y = lifted**3
+    y *= 0.03
+    y += lifted
     rng = np.random.default_rng(987654321)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     return y @ q.T
@@ -573,7 +582,11 @@ def apply_transform(traj: Trajectory, coeffs, domain: tuple[float, float]) -> Tr
     if np.any(x < lo) or np.any(x > hi):
         raise TransformError("sample outside declared polynomial domain")
     names = tuple(f"{c}'" for c in traj.channel_names)
-    return Trajectory(np.polyval(coeffs, x), traj.dt, names)
+    y = np.zeros_like(x)  # Horner in place, as np.polyval evaluates it
+    for c in coeffs:
+        y *= x
+        y += c
+    return Trajectory(y, traj.dt, names)
 
 
 def mix_two_sources(traj2: Trajectory) -> Trajectory:
@@ -624,10 +637,17 @@ def pca_embed(series: Trajectory, k: int) -> tuple[Trajectory, np.ndarray]:
         raise ValueError("zero-variance input")
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:k]
-    comps = xc @ evecs[:, order]
     var = evals[order]
     if np.any(var <= 0):
         raise ValueError("degenerate principal component variance")
+    # project into xc's first k columns, _CHUNK rows at a time (comps is xc
+    # when k = d); a one-row tail joins the block before it, as numpy forms
+    # a one-row product by another kernel, with other bits
+    e, n = evecs[:, order], len(xc)
+    for lo in range(0, n - 1, _CHUNK):
+        hi = n if n - lo <= _CHUNK + 1 else lo + _CHUNK
+        xc[lo:hi, :k] = xc[lo:hi] @ e
+    comps = np.ascontiguousarray(xc[:, :k])
     comps /= np.sqrt(var)
     fractions = var / total
     names = tuple(f"pc{i + 1}" for i in range(k))

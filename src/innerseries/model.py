@@ -70,7 +70,9 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.dt
+        t = np.arange(self.n_samples, dtype=float)
+        t *= self.dt
+        return t
 
     def channel(self, i: int) -> np.ndarray:
         return self.samples[:, i]

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,6 +334,27 @@ class TestExperimentCommand:
                 c for c in r.get("criteria", []) if c.get("name") != "runtime_seconds"
             ]
         assert r1 == r2
+
+
+class TestExperimentPeakMemory:
+    # the traced peak of a run, in float64 per sample.  mixture-2d peaks
+    # in its mixing (the source arms' results, the stacked sources, the
+    # mixture and one temporary) and in its mixture fit, about 7.8 each;
+    # with the source walks held beside their stacked copy it was 9.8.
+    # lifted-2d peaks in distort_lift (the 6-D lift, the first embedding,
+    # the cube and the product), about 20; with the latent, the lift and
+    # the distorted lift held through both embeddings it was 24.6
+    @pytest.mark.parametrize("name, per_sample", [("mixture-2d", 8), ("lifted-2d", 21)])
+    def test_peak_memory_per_sample(self, name, per_sample):
+        n = 100_000
+        run_experiment(name, ExperimentConfig(samples=10_000))  # what a first run imports
+        tracemalloc.start()
+        try:
+            run_experiment(name, ExperimentConfig(samples=n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < per_sample * 8 * n
 
 
 class TestFramesSkip:

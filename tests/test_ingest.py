@@ -937,6 +937,82 @@ class TestPcaEmbed:
             pca_embed(Trajectory(np.zeros((50, 2)) + 1.0, 1.0), 1)
 
 
+# row counts about the _CHUNK blocks pca_embed projects in
+SIZES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+
+
+class TestInPlaceBits:
+    """The in-place forms of the input chain give, bit for bit, the
+    expressions they replaced."""
+
+    @pytest.mark.parametrize("n", SIZES[1:])  # one row is refused: n must exceed d
+    @pytest.mark.parametrize("d, k", [(6, 2), (6, 6), (2, 2), (3, 1)])
+    def test_pca_embed_equals_one_product(self, n, d, k):
+        rng = np.random.default_rng(n + d + k)
+        x = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
+        out, frac = pca_embed(Trajectory(x, 0.5), k)
+        xc = x - x.mean(axis=0)
+        cov = xc.T @ xc / n
+        evals, evecs = np.linalg.eigh(cov)
+        order = np.argsort(evals)[::-1][:k]
+        var = evals[order]
+        ref = (x - x.mean(axis=0)) @ evecs[:, order] / np.sqrt(var)
+        assert out.samples.shape == (n, k) and out.samples.flags.c_contiguous
+        assert out.samples.tobytes() == ref.tobytes()
+        assert frac.tobytes() == (var / np.trace(cov)).tobytes()
+
+    def test_pca_embed_refuses_one_row(self):
+        with pytest.raises(ValueError, match="more samples than input dimension"):
+            pca_embed(Trajectory(np.ones((1, 2)), 1.0), 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("dt", [1.0 / 16000, 0.01, 0.1, 3.0])
+    def test_times_equal_int_arange_times_dt(self, n, dt):
+        assert Trajectory(np.zeros(n), dt).times.tobytes() == (np.arange(n) * dt).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_lift_map_equals_its_expression(self, n):
+        latent = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+        u, v = latent[:, 0], latent[:, 1]
+        nonlin = np.stack(
+            [np.sin(1.3 * u) * np.cos(0.7 * v), u * v, np.sin(0.9 * v), u**2 - v**2,
+             np.cos(1.1 * u), u**3],
+            axis=-1,
+        )
+        ref = latent @ ingest._LIFT_LINEAR.T + ingest._LIFT_EPS * nonlin
+        assert ingest.lift_map(latent).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_distort_lift_equals_its_expression(self, n):
+        lifted = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 6))
+        q, _ = np.linalg.qr(np.random.default_rng(987654321).standard_normal((6, 6)))
+        ref = (lifted + 0.03 * lifted**3) @ q.T
+        assert ingest.distort_lift(lifted).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_apply_transform_equals_polyval(self, n):
+        x = np.random.default_rng(n).uniform(-1.2, 1.2, (n, 2))
+        x[0] = [0.0, -0.0]
+        coeffs = [0.0, 1.0, 0.0, 0.5]
+        out = apply_transform(Trajectory(x, 1.0), coeffs, (-1.2, 1.2))
+        assert out.samples.tobytes() == np.polyval(coeffs[::-1], x).tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gen_broadband_equals_its_sum_of_tones(self, n):
+        dt, seed = 1.0 / 16000, n
+        rng = np.random.default_rng(seed)
+        t = np.arange(n) * dt
+        freqs = 0.05 / dt * 10.0 ** (-2.5 * rng.random(24))
+        phases = rng.uniform(0, 2 * np.pi, 24)
+        amps = rng.uniform(0.3, 1.0, 24) / np.sqrt(freqs / freqs.min())
+        ref = np.zeros(n)
+        for f, p, amp in zip(freqs, phases, amps):
+            ref += amp * np.sin(2 * np.pi * f * t + p)
+        ref *= 0.8 / np.max(np.abs(ref))
+        out = ingest.gen_broadband(n, dt=dt, seed=seed, amplitude=0.8)
+        assert out.samples.tobytes() == ref[:, None].tobytes()
+
+
 class TestLiftedLatent:
     def test_latent_stays_in_box(self):
         latent, _ = gen_lifted_latent(10_000, seed=0)
